@@ -32,7 +32,6 @@ from .metrics import (
     CorrelationResult,
     EnergyEstimate,
     GraphCloud,
-    HolderEstimate,
     box_dimension,
     correlation_dimension,
     empirical_spectrum,

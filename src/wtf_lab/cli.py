@@ -1,4 +1,4 @@
-"""Batch front-end: wtf-lab <command> --config <path> [--out DIR] [--threads N] [--seed S].
+"""Batch front-end: wtf-lab <command> --config <path> [--out DIR] [--seed S].
 
 One command per process; every run writes a deterministic report.json (and
 any CSV outputs) into the output directory.  Exit codes: 0 ok, 2 validation
@@ -14,23 +14,23 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import load_config, parse_model, parse_theta, require_int, require_number
+from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
 from .errors import (
+    BadConfig,
     BudgetExceeded,
+    Inconclusive,
     NUMERICAL_ERRORS,
-    VALIDATION_ERRORS,
     WtfLabError,
 )
 from .metrics import (
     box_dimension,
-    correlation_dimension,
     holder_birkhoff,
     holder_oscillation,
     read_cloud_csv,
     sample_graph,
     write_cloud_csv,
 )
-from .report import RunReport
+from .report import RunReport, write_csv
 from .thermo import (
     A_of_q,
     PotentialSpec,
@@ -75,27 +75,7 @@ def _cmd_predict(config, out_dir, seed, report):
     }
 
 
-def _cmd_sample(config, out_dir, seed, report):
-    sys = parse_model(config)
-    theta = parse_theta(config, seed)
-    depth = require_int(config, "depth", low=1, high=40)
-    per_cylinder = require_int(config, "per_cylinder", default=1, low=1)
-    tol = require_number(config, "tol", default=1e-8, low=1e-15)
-    restricted = bool(config.get("restrict_to_repeller", False))
-    cloud = sample_graph(sys, theta, depth, per_cylinder, tol, restricted)
-    out = out_dir / str(config.get("cloud_csv", "cloud.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_cloud_csv(cloud, out)
-    report.outputs = {
-        "points": len(cloud),
-        "cloud_csv": out.name,
-        "provenance": cloud.provenance.to_dict(),
-    }
-
-
-def _load_or_sample_cloud(config, out_dir, seed):
-    if "cloud_csv_in" in config:
-        return read_cloud_csv(config["cloud_csv_in"])
+def _sample_from_config(config, seed):
     sys = parse_model(config)
     theta = parse_theta(config, seed)
     depth = require_int(config, "depth", low=1, high=40)
@@ -105,14 +85,28 @@ def _load_or_sample_cloud(config, out_dir, seed):
     return sample_graph(sys, theta, depth, per_cylinder, tol, restricted)
 
 
+def _cmd_sample(config, out_dir, seed, report):
+    cloud = _sample_from_config(config, seed)
+    out = out_dir / str(config.get("cloud_csv", "cloud.csv"))
+    write_cloud_csv(cloud, out)
+    report.outputs = {
+        "points": len(cloud),
+        "cloud_csv": out.name,
+        "provenance": cloud.provenance.to_dict(),
+    }
+
+
 def _cmd_boxdim(config, out_dir, seed, report):
-    cloud = _load_or_sample_cloud(config, out_dir, seed)
-    scales = config.get("scales")
+    if "cloud_csv_in" in config:
+        cloud = read_cloud_csv(config["cloud_csv_in"])
+    else:
+        cloud = _sample_from_config(config, seed)
+    scales = require_list(config, "scales")
     if scales is None:
         lo = require_int(config, "min_scale_exp", default=6, low=1)
         hi = require_int(config, "max_scale_exp", default=14, low=2)
         scales = [2.0**-k for k in range(lo, hi + 1)]
-    drop = tuple(config.get("window_drop", (2, 2)))
+    drop = tuple(require_list(config, "window_drop", int, length=2, default=[2, 2]))
     result = box_dimension(cloud, scales, drop=drop)
     report.outputs = {
         "slope": result.slope,
@@ -133,7 +127,7 @@ def _cmd_holder(config, out_dir, seed, report):
     hi = require_int(config, "osc_depth_max", default=20, low=2)
     probes = require_int(config, "probes", default=128, low=2)
     tol = require_number(config, "tol", default=1e-12, low=1e-16)
-    points = config.get("points")
+    points = require_list(config, "points")
     if points is None:
         from .dynamics import sample_repeller
         n = require_int(config, "point_depth", default=12, low=1)
@@ -147,11 +141,7 @@ def _cmd_holder(config, out_dir, seed, report):
         ov = holder_oscillation(sys, float(x), theta, range(lo, hi + 1), probes, tol)
         rows.append((float(x), bv, ov))
     out = out_dir / str(config.get("holder_csv", "holder.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("x,birkhoff,oscillation\n")
-        for x, bv, ov in rows:
-            fh.write(f"{x:.17g},{bv:.17g},{ov:.17g}\n")
+    write_csv(out, ("x", "birkhoff", "oscillation"), rows)
     report.outputs = {
         "holder_csv": out.name,
         "points": len(rows),
@@ -162,7 +152,7 @@ def _cmd_holder(config, out_dir, seed, report):
 
 def _cmd_spectrum(config, out_dir, seed, report):
     sys = parse_model(config)
-    grid = config.get("q_grid")
+    grid = require_list(config, "q_grid")
     if grid is None:
         q_min = require_number(config, "q_min", default=-3.0)
         q_max = require_number(config, "q_max", default=3.0)
@@ -171,11 +161,7 @@ def _cmd_spectrum(config, out_dir, seed, report):
     fd_step = require_number(config, "fd_step", default=1e-3, low=1e-8)
     curve = spectrum(sys, grid, fd_step)
     out = out_dir / str(config.get("spectrum_csv", "spectrum.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("q,A_q,alpha,D\n")
-        for q, a, al, d in curve.samples:
-            fh.write(f"{q:.17g},{a:.17g},{al:.17g},{d:.17g}\n")
+    write_csv(out, ("q", "A_q", "alpha", "D"), curve.samples)
     report.outputs = {
         "spectrum_csv": out.name,
         "alpha_min": curve.alpha_min,
@@ -204,11 +190,7 @@ def _cmd_gibbs(config, out_dir, seed, report):
     sample_seed = seed if seed is not None else require_int(config, "seed", default=1)
     sample = gibbs_sample(sys, pot, depth, count, sample_seed)
     out = out_dir / str(config.get("sample_csv", "gibbs.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("word,x\n")
-        for word, x in sample:
-            fh.write("".join(str(d) for d in word) + f",{x:.17g}\n")
+    write_csv(out, ("word", "x"), (("".join(str(d) for d in word), x) for word, x in sample))
     stats = measure_stats(sys, pot)
     report.outputs = {
         "sample_csv": out.name,
@@ -223,7 +205,7 @@ def _cmd_gibbs(config, out_dir, seed, report):
 
 def _cmd_lift(config, out_dir, seed, report):
     sys = parse_model(config)
-    grid = config.get("q_grid", [-2.0, -1.0, 0.0, 1.0, 2.0])
+    grid = require_list(config, "q_grid", default=[-2.0, -1.0, 0.0, 1.0, 2.0])
     rows = []
     for q in grid:
         a_q = A_of_q(sys, float(q))
@@ -231,20 +213,15 @@ def _cmd_lift(config, out_dir, seed, report):
         rows.append((float(q), stats.dim, stats.alpha,
                      lifted_dim_prediction(stats), jin_upper(stats.dim, stats.alpha)))
     out = out_dir / str(config.get("lift_csv", "lift.csv"))
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="\n") as fh:
-        fh.write("q,dim,alpha,lifted_dim,jin_upper\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(out, ("q", "dim", "alpha", "lifted_dim", "jin_upper"), rows)
     report.outputs = {"lift_csv": out.name, "rows": len(rows)}
 
 
 def _cmd_verify(config, out_dir, seed, report):
-    criteria = config.get("criteria")
+    criteria = require_list(config, "criteria", str)
     if criteria is not None:
         unknown = set(criteria) - set(CHECK_IDS)
         if unknown:
-            from .errors import BadConfig
             raise BadConfig(f"unknown criteria {sorted(unknown)}; known: {CHECK_IDS}")
     results = run_battery(criteria)
     all_pass = all(r.passed for r in results)
@@ -255,7 +232,6 @@ def _cmd_verify(config, out_dir, seed, report):
         report.timings[r.criterion] = r.elapsed
     report.outputs["all_passed"] = all_pass
     if not all_pass:
-        from .errors import Inconclusive
         raise Inconclusive("acceptance battery has failing criteria")
 
 
@@ -283,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "verify"), default=None)
         p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap; results never depend on it")
         p.add_argument("--seed", type=int, default=None, help="override config seeds")
     return parser
 

@@ -78,3 +78,18 @@ def require_int(config: dict, key: str, default=None, low=None, high=None) -> in
     if value != int(value):
         raise BadConfig(f"{key!r} must be an integer")
     return int(value)
+
+
+def require_list(config: dict, key: str, item=float, length=None, default=None):
+    """config[key] as a list of ``item`` (float, int or str) values, or
+    ``default`` when the key is absent or null; BadConfig for any other
+    shape or element type."""
+    value = config.get(key)
+    if value is None:
+        return default
+    kinds = {float: (int, float), int: int, str: str}[item]
+    if (not isinstance(value, list) or (length is not None and len(value) != length)
+            or not all(isinstance(v, kinds) for v in value)):
+        size = f"{length} " if length is not None else ""
+        raise BadConfig(f"{key!r} must be a list of {size}{item.__name__} values")
+    return [item(v) for v in value]

@@ -31,6 +31,7 @@ from .errors import (
     HyperbolicityViolated,
     InversionFailed,
     LambdaOutOfRange,
+    NotBranchConstant,
     NotInPartition,
     NotOnto,
     OverlappingBranches,
@@ -41,6 +42,10 @@ DEFAULT_BUDGET = 2**24
 _ONTO_TOL = 1e-9
 _INVERT_TOL = 1e-12
 _PROBES_PER_BRANCH = 10_001
+# Digits composed by point_of_word: deeper digits move the point by less than
+# (max contraction)^64, far below float64 resolution.
+_MAX_EFFECTIVE_DEPTH = 64
+_DISTORTION_DEPTH = 8
 
 
 def cylinder_budget() -> int:
@@ -57,19 +62,10 @@ def cylinder_budget() -> int:
     return value
 
 
-def torus_distance(x, u, convention: str = "min"):
-    """Circle metric min(|x-u|, 1-|x-u|).
-
-    convention="max" keeps the other reading of the wrap-around distance
-    available for sensitivity checks; it is not a metric bounded by 1/2 and
-    nothing in the lab depends on it.
-    """
+def torus_distance(x, u):
+    """Circle metric min(|x-u|, 1-|x-u|)."""
     d = np.abs(np.asarray(x, dtype=float) - np.asarray(u, dtype=float))
-    if convention == "min":
-        return np.minimum(d, 1.0 - d)
-    if convention == "max":
-        return np.maximum(d, 1.0 - d)
-    raise ValueError(f"unknown torus metric convention {convention!r}")
+    return np.minimum(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +374,6 @@ class CookieCutterSystem:
     def branch_highs(self) -> np.ndarray:
         return np.array([b.hi for b in self.branches])
 
-    @cached_property
-    def contraction_ratios(self) -> np.ndarray:
-        """|I_i| per branch = 1/|tau'| for affine branches."""
-        return self.branch_highs - self.branch_lows
-
     # -- pointwise fields ---------------------------------------------------
 
     def branch_index(self, x):
@@ -448,12 +439,27 @@ class CookieCutterSystem:
     def log_lam(self, x):
         return np.log(self.lam_at(x))
 
-    def g_at(self, u):
-        return self.g(u)
-
-    def inverse(self, i: int, y):
-        """i-th inverse branch rho_i: [0,1] -> closure(I_i)."""
-        return self.branches[i].inverse(y)
+    @cached_property
+    def distortion_constants(self) -> tuple[float, float]:
+        """Largest in-cylinder oscillation of S_n log|tau'| and S_n log lambda
+        over the depth-8 cylinders, from three representatives per cylinder."""
+        words = enumerate_words(self.ell, _DISTORTION_DEPTH)
+        sums = []
+        for t in (0.15, 0.5, 0.85):
+            cur = point_of_word(self, words, t)
+            u = np.zeros(len(words))
+            v = np.zeros(len(words))
+            for _ in range(_DISTORTION_DEPTH):
+                u += self.log_abs_tau_prime(cur)
+                v += self.log_lam(cur)
+                cur = self.tau(cur)
+            sums.append((u, v))
+        du = dv = 0.0
+        for i in range(len(sums)):
+            for j in range(i + 1, len(sums)):
+                du = max(du, float(np.max(np.abs(sums[i][0] - sums[j][0]))))
+                dv = max(dv, float(np.max(np.abs(sums[i][1] - sums[j][1]))))
+        return du, dv
 
     # -- cylinder tree -------------------------------------------------------
 
@@ -589,7 +595,7 @@ def _build_branches(spec) -> tuple:
     return tuple(branches)
 
 
-def validate_system(spec: dict, probes_per_branch: int = _PROBES_PER_BRANCH) -> CookieCutterSystem:
+def validate_system(spec: dict) -> CookieCutterSystem:
     """Validate a raw model description and compute the hyperbolicity margin.
 
     The margin is the probe-grid minimum of |tau'(x)| * lambda(x) minus a
@@ -626,7 +632,7 @@ def validate_system(spec: dict, probes_per_branch: int = _PROBES_PER_BRANCH) -> 
     lam_inf, lam_sup = math.inf, -math.inf
     orientations = set()
     for br in branches:
-        grid = np.linspace(br.lo, br.hi, probes_per_branch)
+        grid = np.linspace(br.lo, br.hi, _PROBES_PER_BRANCH)
         image = br.forward(grid)
         d = br.derivative(grid)
         if np.any(np.abs(d) < 1e-12) or not np.all(np.isfinite(d)):
@@ -725,38 +731,17 @@ def cylinder_of(sys: CookieCutterSystem, word: SymbolWord) -> Cylinder:
     return Cylinder(word, lo, hi)
 
 
-def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix."""
-    count = digits.shape[0]
-    lo = np.zeros(count)
-    hi = np.ones(count)
-    for col in range(digits.shape[1] - 1, -1, -1):
-        d = digits[:, col]
-        new_lo = np.empty(count)
-        new_hi = np.empty(count)
-        for i in range(sys.ell):
-            m = d == i
-            if np.any(m):
-                a = sys.branches[i].inverse(lo[m])
-                b = sys.branches[i].inverse(hi[m])
-                new_lo[m] = np.minimum(a, b)
-                new_hi[m] = np.maximum(a, b)
-        lo, hi = new_lo, new_hi
-    return lo, hi
+def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
+    """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth) uint8
+    digit matrix; x is a scalar or one value per row.
 
-
-def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5,
-                  max_effective_depth: int = 64) -> np.ndarray:
-    """rho_w(t) for each row of a (count, depth) digit matrix.
-
-    Only the leading ``max_effective_depth`` digits are composed: deeper
-    digits displace the point by less than (max contraction)^64, far below
-    float64 resolution.
+    One inverse call per (column, branch) on the rows carrying that digit.
+    The M5 Newton inverse stops on batch-wide tests, so which points share a
+    call decides its last bits: keep the grouping as it is.
     """
-    depth = min(digits.shape[1], max_effective_depth)
     count = digits.shape[0]
-    x = np.full(count, float(t))
-    for col in range(depth - 1, -1, -1):
+    x = np.full(count, x, dtype=float)
+    for col in range(digits.shape[1] - 1, -1, -1):
         d = digits[:, col]
         nxt = np.empty(count)
         for i in range(sys.ell):
@@ -765,6 +750,19 @@ def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5,
                 nxt[m] = sys.branches[i].inverse(x[m])
         x = nxt
     return x
+
+
+def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix."""
+    a = _compose(sys, digits, 0.0)
+    b = _compose(sys, digits, 1.0)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndarray:
+    """rho_w(t) for each row of a (count, depth) digit matrix; only the
+    leading 64 digits are composed."""
+    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
 
 
 def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoints",
@@ -785,22 +783,10 @@ def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoi
     elif strategy == "random":
         if seed is None:
             raise ValueError("random strategy requires a seed")
-        ts = counter_uniforms(seed, 0, n_words, stream=depth)
-        xs = _points_with_leaf_values(sys, words, ts)
+        xs = _compose(sys, words, counter_uniforms(seed, 0, n_words, stream=depth))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return [(SymbolWord(words[j]), float(xs[j])) for j in range(n_words)]
-
-
-def _points_with_leaf_values(sys, digits, ts):
-    x = np.asarray(ts, dtype=float).copy()
-    for col in range(digits.shape[1] - 1, -1, -1):
-        d = digits[:, col]
-        for i in range(sys.ell):
-            m = d == i
-            if np.any(m):
-                x[m] = sys.branches[i].inverse(x[m])
-    return x
 
 
 def enumerate_words(ell: int, depth: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from .dynamics import CookieCutterSystem, SymbolWord, code_of
 from .errors import Inconclusive, InvalidTolerance
 from .theta import ThetaSequence
 
+_WORDS_PER_DEPTH = 8  # sampled cylinders per depth in detect_degenerate
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -52,7 +54,7 @@ def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
     weight = np.ones_like(xs)
     cur = xs.copy()
     for n in range(n_terms):
-        acc += weight * sys.g_at(cur + shifts[n])
+        acc += weight * sys.g(cur + shifts[n])
         if n + 1 < n_terms:
             weight *= sys.lam_at(cur)
             cur = sys.tau(cur)
@@ -81,7 +83,7 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     for k in range(n - 1, -1, -1):
         i = word[k]
         u = float(sys.branches[i].inverse(u))
-        y = float(sys.lam_at(np.array([u]))[0]) * y + float(sys.g_at(np.array([u + theta[k]]))[0])
+        y = float(sys.lam_at(np.array([u]))[0]) * y + float(sys.g(np.array([u + theta[k]]))[0])
     return y
 
 
@@ -134,8 +136,7 @@ class DegeneracyVerdict:
 
 def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
                       depth_range=range(2, 13), probes: int = 128,
-                      tol: float = 1e-12, words_per_depth: int = 8,
-                      seed: int = 2024) -> DegeneracyVerdict:
+                      tol: float = 1e-12, seed: int = 2024) -> DegeneracyVerdict:
     """Finite-range Lipschitz test.
 
     Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
@@ -150,10 +151,10 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
     rng = np.random.default_rng(seed)
     ratios, lips = [], []
     for n in depths:
-        if sys.ell**n <= 2 * words_per_depth:
+        if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
             words = enumerate_words(sys.ell, n)
         else:
-            words = rng.integers(0, sys.ell, size=(words_per_depth, n)).astype(np.uint8)
+            words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
         lo, hi = cylinder_bounds_many(sys, words)
         r_best, lip_best = 0.0, 0.0
         for j in range(words.shape[0]):

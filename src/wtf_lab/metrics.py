@@ -28,10 +28,13 @@ from .dynamics import (
 )
 from .errors import BudgetExceeded, DegenerateFit, OscillationUnderflow
 from .graph import eval_W_many, oscillation_over
+from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, sample_words
 
-CSV_HEADER = "x,y"
+_DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
+_CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
+_INSTABILITY = 0.10  # relative drift of the s-energy mean that reads as divergence
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,8 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
 
 
 def write_cloud_csv(cloud: GraphCloud, path) -> None:
-    """17 significant digits, LF endings, provenance sidecar <path>.meta.json."""
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for xv, yv in zip(cloud.x, cloud.y):
-            fh.write(f"{xv:.17g},{yv:.17g}\n")
+    """x,y CSV (see report.write_csv), provenance sidecar <path>.meta.json."""
+    write_csv(path, ("x", "y"), zip(cloud.x.tolist(), cloud.y.tolist()))
     with open(str(path) + ".meta.json", "w", newline="\n") as fh:
         json.dump(cloud.provenance.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -150,13 +149,13 @@ def _fit_loglog(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, flo
 
 
 def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
-                  r2_threshold: float = 0.95, density_floor: float = 10.0) -> BoxCountResult:
+                  r2_threshold: float = 0.95) -> BoxCountResult:
     """Least-squares slope of log N_r against -log r for an axis-aligned grid
     anchored at (0, min y).
 
     Window policy: drop the coarsest/finest ``drop`` scales (coarse scales
     saturate, fine scales undersample), and keep only scales with at least
-    ``density_floor`` points per occupied box -- a finite cloud cannot
+    10 points per occupied box -- a finite cloud cannot
     witness N_r beyond its own cardinality, so point-starved scales read a
     spurious slope.  If fewer than 3 scales survive both cuts, the
     density-valid scales alone are used; failing that, the drop window with
@@ -175,7 +174,7 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
 
     warnings = []
     n_pts = len(cloud)
-    valid = {i for i, c in enumerate(counts) if c * density_floor <= n_pts}
+    valid = {i for i, c in enumerate(counts) if c * _DENSITY_FLOOR <= n_pts}
     lo, hi = drop
     candidate = range(lo, len(scales) - hi)
     window = tuple(i for i in candidate if i in valid)
@@ -188,7 +187,7 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
     if len(window) < 2:
         raise ValueError("window policy leaves fewer than 2 scales")
     density = n_pts / counts[window[-1]]
-    if density < density_floor:
+    if density < _DENSITY_FLOOR:
         warnings.append(
             f"only {density:.1f} points per occupied box at the finest fitted "
             f"scale {scales[window[-1]]:g}; slope may be biased low")
@@ -206,14 +205,6 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
 # ---------------------------------------------------------------------------
 # Hoelder exponents
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HolderEstimate:
-    x: float
-    birkhoff_value: float
-    oscillation_value: float
-    depth: int
-
 
 def holder_birkhoff(sys: CookieCutterSystem, x: float, n: int) -> float:
     """Symbolic exponent -S_n(log lambda) / S_n(log|tau'|); lies in (0,1)
@@ -237,7 +228,7 @@ def _osc_exponent_terms(sys, x, n, theta, probes, tol, _curve):
 def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
                        depth_range=range(1, 21), probes: int = 128,
                        tol: float = 1e-12, estimator: str = "slope",
-                       cluster: int = 7, _curve=None) -> float:
+                       _curve=None) -> float:
     """Oscillation-based Hoelder exponent of W at x, clamped to (0,1].
 
     The default "slope" estimator is a difference quotient of log(osc over
@@ -247,7 +238,7 @@ def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     swamps the exponent below depth ~100).  The shallow anchor is the first
     depth of the range -- anchoring deeper silently removes the leading
     digits from the exponent's symbolic window -- and the deep anchor
-    averages the last ``cluster`` depths to tame per-depth band fluctuation.
+    averages the last 7 depths to tame per-depth band fluctuation.
     "ratio_min" keeps the conservative per-depth ratios and takes their
     minimum as the finite-depth liminf; expect it to sit below the true
     exponent by the band bias.
@@ -260,7 +251,7 @@ def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
             raise ValueError("slope estimator needs two distinct depths")
         lo_osc, lo_len = _osc_exponent_terms(sys, x, depths[0], theta, probes, tol, _curve)
         hi_osc = hi_len = 0.0
-        hi_cluster = depths[-max(1, min(cluster, len(depths) - 1)):]
+        hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
         for n in hi_cluster:
             o, l = _osc_exponent_terms(sys, x, n, theta, probes, tol, _curve)
             hi_osc += o
@@ -303,14 +294,14 @@ def _batched_osc_logs(sys, words_n: np.ndarray, theta, probes: int, tol: float):
 
 def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
-                            tol: float = 1e-12, cluster: int = 7) -> np.ndarray:
+                            tol: float = 1e-12) -> np.ndarray:
     """Vectorized slope estimator (see holder_oscillation): shallow anchor at
-    the first depth of the range, deep anchor averaged over the last
-    ``cluster`` depths, one batched series evaluation per depth."""
+    the first depth of the range, deep anchor averaged over the last 7
+    depths, one batched series evaluation per depth."""
     depths = sorted(depth_range)
     if len(depths) < 2:
         raise ValueError("need at least two depths")
-    hi_cluster = depths[-max(1, min(cluster, len(depths) - 1)):]
+    hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
     xs = np.asarray(xs, dtype=float)
 
     def anchor(cluster_depths):
@@ -354,8 +345,7 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
 # pair probes
 # ---------------------------------------------------------------------------
 
-def _pair_distances(cloud: GraphCloud, max_pairs: int, seed: int,
-                    metric_convention: str = "min") -> np.ndarray:
+def _pair_distances(cloud: GraphCloud, max_pairs: int, seed: int) -> np.ndarray:
     n = len(cloud)
     if n < 2:
         raise ValueError("need at least 2 points")
@@ -363,7 +353,7 @@ def _pair_distances(cloud: GraphCloud, max_pairs: int, seed: int,
     i = rng.integers(0, n, size=max_pairs)
     j = rng.integers(0, n - 1, size=max_pairs)
     j = np.where(j >= i, j + 1, j)  # uniform over j != i
-    dx = torus_distance(cloud.x[i], cloud.x[j], metric_convention)
+    dx = torus_distance(cloud.x[i], cloud.x[j])
     dy = cloud.y[i] - cloud.y[j]
     return np.hypot(dx, dy)
 
@@ -379,8 +369,7 @@ class CorrelationResult:
 
 
 def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
-                          seed: int = 0, r2_threshold: float = 0.95,
-                          metric_convention: str = "min") -> CorrelationResult:
+                          seed: int = 0, r2_threshold: float = 0.95) -> CorrelationResult:
     """Pair-correlation slope: fit log C(r) against log r over the radii
     ladder, C(r) the fraction of sampled pairs within distance r (planar
     distance with a torus first coordinate)."""
@@ -389,7 +378,7 @@ def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
         raise ValueError("need at least 5 radii")
     if len(cloud) < 10**3:
         raise ValueError("need at least 1000 points")
-    d = _pair_distances(cloud, max_pairs, seed, metric_convention)
+    d = _pair_distances(cloud, max_pairs, seed)
     corr = np.array([(d <= r).mean() for r in radii])
     warnings = []
     keep = corr > 0
@@ -415,20 +404,19 @@ class EnergyEstimate:
 
 
 def s_energy(cloud: GraphCloud, s: float, max_pairs: int = 10**6,
-             seed: int = 0, instability: float = 0.10,
-             metric_convention: str = "min") -> EnergyEstimate:
+             seed: int = 0) -> EnergyEstimate:
     """Monte Carlo s-energy: mean of distance^(-s) over sampled pairs.
 
-    Reported as diverged when the running mean moves by more than
-    ``instability`` (relative) over the last doubling of the sample --
+    Reported as diverged when the running mean moves by more than 10%
+    (relative) over the last doubling of the sample --
     the signature of a non-integrable singularity."""
     if s <= 0:
         raise ValueError("s must be positive")
-    d = _pair_distances(cloud, max_pairs, seed, metric_convention)
+    d = _pair_distances(cloud, max_pairs, seed)
     d = d[d > 0]
     e = d ** (-s)
     half = len(e) // 2
     mean_half = float(e[:half].mean())
     mean_full = float(e.mean())
     rel = abs(mean_full - mean_half) / abs(mean_full)
-    return EnergyEstimate(mean_full, rel > instability, len(e))
+    return EnergyEstimate(mean_full, rel > _INSTABILITY, len(e))

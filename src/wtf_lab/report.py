@@ -1,4 +1,5 @@
-"""Run reports: deterministic JSON artifacts plus wall-clock timings.
+"""Run reports: deterministic JSON artifacts plus wall-clock timings, and the
+CSV writer every command uses.
 
 report.json is byte-identical across reruns with the same config and seeds,
 so wall times stay out of the file (they are printed to stderr instead).
@@ -11,6 +12,24 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV format of the lab: a header line of column names, then one
+    line per row tuple; numbers with 17 significant digits (they round-trip
+    float64 exactly), strings as given, commas between, LF line endings.
+    Every row has the column types of the first.  Creates the parent
+    directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+            fh.write(line % first)
+            fh.writelines(line % row for row in rows)
 
 
 def config_hash(config: dict) -> str:

@@ -36,7 +36,9 @@ from .errors import (
 )
 
 DEFAULT_DEPTH = 12
-Q_MAX_DEFAULT = 30.0
+Q_MAX = 30.0
+_DEGENERATE_THRESHOLD = 1e-4
+_MARKOV_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -94,32 +96,6 @@ def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
     return pot.a * log_tp + pot.b * log_lm + pot.c
 
 
-def _distortion_constants(sys: CookieCutterSystem, probe_depth: int = 8) -> tuple[float, float]:
-    """Largest in-cylinder oscillation of S_n log|tau'| and S_n log lambda."""
-    key = ("distortion", probe_depth)
-    cache = sys._tree_cache
-    if key not in cache:
-        words = enumerate_words(sys.ell, probe_depth)
-        du = dv = 0.0
-        sums = []
-        for t in (0.15, 0.5, 0.85):
-            xs = point_of_word(sys, words, t)
-            u = np.zeros(len(words))
-            v = np.zeros(len(words))
-            cur = xs
-            for _ in range(probe_depth):
-                u += sys.log_abs_tau_prime(cur)
-                v += sys.log_lam(cur)
-                cur = sys.tau(cur)
-            sums.append((u, v))
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                du = max(du, float(np.max(np.abs(sums[i][0] - sums[j][0]))))
-                dv = max(dv, float(np.max(np.abs(sums[i][1] - sums[j][1]))))
-        cache[key] = (du, dv)
-    return cache[key]
-
-
 def _cylinder_pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> float:
     levels = sys.tree(depth)
     _, u, v = levels[depth]
@@ -150,7 +126,7 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_D
             value = p_n
     else:
         value = p_n
-    du, dv = _distortion_constants(sys)
+    du, dv = sys.distortion_constants
     d_pot = abs(pot.a) * du + abs(pot.b) * dv
     return PressureEstimate(float(value), depth, d_pot / depth, False)
 
@@ -224,10 +200,10 @@ def graph_dimension_prediction(sys: CookieCutterSystem, depth: int = DEFAULT_DEP
 
 
 def A_of_q(sys: CookieCutterSystem, q: float, tol: float | None = None,
-           depth: int = DEFAULT_DEPTH, q_max: float = Q_MAX_DEFAULT) -> float:
-    """Root A of pressure(-A log|tau'| + q log lambda) = 0."""
-    if abs(q) > q_max:
-        raise ValueError(f"|q| exceeds the configured maximum {q_max}")
+           depth: int = DEFAULT_DEPTH) -> float:
+    """Root A of pressure(-A log|tau'| + q log lambda) = 0, for |q| <= Q_MAX."""
+    if abs(q) > Q_MAX:
+        raise ValueError(f"|q| exceeds the configured maximum {Q_MAX}")
 
     def f(a: float) -> float:
         return pressure(sys, aq_family(q)(a), depth).value
@@ -264,7 +240,7 @@ class SpectrumCurve:
 
 
 def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
-             depth: int = DEFAULT_DEPTH, degenerate_threshold: float = 1e-4) -> SpectrumCurve:
+             depth: int = DEFAULT_DEPTH) -> SpectrumCurve:
     """Sample the spectrum on a q grid.
 
     alpha(q) = -(A_{q+h} - A_{q-h}) / 2h with a Richardson consistency check
@@ -311,7 +287,7 @@ def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
         alphas = [s[2] for s in samples]
         alpha_min, alpha_max = min(alphas), max(alphas)
 
-    degenerate = (alpha_max - alpha_min) < degenerate_threshold
+    degenerate = (alpha_max - alpha_min) < _DEGENERATE_THRESHOLD
     if degenerate:
         # corroborating cohomology diagnostic: A_q affine in q, i.e.
         # pressure((q alpha_c - A_0) log|tau'| + q log lambda) = 0
@@ -370,18 +346,18 @@ def digit_distribution(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarra
 
 
 def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
-                 seed: int, markov_depth: int = 8) -> np.ndarray:
+                 seed: int) -> np.ndarray:
     """(count, depth) digit matrix of iid Gibbs draws.
 
     Branch-constant potentials sample the exact Bernoulli product; otherwise
     digits follow depth-limited conditional cylinder-weight ratios (a Markov
-    approximation of order markov_depth - 1)."""
+    approximation of order 7)."""
     rng = np.random.default_rng(seed)
     if sys.is_affine and sys.lam.branch_constant:
         p = digit_distribution(sys, pot)
         return rng.choice(sys.ell, size=(count, depth), p=p).astype(np.uint8)
 
-    k = min(markov_depth, depth)
+    k = min(_MARKOV_DEPTH, depth)
     levels = sys.tree(k)
     _, u, v = levels[k]
     s = pot.a * u + pot.b * v
@@ -470,6 +446,24 @@ def jin_upper(D: float, alpha: float) -> float:
 # the closed-form Moran oracle (independent test route)
 # ---------------------------------------------------------------------------
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Plain bisection to a 1e-12 bracket (at most 200 halvings);
+    NoSignChange when f does not change sign on [lo, hi]."""
+    f_lo = f(lo)
+    if f_lo * f(hi) > 0:
+        raise NoSignChange(f"no bracketed root in [{lo}, {hi}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if f_lo * fm <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, fm
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
 def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | None = None,
                  q: float | None = None) -> float:
     """Closed-form answers for affine branch-constant systems.
@@ -485,22 +479,7 @@ def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | No
     lam = sys.lam.branch_values(sys.ell)
 
     def moran_root(qv: float) -> float:
-        def f(A: float) -> float:
-            return float(np.sum(r**A * lam**qv) - 1.0)
-        lo, hi = -300.0, 300.0
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo * f_hi > 0:
-            raise NoSignChange("Moran equation has no bracketed root")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if f_lo * fm <= 0:
-                hi, f_hi = mid, fm
-            else:
-                lo, f_lo = mid, fm
-            if hi - lo < 1e-12:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(lambda A: float(np.sum(r**A * lam**qv) - 1.0), -300.0, 300.0)
 
     if query == "pressure":
         if pot is None:
@@ -519,29 +498,7 @@ def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | No
         return float(np.sum(p * np.log(lam)) / np.sum(p * np.log(r)))
     if query == "s1":
         # sum (1/r)^(1-s) lam = 1  <=>  sum r^(s-1) lam = 1
-        def f(s: float) -> float:
-            return float(np.sum(r ** (s - 1.0) * lam) - 1.0)
-        lo, hi = -300.0, 300.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-12:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(lambda s: float(np.sum(r ** (s - 1.0) * lam) - 1.0), -300.0, 300.0)
     if query == "s2":
-        def f(s: float) -> float:
-            return float(np.sum(lam**s) - 1.0)
-        lo, hi = 1e-12, 300.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-12:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(lambda s: float(np.sum(lam**s) - 1.0), 1e-12, 300.0)
     raise ValueError(f"unknown oracle query {query!r}")

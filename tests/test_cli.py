@@ -187,3 +187,20 @@ class TestVerify:
     def test_unknown_criterion(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {"criteria": ["nope"]})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command,key", [
+    ("boxdim", "window_drop"),
+    ("boxdim", "scales"),
+    ("spectrum", "q_grid"),
+    ("lift", "q_grid"),
+    ("holder", "points"),
+    ("verify", "criteria"),
+])
+def test_malformed_list_is_validation_error(tmp_path, command, key):
+    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, key: 5})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    report = read_report(out)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "BadConfig"

@@ -10,13 +10,14 @@ from wtf_lab import (
     BudgetExceeded,
     HyperbolicityViolated,
     LambdaOutOfRange,
+    NotBranchConstant,
     NotInPartition,
     NotOnto,
     OverlappingBranches,
     SymbolWord,
     ThetaSequence,
 )
-from wtf_lab.dynamics import cylinder_bounds_many, point_of_word
+from wtf_lab.dynamics import birkhoff_sums_from_digits, cylinder_bounds_many, point_of_word
 
 
 class TestValidation:
@@ -163,15 +164,35 @@ class TestCoding:
                     assert ratio.max() < 1.0
                 prev_len = lens
 
+    def test_bounds_many_match_cylinder_of(self, systems):
+        # affine inverses are elementwise, so the batched endpoints are the
+        # scalar ones bit for bit; the M5 Newton inverse stops on batch-wide
+        # tests and agrees to a few units of its 1e-12 tolerance
+        for name, sys in systems.items():
+            rng = np.random.default_rng(17)
+            words = rng.integers(0, sys.ell, size=(200, 25)).astype(np.uint8)
+            lo, hi = cylinder_bounds_many(sys, words)
+            cyls = [wl.cylinder_of(sys, w) for w in words]
+            scalar_lo = np.array([c.lo for c in cyls])
+            scalar_hi = np.array([c.hi for c in cyls])
+            if name == "M5":
+                assert np.max(np.abs(lo - scalar_lo)) <= 5e-12
+                assert np.max(np.abs(hi - scalar_hi)) <= 5e-12
+            else:
+                assert np.array_equal(lo, scalar_lo) and np.array_equal(hi, scalar_hi)
+
 
 class TestSampling:
     def test_midpoints_depth1(self, m1):
         reps = wl.sample_repeller(m1, 1, "midpoints")
         assert [(w.digits, x) for w, x in reps] == [((0,), 0.25), ((1,), 0.75)]
 
-    def test_containment(self, m2):
-        for word, x in wl.sample_repeller(m2, 2, "midpoints"):
-            assert wl.cylinder_of(m2, word).contains(x)
+    def test_containment(self, systems):
+        for sys in systems.values():
+            for word, x in wl.sample_repeller(sys, 2, "midpoints"):
+                assert wl.cylinder_of(sys, word).contains(x)
+            for word, x in wl.sample_repeller(sys, 8, "random", seed=3):
+                assert wl.cylinder_of(sys, word).contains(x)
 
     def test_seeded_determinism(self, m1):
         a = wl.sample_repeller(m1, 3, "random", seed=7)
@@ -202,6 +223,12 @@ class TestBirkhoff:
     def test_gap_propagates(self, m2):
         with pytest.raises(NotInPartition):
             wl.birkhoff_sum(m2, "log_lambda", 0.5, 1)
+
+    def test_digit_sums_need_branch_constant(self, m5):
+        with pytest.raises(NotBranchConstant):
+            birkhoff_sums_from_digits(m5, np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(NotBranchConstant):
+            wl.empirical_spectrum(m5, [0.0], 10, 5, 1)
 
 
 class TestSymbolWord:

@@ -213,18 +213,15 @@ class TestCorrelationDimension:
         with pytest.raises(ValueError):
             wl.correlation_dimension(big, [0.5, 0.25])
 
-    def test_metric_convention_sensitivity(self):
-        # the alternative wrap-around convention is exposed for sensitivity
-        # checks; all its distances exceed 1/2, so small-radius correlation
-        # degenerates -- which is why "min" is the working torus metric
+    def test_torus_metric_uniform_slope(self):
+        # pairs that wrap around x = 0/1 count at their torus distance
+        # min(|dx|, 1-|dx|), so a uniform square still reads slope 2
         rng = np.random.default_rng(6)
         cloud = GraphCloud(rng.random(20_000), rng.random(20_000),
                            CloudProvenance("u", "zeros", None, 0, 0.0))
         radii = [2.0**-k for k in range(2, 8)]
         d_min = wl.correlation_dimension(cloud, radii, seed=1).slope
         assert d_min == pytest.approx(2.0, abs=0.15)
-        with pytest.raises(DegenerateFit):
-            wl.correlation_dimension(cloud, radii, seed=1, metric_convention="max")
 
     def test_m2_base_gibbs_cloud(self, m2):
         a0 = wl.moran_oracle(m2, "A_of_q", q=0.0)

@@ -58,6 +58,15 @@ class TestPressure:
         assert abs(est.value) <= 2e-3
         assert est.error_bound > 0
 
+    def test_deeper_call_reuses_cached_levels(self):
+        # a fresh system: the session fixtures already hold deeper levels
+        sys = wl.validate_system(wl.model_spec("M5"))
+        wl.pressure(sys, PotentialSpec(-1.0, 0.0), depth=10)
+        reused = wl.pressure(sys, PotentialSpec(-1.0, 0.0), depth=12)
+        fresh = wl.pressure(wl.validate_system(wl.model_spec("M5")),
+                            PotentialSpec(-1.0, 0.0), depth=12)
+        assert reused == fresh
+
     def test_additive_constant_slope(self, m3, m5):
         for sys, depth in ((m3, 8), (m5, 10)):
             base = wl.pressure(sys, PotentialSpec(-0.4, 0.7), depth).value

@@ -98,7 +98,10 @@ def _cmd_sample(config, out_dir, seed, report):
 
 def _cmd_boxdim(config, out_dir, seed, report):
     if "cloud_csv_in" in config:
-        cloud = read_cloud_csv(config["cloud_csv_in"])
+        try:
+            cloud = read_cloud_csv(config["cloud_csv_in"])
+        except (OSError, TypeError) as exc:
+            raise BadConfig(f"cannot read 'cloud_csv_in': {exc}") from exc
     else:
         cloud = _sample_from_config(config, seed)
     scales = require_list(config, "scales")

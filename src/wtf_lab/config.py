@@ -45,6 +45,8 @@ def parse_theta(config: dict, seed_override: int | None = None) -> ThetaSequence
     spec = config.get("theta", {"mode": "zeros"})
     if isinstance(spec, str):
         spec = {"mode": spec}
+    if not isinstance(spec, dict):
+        raise BadConfig("'theta' must be a mode name or an object")
     mode = spec.get("mode", "zeros")
     if mode == "zeros" and seed_override is None:
         return ThetaSequence.zeros()

@@ -106,13 +106,6 @@ class TrigPoly:
     def sup_bound(self) -> float:
         return abs(self.c0) + sum(abs(a) + abs(b) for _, a, b in self.harmonics)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.c0 == 0.0 and all(a == 0.0 and b == 0.0 for _, a, b in self.harmonics)
-
-    def describe(self) -> dict:
-        return {"kind": "trig", "c0": self.c0, "harmonics": [list(h) for h in self.harmonics]}
-
 
 COS_2PI = TrigPoly(0.0, ((1, 1.0, 0.0),))
 
@@ -147,10 +140,6 @@ class AffineBranch:
         x = (np.asarray(y, dtype=float) - self.offset) / self.slope
         return np.clip(x, self.lo, self.hi)
 
-    def describe(self) -> dict:
-        return {"kind": "affine", "domain": [self.lo, self.hi],
-                "slope": self.slope, "offset": self.offset}
-
 
 @dataclass(frozen=True)
 class SineFamilyBranch:
@@ -183,10 +172,6 @@ class SineFamilyBranch:
         target = np.asarray(y, dtype=float) + float(self.index)
         x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi)
         return np.clip(x, self.lo, self.hi)
-
-    def describe(self) -> dict:
-        return {"kind": "doubling_plus_sine", "domain": [self.lo, self.hi],
-                "ell": self.ell, "eps": self.eps}
 
 
 def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200):
@@ -247,13 +232,6 @@ class LambdaSpec:
         if self.kind == "branch_constant":
             return np.asarray(self.values, dtype=float)
         raise NotImplementedError("analytic lambda has no branch values")
-
-    def describe(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "branch_constant":
-            return {"kind": "branch_constant", "values": list(self.values)}
-        return self.poly.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +479,6 @@ class CookieCutterSystem:
             x = np.concatenate([self.branches[i].inverse(x) for i in range(self.ell)])
         return x
 
-    def describe(self) -> dict:
-        return {
-            "id": self.model_id,
-            "branches": [b.describe() for b in self.branches],
-            "lambda": self.lam.describe(),
-            "g": self.g.describe(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # construction / validation
@@ -541,6 +511,15 @@ def _parse_lambda(spec) -> LambdaSpec:
     if kind == "trig":
         return LambdaSpec("trig", poly=_parse_g(spec))
     raise BadConfig(f"unknown lambda kind {kind!r}")
+
+
+def _parse_entry(parse, spec: dict, key: str):
+    """parse(spec[key]), with a missing field or a value of the wrong type
+    inside the entry reported as BadConfig."""
+    try:
+        return parse(spec.get(key))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise BadConfig(f"malformed {key!r} entry: {type(exc).__name__}: {exc}") from exc
 
 
 def _build_branches(spec) -> tuple:
@@ -604,11 +583,11 @@ def validate_system(spec: dict) -> CookieCutterSystem:
     if not isinstance(spec, dict):
         raise BadConfig("model spec must be a mapping")
     model_id = str(spec.get("id", "anonymous"))
-    branches = _build_branches(spec.get("branches"))
+    branches = _parse_entry(_build_branches, spec, "branches")
     if len(branches) < 2:
         raise BadConfig("need at least 2 branches")
-    lam = _parse_lambda(spec.get("lambda"))
-    g = _parse_g(spec.get("g"))
+    lam = _parse_entry(_parse_lambda, spec, "lambda")
+    g = _parse_entry(_parse_g, spec, "g")
 
     if lam.kind == "branch_constant" and len(lam.values) != len(branches):
         raise BadConfig("branch_constant lambda needs one value per branch")
@@ -701,20 +680,30 @@ def apply_tau(sys: CookieCutterSystem, x: float) -> float:
     return float(sys.tau(np.array([x]))[0])
 
 
-def code_of(sys: CookieCutterSystem, x: float, n: int) -> SymbolWord:
-    """First n digits of x's itinerary; NotInPartition(k) if iterate k
-    falls in a gap or on an endpoint no half-open domain covers."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+def _orbit(sys: CookieCutterSystem, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First n itinerary digits of x (uint8) and the orbit points
+    x, tau x, ..., tau^{n-1} x; NotInPartition(k) if iterate k falls in a gap
+    or on an endpoint no half-open domain covers."""
     digits = np.empty(n, dtype=np.uint8)
+    points = np.empty(n)
     cur = float(x)
     for k in range(n):
         idx = int(sys.branch_index(np.array([cur]))[0])
         if idx < 0:
             raise NotInPartition(k)
         digits[k] = idx
-        cur = float(sys.tau(np.array([cur]))[0])
-    return SymbolWord(digits)
+        points[k] = cur
+        if k + 1 < n:
+            cur = float(sys.tau(np.array([cur]))[0])
+    return digits, points
+
+
+def code_of(sys: CookieCutterSystem, x: float, n: int) -> SymbolWord:
+    """First n digits of x's itinerary; NotInPartition(k) if iterate k
+    falls in a gap or on an endpoint no half-open domain covers."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    return SymbolWord(_orbit(sys, x, n)[0])
 
 
 def cylinder_of(sys: CookieCutterSystem, word: SymbolWord) -> Cylinder:
@@ -723,12 +712,8 @@ def cylinder_of(sys: CookieCutterSystem, word: SymbolWord) -> Cylinder:
     arr = word.as_array()
     if np.any(arr >= sys.ell):
         raise ValueError(f"digit out of range for an {sys.ell}-branch system")
-    lo, hi = 0.0, 1.0
-    for d in arr[::-1]:
-        a = float(sys.branches[d].inverse(lo))
-        b = float(sys.branches[d].inverse(hi))
-        lo, hi = (a, b) if a <= b else (b, a)
-    return Cylinder(word, lo, hi)
+    lo, hi = cylinder_bounds_many(sys, arr[None, :])
+    return Cylinder(word, float(lo[0]), float(hi[0]))
 
 
 def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
@@ -736,8 +721,8 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
     digit matrix; x is a scalar or one value per row.
 
     One inverse call per (column, branch) on the rows carrying that digit.
-    The M5 Newton inverse stops on batch-wide tests, so which points share a
-    call decides its last bits: keep the grouping as it is.
+    The M5 Newton inverse stops on batch-wide tests, so the set of distinct
+    values in a call decides its last bits: keep the grouping as it is.
     """
     count = digits.shape[0]
     x = np.full(count, x, dtype=float)
@@ -753,10 +738,18 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
 
 
 def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix."""
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix.
+
+    Non-affine systems raise InversionFailed for a cylinder shorter than the
+    bracket width 4 * 1e-12 at which the Newton inverse stops: its endpoints
+    are inversion noise, not geometry."""
     a = _compose(sys, digits, 0.0)
     b = _compose(sys, digits, 1.0)
-    return np.minimum(a, b), np.maximum(a, b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if not sys.is_affine and np.any(hi - lo < 4.0 * _INVERT_TOL):
+        raise InversionFailed(
+            f"cylinder shorter than the inverse-branch resolution {4.0 * _INVERT_TOL:g}")
+    return lo, hi
 
 
 def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndarray:
@@ -806,17 +799,14 @@ def birkhoff_sum(sys: CookieCutterSystem, field_name: str, x: float, n: int) -> 
     """Partial sum of log|tau'| or log lambda along the orbit of x."""
     if field_name not in BIRKHOFF_FIELDS:
         raise ValueError(f"field must be one of {BIRKHOFF_FIELDS}")
+    _, points = _orbit(sys, x, n)
+    if field_name == "log_abs_tau_prime":
+        terms = sys.log_abs_tau_prime(points)
+    else:
+        terms = sys.log_lam(points)
     total = 0.0
-    cur = float(x)
-    for k in range(n):
-        idx = int(sys.branch_index(np.array([cur]))[0])
-        if idx < 0:
-            raise NotInPartition(k)
-        if field_name == "log_abs_tau_prime":
-            total += float(np.log(np.abs(sys.branches[idx].derivative(np.array([cur]))))[0])
-        else:
-            total += float(sys.log_lam(np.array([cur]))[0])
-        cur = float(sys.tau(np.array([cur]))[0])
+    for term in terms.tolist():  # left to right: np.sum adds pairwise
+        total += term
     return total
 
 

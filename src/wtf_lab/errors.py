@@ -95,15 +95,6 @@ class BudgetExceeded(WtfLabError):
     pass
 
 
-VALIDATION_ERRORS = (
-    BadConfig,
-    OverlappingBranches,
-    NotOnto,
-    HyperbolicityViolated,
-    LambdaOutOfRange,
-    InvalidTolerance,
-)
-
 NUMERICAL_ERRORS = (
     InversionFailed,
     NotInPartition,

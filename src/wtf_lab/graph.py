@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CookieCutterSystem, SymbolWord, code_of
+from .dynamics import (
+    CookieCutterSystem,
+    SymbolWord,
+    _orbit,
+    birkhoff_sum,
+    birkhoff_sums_from_digits,
+    cylinder_bounds_many,
+    enumerate_words,
+    point_of_word,
+)
 from .errors import Inconclusive, InvalidTolerance
 from .theta import ThetaSequence
 
@@ -75,10 +84,8 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     applied for k = n-1 down to 0.  Exactly eval_W at n = 0."""
     if n == 0:
         return eval_W(sys, x, theta, tol).value
-    word = code_of(sys, x, n)
-    u = float(x)
-    for _ in range(n):
-        u = float(sys.tau(np.array([u]))[0])
+    word, orbit = _orbit(sys, x, n)
+    u = float(sys.tau(orbit[-1:])[0])
     y = eval_W(sys, u, theta.shift(n), tol).value
     for k in range(n - 1, -1, -1):
         i = word[k]
@@ -94,32 +101,36 @@ class Oscillation:
     probes: int
 
 
-def _stratified_probe_points(sys: CookieCutterSystem, word: SymbolWord, probes: int) -> np.ndarray:
-    """Representatives of the depth-m refinements of the word's cylinder,
-    m chosen so the probe count is met; mirrors a Moran cover of J cap I_n."""
-    m = max(1, math.ceil(math.log(max(probes, 2)) / math.log(sys.ell)))
-    ts = sys.representatives(m, 0.5)
-    x = ts
-    for d in word.as_array()[::-1]:
-        x = sys.branches[d].inverse(x)
-    return x
-
-
-def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
-                     probes: int = 128, tol: float = 1e-10, _curve=None) -> Oscillation:
-    """sup - inf of W over stratified sub-cylinder representatives of the word.
-
-    ``_curve`` swaps in an alternative height function (testing hook for
-    synthetic smooth curves)."""
+def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
+                  probes: int, tol: float, _curve=None) -> tuple[np.ndarray, int]:
+    """sup - inf of W (or of the test hook ``_curve``) per row w of a
+    (count, n) digit matrix, and the probe count per row: W is probed at
+    rho_{wv}(1/2) for every v of the least depth m with ell^m >= probes, a
+    Moran cover of J cap I_w, in one series evaluation."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
-    word = SymbolWord(word)
-    pts = _stratified_probe_points(sys, word, probes)
+    count, n = words.shape
+    m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+    sub = enumerate_words(sys.ell, m)
+    per = len(sub)
+    ext = np.empty((count * per, n + m), dtype=np.uint8)
+    ext[:, :n] = np.repeat(words, per, axis=0)
+    ext[:, n:] = np.tile(sub, (count, 1))
+    pts = point_of_word(sys, ext, 0.5)
     if _curve is None:
         ys, _, _ = eval_W_many(sys, pts, theta, tol)
     else:
         ys = np.asarray(_curve(pts), dtype=float)
-    return Oscillation(word, float(ys.max() - ys.min()), len(pts))
+    ys = ys.reshape(count, per)
+    return ys.max(axis=1) - ys.min(axis=1), per
+
+
+def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
+                     probes: int = 128, tol: float = 1e-10) -> Oscillation:
+    """sup - inf of W over stratified sub-cylinder representatives of the word."""
+    word = SymbolWord(word)
+    osc, per = _oscillations(sys, word.as_array()[None, :], theta, probes, tol)
+    return Oscillation(word, float(osc[0]), per)
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,6 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
     depths = sorted(depth_range)
     if not depths:
         raise ValueError("depth_range must be nonempty")
-    from .dynamics import enumerate_words, cylinder_bounds_many
     rng = np.random.default_rng(seed)
     ratios, lips = [], []
     for n in depths:
@@ -199,12 +209,6 @@ def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
 def _log_lambda_word(sys: CookieCutterSystem, digits: np.ndarray, lo: float, hi: float) -> float:
     """S_n log lambda at the cylinder's representative."""
     if sys.is_affine and sys.lam.branch_constant:
-        from .dynamics import birkhoff_sums_from_digits
         _, v = birkhoff_sums_from_digits(sys, digits[None, :])
         return float(v[0])
-    total = 0.0
-    cur = 0.5 * (lo + hi)
-    for _ in range(len(digits)):
-        total += float(sys.log_lam(np.array([cur]))[0])
-        cur = float(sys.tau(np.array([cur]))[0])
-    return total
+    return birkhoff_sum(sys, "log_lambda", 0.5 * (lo + hi), len(digits))

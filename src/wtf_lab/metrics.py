@@ -22,12 +22,10 @@ from .dynamics import (
     code_of,
     cylinder_bounds_many,
     cylinder_budget,
-    cylinder_of,
-    point_of_word,
     torus_distance,
 )
-from .errors import BudgetExceeded, DegenerateFit, OscillationUnderflow
-from .graph import eval_W_many, oscillation_over
+from .errors import BudgetExceeded, DegenerateFit, NotInPartition, OscillationUnderflow
+from .graph import _oscillations, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, sample_words
@@ -214,111 +212,75 @@ def holder_birkhoff(sys: CookieCutterSystem, x: float, n: int) -> float:
     return num / den
 
 
-def _osc_exponent_terms(sys, x, n, theta, probes, tol, _curve):
-    word = code_of(sys, x, n)
-    cyl = cylinder_of(sys, word)
-    osc = oscillation_over(sys, word, theta, probes=probes, tol=tol, _curve=_curve).osc
-    if osc < 10.0 * tol:
-        raise OscillationUnderflow(
-            f"oscillation {osc:.3g} at depth {n} is below 10*tol; "
-            "increase probes or loosen the depth range")
-    return math.log(osc), math.log(cyl.length)
-
-
 def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
                        depth_range=range(1, 21), probes: int = 128,
-                       tol: float = 1e-12, estimator: str = "slope",
-                       _curve=None) -> float:
+                       tol: float = 1e-12, _curve=None) -> float:
     """Oscillation-based Hoelder exponent of W at x, clamped to (0,1].
 
-    The default "slope" estimator is a difference quotient of log(osc over
-    I_n(x)) against log|I_n(x)| across the depth range: the oscillation band
-    constant cancels, which the raw per-depth ratio cannot afford at
-    reachable depths (its bias is log(band)/log|I_n|, an O(1/n) term that
-    swamps the exponent below depth ~100).  The shallow anchor is the first
-    depth of the range -- anchoring deeper silently removes the leading
-    digits from the exponent's symbolic window -- and the deep anchor
-    averages the last 7 depths to tame per-depth band fluctuation.
-    "ratio_min" keeps the conservative per-depth ratios and takes their
-    minimum as the finite-depth liminf; expect it to sit below the true
-    exponent by the band bias.
+    A difference quotient of log(osc over I_n(x)) against log|I_n(x)| across
+    the depth range: the oscillation band constant cancels, which the raw
+    per-depth ratio cannot afford at reachable depths (its bias is
+    log(band)/log|I_n|, an O(1/n) term that swamps the exponent below depth
+    ~100).  The shallow anchor is the first depth of the range -- anchoring
+    deeper silently removes the leading digits from the exponent's symbolic
+    window -- and the deep anchor averages the last 7 depths to tame
+    per-depth band fluctuation.
+
+    ``_curve`` swaps in an alternative height function (testing hook for
+    synthetic smooth curves).
     """
-    depths = sorted(depth_range)
-    if not depths:
-        raise ValueError("depth_range must be nonempty")
-    if estimator == "slope":
-        if len(depths) < 2:
-            raise ValueError("slope estimator needs two distinct depths")
-        lo_osc, lo_len = _osc_exponent_terms(sys, x, depths[0], theta, probes, tol, _curve)
-        hi_osc = hi_len = 0.0
-        hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
-        for n in hi_cluster:
-            o, l = _osc_exponent_terms(sys, x, n, theta, probes, tol, _curve)
-            hi_osc += o
-            hi_len += l
-        hi_osc /= len(hi_cluster)
-        hi_len /= len(hi_cluster)
-        value = (hi_osc - lo_osc) / (hi_len - lo_len)
-    elif estimator == "ratio_min":
-        ratios = []
-        for n in depths:
-            lg_osc, lg_len = _osc_exponent_terms(sys, x, n, theta, probes, tol, _curve)
-            ratios.append(lg_osc / lg_len)
-        value = min(ratios)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return min(1.0, max(1e-12, value))
-
-
-def _batched_osc_logs(sys, words_n: np.ndarray, theta, probes: int, tol: float):
-    """log(osc) and log|I_n| for a batch of same-depth words, probing every
-    word with the representatives of its depth-m refinements in one sweep."""
-    from .dynamics import enumerate_words, point_of_word
-
-    count, n = words_n.shape
-    m = max(1, math.ceil(math.log(max(probes, 2)) / math.log(sys.ell)))
-    sub = enumerate_words(sys.ell, m)
-    per = len(sub)
-    ext = np.empty((count * per, n + m), dtype=np.uint8)
-    ext[:, :n] = np.repeat(words_n, per, axis=0)
-    ext[:, n:] = np.tile(sub, (count, 1))
-    pts = point_of_word(sys, ext, 0.5)
-    ys, _, _ = eval_W_many(sys, pts, theta, tol)
-    ys = ys.reshape(count, per)
-    osc = ys.max(axis=1) - ys.min(axis=1)
-    if np.any(osc < 10.0 * tol):
-        raise OscillationUnderflow(f"oscillation underflow at depth {n}")
-    lo, hi = cylinder_bounds_many(sys, words_n)
-    return np.log(osc), np.log(hi - lo)
+    return float(holder_oscillation_many(sys, [x], theta, depth_range, probes, tol, _curve)[0])
 
 
 def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
-                            tol: float = 1e-12) -> np.ndarray:
-    """Vectorized slope estimator (see holder_oscillation): shallow anchor at
-    the first depth of the range, deep anchor averaged over the last 7
-    depths, one batched series evaluation per depth."""
+                            tol: float = 1e-12, _curve=None) -> np.ndarray:
+    """holder_oscillation at each point of xs: every itinerary coded once to
+    the deepest depth, one batched series evaluation per depth."""
     depths = sorted(depth_range)
+    if not depths:
+        raise ValueError("depth_range must be nonempty")
     if len(depths) < 2:
-        raise ValueError("need at least two depths")
+        raise ValueError("slope estimator needs two distinct depths")
     hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
     xs = np.asarray(xs, dtype=float)
+    n_max = depths[-1]
+    words = np.zeros((len(xs), n_max), dtype=np.uint8)
+    # Iterate at which each orbit leaves the partition.  It is raised at the
+    # first depth past it, so an earlier depth's OscillationUnderflow still
+    # comes first, as when each depth was coded on its own.
+    left = np.full(len(xs), n_max)
+    for j, x in enumerate(xs.tolist()):
+        try:
+            words[j] = code_of(sys, x, n_max).as_array()
+        except NotInPartition as exc:
+            left[j] = exc.iterate
+            if exc.iterate:
+                words[j, :exc.iterate] = code_of(sys, x, exc.iterate).as_array()
 
-    def anchor(cluster_depths):
-        y = np.zeros(len(xs))
-        x_acc = np.zeros(len(xs))
-        for n in cluster_depths:
-            words = np.empty((len(xs), n), dtype=np.uint8)
-            for j, x in enumerate(xs):
-                words[j] = code_of(sys, float(x), n).as_array()
-            lg_osc, lg_len = _batched_osc_logs(sys, words, theta, probes, tol)
-            y += lg_osc
-            x_acc += lg_len
-        return y / len(cluster_depths), x_acc / len(cluster_depths)
+    def logs(n):
+        """log(osc over I_n) and log|I_n| per point."""
+        out = np.flatnonzero(left < n)
+        if out.size:
+            raise NotInPartition(int(left[out[0]]))
+        osc, _ = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
+        if np.any(osc < 10.0 * tol):
+            raise OscillationUnderflow(
+                f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
+                "increase probes or loosen the depth range")
+        lo, hi = cylinder_bounds_many(sys, words[:, :n])
+        # math.log, not np.log: numpy's SIMD log differs from libm in the
+        # last bit on some inputs, and the per-point exponents used libm
+        return (np.array([math.log(v) for v in osc.tolist()]),
+                np.array([math.log(v) for v in (hi - lo).tolist()]))
 
-    y_lo, x_lo = anchor(depths[:1])
-    y_hi, x_hi = anchor(hi_cluster)
-    value = (y_hi - y_lo) / (x_hi - x_lo)
+    y_lo, x_lo = logs(depths[0])
+    y_hi = x_hi = 0.0
+    for n in hi_cluster:
+        lg_osc, lg_len = logs(n)
+        y_hi = y_hi + lg_osc
+        x_hi = x_hi + lg_len
+    value = (y_hi / len(hi_cluster) - y_lo) / (x_hi / len(hi_cluster) - x_lo)
     return np.clip(value, 1e-12, 1.0)
 
 

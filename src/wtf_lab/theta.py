@@ -78,6 +78,3 @@ class ThetaSequence:
         if k < 0:
             raise ValueError("shift must be nonnegative")
         return ThetaSequence(self.mode, self.seed, self.offset + k)
-
-    def describe(self) -> dict:
-        return {"mode": self.mode, "seed": self.seed, "offset": self.offset}

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from wtf_lab import ThetaSequence, model_spec, validate_system
+
+# Property tests draw the same examples on every run and write no example
+# database, so the suite stays deterministic and leaves no .hypothesis/.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -189,16 +189,29 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("command,key", [
-    ("boxdim", "window_drop"),
-    ("boxdim", "scales"),
-    ("spectrum", "q_grid"),
-    ("lift", "q_grid"),
-    ("holder", "points"),
-    ("verify", "criteria"),
-])
-def test_malformed_list_is_validation_error(tmp_path, command, key):
-    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, key: 5})
+MALFORMED = {
+    "boxdim-window_drop": ("boxdim", {"window_drop": 5}),
+    "boxdim-scales": ("boxdim", {"scales": 5}),
+    "spectrum-q_grid": ("spectrum", {"q_grid": 5}),
+    "lift-q_grid": ("lift", {"q_grid": 5}),
+    "holder-points": ("holder", {"points": 5}),
+    "verify-criteria": ("verify", {"criteria": 5}),
+    "validate-ell_adic_without_ell": (
+        "validate", {"model": {"branches": {"family": "ell_adic"}, "lambda": 0.7}}),
+    "validate-branch_domain_not_a_list": (
+        "validate", {"model": {"branches": [{"domain": 5}], "lambda": 0.7}}),
+    "validate-constant_lambda_without_value": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
+                               "lambda": {"kind": "constant"}}}),
+    "sample-theta_number": ("sample", {"theta": 5}),
+    "boxdim-missing_cloud_csv_in": ("boxdim", {"cloud_csv_in": "nope.csv"}),
+}
+
+
+@pytest.mark.parametrize("command,entries", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_list_is_validation_error(tmp_path, command, entries):
+    # malformed lists and model/theta/input entries end in a BadConfig report
+    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, **entries})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     report = read_report(out)

@@ -9,6 +9,7 @@ import wtf_lab as wl
 from wtf_lab import (
     BudgetExceeded,
     HyperbolicityViolated,
+    InversionFailed,
     LambdaOutOfRange,
     NotBranchConstant,
     NotInPartition,
@@ -165,21 +166,40 @@ class TestCoding:
                 prev_len = lens
 
     def test_bounds_many_match_cylinder_of(self, systems):
-        # affine inverses are elementwise, so the batched endpoints are the
-        # scalar ones bit for bit; the M5 Newton inverse stops on batch-wide
-        # tests and agrees to a few units of its 1e-12 tolerance
+        # reference: the scalar endpoint loop, one inverse call per endpoint
+        # and digit.  A one-word batch passes the Newton inverse the same
+        # values, so cylinder_of matches it bit for bit on every model; a
+        # many-word batch stops the M5 Newton inverse on batch-wide tests and
+        # agrees to a few units of its 1e-12 tolerance
+        def scalar_bounds(sys, word):
+            lo, hi = 0.0, 1.0
+            for d in word[::-1]:
+                a = float(sys.branches[d].inverse(lo))
+                b = float(sys.branches[d].inverse(hi))
+                lo, hi = (a, b) if a <= b else (b, a)
+            return lo, hi
+
         for name, sys in systems.items():
             rng = np.random.default_rng(17)
             words = rng.integers(0, sys.ell, size=(200, 25)).astype(np.uint8)
             lo, hi = cylinder_bounds_many(sys, words)
-            cyls = [wl.cylinder_of(sys, w) for w in words]
-            scalar_lo = np.array([c.lo for c in cyls])
-            scalar_hi = np.array([c.hi for c in cyls])
+            ref = np.array([scalar_bounds(sys, w) for w in words])
+            assert [wl.cylinder_of(sys, w).interval for w in words] == [tuple(r) for r in ref]
             if name == "M5":
-                assert np.max(np.abs(lo - scalar_lo)) <= 5e-12
-                assert np.max(np.abs(hi - scalar_hi)) <= 5e-12
+                assert np.max(np.abs(lo - ref[:, 0])) <= 5e-12
+                assert np.max(np.abs(hi - ref[:, 1])) <= 5e-12
             else:
-                assert np.array_equal(lo, scalar_lo) and np.array_equal(hi, scalar_hi)
+                assert np.array_equal(lo, ref[:, 0]) and np.array_equal(hi, ref[:, 1])
+
+    def test_deep_m5_cylinder_refused(self, m5):
+        # the depth-40 cylinder of 0^40 is shorter than the Newton bracket
+        # width 4e-12, so its endpoints would be inversion noise
+        word = np.zeros(40, dtype=np.uint8)
+        with pytest.raises(InversionFailed):
+            wl.cylinder_of(m5, word)
+        with pytest.raises(InversionFailed):
+            cylinder_bounds_many(m5, word[None, :])
+        assert wl.cylinder_of(m5, word[:30]).length > 4e-12
 
 
 class TestSampling:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wtf_lab as wl
 from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
+from wtf_lab.dynamics import point_of_word
 
 
 class TestEval:
@@ -74,8 +76,43 @@ class TestSkew:
                     direct = wl.eval_W(sys, x, theta, tol).value
                     assert abs(direct - skew) <= 10 * tol
 
+    @given(name=st.sampled_from(["M1", "M2", "M3", "M4", "M5"]),
+           word=st.lists(st.integers(0, 1), min_size=16, max_size=16),
+           t=st.floats(0.0, 1.0), n=st.integers(0, 12), seed=st.integers(-1, 50))
+    def test_invariance_property(self, systems, name, word, t, n, seed):
+        # x drawn inside a random depth-16 cylinder, so most orbits stay in
+        # the partition for the n <= 12 steps the skew product walks
+        sys = systems[name]
+        x = float(point_of_word(sys, np.array([word], dtype=np.uint8), t)[0])
+        theta = ThetaSequence.zeros() if seed < 0 else ThetaSequence.iid_uniform(seed)
+        tol = 1e-10
+        try:
+            skew = wl.eval_W_skew(sys, x, theta, n, tol)
+        except NotInPartition:
+            return
+        assert abs(wl.eval_W(sys, x, theta, tol).value - skew) <= 10 * tol
+
 
 class TestOscillation:
+    @pytest.mark.parametrize("probes", [2, 16, 128])
+    def test_probes_match_level_order_reference(self, systems, zeros, probes):
+        # reference: the level-order representatives of the depth-m
+        # refinements, pulled back through the word one digit at a time.
+        # For one word every inverse call sees the same set of values, so
+        # the M5 Newton inverse gives the same bits
+        rng = np.random.default_rng(19)
+        for sys in systems.values():
+            m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+            for n in (1, 8, 20):
+                word = rng.integers(0, sys.ell, n).astype(np.uint8)
+                pts = sys.representatives(m, 0.5)
+                for d in word[::-1]:
+                    pts = sys.branches[d].inverse(pts)
+                ys, _, _ = wl.eval_W_many(sys, pts, zeros, 1e-12)
+                osc = wl.oscillation_over(sys, word, zeros, probes=probes, tol=1e-12)
+                assert osc.osc == ys.max() - ys.min()
+                assert osc.probes == len(pts)
+
     def test_zero_forcing(self, zeros):
         sys = wl.validate_system({**wl.model_spec("M1"), "g": {"kind": "zero"}, "id": "M1g0"})
         osc = wl.oscillation_over(sys, (0, 1, 0), zeros)

@@ -1,5 +1,7 @@
 """Empirical geometry: clouds, box counting, Hoelder estimators, probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from wtf_lab import (
     CloudProvenance,
     DegenerateFit,
     GraphCloud,
+    NotInPartition,
     OscillationUnderflow,
     PotentialSpec,
     ThetaSequence,
@@ -145,12 +148,46 @@ class TestHolderOscillation:
         v = wl.holder_oscillation(m4, x, zeros, depth_range=range(2, 19))
         assert v == pytest.approx(0.5, abs=0.02)
 
-    def test_ratio_min_sits_below(self, m1, zeros):
-        # the raw ratio keeps the band bias log(C)/log|I_n| < 0
-        slope = wl.holder_oscillation(m1, 1.0 / 3.0, zeros, depth_range=range(8, 17))
-        raw = wl.holder_oscillation(m1, 1.0 / 3.0, zeros, depth_range=range(8, 17),
-                                    estimator="ratio_min")
-        assert raw < slope
+    def test_matches_per_depth_reference(self, systems, zeros):
+        # reference: the per-depth route through the public pieces (code_of,
+        # cylinder_of, oscillation_over and libm logs), bit for bit
+        depths = range(2, 21)
+        for name in ("M1", "M3", "M5"):
+            sys = systems[name]
+            words = np.random.default_rng(29).integers(0, 2, size=(3, 24)).astype(np.uint8)
+            for x in point_of_word(sys, words, 0.5).tolist():
+                def terms(n):
+                    word = wl.code_of(sys, x, n)
+                    osc = wl.oscillation_over(sys, word, zeros, probes=128, tol=1e-12).osc
+                    return math.log(osc), math.log(wl.cylinder_of(sys, word).length)
+                lo_osc, lo_len = terms(2)
+                hi = [terms(n) for n in depths[-7:]]
+                hi_osc = hi_len = 0.0
+                for o, l in hi:
+                    hi_osc += o
+                    hi_len += l
+                slope = (hi_osc / 7 - lo_osc) / (hi_len / 7 - lo_len)
+                expected = min(1.0, max(1e-12, slope))
+                assert wl.holder_oscillation(sys, x, zeros, depths, 128, 1e-12) == expected
+
+    def test_gap_iterate_reported(self, m2, m3, zeros):
+        # tau^5 x is the centre of M2's gap
+        x = float(point_of_word(m2, np.array([[0, 1, 1, 0, 1]], dtype=np.uint8), 0.5)[0])
+        good = float(point_of_word(m2, np.zeros((1, 30), dtype=np.uint8), 0.5)[0])
+        with pytest.raises(NotInPartition) as err:
+            wl.holder_oscillation(m2, x, zeros, depth_range=range(2, 21))
+        assert err.value.iterate == 5
+        with pytest.raises(NotInPartition) as err:
+            wl.holder_oscillation_many(m2, [good, x], zeros, depth_range=range(2, 21))
+        assert err.value.iterate == 5
+
+    def test_underflow_before_gap(self, zeros):
+        # with g = 0 the depth-2 oscillation underflows before the orbit
+        # reaches the gap at iterate 5, and depths are processed in order
+        sys = wl.validate_system({**wl.model_spec("M2"), "g": {"kind": "zero"}, "id": "M2g0"})
+        x = float(point_of_word(sys, np.array([[0, 1, 1, 0, 1]], dtype=np.uint8), 0.5)[0])
+        with pytest.raises(OscillationUnderflow, match="at depth 2 "):
+            wl.holder_oscillation(sys, x, zeros, depth_range=range(2, 21))
 
     def test_underflow(self, zeros):
         sys = wl.validate_system({**wl.model_spec("M1"), "g": {"kind": "zero"}, "id": "M1g0"})

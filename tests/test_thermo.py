@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wtf_lab as wl
 from wtf_lab import (
@@ -323,3 +324,39 @@ class TestMoranOracle:
             for q in (-10.0, -2.5, 0.0, 4.0, 10.0):
                 assert wl.A_of_q(sys, q) == pytest.approx(
                     wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)
+
+
+@st.composite
+def affine_cutters(draw):
+    """Random affine cookie cutter: 2-4 increasing branches on disjoint
+    domains (gaps may be empty) with branch-constant lambda_i > |I_i|, so
+    lambda_i |tau_i'| > 1."""
+    ell = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=ell, max_size=ell))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=ell + 1, max_size=ell + 1))
+    shares = draw(st.lists(st.floats(0.05, 0.95), min_size=ell, max_size=ell))
+    total = sum(widths) + sum(gaps)
+    branches, lams, lo = [], [], gaps[0] / total
+    for w, g, u in zip(widths, gaps[1:], shares):
+        hi = lo + w / total
+        branches.append({"domain": [lo, hi]})
+        lams.append(w / total + u * (1.0 - w / total))
+        lo = hi + g / total
+    branches[-1]["domain"][1] = min(branches[-1]["domain"][1], 1.0)
+    return wl.validate_system({"branches": branches,
+                               "lambda": {"kind": "branch_constant", "values": lams}})
+
+
+class TestMoranProperty:
+    # the oracle brackets its roots in [-300, 300], where r^A overflows to
+    # inf for narrow branches; the sign it bisects on is still right
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(sys=affine_cutters(), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           q=st.floats(-3.0, 3.0))
+    def test_thermo_matches_oracle(self, sys, a, b, q):
+        pot = PotentialSpec(a, b)
+        assert wl.pressure(sys, pot).value == pytest.approx(
+            wl.moran_oracle(sys, "pressure", pot=pot), abs=1e-6)
+        assert wl.bowen_root(sys, s1_family) == pytest.approx(wl.moran_oracle(sys, "s1"), abs=1e-6)
+        assert wl.bowen_root(sys, s2_family) == pytest.approx(wl.moran_oracle(sys, "s2"), abs=1e-6)
+        assert wl.A_of_q(sys, q) == pytest.approx(wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)

@@ -4,8 +4,6 @@ predicted by thermodynamic formalism and measured directly."""
 from .dynamics import (
     BIRKHOFF_FIELDS,
     CookieCutterSystem,
-    Cylinder,
-    SymbolWord,
     apply_tau,
     birkhoff_sum,
     code_of,
@@ -19,7 +17,6 @@ from .errors import *  # noqa: F401,F403 -- the taxonomy is the public surface
 from .graph import (
     DegeneracyVerdict,
     EvalResult,
-    Oscillation,
     detect_degenerate,
     eval_W,
     eval_W_many,

@@ -135,9 +135,9 @@ def _cmd_holder(config, out_dir, seed, report):
         from .dynamics import sample_repeller
         n = require_int(config, "point_depth", default=12, low=1)
         count = require_int(config, "point_count", default=50, low=1)
-        reps = sample_repeller(sys, n, "random", seed=seed if seed is not None else 7)
-        step = max(1, len(reps) // count)
-        points = [x for _, x in reps[::step]][:count]
+        _, xs = sample_repeller(sys, n, "random", seed=seed if seed is not None else 7)
+        step = max(1, len(xs) // count)
+        points = xs[::step][:count]
     rows = []
     for x in points:
         bv = holder_birkhoff(sys, float(x), depth)
@@ -193,7 +193,7 @@ def _cmd_gibbs(config, out_dir, seed, report):
     sample_seed = seed if seed is not None else require_int(config, "seed", default=1)
     sample = gibbs_sample(sys, pot, depth, count, sample_seed)
     out = out_dir / str(config.get("sample_csv", "gibbs.csv"))
-    write_csv(out, ("word", "x"), (("".join(str(d) for d in word), x) for word, x in sample))
+    write_csv(out, ("word", "x"), (("".join(map(str, word.tolist())), x) for word, x in sample))
     stats = measure_stats(sys, pot)
     report.outputs = {
         "sample_csv": out.name,

@@ -28,14 +28,13 @@ def parse_model(config: dict) -> CookieCutterSystem:
     model = config.get("model")
     if model is None:
         raise BadConfig("config needs a 'model' entry")
+    if isinstance(model, dict) and "ref" in model:
+        model = model["ref"]
+        if not isinstance(model, str):
+            raise BadConfig("'model' ref must be a bundled model name")
     if isinstance(model, str):
         try:
             model = model_spec(model)
-        except KeyError as exc:
-            raise BadConfig(str(exc)) from exc
-    elif isinstance(model, dict) and "ref" in model:
-        try:
-            model = model_spec(model["ref"])
         except KeyError as exc:
             raise BadConfig(str(exc)) from exc
     return validate_system(model)
@@ -53,10 +52,9 @@ def parse_theta(config: dict, seed_override: int | None = None) -> ThetaSequence
     if mode == "zeros":
         return ThetaSequence.iid_uniform(seed_override)
     if mode == "iid_uniform":
-        seed = seed_override if seed_override is not None else spec.get("seed")
-        if seed is None:
-            raise BadConfig("iid_uniform theta needs a seed")
-        return ThetaSequence.iid_uniform(int(seed))
+        if seed_override is not None:
+            return ThetaSequence.iid_uniform(seed_override)
+        return ThetaSequence.iid_uniform(require_int(spec, "seed"))
     raise BadConfig(f"unknown theta mode {mode!r}")
 
 
@@ -66,7 +64,7 @@ def require_number(config: dict, key: str, default=None, low=None, high=None):
         raise BadConfig(f"config needs {key!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"{key!r} must be numeric") from exc
     if low is not None and value < low:
         raise BadConfig(f"{key!r} must be >= {low}")
@@ -77,9 +75,10 @@ def require_number(config: dict, key: str, default=None, low=None, high=None):
 
 def require_int(config: dict, key: str, default=None, low=None, high=None) -> int:
     value = require_number(config, key, default, low, high)
-    if value != int(value):
+    if not value.is_integer():
         raise BadConfig(f"{key!r} must be an integer")
-    return int(value)
+    raw = config.get(key, default)
+    return raw if type(raw) is int else int(value)  # ints past 2**53 stay exact
 
 
 def require_list(config: dict, key: str, item=float, length=None, default=None):

@@ -235,80 +235,6 @@ class LambdaSpec:
 
 
 # ---------------------------------------------------------------------------
-# symbolic words and cylinders
-# ---------------------------------------------------------------------------
-
-class SymbolWord:
-    """Immutable finite digit string over {0..ell-1}, one digit per byte."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, digits):
-        if isinstance(digits, SymbolWord):
-            data = digits._data
-        elif isinstance(digits, (bytes, bytearray)):
-            data = bytes(digits)
-        elif isinstance(digits, np.ndarray):
-            data = digits.astype(np.uint8).tobytes()
-        else:
-            data = bytes(int(d) for d in digits)
-        if len(data) == 0:
-            raise ValueError("a symbol word needs at least one digit")
-        object.__setattr__(self, "_data", data)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(self._data)
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self._data, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __getitem__(self, i):
-        return self._data[i]
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolWord) and self._data == other._data
-
-    def __hash__(self):
-        return hash(self._data)
-
-    def __repr__(self):
-        if len(self._data) <= 24:
-            return f"SymbolWord({''.join(str(d) for d in self._data)})"
-        head = "".join(str(d) for d in self._data[:16])
-        return f"SymbolWord({head}...len={len(self._data)})"
-
-    def __setattr__(self, *args):
-        raise AttributeError("SymbolWord is immutable")
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """Closed interval of points whose first len(word) digits match word."""
-
-    word: SymbolWord
-    lo: float
-    hi: float
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, slack: float = 1e-12) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
-
-# ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
 
@@ -698,22 +624,30 @@ def _orbit(sys: CookieCutterSystem, x: float, n: int) -> tuple[np.ndarray, np.nd
     return digits, points
 
 
-def code_of(sys: CookieCutterSystem, x: float, n: int) -> SymbolWord:
-    """First n digits of x's itinerary; NotInPartition(k) if iterate k
-    falls in a gap or on an endpoint no half-open domain covers."""
+def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
+    """First n digits of x's itinerary (uint8); NotInPartition(k) if iterate
+    k falls in a gap or on an endpoint no half-open domain covers."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    return SymbolWord(_orbit(sys, x, n)[0])
+    return _orbit(sys, x, n)[0]
 
 
-def cylinder_of(sys: CookieCutterSystem, word: SymbolWord) -> Cylinder:
-    """Interval rho_{w_1} o ... o rho_{w_n} ([0,1]), first digit outermost."""
-    word = SymbolWord(word)
-    arr = word.as_array()
-    if np.any(arr >= sys.ell):
+def _word(sys: CookieCutterSystem, word) -> np.ndarray:
+    """A word argument as a uint8 digit row; ValueError for an empty or
+    non-1-D word and for a digit outside 0..ell-1."""
+    arr = np.asarray(word)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("a word is a nonempty 1-D sequence of digits")
+    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= sys.ell:
         raise ValueError(f"digit out of range for an {sys.ell}-branch system")
-    lo, hi = cylinder_bounds_many(sys, arr[None, :])
-    return Cylinder(word, float(lo[0]), float(hi[0]))
+    return arr.astype(np.uint8)
+
+
+def cylinder_of(sys: CookieCutterSystem, word) -> tuple[float, float]:
+    """Endpoints (lo, hi) of rho_{w_1} o ... o rho_{w_n} ([0,1]), first digit
+    outermost."""
+    lo, hi = cylinder_bounds_many(sys, _word(sys, word)[None, :])
+    return float(lo[0]), float(hi[0])
 
 
 def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
@@ -760,7 +694,8 @@ def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndar
 
 def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoints",
                     seed: int | None = None, budget: int | None = None):
-    """One representative per depth-n cylinder.
+    """One representative per depth-n cylinder: the (ell^n, n) digit matrix
+    of all words in lexicographic order and one point per row.
 
     strategy "midpoints": x = rho_w(1/2); "random": x = rho_w(u_w) with u_w
     an independent uniform draw keyed by (seed, word), so repeated calls with
@@ -779,7 +714,7 @@ def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoi
         xs = _compose(sys, words, counter_uniforms(seed, 0, n_words, stream=depth))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [(SymbolWord(words[j]), float(xs[j])) for j in range(n_words)]
+    return words, xs
 
 
 def enumerate_words(ell: int, depth: int) -> np.ndarray:

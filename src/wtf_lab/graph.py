@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
-    SymbolWord,
     _orbit,
+    _word,
     birkhoff_sum,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
@@ -94,19 +94,12 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     return y
 
 
-@dataclass(frozen=True)
-class Oscillation:
-    word: SymbolWord
-    osc: float
-    probes: int
-
-
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, tol: float, _curve=None) -> tuple[np.ndarray, int]:
+                  probes: int, tol: float, _curve=None) -> np.ndarray:
     """sup - inf of W (or of the test hook ``_curve``) per row w of a
-    (count, n) digit matrix, and the probe count per row: W is probed at
-    rho_{wv}(1/2) for every v of the least depth m with ell^m >= probes, a
-    Moran cover of J cap I_w, in one series evaluation."""
+    (count, n) digit matrix: W is probed at rho_{wv}(1/2) for every v of the
+    least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
+    series evaluation."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
     count, n = words.shape
@@ -122,15 +115,13 @@ def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequen
     else:
         ys = np.asarray(_curve(pts), dtype=float)
     ys = ys.reshape(count, per)
-    return ys.max(axis=1) - ys.min(axis=1), per
+    return ys.max(axis=1) - ys.min(axis=1)
 
 
 def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
-                     probes: int = 128, tol: float = 1e-10) -> Oscillation:
+                     probes: int = 128, tol: float = 1e-10) -> float:
     """sup - inf of W over stratified sub-cylinder representatives of the word."""
-    word = SymbolWord(word)
-    osc, per = _oscillations(sys, word.as_array()[None, :], theta, probes, tol)
-    return Oscillation(word, float(osc[0]), per)
+    return float(_oscillations(sys, _word(sys, word)[None, :], theta, probes, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -168,8 +159,7 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
         lo, hi = cylinder_bounds_many(sys, words)
         r_best, lip_best = 0.0, 0.0
         for j in range(words.shape[0]):
-            w = SymbolWord(words[j])
-            osc = oscillation_over(sys, w, theta, probes=probes, tol=tol).osc
+            osc = oscillation_over(sys, words[j], theta, probes=probes, tol=tol)
             lam_n = math.exp(_log_lambda_word(sys, words[j], lo[j], hi[j]))
             r_best = max(r_best, osc / lam_n)
             lip_best = max(lip_best, osc / (hi[j] - lo[j]))

@@ -252,18 +252,18 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     left = np.full(len(xs), n_max)
     for j, x in enumerate(xs.tolist()):
         try:
-            words[j] = code_of(sys, x, n_max).as_array()
+            words[j] = code_of(sys, x, n_max)
         except NotInPartition as exc:
             left[j] = exc.iterate
             if exc.iterate:
-                words[j, :exc.iterate] = code_of(sys, x, exc.iterate).as_array()
+                words[j, :exc.iterate] = code_of(sys, x, exc.iterate)
 
     def logs(n):
         """log(osc over I_n) and log|I_n| per point."""
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc, _ = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
+        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "

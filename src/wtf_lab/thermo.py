@@ -24,7 +24,6 @@ from scipy.special import logsumexp
 
 from .dynamics import (
     CookieCutterSystem,
-    SymbolWord,
     enumerate_words,
     point_of_word,
 )
@@ -323,17 +322,18 @@ def _require_normalised(sys: CookieCutterSystem, pot: PotentialSpec, depth: int)
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
 
 
-def gibbs_weights(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> dict[SymbolWord, float]:
+def gibbs_weights(sys: CookieCutterSystem, pot: PotentialSpec,
+                  depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Cylinder weights of the Gibbs measure for a zero-pressure potential:
-    weight(w) proportional to exp(S_n phi) at the representative.  Exact
-    Bernoulli product weights in the branch-constant case."""
+    the (ell^n, n) digit matrix of all words in lexicographic order and the
+    weight of each, proportional to exp(S_n phi) at the representative.
+    Exact Bernoulli product weights in the branch-constant case."""
     _require_normalised(sys, pot, depth)
     levels = sys.tree(depth)
     _, u, v = levels[depth]
     s = pot.a * u + pot.b * v + pot.c * depth
     w = np.exp(s - logsumexp(s))
-    words = enumerate_words(sys.ell, depth)
-    return {SymbolWord(words[j]): float(w[j]) for j in range(len(w))}
+    return enumerate_words(sys.ell, depth), w
 
 
 def digit_distribution(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
@@ -389,13 +389,13 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
 
 
 def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
-                 seed: int) -> list[tuple[SymbolWord, float]]:
-    """iid draws (word, representative) from the Gibbs measure; reproducible
-    per seed."""
+                 seed: int) -> list[tuple[np.ndarray, float]]:
+    """iid draws (word, representative) from the Gibbs measure, each word a
+    uint8 digit row; reproducible per seed."""
     _require_normalised(sys, pot, min(depth, DEFAULT_DEPTH))
     digits = sample_words(sys, pot, depth, count, seed)
     xs = point_of_word(sys, digits, 0.5)
-    return [(SymbolWord(digits[j]), float(xs[j])) for j in range(count)]
+    return list(zip(digits, xs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -464,6 +464,20 @@ def _bisect(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _moran_root(log_r: np.ndarray, log_w: np.ndarray) -> float:
+    """Root A of sum_i exp(A log r_i + log w_i) = 1 for ratios r_i in (0,1).
+
+    Term i decreases in A and equals 1 at A_i = -log w_i / log r_i.  At
+    max_i A_i - 1 the term with the largest A_i is 1/r_i > 1, and at
+    max_i (A_i + log ell / log(1/r_i)) + 1 every term is below 1/ell.  On
+    that bracket no term exceeds 1/min r_i, so nothing overflows.
+    """
+    a_i = -log_w / log_r
+    lo = float(a_i.max()) - 1.0
+    hi = float(np.max(a_i - math.log(len(log_r)) / log_r)) + 1.0
+    return _bisect(lambda A: float(np.sum(np.exp(A * log_r + log_w)) - 1.0), lo, hi)
+
+
 def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | None = None,
                  q: float | None = None) -> float:
     """Closed-form answers for affine branch-constant systems.
@@ -477,28 +491,24 @@ def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | No
         raise NotBranchConstant("the closed-form oracle needs an affine, branch-constant system")
     r = np.array([1.0 / abs(b.slope) for b in sys.branches])
     lam = sys.lam.branch_values(sys.ell)
-
-    def moran_root(qv: float) -> float:
-        return _bisect(lambda A: float(np.sum(r**A * lam**qv) - 1.0), -300.0, 300.0)
+    log_r, log_lam = np.log(r), np.log(lam)
 
     if query == "pressure":
         if pot is None:
             raise ValueError("pressure query needs pot=")
-        phi = pot.a * np.log(1.0 / r) + pot.b * np.log(lam) + pot.c
+        phi = pot.a * np.log(1.0 / r) + pot.b * log_lam + pot.c
         return float(np.log(np.sum(np.exp(phi))))
+    if query in ("A_of_q", "alpha_of_q") and q is None:
+        raise ValueError(f"{query} query needs q=")
     if query == "A_of_q":
-        if q is None:
-            raise ValueError("A_of_q query needs q=")
-        return moran_root(q)
+        return _moran_root(log_r, q * log_lam)
     if query == "alpha_of_q":
-        if q is None:
-            raise ValueError("alpha_of_q query needs q=")
-        A = moran_root(q)
-        p = r**A * lam**q
-        return float(np.sum(p * np.log(lam)) / np.sum(p * np.log(r)))
+        A = _moran_root(log_r, q * log_lam)
+        p = np.exp(A * log_r + q * log_lam)
+        return float(np.sum(p * log_lam) / np.sum(p * log_r))
     if query == "s1":
         # sum (1/r)^(1-s) lam = 1  <=>  sum r^(s-1) lam = 1
-        return _bisect(lambda s: float(np.sum(r ** (s - 1.0) * lam) - 1.0), -300.0, 300.0)
+        return 1.0 + _moran_root(log_r, log_lam)
     if query == "s2":
-        return _bisect(lambda s: float(np.sum(lam**s) - 1.0), 1e-12, 300.0)
+        return _moran_root(log_lam, np.zeros(sys.ell))
     raise ValueError(f"unknown oracle query {query!r}")

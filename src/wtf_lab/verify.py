@@ -17,7 +17,6 @@ from scipy.stats import spearmanr
 
 from .dynamics import (
     CookieCutterSystem,
-    SymbolWord,
     cylinder_bounds_many,
     point_of_word,
     validate_system,
@@ -304,8 +303,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
         for n in range(1, 17):
             for _ in range(3):
                 digits = rng.integers(0, sys.ell, n).astype(np.uint8)
-                word = SymbolWord(digits)
-                osc = oscillation_over(sys, word, zeros, probes=128, tol=1e-12).osc
+                osc = oscillation_over(sys, digits, zeros, probes=128, tol=1e-12)
                 if sys.lam.kind == "constant":
                     lam_n = sys.lam.value**n
                 else:

@@ -1,6 +1,7 @@
 """CLI harness: commands, exit codes, config handling, report determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ class TestSampleAndBoxdim:
         main(["sample", "--config", cfg, "--out", str(out1)])
         main(["sample", "--config", cfg, "--out", str(out2)])
         assert (out1 / "cloud.csv").read_bytes() == (out2 / "cloud.csv").read_bytes()
+
+    def test_large_seed_kept_exact(self, tmp_path):
+        seed = 2**53 + 1  # not a float64
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": "M1", "theta": {"mode": "iid_uniform", "seed": seed}, "depth": 4})
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        assert read_report(out)["outputs"]["provenance"]["theta_seed"] == seed
 
     def test_boxdim_from_csv(self, tmp_path):
         x = np.arange(200_000) / 200_000.0
@@ -204,6 +213,12 @@ MALFORMED = {
         "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
                                "lambda": {"kind": "constant"}}}),
     "sample-theta_number": ("sample", {"theta": 5}),
+    "sample-theta_seed_list": ("sample", {"theta": {"mode": "iid_uniform", "seed": [1]}}),
+    "sample-theta_seed_fraction": ("sample", {"theta": {"mode": "iid_uniform", "seed": 1.7}}),
+    "sample-theta_seed_text": ("sample", {"theta": {"mode": "iid_uniform", "seed": "abc"}}),
+    "sample-theta_seed_infinite": ("sample", {"theta": {"mode": "iid_uniform", "seed": math.inf}}),
+    "sample-depth_past_float_range": ("sample", {"depth": 10**400}),
+    "validate-model_ref_list": ("validate", {"model": {"ref": []}}),
     "boxdim-missing_cloud_csv_in": ("boxdim", {"cloud_csv_in": "nope.csv"}),
 }
 

@@ -15,10 +15,14 @@ from wtf_lab import (
     NotInPartition,
     NotOnto,
     OverlappingBranches,
-    SymbolWord,
     ThetaSequence,
 )
-from wtf_lab.dynamics import birkhoff_sums_from_digits, cylinder_bounds_many, point_of_word
+from wtf_lab.dynamics import (
+    birkhoff_sums_from_digits,
+    cylinder_bounds_many,
+    enumerate_words,
+    point_of_word,
+)
 
 
 class TestValidation:
@@ -98,8 +102,9 @@ class TestApplyTau:
 
 class TestCoding:
     def test_examples(self, m1, m2):
-        assert wl.code_of(m1, 0.3, 2).digits == (0, 1)
-        assert wl.code_of(m1, 0.75, 3).digits == (1, 1, 0)
+        assert wl.code_of(m1, 0.3, 2).tolist() == [0, 1]
+        assert wl.code_of(m1, 0.75, 3).tolist() == [1, 1, 0]
+        assert wl.code_of(m1, 0.75, 3).dtype == np.uint8
         with pytest.raises(NotInPartition) as err:
             wl.code_of(m2, 0.5, 1)
         assert err.value.iterate == 0
@@ -112,9 +117,17 @@ class TestCoding:
         assert err.value.iterate == 1
 
     def test_cylinder_examples(self, m1, m2):
-        assert wl.cylinder_of(m1, (0, 1)).interval == pytest.approx((0.25, 0.5), abs=1e-12)
-        assert wl.cylinder_of(m2, (1,)).interval == pytest.approx((0.65, 1.0), abs=1e-12)
-        assert wl.cylinder_of(m2, (1, 0)).interval == pytest.approx((0.65, 0.7725), abs=1e-12)
+        assert wl.cylinder_of(m1, (0, 1)) == pytest.approx((0.25, 0.5), abs=1e-12)
+        assert wl.cylinder_of(m2, (1,)) == pytest.approx((0.65, 1.0), abs=1e-12)
+        assert wl.cylinder_of(m2, (1, 0)) == pytest.approx((0.65, 0.7725), abs=1e-12)
+
+    @pytest.mark.parametrize("word", [(), [[0, 1]], (0, 2), (0, -1), (0.0, 1.0), "01"],
+                             ids=["empty", "2d", "too_large", "negative", "float", "text"])
+    def test_malformed_word_refused(self, m1, word):
+        with pytest.raises(ValueError):
+            wl.cylinder_of(m1, word)
+        with pytest.raises(ValueError):
+            wl.oscillation_over(m1, word, ThetaSequence.zeros())
 
     def test_cylinder_nesting(self, systems):
         # analytic branches are inverted to 1e-12 per level, so nesting holds
@@ -124,11 +137,11 @@ class TestCoding:
             for _ in range(20):
                 n = int(rng.integers(1, 10))
                 word = tuple(int(d) for d in rng.integers(0, sys.ell, n))
-                parent = wl.cylinder_of(sys, word)
+                p_lo, p_hi = wl.cylinder_of(sys, word)
                 for d in range(sys.ell):
-                    child = wl.cylinder_of(sys, word + (d,))
-                    assert child.lo >= parent.lo - 5e-12
-                    assert child.hi <= parent.hi + 5e-12
+                    c_lo, c_hi = wl.cylinder_of(sys, word + (d,))
+                    assert c_lo >= p_lo - 5e-12
+                    assert c_hi <= p_hi + 5e-12
 
     def test_coding_cylinder_consistency(self, systems):
         rng = np.random.default_rng(11)
@@ -137,8 +150,8 @@ class TestCoding:
             xs = point_of_word(sys, words, 0.5)
             for x in xs:
                 for n in (1, 5, 12, 20):
-                    word = wl.code_of(sys, float(x), n)
-                    assert wl.cylinder_of(sys, word).contains(float(x))
+                    lo, hi = wl.cylinder_of(sys, wl.code_of(sys, float(x), n))
+                    assert lo - 1e-12 <= x <= hi + 1e-12
 
     def test_affine_cylinder_lengths_exact(self, m3):
         # |I_w| = product of branch contraction ratios for affine systems
@@ -147,9 +160,9 @@ class TestCoding:
         for _ in range(30):
             n = int(rng.integers(1, 16))
             word = tuple(int(d) for d in rng.integers(0, 2, n))
-            cyl = wl.cylinder_of(m3, word)
+            lo, hi = wl.cylinder_of(m3, word)
             expected = math.prod(ratios[d] for d in word)
-            assert cyl.length == pytest.approx(expected, abs=1e-12)
+            assert hi - lo == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_geometry(self, systems):
         for sys in systems.values():
@@ -184,7 +197,7 @@ class TestCoding:
             words = rng.integers(0, sys.ell, size=(200, 25)).astype(np.uint8)
             lo, hi = cylinder_bounds_many(sys, words)
             ref = np.array([scalar_bounds(sys, w) for w in words])
-            assert [wl.cylinder_of(sys, w).interval for w in words] == [tuple(r) for r in ref]
+            assert [wl.cylinder_of(sys, w) for w in words] == [tuple(r) for r in ref]
             if name == "M5":
                 assert np.max(np.abs(lo - ref[:, 0])) <= 5e-12
                 assert np.max(np.abs(hi - ref[:, 1])) <= 5e-12
@@ -199,31 +212,46 @@ class TestCoding:
             wl.cylinder_of(m5, word)
         with pytest.raises(InversionFailed):
             cylinder_bounds_many(m5, word[None, :])
-        assert wl.cylinder_of(m5, word[:30]).length > 4e-12
+        lo, hi = wl.cylinder_of(m5, word[:30])
+        assert hi - lo > 4e-12
 
 
 class TestSampling:
     def test_midpoints_depth1(self, m1):
-        reps = wl.sample_repeller(m1, 1, "midpoints")
-        assert [(w.digits, x) for w, x in reps] == [((0,), 0.25), ((1,), 0.75)]
+        words, xs = wl.sample_repeller(m1, 1, "midpoints")
+        assert words.dtype == np.uint8
+        assert words.tolist() == [[0], [1]]
+        assert xs.tolist() == [0.25, 0.75]
 
     def test_containment(self, systems):
         for sys in systems.values():
-            for word, x in wl.sample_repeller(sys, 2, "midpoints"):
-                assert wl.cylinder_of(sys, word).contains(x)
-            for word, x in wl.sample_repeller(sys, 8, "random", seed=3):
-                assert wl.cylinder_of(sys, word).contains(x)
+            for words, xs in (wl.sample_repeller(sys, 2, "midpoints"),
+                              wl.sample_repeller(sys, 8, "random", seed=3)):
+                for word, x in zip(words, xs):
+                    lo, hi = wl.cylinder_of(sys, word)
+                    assert lo - 1e-12 <= x <= hi + 1e-12
 
     def test_seeded_determinism(self, m1):
-        a = wl.sample_repeller(m1, 3, "random", seed=7)
-        b = wl.sample_repeller(m1, 3, "random", seed=7)
-        assert a == b
-        c = wl.sample_repeller(m1, 3, "random", seed=8)
-        assert any(xa != xc for (_, xa), (_, xc) in zip(a, c))
+        words, a = wl.sample_repeller(m1, 3, "random", seed=7)
+        _, b = wl.sample_repeller(m1, 3, "random", seed=7)
+        assert np.array_equal(words, enumerate_words(2, 3))
+        assert np.array_equal(a, b)
+        _, c = wl.sample_repeller(m1, 3, "random", seed=8)
+        assert np.any(a != c)
 
     def test_budget(self, m1):
         with pytest.raises(BudgetExceeded):
             wl.sample_repeller(m1, 10, "midpoints", budget=100)
+
+    @pytest.mark.parametrize("depth", [1, 5, 9])
+    def test_level_order_matches_point_of_word(self, systems, depth):
+        # tree and representatives invert level by level, point_of_word
+        # composes the enumerated digit matrix: the same bits on every model
+        for sys in systems.values():
+            words = enumerate_words(sys.ell, depth)
+            assert np.array_equal(sys.tree(depth)[depth][0], point_of_word(sys, words, 0.5))
+            for t in (0.125, 0.5, 0.9):
+                assert np.array_equal(sys.representatives(depth, t), point_of_word(sys, words, t))
 
 
 class TestBirkhoff:
@@ -232,7 +260,7 @@ class TestBirkhoff:
         assert value == pytest.approx(10 * math.log(0.7), abs=1e-12)
 
     def test_m3_two_digits(self, m3):
-        x = wl.cylinder_of(m3, (0, 1)).lo + 1e-6
+        x = wl.cylinder_of(m3, (0, 1))[0] + 1e-6
         value = wl.birkhoff_sum(m3, "log_abs_tau_prime", x, 2)
         assert value == pytest.approx(math.log(1 / 0.3) + math.log(1 / 0.45), abs=1e-12)
 
@@ -249,25 +277,6 @@ class TestBirkhoff:
             birkhoff_sums_from_digits(m5, np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(NotBranchConstant):
             wl.empirical_spectrum(m5, [0.0], 10, 5, 1)
-
-
-class TestSymbolWord:
-    def test_equality_and_hash(self):
-        assert SymbolWord((0, 1, 1)) == SymbolWord(bytes([0, 1, 1]))
-        assert hash(SymbolWord((0, 1))) == hash(SymbolWord((0, 1)))
-        assert SymbolWord((0,)) != SymbolWord((1,))
-
-    def test_immutable_nonempty(self):
-        with pytest.raises(ValueError):
-            SymbolWord(())
-        w = SymbolWord((1, 0))
-        with pytest.raises(AttributeError):
-            w.digits = (0,)
-
-    def test_array_roundtrip(self):
-        w = SymbolWord(np.array([1, 0, 1], dtype=np.uint8))
-        assert w.digits == (1, 0, 1)
-        assert list(w.as_array()) == [1, 0, 1]
 
 
 class TestTheta:

@@ -176,24 +176,23 @@ class TestSpectrum:
 class TestGibbs:
     def test_m3_depth1_weights(self, m3):
         a0 = wl.A_of_q(m3, 0.0)
-        weights = wl.gibbs_weights(m3, PotentialSpec(-a0, 0.0), 1)
-        by_digit = {w.digits[0]: p for w, p in weights.items()}
-        assert by_digit[0] == pytest.approx(0.3**M3_A0, abs=1e-6)
-        assert sum(by_digit.values()) == pytest.approx(1.0, abs=1e-12)
+        words, weights = wl.gibbs_weights(m3, PotentialSpec(-a0, 0.0), 1)
+        assert words.tolist() == [[0], [1]]
+        assert weights[0] == pytest.approx(0.3**M3_A0, abs=1e-6)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_m1_s1_weights_symmetric(self, m1):
         s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
-        weights = wl.gibbs_weights(m1, s1_family(s1), 1)
-        assert all(p == pytest.approx(0.5, abs=1e-9) for p in weights.values())
+        _, weights = wl.gibbs_weights(m1, s1_family(s1), 1)
+        assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_depth2_product_structure(self, m3):
         a0 = wl.A_of_q(m3, 0.0)
         pot = PotentialSpec(-a0, 0.0)
-        w1 = {w.digits: p for w, p in wl.gibbs_weights(m3, pot, 1).items()}
-        w2 = {w.digits: p for w, p in wl.gibbs_weights(m3, pot, 2).items()}
-        for i in (0, 1):
-            for j in (0, 1):
-                assert w2[(i, j)] == pytest.approx(w1[(i,)] * w1[(j,)], abs=1e-12)
+        _, w1 = wl.gibbs_weights(m3, pot, 1)
+        words, w2 = wl.gibbs_weights(m3, pot, 2)
+        for (i, j), p in zip(words.tolist(), w2):
+            assert p == pytest.approx(w1[i] * w1[j], abs=1e-12)
 
     def test_not_normalised(self, m1):
         with pytest.raises(NotNormalised):
@@ -203,17 +202,20 @@ class TestGibbs:
         a0 = wl.A_of_q(m3, 0.0)
         pot = PotentialSpec(-a0, 0.0)
         sample = wl.gibbs_sample(m3, pot, depth=50, count=20_000, seed=5)
-        digits = np.stack([w.as_array() for w, _ in sample])
+        digits = np.stack([w for w, _ in sample])
+        assert digits.dtype == np.uint8
         assert (digits == 0).mean() == pytest.approx(0.3**M3_A0, abs=0.005)
         again = wl.gibbs_sample(m3, pot, depth=50, count=100, seed=5)
-        assert sample[:100] == again
+        assert np.array_equal(digits[:100], np.stack([w for w, _ in again]))
+        assert [x for _, x in sample[:100]] == [x for _, x in again]
         for word, x in sample[:50]:
-            assert wl.cylinder_of(m3, wl.SymbolWord(word.as_array()[:12])).contains(x)
+            lo, hi = wl.cylinder_of(m3, word[:12])
+            assert lo - 1e-12 <= x <= hi + 1e-12
 
     def test_m1_symmetric_sampling_frequency(self, m1):
         s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
         sample = wl.gibbs_sample(m1, s1_family(s1), depth=40, count=20_000, seed=8)
-        digits = np.stack([w.as_array() for w, _ in sample])
+        digits = np.stack([w for w, _ in sample])
         assert (digits == 0).mean() == pytest.approx(0.5, abs=0.005)
 
     def test_markov_sampler_nonconstant_potential(self, m5):
@@ -221,7 +223,7 @@ class TestGibbs:
         p = wl.pressure(m5, PotentialSpec(-1.0, 0.0), depth=12).value
         pot = PotentialSpec(-1.0, 0.0, -p)
         sample = wl.gibbs_sample(m5, pot, depth=12, count=4000, seed=9)
-        digits = np.stack([w.as_array() for w, _ in sample])
+        digits = np.stack([w for w, _ in sample])
         # full-branch Lebesgue-like measure: digit frequencies near 1/2
         assert abs((digits == 0).mean() - 0.5) < 0.05
 
@@ -325,6 +327,21 @@ class TestMoranOracle:
                 assert wl.A_of_q(sys, q) == pytest.approx(
                     wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_narrow_branch_without_overflow(self):
+        # branch ratio 0.05: r^A overflowed on a fixed [-300, 300] bracket
+        sys = wl.validate_system({"branches": [{"domain": [0.0, 0.05]}, {"domain": [0.5, 1.0]}],
+                                  "lambda": {"kind": "branch_constant", "values": [0.9, 0.6]}})
+        assert wl.moran_oracle(sys, "s1") == pytest.approx(
+            wl.bowen_root(sys, s1_family), abs=1e-6)
+        assert wl.moran_oracle(sys, "s2") == pytest.approx(
+            wl.bowen_root(sys, s2_family), abs=1e-6)
+        exponents = [math.log(0.9) / math.log(0.05), math.log(0.6) / math.log(0.5)]
+        for q in (-3.0, 0.0, 3.0):
+            assert wl.moran_oracle(sys, "A_of_q", q=q) == pytest.approx(wl.A_of_q(sys, q), abs=1e-6)
+            alpha = wl.moran_oracle(sys, "alpha_of_q", q=q)
+            assert min(exponents) < alpha < max(exponents)
+
 
 @st.composite
 def affine_cutters(draw):
@@ -348,9 +365,7 @@ def affine_cutters(draw):
 
 
 class TestMoranProperty:
-    # the oracle brackets its roots in [-300, 300], where r^A overflows to
-    # inf for narrow branches; the sign it bisects on is still right
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @given(sys=affine_cutters(), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
            q=st.floats(-3.0, 3.0))
     def test_thermo_matches_oracle(self, sys, a, b, q):

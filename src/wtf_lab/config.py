@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .dynamics import CookieCutterSystem, validate_system
@@ -66,6 +67,8 @@ def require_number(config: dict, key: str, default=None, low=None, high=None):
         value = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"{key!r} must be numeric") from exc
+    if not math.isfinite(value):
+        raise BadConfig(f"{key!r} must be finite")
     if low is not None and value < low:
         raise BadConfig(f"{key!r} must be >= {low}")
     if high is not None and value > high:

@@ -284,9 +284,10 @@ class CookieCutterSystem:
         """kappa(x) with half-open membership; -1 marks points outside
         every [a_i, b_i)."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.branch_lows, x, side="right") - 1
-        idx = np.clip(idx, 0, self.ell - 1)
-        inside = (x >= self.branch_lows[idx]) & (x < self.branch_highs[idx])
+        idx = np.zeros(x.shape, dtype=np.intp)
+        for lo in self.branch_lows[1:]:  # lows are sorted: count those <= x
+            idx += x >= lo
+        inside = (x >= self.branch_lows[0]) & (x < self.branch_highs[idx])
         return np.where(inside, idx, -1)
 
     def nearest_branch(self, x):
@@ -311,12 +312,10 @@ class CookieCutterSystem:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         idx = self.branch_index(x)
-        for i, br in enumerate(self.branches):
-            m = idx == i
-            if np.any(m):
-                out[m] = br.forward(x[m])
-        out = np.mod(out, 1.0)
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # only points off br can warn
+            for i, br in enumerate(self.branches):
+                np.copyto(out, br.forward(x), where=idx == i)
+        return out - np.floor(out)  # np.mod(out, 1.0) bit for bit on finite out
 
     def tau_prime(self, x):
         x = np.asarray(x, dtype=float)

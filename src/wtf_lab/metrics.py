@@ -162,13 +162,15 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 6:
         raise ValueError("need at least 6 scales")
+    if len(cloud) == 0 or not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
+        raise ValueError("box counting needs a non-empty cloud of finite points")
     y0 = float(cloud.y.min())
     counts = []
     for r in scales:
         ix = np.floor(cloud.x / r).astype(np.int64)
         iy = np.floor((cloud.y - y0) / r).astype(np.int64)
-        key = ix * (iy.max() + 2) + iy
-        counts.append(int(np.unique(key).size))
+        key = np.sort(ix * (iy.max() + 2) + iy)
+        counts.append(int(np.count_nonzero(key[1:] != key[:-1])) + 1)
 
     warnings = []
     n_pts = len(cloud)

@@ -105,6 +105,21 @@ class TestSampleAndBoxdim:
         assert main(["boxdim", "--config", cfg, "--out", str(out)]) == 0
         assert abs(read_report(out)["outputs"]["slope"] - 1.0) < 0.03
 
+    def test_boxdim_refuses_non_finite_cloud(self, tmp_path):
+        x = np.arange(1000) / 1000.0
+        y = x.copy()
+        y[500] = math.nan
+        csv_path = tmp_path / "nan.csv"
+        wl.write_cloud_csv(wl.GraphCloud(x, y, wl.CloudProvenance("line", "zeros", None, 0, 0.0)),
+                           csv_path)
+        cfg = write_config(tmp_path, "cfg.json", {"cloud_csv_in": str(csv_path)})
+        out = tmp_path / "out"
+        assert main(["boxdim", "--config", cfg, "--out", str(out)]) == 2
+        report = read_report(out)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "ValueError"
+        assert "finite" in report["error"]["message"]
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WTF_LAB_BUDGET", "64")
         cfg = write_config(tmp_path, "cfg.json", {
@@ -220,6 +235,9 @@ MALFORMED = {
     "sample-depth_past_float_range": ("sample", {"depth": 10**400}),
     "validate-model_ref_list": ("validate", {"model": {"ref": []}}),
     "boxdim-missing_cloud_csv_in": ("boxdim", {"cloud_csv_in": "nope.csv"}),
+    "sample-tol_nan": ("sample", {"tol": math.nan}),
+    "sample-tol_infinite": ("sample", {"tol": math.inf}),
+    "gibbs-q_nan": ("gibbs", {"q": math.nan}),
 }
 
 

@@ -89,7 +89,70 @@ class TestValidation:
         assert m5.branches[0].hi == pytest.approx(0.5, abs=1e-12)
 
 
+def _searchsorted_branch_index(sys, x):
+    """Reference kappa(x): binary search over the branch lows, clipped."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(sys.branch_lows, x, side="right") - 1, 0, sys.ell - 1)
+    inside = (x >= sys.branch_lows[idx]) & (x < sys.branch_highs[idx])
+    return np.where(inside, idx, -1)
+
+
+def _masked_tau(sys, x):
+    """Reference tau: gather the points of each branch, map them, scatter
+    them back, then np.mod(out, 1.0)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    idx = _searchsorted_branch_index(sys, x)
+    for i, br in enumerate(sys.branches):
+        m = idx == i
+        if np.any(m):
+            out[m] = br.forward(x[m])
+    return np.mod(out, 1.0)
+
+
+def _tau_systems(systems):
+    extra = {
+        "ell_adic_3": {"branches": {"family": "ell_adic", "ell": 3}, "lambda": 0.5},
+        "mixed_orientation": {
+            "branches": [
+                {"domain": [0.0, 0.5], "slope": -2.0, "offset": 1.0},
+                {"domain": [0.5, 1.0], "slope": 2.0, "offset": -1.0},
+            ],
+            "lambda": 0.7,
+        },
+    }
+    return {**systems, **{k: wl.validate_system(v) for k, v in extra.items()}}
+
+
+def _tau_inputs(sys):
+    edges = np.concatenate([sys.branch_lows, sys.branch_highs])
+    return np.concatenate([
+        np.arange(2**12) / 2**12,
+        np.random.default_rng(5).random(4096),
+        sys.representatives(6, 0.5),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [-0.0, 1.0, -0.25, 1.5, np.nan, np.inf, -np.inf, 1e308, -1e308],
+    ])
+
+
+def _same_bits(a, b):
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).dtype == np.asarray(b).dtype
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
 class TestApplyTau:
+    @pytest.mark.filterwarnings("error")
+    def test_bits_match_masked_reference(self, systems):
+        for name, sys in _tau_systems(systems).items():
+            x = _tau_inputs(sys)
+            assert _same_bits(sys.branch_index(x), _searchsorted_branch_index(sys, x)), name
+            assert _same_bits(sys.tau(x), _masked_tau(sys, x)), name
+            for x0 in (0.3, -0.0, 1.0, np.nan, float(sys.branch_highs[0])):
+                for arg in (np.float64(x0), np.array(x0)):
+                    assert _same_bits(sys.branch_index(arg), _searchsorted_branch_index(sys, arg))
+                    assert _same_bits(sys.tau(arg), _masked_tau(sys, arg)), (name, x0)
+
     def test_examples(self, m1, m2):
         assert wl.apply_tau(m1, 0.3) == pytest.approx(0.6, abs=1e-12)
         assert wl.apply_tau(m2, 0.5) == 0.0  # gap points map to 0

@@ -58,6 +58,17 @@ class TestSampleGraph:
         assert path.read_text().splitlines()[0] == "x,y"
 
 
+def _unique_counts(cloud, scales):
+    """Reference box counts: np.unique over the box keys at each scale."""
+    y0 = cloud.y.min()
+    counts = []
+    for r in sorted(scales, reverse=True):
+        ix = np.floor(cloud.x / r).astype(np.int64)
+        iy = np.floor((cloud.y - y0) / r).astype(np.int64)
+        counts.append(np.unique(ix * (iy.max() + 2) + iy).size)
+    return tuple(counts)
+
+
 class TestBoxDimension:
     def test_smooth_line(self, line_cloud):
         result = wl.box_dimension(line_cloud, [2.0**-k for k in range(4, 15)])
@@ -83,6 +94,35 @@ class TestBoxDimension:
                              r2_threshold=1.0 + 1e-9)
         assert err.value.result is not None
         assert err.value.result.slope == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("name,seed,restrict", [
+        ("M1", None, False), ("M1", 3, False), ("M2", None, True), ("M2", 3, True)])
+    @pytest.mark.parametrize("scales", [[2.0**-k for k in range(2, 14)],
+                                        [3.0**-k for k in range(1, 9)]],
+                             ids=["dyadic", "triadic"])
+    def test_counts_match_unique_reference(self, systems, name, seed, restrict, scales):
+        theta = ThetaSequence.zeros() if seed is None else ThetaSequence.iid_uniform(seed)
+        cloud = wl.sample_graph(systems[name], theta, depth=9, per_cylinder=4, tol=1e-8,
+                                restrict_to_repeller=restrict)
+        try:
+            result = wl.box_dimension(cloud, scales)
+        except DegenerateFit as err:
+            result = err.result
+        assert result.counts == _unique_counts(cloud, scales)
+
+    @pytest.mark.parametrize("axis,value", [("y", math.nan), ("y", math.inf),
+                                            ("x", math.nan), ("x", -math.inf)])
+    def test_non_finite_points_refused(self, line_cloud, axis, value):
+        x, y = line_cloud.x[:1000].copy(), line_cloud.y[:1000].copy()
+        {"x": x, "y": y}[axis][17] = value
+        cloud = GraphCloud(x, y, line_cloud.provenance)
+        with pytest.raises(ValueError, match="finite"):
+            wl.box_dimension(cloud, [2.0**-k for k in range(2, 10)])
+
+    def test_empty_cloud_refused(self, line_cloud):
+        cloud = GraphCloud(np.empty(0), np.empty(0), line_cloud.provenance)
+        with pytest.raises(ValueError, match="non-empty"):
+            wl.box_dimension(cloud, [2.0**-k for k in range(2, 10)])
 
 
 class TestHolderBirkhoff:

@@ -4,7 +4,6 @@ predicted by thermodynamic formalism and measured directly."""
 from .dynamics import (
     BIRKHOFF_FIELDS,
     CookieCutterSystem,
-    apply_tau,
     birkhoff_sum,
     code_of,
     cylinder_budget,
@@ -33,6 +32,7 @@ from .metrics import (
     correlation_dimension,
     empirical_spectrum,
     holder_birkhoff,
+    holder_birkhoff_many,
     holder_oscillation,
     holder_oscillation_many,
     read_cloud_csv,

@@ -87,7 +87,7 @@ def require_int(config: dict, key: str, default=None, low=None, high=None) -> in
 def require_list(config: dict, key: str, item=float, length=None, default=None):
     """config[key] as a list of ``item`` (float, int or str) values, or
     ``default`` when the key is absent or null; BadConfig for any other
-    shape or element type."""
+    shape or element type, and for a float element that is not finite."""
     value = config.get(key)
     if value is None:
         return default
@@ -96,4 +96,6 @@ def require_list(config: dict, key: str, item=float, length=None, default=None):
             or not all(isinstance(v, kinds) for v in value)):
         size = f"{length} " if length is not None else ""
         raise BadConfig(f"{key!r} must be a list of {size}{item.__name__} values")
+    if item is float:
+        return [require_number({key: v}, key) for v in value]
     return [item(v) for v in value]

@@ -136,7 +136,8 @@ class AffineBranch:
     def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.slope)
 
-    def inverse(self, y):
+    def inverse(self, y, groups=None):
+        """Exact, elementwise: ``groups`` (see _invert_increasing) changes nothing."""
         x = (np.asarray(y, dtype=float) - self.offset) / self.slope
         return np.clip(x, self.lo, self.hi)
 
@@ -168,39 +169,65 @@ class SineFamilyBranch:
         x = np.asarray(x, dtype=float)
         return self.ell + 2.0 * math.pi * self.eps * np.cos(2.0 * math.pi * x)
 
-    def inverse(self, y):
+    def inverse(self, y, groups=None):
         target = np.asarray(y, dtype=float) + float(self.index)
-        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi)
+        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi, groups)
         return np.clip(x, self.lo, self.hi)
 
 
-def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200):
+def _invert_increasing(f, fprime, target, lo, hi, groups=None, tol=_INVERT_TOL, max_iter=200):
     """Solve f(x) = target on [lo, hi] for increasing f: safeguarded Newton
-    with a bisection bracket, absolute tolerance ``tol`` on x."""
+    with a bisection bracket, absolute tolerance ``tol`` on x.  ``groups``
+    labels the targets (default: one group).  A group stops once its largest
+    step is below tol and its widest bracket below 4 * tol, which only its
+    distinct targets decide: each group gets the bits of a separate call on
+    its targets, and each distinct (group, target) pair is solved once."""
     target = np.asarray(target, dtype=float)
-    scalar = target.ndim == 0
-    t = np.atleast_1d(target)
+    flat = target.ravel()
+    labels = np.zeros(flat.size, dtype=np.intp) if groups is None else np.ravel(groups)
+    keys = flat.view(np.int64)  # bit patterns
+    order = np.lexsort((keys, labels))
+    keys, labels = keys[order], labels[order]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (labels[1:] != labels[:-1])
+    slot = np.empty(flat.size, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    t = flat[order[first]]
+    sizes = np.unique(labels[first], return_counts=True)[1]
+    starts = np.cumsum(sizes) - sizes
+    live = np.arange(t.size)  # result slot of each working element
+    roots = np.empty(t.size)
     a = np.full_like(t, lo)
     b = np.full_like(t, hi)
     x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        fx = f(x) - t
-        below = fx <= 0
-        a = np.where(below, x, a)
-        b = np.where(below, b, x)
-        d = fprime(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - fx / d
-        bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
-        xn = np.where(bad, 0.5 * (a + b), xn)
-        if np.max(np.abs(xn - x)) < tol and np.max(b - a) < 4.0 * tol:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if not sizes.size:
+                break
+            fx = f(x) - t
+            below = fx <= 0
+            np.copyto(a, x, where=below)
+            np.copyto(b, x, where=~below)
+            xn = x - fx / fprime(x)
+            inside = (xn > a) & (xn < b)  # False for NaN and +-inf too
+            if not inside.all():
+                np.copyto(xn, 0.5 * (a + b), where=~inside)
+            stop = np.maximum.reduceat(b - a, starts) < 4.0 * tol
+            if stop.any():
+                stop &= np.maximum.reduceat(np.abs(xn - x), starts) < tol
+                if stop.any():  # stopped groups leave the working arrays
+                    out = np.repeat(stop, sizes)
+                    roots[live[out]] = xn[out]
+                    keep = ~out
+                    live, t, a, b, xn = live[keep], t[keep], a[keep], b[keep], xn[keep]
+                    sizes = sizes[~stop]
+                    starts = np.cumsum(sizes) - sizes
             x = xn
-            break
-        x = xn
-    else:
+    if sizes.size:
         raise InversionFailed(
             f"inverse branch root-finding did not reach {tol:g} on [{lo}, {hi}]")
-    return float(x[0]) if scalar else x
+    x = roots[slot].reshape(target.shape)
+    return float(x) if target.ndim == 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -598,29 +625,36 @@ def _branch_fields(br) -> dict:
 # operations
 # ---------------------------------------------------------------------------
 
-def apply_tau(sys: CookieCutterSystem, x: float) -> float:
-    """Forward map at a single torus point (gaps go to 0)."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError("x must lie in [0,1)")
-    return float(sys.tau(np.array([x]))[0])
-
-
-def _orbit(sys: CookieCutterSystem, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n itinerary digits of x (uint8) and the orbit points
-    x, tau x, ..., tau^{n-1} x; NotInPartition(k) if iterate k falls in a gap
-    or on an endpoint no half-open domain covers."""
-    digits = np.empty(n, dtype=np.uint8)
-    points = np.empty(n)
-    cur = float(x)
+def _orbit(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One walk for the points of xs: per point, its first n itinerary digits
+    (uint8), its orbit points x, tau x, ..., tau^{n-1} x, and the iterate at
+    which it leaves the partition (a gap, or an endpoint no half-open domain
+    covers), n if it stays; digits and points from that iterate on are 0."""
+    cur = np.array(xs, dtype=float).ravel()
+    digits = np.zeros((cur.size, n), dtype=np.uint8)
+    points = np.zeros((cur.size, n))
+    left = np.full(cur.size, n)
+    rows = np.arange(cur.size)
     for k in range(n):
-        idx = int(sys.branch_index(np.array([cur]))[0])
-        if idx < 0:
-            raise NotInPartition(k)
-        digits[k] = idx
-        points[k] = cur
+        idx = sys.branch_index(cur)
+        out = idx < 0
+        if out.any():
+            left[rows[out]] = k
+            rows, cur, idx = rows[~out], cur[~out], idx[~out]
+        digits[rows, k] = idx
+        points[rows, k] = cur
         if k + 1 < n:
-            cur = float(sys.tau(np.array([cur]))[0])
-    return digits, points
+            cur = sys.tau(cur)
+    return digits, points, left
+
+
+def _orbit_of(sys: CookieCutterSystem, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digits and orbit points of one point (see _orbit); NotInPartition(k)
+    if iterate k leaves the partition."""
+    digits, points, left = _orbit(sys, [x], n)
+    if left[0] < n:
+        raise NotInPartition(int(left[0]))
+    return digits[0], points[0]
 
 
 def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
@@ -628,7 +662,7 @@ def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
     k falls in a gap or on an endpoint no half-open domain covers."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    return _orbit(sys, x, n)[0]
+    return _orbit_of(sys, x, n)[0]
 
 
 def _word(sys: CookieCutterSystem, word) -> np.ndarray:
@@ -649,13 +683,13 @@ def cylinder_of(sys: CookieCutterSystem, word) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
+def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, groups=None) -> np.ndarray:
     """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth) uint8
     digit matrix; x is a scalar or one value per row.
 
     One inverse call per (column, branch) on the rows carrying that digit.
-    The M5 Newton inverse stops on batch-wide tests, so the set of distinct
-    values in a call decides its last bits: keep the grouping as it is.
+    The M5 Newton inverse stops per group: rows that share a ``groups`` label
+    (default: all rows) get the bits of a call on just those rows.
     """
     count = digits.shape[0]
     x = np.full(count, x, dtype=float)
@@ -665,19 +699,21 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
         for i in range(sys.ell):
             m = d == i
             if np.any(m):
-                nxt[m] = sys.branches[i].inverse(x[m])
+                nxt[m] = sys.branches[i].inverse(x[m], None if groups is None else groups[m])
         x = nxt
     return x
 
 
-def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix.
+def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray,
+                         groups=None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix; rows
+    are composed in ``groups`` (see _compose).
 
     Non-affine systems raise InversionFailed for a cylinder shorter than the
     bracket width 4 * 1e-12 at which the Newton inverse stops: its endpoints
     are inversion noise, not geometry."""
-    a = _compose(sys, digits, 0.0)
-    b = _compose(sys, digits, 1.0)
+    a = _compose(sys, digits, 0.0, groups)
+    b = _compose(sys, digits, 1.0, groups)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     if not sys.is_affine and np.any(hi - lo < 4.0 * _INVERT_TOL):
         raise InversionFailed(
@@ -685,10 +721,10 @@ def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[n
     return lo, hi
 
 
-def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndarray:
-    """rho_w(t) for each row of a (count, depth) digit matrix; only the
-    leading 64 digits are composed."""
-    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
+def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5, groups=None) -> np.ndarray:
+    """rho_w(t) for each row of a (count, depth) digit matrix, rows composed
+    in ``groups`` (see _compose); only the leading 64 digits are composed."""
+    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t, groups)
 
 
 def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoints",
@@ -733,7 +769,7 @@ def birkhoff_sum(sys: CookieCutterSystem, field_name: str, x: float, n: int) -> 
     """Partial sum of log|tau'| or log lambda along the orbit of x."""
     if field_name not in BIRKHOFF_FIELDS:
         raise ValueError(f"field must be one of {BIRKHOFF_FIELDS}")
-    _, points = _orbit(sys, x, n)
+    _, points = _orbit_of(sys, x, n)
     if field_name == "log_abs_tau_prime":
         terms = sys.log_abs_tau_prime(points)
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
-    _orbit,
+    _orbit_of,
     _word,
     birkhoff_sum,
     birkhoff_sums_from_digits,
@@ -84,7 +84,7 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     applied for k = n-1 down to 0.  Exactly eval_W at n = 0."""
     if n == 0:
         return eval_W(sys, x, theta, tol).value
-    word, orbit = _orbit(sys, x, n)
+    word, orbit = _orbit_of(sys, x, n)
     u = float(sys.tau(orbit[-1:])[0])
     y = eval_W(sys, u, theta.shift(n), tol).value
     for k in range(n - 1, -1, -1):
@@ -95,11 +95,12 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 
 
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, tol: float, _curve=None) -> np.ndarray:
+                  probes: int, tol: float, _curve=None, groups=None) -> np.ndarray:
     """sup - inf of W (or of the test hook ``_curve``) per row w of a
     (count, n) digit matrix: W is probed at rho_{wv}(1/2) for every v of the
     least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
-    series evaluation."""
+    series evaluation.  The probes of a row are composed in that row's
+    ``groups`` label (see dynamics._compose)."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
     count, n = words.shape
@@ -109,7 +110,7 @@ def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequen
     ext = np.empty((count * per, n + m), dtype=np.uint8)
     ext[:, :n] = np.repeat(words, per, axis=0)
     ext[:, n:] = np.tile(sub, (count, 1))
-    pts = point_of_word(sys, ext, 0.5)
+    pts = point_of_word(sys, ext, 0.5, None if groups is None else np.repeat(groups, per))
     if _curve is None:
         ys, _, _ = eval_W_many(sys, pts, theta, tol)
     else:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
-    birkhoff_sum,
+    _orbit,
     birkhoff_sums_from_digits,
-    code_of,
     cylinder_bounds_many,
     cylinder_budget,
     torus_distance,
@@ -162,6 +161,8 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 6:
         raise ValueError("need at least 6 scales")
+    if not all(math.isfinite(r) and r > 0.0 for r in scales):
+        raise ValueError("box scales must be finite and positive")
     if len(cloud) == 0 or not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
         raise ValueError("box counting needs a non-empty cloud of finite points")
     y0 = float(cloud.y.min())
@@ -209,9 +210,26 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
 def holder_birkhoff(sys: CookieCutterSystem, x: float, n: int) -> float:
     """Symbolic exponent -S_n(log lambda) / S_n(log|tau'|); lies in (0,1)
     whenever the partial hyperbolicity condition holds."""
-    num = -birkhoff_sum(sys, "log_lambda", x, n)
-    den = birkhoff_sum(sys, "log_abs_tau_prime", x, n)
-    return num / den
+    return float(holder_birkhoff_many(sys, [x], n)[0])
+
+
+def holder_birkhoff_many(sys: CookieCutterSystem, xs, n: int) -> np.ndarray:
+    """holder_birkhoff at each point of xs, from one orbit walk; both sums
+    add their terms left to right, as birkhoff_sum does.  NotInPartition(k)
+    for the first point, in the order of xs, whose iterate k leaves the
+    partition."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    _, points, left = _orbit(sys, xs, n)
+    out = np.flatnonzero(left < n)
+    if out.size:
+        raise NotInPartition(int(left[out[0]]))
+    log_tp, log_lam = sys.log_abs_tau_prime(points), sys.log_lam(points)
+    u, v = np.zeros(len(points)), np.zeros(len(points))
+    for k in range(n):
+        u += log_tp[:, k]
+        v += log_lam[:, k]
+    return -v / u
 
 
 def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
@@ -236,9 +254,11 @@ def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 
 def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
-                            tol: float = 1e-12, _curve=None) -> np.ndarray:
-    """holder_oscillation at each point of xs: every itinerary coded once to
-    the deepest depth, one batched series evaluation per depth."""
+                            tol: float = 1e-12, _curve=None, _groups=None) -> np.ndarray:
+    """holder_oscillation at each point of xs: one orbit walk codes every
+    itinerary to the deepest depth, one batched series evaluation per depth.
+    ``_groups=np.arange(len(xs))`` gives each point the bits of
+    holder_oscillation at that point alone (see dynamics._compose)."""
     depths = sorted(depth_range)
     if not depths:
         raise ValueError("depth_range must be nonempty")
@@ -247,30 +267,22 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
     xs = np.asarray(xs, dtype=float)
     n_max = depths[-1]
-    words = np.zeros((len(xs), n_max), dtype=np.uint8)
     # Iterate at which each orbit leaves the partition.  It is raised at the
     # first depth past it, so an earlier depth's OscillationUnderflow still
     # comes first, as when each depth was coded on its own.
-    left = np.full(len(xs), n_max)
-    for j, x in enumerate(xs.tolist()):
-        try:
-            words[j] = code_of(sys, x, n_max)
-        except NotInPartition as exc:
-            left[j] = exc.iterate
-            if exc.iterate:
-                words[j, :exc.iterate] = code_of(sys, x, exc.iterate)
+    words, _, left = _orbit(sys, xs, n_max)
 
     def logs(n):
         """log(osc over I_n) and log|I_n| per point."""
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
+        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve, _groups)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
                 "increase probes or loosen the depth range")
-        lo, hi = cylinder_bounds_many(sys, words[:, :n])
+        lo, hi = cylinder_bounds_many(sys, words[:, :n], _groups)
         # math.log, not np.log: numpy's SIMD log differs from libm in the
         # last bit on some inputs, and the per-point exponents used libm
         return (np.array([math.log(v) for v in osc.tolist()]),

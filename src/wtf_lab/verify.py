@@ -30,7 +30,7 @@ from .metrics import (
     correlation_dimension,
     empirical_spectrum,
     holder_oscillation_many,
-    holder_birkhoff,
+    holder_birkhoff_many,
     sample_graph,
 )
 from .models import MODELS
@@ -342,7 +342,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
         lo, hi = cylinder_bounds_many(sys, words)
         words = words[(hi - lo) >= 1e-14][:100]
         xs = point_of_word(sys, words, 0.5)
-        birk = np.array([holder_birkhoff(sys, float(x), 30) for x in xs])
+        birk = holder_birkhoff_many(sys, xs, 30)
         oscs = holder_oscillation_many(sys, xs, zeros, depth_range=range(1, 31),
                                        probes=128, tol=1e-13)
         worst_here = float(np.max(np.abs(birk - oscs)))

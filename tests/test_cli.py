@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import wtf_lab as wl
+from wtf_lab import ThetaSequence
 from wtf_lab.cli import main
+from wtf_lab.report import write_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -195,6 +197,37 @@ class TestSpectrumGibbsLiftHolder:
             assert abs(ov - bv) < 0.05
 
 
+def _holder_per_point(sys, path):
+    """CLI holder's defaults, one point at a time: writes the CSV and returns
+    the first error raised, or None."""
+    _, xs = wl.sample_repeller(sys, 12, "random", seed=7)
+    rows = []
+    for x in xs[::max(1, len(xs) // 6)][:6].tolist():
+        try:
+            rows.append((x, wl.holder_birkhoff(sys, x, 30),
+                         wl.holder_oscillation(sys, x, ThetaSequence.zeros(), range(2, 21), 128, 1e-12)))
+        except wl.WtfLabError as exc:
+            return exc
+    write_csv(path, ("x", "birkhoff", "oscillation"), rows)
+    return None
+
+
+@pytest.mark.parametrize("model", ["M1", "M5", "M2"])
+def test_holder_batch_matches_per_point(tmp_path, systems, model):
+    # the batched command writes the per-point loop's CSV byte for byte, and
+    # on M2 refuses with the loop's first error
+    cfg = write_config(tmp_path, "cfg.json", {"model": model, "point_count": 6})
+    out = tmp_path / "out"
+    code = main(["holder", "--config", cfg, "--out", str(out)])
+    error = _holder_per_point(systems[model], tmp_path / "ref.csv")
+    if error is None:
+        assert code == 0
+        assert (out / "holder.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    else:
+        assert model == "M2" and code == 3
+        assert read_report(out)["error"] == {"type": type(error).__name__, "message": str(error)}
+
+
 class TestVerify:
     def test_subset_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -238,6 +271,11 @@ MALFORMED = {
     "sample-tol_nan": ("sample", {"tol": math.nan}),
     "sample-tol_infinite": ("sample", {"tol": math.inf}),
     "gibbs-q_nan": ("gibbs", {"q": math.nan}),
+    "spectrum-q_grid_nan": ("spectrum", {"q_grid": [math.nan, 1.0]}),
+    "lift-q_grid_infinite": ("lift", {"q_grid": [math.inf]}),
+    "spectrum-q_grid_past_float_range": ("spectrum", {"q_grid": [10**400]}),
+    "boxdim-scale_zero": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [0.0]}),
+    "boxdim-scale_negative": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [-0.5]}),
 }
 
 

@@ -18,6 +18,8 @@ from wtf_lab import (
     ThetaSequence,
 )
 from wtf_lab.dynamics import (
+    _invert_increasing,
+    _orbit,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
@@ -154,13 +156,118 @@ class TestApplyTau:
                     assert _same_bits(sys.tau(arg), _masked_tau(sys, arg)), (name, x0)
 
     def test_examples(self, m1, m2):
-        assert wl.apply_tau(m1, 0.3) == pytest.approx(0.6, abs=1e-12)
-        assert wl.apply_tau(m2, 0.5) == 0.0  # gap points map to 0
-        assert wl.apply_tau(m1, 0.75) == pytest.approx(0.5, abs=1e-12)
+        assert float(m1.tau(0.3)) == pytest.approx(0.6, abs=1e-12)
+        assert float(m2.tau(0.5)) == 0.0  # gap points map to 0
+        assert float(m1.tau(0.75)) == pytest.approx(0.5, abs=1e-12)
 
-    def test_domain_check(self, m1):
-        with pytest.raises(ValueError):
-            wl.apply_tau(m1, 1.5)
+
+def _reference_invert(f, fprime, target, lo, hi, tol=1e-12, max_iter=200):
+    """The Newton inverse with one stopping test over the whole call."""
+    target = np.asarray(target, dtype=float)
+    scalar = target.ndim == 0
+    t = np.atleast_1d(target)
+    a = np.full_like(t, lo)
+    b = np.full_like(t, hi)
+    x = 0.5 * (a + b)
+    for _ in range(max_iter):
+        fx = f(x) - t
+        below = fx <= 0
+        a = np.where(below, x, a)
+        b = np.where(below, b, x)
+        d = fprime(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - fx / d
+        bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
+        xn = np.where(bad, 0.5 * (a + b), xn)
+        if np.max(np.abs(xn - x)) < tol and np.max(b - a) < 4.0 * tol:
+            x = xn
+            break
+        x = xn
+    else:
+        raise InversionFailed("no convergence")
+    return float(x[0]) if scalar else x
+
+
+def _reference_orbit(sys, x, n):
+    """One point, one step at a time: digits, orbit points (0 from the exit
+    on) and the iterate at which the orbit leaves the partition."""
+    digits, points, cur = np.zeros(n, dtype=np.uint8), np.zeros(n), float(x)
+    for k in range(n):
+        idx = int(sys.branch_index(np.array([cur]))[0])
+        if idx < 0:
+            return digits, points, k
+        digits[k], points[k] = idx, cur
+        if k + 1 < n:
+            cur = float(sys.tau(np.array([cur]))[0])
+    return digits, points, n
+
+
+class TestGroupedInverse:
+    def test_groups_match_separate_calls(self, m5):
+        # a grouped call gives each group the bits of a reference call on
+        # that group's targets alone, with duplicates, unsorted labels and
+        # targets at and past both bracket ends
+        rng = np.random.default_rng(41)
+        for br in m5.branches:
+            f, fp = br._f, br.derivative
+            t = np.concatenate([br.index + rng.random(60),
+                                br.index + np.array([0.0, 1.0, -0.25, 1.25])])
+            t = np.concatenate([t, t[rng.integers(0, t.size, 30)]])
+            labels = np.array([7, 2, 9, 4, 11])[rng.integers(0, 5, t.size)]
+            got = _invert_increasing(f, fp, t, br.lo, br.hi, labels)
+            for label in np.unique(labels):
+                m = labels == label
+                ref = _reference_invert(f, fp, t[m], br.lo, br.hi)
+                assert got[m].tobytes() == ref.tobytes(), (br.index, label)
+            # a target shared by two groups is solved once in each
+            c = br.index + 0.3
+            for d in br.index + 0.3 + 0.7 * rng.random(8):
+                got = _invert_increasing(f, fp, np.array([d, c, c]), br.lo, br.hi, [9, 9, 5])
+                assert got[2:].tobytes() == _reference_invert(f, fp, [c], br.lo, br.hi).tobytes()
+                assert got[:2].tobytes() == _reference_invert(f, fp, [d, c], br.lo, br.hi).tobytes()
+            one = _invert_increasing(f, fp, t, br.lo, br.hi)
+            assert one.tobytes() == _reference_invert(f, fp, t, br.lo, br.hi).tobytes()
+            for t0 in (t[0], br.index + 1.0):
+                x0 = _invert_increasing(f, fp, np.float64(t0), br.lo, br.hi)
+                assert type(x0) is float and x0 == _reference_invert(f, fp, t0, br.lo, br.hi)
+
+    def test_nan_target_as_reference(self, m5):
+        # a NaN target never moves the bracket's low end: the reference
+        # bisects down to within 4e-12 of lo, and so does each group holding one
+        br = m5.branches[1]
+        t = np.array([1.5, np.nan, 1.25, np.nan])
+        got = _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, [0, 0, 1, 1])
+        ref = [_reference_invert(br._f, br.derivative, t[m], br.lo, br.hi)
+               for m in (slice(0, 2), slice(2, 4))]
+        assert got.tobytes() == np.concatenate(ref).tobytes()
+        assert 0.0 <= got[1] - br.lo < 4e-12
+
+    def test_grouped_composition(self, m5):
+        # point_of_word with row labels: each label's rows get the bits of a
+        # call on those rows alone
+        rng = np.random.default_rng(43)
+        words = rng.integers(0, 2, size=(24, 12)).astype(np.uint8)
+        labels = rng.integers(0, 5, 24)
+        got = point_of_word(m5, words, 0.5, labels)
+        for label in np.unique(labels):
+            m = labels == label
+            assert got[m].tobytes() == point_of_word(m5, words[m], 0.5).tobytes()
+
+
+class TestOrbitWalk:
+    def test_matches_scalar_walk(self, systems):
+        for name, sys in systems.items():
+            words = np.random.default_rng(47).integers(0, sys.ell, size=(20, 30)).astype(np.uint8)
+            xs = np.concatenate([point_of_word(sys, words, 0.5),
+                                 np.random.default_rng(53).random(20),
+                                 sys.branch_lows, sys.branch_highs, [0.0, 0.5, np.nan]])
+            digits, points, left = _orbit(sys, xs, 30)
+            assert digits.dtype == np.uint8 and digits.shape == points.shape == (xs.size, 30)
+            for j, x in enumerate(xs.tolist()):
+                d, p, k = _reference_orbit(sys, x, 30)
+                assert digits[j].tobytes() == d.tobytes(), (name, j)
+                assert points[j].tobytes() == p.tobytes(), (name, j)
+                assert left[j] == k, (name, j)
 
 
 class TestCoding:

@@ -119,6 +119,12 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="finite"):
             wl.box_dimension(cloud, [2.0**-k for k in range(2, 10)])
 
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, math.inf])
+    def test_bad_scale_refused(self, line_cloud, bad):
+        scales = [2.0**-k for k in range(2, 8)] + [bad]
+        with pytest.raises(ValueError, match="finite and positive"):
+            wl.box_dimension(line_cloud, scales)
+
     def test_empty_cloud_refused(self, line_cloud):
         cloud = GraphCloud(np.empty(0), np.empty(0), line_cloud.provenance)
         with pytest.raises(ValueError, match="non-empty"):
@@ -167,7 +173,54 @@ class TestHolderBirkhoff:
                     assert lo - 1e-6 <= v <= hi + 1e-6
 
 
+def _repeller_points(sys, count, seed):
+    """Depth-30 cylinder midpoints whose orbits stay in the partition for 30
+    steps (cylinders thinner than 1e-14 are dropped)."""
+    words = np.random.default_rng(seed).integers(0, sys.ell, size=(4 * count, 30)).astype(np.uint8)
+    lo, hi = cylinder_bounds_many(sys, words)
+    return point_of_word(sys, words[(hi - lo) >= 1e-14][:count], 0.5)
+
+
+class TestHolderBirkhoffMany:
+    def test_matches_per_point(self, systems):
+        # one walk, sums left to right: the bits of the per-point estimate
+        # and of the two birkhoff_sum calls it stands for
+        for name, sys in systems.items():
+            xs = _repeller_points(sys, 12, 59)
+            got = wl.holder_birkhoff_many(sys, xs, 30)
+            for j, x in enumerate(xs.tolist()):
+                num = -wl.birkhoff_sum(sys, "log_lambda", x, 30)
+                den = wl.birkhoff_sum(sys, "log_abs_tau_prime", x, 30)
+                assert got[j] == num / den == wl.holder_birkhoff(sys, x, 30), (name, j)
+
+    def test_first_failing_point_reported(self, m2):
+        # tau^5 of the second point and tau^3 of the third lie in M2's gap:
+        # the error names the first failing point in point order
+        good = float(point_of_word(m2, np.zeros((1, 30), dtype=np.uint8), 0.5)[0])
+        xs = [good] + [float(point_of_word(m2, np.array([w], dtype=np.uint8), 0.5)[0])
+                       for w in ([0, 1, 1, 0, 1], [0, 1, 1])]
+        with pytest.raises(NotInPartition) as err:
+            wl.holder_birkhoff_many(m2, xs, 30)
+        assert err.value.iterate == 5
+        with pytest.raises(NotInPartition) as err:
+            wl.holder_birkhoff_many(m2, xs[::-1], 30)
+        assert err.value.iterate == 3
+
+    def test_depth_checked(self, m1):
+        with pytest.raises(ValueError):
+            wl.holder_birkhoff_many(m1, [0.3], 0)
+
+
 class TestHolderOscillation:
+    def test_point_groups_match_per_point(self, systems, zeros):
+        # one Newton group per point: every exponent has the bits of the
+        # point estimated alone
+        for name, sys in systems.items():
+            xs = _repeller_points(sys, 4, 61)
+            got = wl.holder_oscillation_many(sys, xs, zeros, _groups=np.arange(len(xs)))
+            ref = [wl.holder_oscillation(sys, x, zeros) for x in xs.tolist()]
+            assert got.tolist() == ref, name
+
     def test_m1_matches_symbolic(self, m1, zeros):
         v = wl.holder_oscillation(m1, 1.0 / 3.0, zeros, depth_range=range(8, 21))
         assert v == pytest.approx(0.5146, abs=0.02)

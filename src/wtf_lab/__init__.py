@@ -26,7 +26,6 @@ from .metrics import (
     BoxCountResult,
     CloudProvenance,
     CorrelationResult,
-    EnergyEstimate,
     GraphCloud,
     box_dimension,
     correlation_dimension,
@@ -36,7 +35,6 @@ from .metrics import (
     holder_oscillation,
     holder_oscillation_many,
     read_cloud_csv,
-    s_energy,
     sample_graph,
     write_cloud_csv,
 )

@@ -133,6 +133,8 @@ def _cmd_holder(config, out_dir, seed, report):
     probes = require_int(config, "probes", default=128, low=2)
     tol = require_number(config, "tol", default=1e-12, low=1e-16)
     points = require_list(config, "points")
+    if points == []:
+        raise BadConfig("'points' must not be empty")
     if points is None:
         from .dynamics import sample_repeller
         n = require_int(config, "point_depth", default=12, low=1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +46,7 @@ _PROBES_PER_BRANCH = 10_001
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
 _DISTORTION_DEPTH = 8
+_BIRKHOFF_ROWS = 256  # digit rows gathered at once by birkhoff_sums_from_digits
 
 
 def cylinder_budget() -> int:
@@ -181,8 +182,11 @@ def _invert_increasing(f, fprime, target, lo, hi, groups=None, tol=_INVERT_TOL, 
     labels the targets (default: one group).  A group stops once its largest
     step is below tol and its widest bracket below 4 * tol, which only its
     distinct targets decide: each group gets the bits of a separate call on
-    its targets, and each distinct (group, target) pair is solved once."""
+    its targets, and each distinct (group, target) pair is solved once.
+    InversionFailed for a target that is not finite."""
     target = np.asarray(target, dtype=float)
+    if not np.isfinite(target).all():
+        raise InversionFailed("inverse branch target is not finite")
     flat = target.ravel()
     labels = np.zeros(flat.size, dtype=np.intp) if groups is None else np.ravel(groups)
     keys = flat.view(np.int64)  # bit patterns
@@ -492,17 +496,9 @@ def _build_branches(spec) -> tuple:
                 raise BadConfig("doubling_plus_sine needs ell >= 2")
             if 2.0 * math.pi * abs(eps) >= ell:
                 raise BadConfig("doubling_plus_sine needs 2*pi*|eps| < ell for monotonicity")
-
-            def f(x):
-                return ell * np.asarray(x, dtype=float) + eps * np.sin(2.0 * math.pi * np.asarray(x, dtype=float))
-
-            def fp(x):
-                return ell + 2.0 * math.pi * eps * np.cos(2.0 * math.pi * np.asarray(x, dtype=float))
-
-            cuts = [0.0]
-            for k in range(1, ell):
-                cuts.append(_invert_increasing(f, fp, float(k), 0.0, 1.0))
-            cuts.append(1.0)
+            whole = SineFamilyBranch(0, 0.0, 1.0, ell, eps)  # ell x + eps sin(2 pi x) on [0, 1]
+            cuts = [0.0] + [_invert_increasing(whole._f, whole.derivative, float(k), 0.0, 1.0)
+                            for k in range(1, ell)] + [1.0]
             return tuple(
                 SineFamilyBranch(i, cuts[i], cuts[i + 1], ell, eps) for i in range(ell)
             )
@@ -548,9 +544,7 @@ def validate_system(spec: dict) -> CookieCutterSystem:
     branches = tuple(branches[order[i]] for i in range(len(branches)))
     if any(br.index != i for i, br in enumerate(branches)):
         # re-index after sorting so digit i always means the i-th interval
-        branches = tuple(
-            type(br)(**{**_branch_fields(br), "index": i}) for i, br in enumerate(branches)
-        )
+        branches = tuple(replace(br, index=i) for i, br in enumerate(branches))
 
     for left, right in zip(branches, branches[1:]):
         if right.lo < left.hi - 1e-15:
@@ -612,13 +606,6 @@ def validate_system(spec: dict) -> CookieCutterSystem:
         lambda_sup=lam_sup,
         warnings=tuple(warnings),
     )
-
-
-def _branch_fields(br) -> dict:
-    if br.kind == "affine":
-        return {"index": br.index, "lo": br.lo, "hi": br.hi,
-                "slope": br.slope, "offset": br.offset}
-    return {"index": br.index, "lo": br.lo, "hi": br.hi, "ell": br.ell, "eps": br.eps}
 
 
 # ---------------------------------------------------------------------------
@@ -791,4 +778,13 @@ def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
     log_tp = np.log(np.abs(np.array([b.slope for b in sys.branches])))
     log_lm = np.log(sys.lam.branch_values(sys.ell))
     d = np.asarray(digits)
-    return log_tp[d].sum(axis=-1), log_lm[d].sum(axis=-1)
+    if d.ndim != 2 or not d.flags.c_contiguous:
+        return log_tp[d].sum(axis=-1), log_lm[d].sum(axis=-1)
+    # Row blocks bound the gathered temporaries.  numpy reduces each
+    # contiguous row on its own in pairwise order, so the blocks keep the bits.
+    u, v = np.empty(len(d)), np.empty(len(d))
+    for r in range(0, len(d), _BIRKHOFF_ROWS):
+        block = d[r:r + _BIRKHOFF_ROWS]
+        log_tp[block].sum(axis=-1, out=u[r:r + _BIRKHOFF_ROWS])
+        log_lm[block].sum(axis=-1, out=v[r:r + _BIRKHOFF_ROWS])
+    return u, v

@@ -28,6 +28,7 @@ from .errors import Inconclusive, InvalidTolerance
 from .theta import ThetaSequence
 
 _WORDS_PER_DEPTH = 8  # sampled cylinders per depth in detect_degenerate
+_EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
 @dataclass(frozen=True)
@@ -55,19 +56,22 @@ def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, floa
 
 def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
                 tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
-    """Vectorized series evaluation; one truncation index for the whole batch."""
+    """Vectorized series evaluation; one truncation index for the whole batch,
+    in blocks of _EVAL_BLOCK points (every kernel is elementwise)."""
     n_terms, tail = _terms_for_tolerance(sys, tol)
     xs = np.asarray(xs, dtype=float)
     shifts = theta.block(0, n_terms)
-    acc = np.zeros_like(xs)
-    weight = np.ones_like(xs)
-    cur = xs.copy()
-    for n in range(n_terms):
-        acc += weight * sys.g(cur + shifts[n])
-        if n + 1 < n_terms:
-            weight *= sys.lam_at(cur)
-            cur = sys.tau(cur)
-    return acc, n_terms, tail
+    out = np.empty(xs.shape)
+    for r in range(0, xs.size, _EVAL_BLOCK):
+        cur = xs.reshape(-1)[r:r + _EVAL_BLOCK]
+        acc, weight = np.zeros_like(cur), np.ones_like(cur)
+        for n in range(n_terms):
+            acc += weight * sys.g(cur + shifts[n])
+            if n + 1 < n_terms:
+                weight *= sys.lam_at(cur)
+                cur = sys.tau(cur)
+        out.reshape(-1)[r:r + _EVAL_BLOCK] = acc
+    return out, n_terms, tail
 
 
 def eval_W(sys: CookieCutterSystem, x: float, theta: ThetaSequence,

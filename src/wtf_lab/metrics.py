@@ -1,6 +1,6 @@
 """Empirical fractal geometry: graph clouds, box counting, Hoelder-exponent
 estimators, empirical multifractal spectra, and dimension probes for lifted
-measures (pair-correlation slope, s-energy).
+measures (pair-correlation slope).
 
 Clouds live on the cylinder [0,1) x R: horizontal distances are torus
 distances, vertical distances Euclidean.
@@ -31,7 +31,6 @@ from .thermo import A_of_q, PotentialSpec, sample_words
 
 _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
-_INSTABILITY = 0.10  # relative drift of the s-energy mean that reads as divergence
 
 
 @dataclass(frozen=True)
@@ -370,29 +369,3 @@ def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
     if r2 < r2_threshold:
         raise DegenerateFit(f"correlation fit r^2 = {r2:.4f} < {r2_threshold}", result)
     return result
-
-
-@dataclass(frozen=True)
-class EnergyEstimate:
-    value: float
-    diverged: bool
-    pairs: int
-
-
-def s_energy(cloud: GraphCloud, s: float, max_pairs: int = 10**6,
-             seed: int = 0) -> EnergyEstimate:
-    """Monte Carlo s-energy: mean of distance^(-s) over sampled pairs.
-
-    Reported as diverged when the running mean moves by more than 10%
-    (relative) over the last doubling of the sample --
-    the signature of a non-integrable singularity."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    d = _pair_distances(cloud, max_pairs, seed)
-    d = d[d > 0]
-    e = d ** (-s)
-    half = len(e) // 2
-    mean_half = float(e[:half].mean())
-    mean_full = float(e.mean())
-    rel = abs(mean_full - mean_half) / abs(mean_full)
-    return EnergyEstimate(mean_full, rel > _INSTABILITY, len(e))

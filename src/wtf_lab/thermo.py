@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .dynamics import (
     CookieCutterSystem,
@@ -38,6 +36,24 @@ DEFAULT_DEPTH = 12
 Q_MAX = 30.0
 _DEGENERATE_THRESHOLD = 1e-4
 _MARKOV_DEPTH = 8
+_SAMPLE_ROWS = 256  # Bernoulli words drawn per rng.random call
+
+
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) for a 1-D float64 array, with the formula and bits
+    of scipy.special.logsumexp (scipy 1.17): the maxima are split out of the
+    shifted sum, and a non-finite result falls back to the direct formula."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        m = np.float64(np.count_nonzero(top))
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,7 +114,7 @@ def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
 def _cylinder_pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> float:
     levels = sys.tree(depth)
     _, u, v = levels[depth]
-    return float(logsumexp(pot.a * u + pot.b * v)) / depth + pot.c
+    return float(_logsumexp(pot.a * u + pot.b * v)) / depth + pot.c
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_DEPTH) -> PressureEstimate:
@@ -112,7 +128,7 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_D
         raise ValueError("depth must be >= 1")
     if _is_exact(sys, pot):
         phi = _branch_phi(sys, pot)
-        return PressureEstimate(float(logsumexp(phi)), depth, 0.0, True)
+        return PressureEstimate(float(_logsumexp(phi)), depth, 0.0, True)
 
     p_n = _cylinder_pressure(sys, pot, depth)
     if depth >= 5:
@@ -171,6 +187,7 @@ def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] | N
                 f"pressure has the same sign at both bracket ends ({f_lo:.3g}, {f_hi:.3g})")
     if abs(f_lo - f_hi) < 1e-12:
         raise TooFlat("pressure does not vary across the bracket")
+    from scipy.optimize import brentq  # imported here: the rest of the package runs without scipy
     root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     residual = abs(f(root))
     if residual > tol:
@@ -332,17 +349,8 @@ def gibbs_weights(sys: CookieCutterSystem, pot: PotentialSpec,
     levels = sys.tree(depth)
     _, u, v = levels[depth]
     s = pot.a * u + pot.b * v + pot.c * depth
-    w = np.exp(s - logsumexp(s))
+    w = np.exp(s - _logsumexp(s))
     return enumerate_words(sys.ell, depth), w
-
-
-def digit_distribution(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
-    """Per-digit probabilities for a branch-constant zero-pressure potential."""
-    if not (sys.is_affine and sys.lam.branch_constant):
-        raise NotBranchConstant("per-digit weights need a branch-constant potential")
-    phi = _branch_phi(sys, pot)
-    p = np.exp(phi - logsumexp(phi))
-    return p / p.sum()
 
 
 def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
@@ -354,14 +362,27 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     approximation of order 7)."""
     rng = np.random.default_rng(seed)
     if sys.is_affine and sys.lam.branch_constant:
-        p = digit_distribution(sys, pot)
-        return rng.choice(sys.ell, size=(count, depth), p=p).astype(np.uint8)
+        # rng.choice(ell, size=(count, depth), p=p) in row blocks: numpy draws
+        # u = rng.random(shape) row-major; the digit counts the cdf entries <= u.
+        phi = _branch_phi(sys, pot)
+        p = np.exp(phi - _logsumexp(phi))
+        cdf = (p / p.sum()).cumsum()
+        if np.isnan(cdf[-1]):
+            raise ValueError("Probabilities contain NaN")  # as rng.choice
+        cdf /= cdf[-1]  # its last entry is exactly 1 > u
+        digits = np.zeros((count, depth), dtype=np.uint8)
+        for r in range(0, count, _SAMPLE_ROWS):
+            block = digits[r:r + _SAMPLE_ROWS]
+            u = rng.random(block.shape)
+            for c in cdf[:-1]:
+                block += u >= c
+        return digits
 
     k = min(_MARKOV_DEPTH, depth)
     levels = sys.tree(k)
     _, u, v = levels[k]
     s = pot.a * u + pot.b * v
-    w = np.exp(s - logsumexp(s))
+    w = np.exp(s - _logsumexp(s))
     digits = np.empty((count, depth), dtype=np.uint8)
     # joint draw of the first k digits from the depth-k cylinder weights
     first = rng.choice(len(w), size=count, p=w / w.sum())
@@ -415,7 +436,7 @@ def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFA
     levels = sys.tree(depth)
     _, u, v = levels[depth]
     s = pot.a * u + pot.b * v
-    log_w = s - logsumexp(s)
+    log_w = s - _logsumexp(s)
     w = np.exp(log_w)
     h = float(-(w * log_w).sum()) / depth
     chi = float((w * u).sum()) / depth

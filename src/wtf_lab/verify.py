@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .dynamics import (
     CookieCutterSystem,
@@ -422,6 +421,7 @@ def _flat_or_noise(tail: np.ndarray, last_row: np.ndarray) -> bool:
     is float noise: deep cylinder lengths lose eps/|I_n| to cancellation."""
     if np.ptp(tail) < 1e-5 * max(1.0, float(np.abs(tail).max())):
         return True
+    from scipy.stats import spearmanr  # imported here: only this criterion needs scipy.stats
     rho = spearmanr(np.arange(len(tail)), tail).statistic
     if math.isnan(rho) or rho <= 0.2:
         return True

@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +255,7 @@ MALFORMED = {
     "spectrum-q_grid": ("spectrum", {"q_grid": 5}),
     "lift-q_grid": ("lift", {"q_grid": 5}),
     "holder-points": ("holder", {"points": 5}),
+    "holder-points_empty": ("holder", {"points": []}),
     "verify-criteria": ("verify", {"criteria": 5}),
     "validate-ell_adic_without_ell": (
         "validate", {"model": {"branches": {"family": "ell_adic"}, "lambda": 0.7}}),
@@ -288,3 +292,29 @@ def test_malformed_list_is_validation_error(tmp_path, command, entries):
     report = read_report(out)
     assert report["status"] == "error"
     assert report["error"]["type"] == "BadConfig"
+
+
+_NO_SCIPY = """
+import json, sys
+from pathlib import Path
+from wtf_lab.cli import main
+tmp = Path(sys.argv[1])
+configs = {
+    "validate": {"model": "M1"},
+    "sample": {"model": "M1", "depth": 6},
+    "boxdim": {"model": "M1", "depth": 10, "per_cylinder": 4, "min_scale_exp": 2, "max_scale_exp": 7},
+    "holder": {"model": "M1", "points": [0.3], "birkhoff_depth": 10, "osc_depth_max": 6},
+}
+for command, config in configs.items():
+    (tmp / "cfg.json").write_text(json.dumps(config))
+    assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / command)]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # validate, sample, boxdim and holder never load scipy
+    src = str(Path(wl.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], capture_output=True,
+                         text=True, env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

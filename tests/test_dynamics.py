@@ -231,16 +231,19 @@ class TestGroupedInverse:
                 x0 = _invert_increasing(f, fp, np.float64(t0), br.lo, br.hi)
                 assert type(x0) is float and x0 == _reference_invert(f, fp, t0, br.lo, br.hi)
 
-    def test_nan_target_as_reference(self, m5):
-        # a NaN target never moves the bracket's low end: the reference
-        # bisects down to within 4e-12 of lo, and so does each group holding one
+    def test_non_finite_target_refused(self, m5):
+        # NaN and +-inf targets raise before any Newton step (the old loop
+        # bisected a NaN target down to within 4e-12 of the branch's low end)
         br = m5.branches[1]
-        t = np.array([1.5, np.nan, 1.25, np.nan])
-        got = _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, [0, 0, 1, 1])
-        ref = [_reference_invert(br._f, br.derivative, t[m], br.lo, br.hi)
-               for m in (slice(0, 2), slice(2, 4))]
-        assert got.tobytes() == np.concatenate(ref).tobytes()
-        assert 0.0 <= got[1] - br.lo < 4e-12
+        for bad in (np.nan, np.inf, -np.inf):
+            t = np.array([1.5, bad, 1.25, 1.75])
+            for groups in (None, [0, 0, 1, 1]):
+                with pytest.raises(InversionFailed):
+                    _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, groups)
+            with pytest.raises(InversionFailed):
+                _invert_increasing(br._f, br.derivative, np.float64(bad), br.lo, br.hi)
+        with pytest.raises(InversionFailed):
+            point_of_word(m5, np.array([[0, 1, 1]], dtype=np.uint8), np.nan)
 
     def test_grouped_composition(self, m5):
         # point_of_word with row labels: each label's rows get the bits of a
@@ -473,3 +476,15 @@ class TestTheta:
         assert block.min() >= 0.0 and block.max() < 1.0
         # crude uniformity check on a deterministic stream
         assert abs(block.mean() - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("rows", [None, 1, 256, 513])
+def test_blocked_birkhoff_sums_match_direct(m3, rows):
+    # row blocks reduce each row as the one-shot gather did, bit for bit
+    rng = np.random.default_rng(31)
+    d = rng.integers(0, 2, 40 if rows is None else (rows, 40)).astype(np.uint8)
+    log_tp = np.log(np.abs(np.array([b.slope for b in m3.branches])))
+    log_lm = np.log(m3.lam.branch_values(m3.ell))
+    u, v = birkhoff_sums_from_digits(m3, d)
+    assert np.asarray(u).tobytes() == log_tp[d].sum(-1).tobytes()
+    assert np.asarray(v).tobytes() == log_lm[d].sum(-1).tobytes()

@@ -217,3 +217,27 @@ class TestDegeneracy:
         })
         with pytest.raises(wl.Inconclusive):
             wl.detect_degenerate(sys, zeros)
+
+
+def _eval_unblocked(sys, xs, theta, tol):
+    """eval_W_many's series loop over the whole batch at once."""
+    n_terms, _ = wl.graph._terms_for_tolerance(sys, tol)
+    shifts = theta.block(0, n_terms)
+    acc, weight, cur = np.zeros_like(xs), np.ones_like(xs), xs.copy()
+    for n in range(n_terms):
+        acc += weight * sys.g(cur + shifts[n])
+        if n + 1 < n_terms:
+            weight *= sys.lam_at(cur)
+            cur = sys.tau(cur)
+    return acc
+
+
+def test_blocked_series_matches_unblocked(systems):
+    # the 2**14-point blocks give every point the bits of one whole-batch loop
+    xs = np.random.default_rng(12).random(2**14 + 3)
+    for name, sys in systems.items():
+        for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(5)):
+            got, _, _ = wl.eval_W_many(sys, xs, theta, 1e-8)
+            assert got.tobytes() == _eval_unblocked(sys, xs, theta, 1e-8).tobytes(), name
+            one, _, _ = wl.eval_W_many(sys, xs[-1:], theta, 1e-8)
+            assert one.tobytes() == _eval_unblocked(sys, xs[-1:], theta, 1e-8).tobytes(), name

@@ -361,31 +361,3 @@ class TestCorrelationDimension:
         cloud = GraphCloud(xs, np.zeros_like(xs), CloudProvenance("M2", "zeros", None, 50, 0.0))
         result = wl.correlation_dimension(cloud, [2.0**-k for k in range(5, 13)], seed=32)
         assert 0.61 <= result.slope <= 0.71
-
-
-@pytest.fixture(scope="module")
-def uniform_line():
-    rng = np.random.default_rng(11)
-    return GraphCloud(rng.random(10**4), np.zeros(10**4),
-                      CloudProvenance("line", "zeros", None, 0, 0.0))
-
-
-class TestSEnergy:
-    def test_integrable(self, uniform_line):
-        est = wl.s_energy(uniform_line, 0.5, seed=2)
-        assert not est.diverged
-        assert est.value == pytest.approx(8.0 / 3.0, abs=0.2)
-
-    def test_divergent(self, uniform_line):
-        assert wl.s_energy(uniform_line, 1.5, seed=2).diverged
-
-    def test_lifted_below_dimension(self, m1):
-        from wtf_lab.thermo import s1_family
-        s1 = wl.moran_oracle(m1, "s1")
-        digits = sample_words(m1, s1_family(s1), depth=50, count=20_000, seed=90210)
-        xs = point_of_word(m1, digits, 0.5)
-        ys, _, _ = wl.eval_W_many(m1, xs, ThetaSequence.iid_uniform(777), 1e-8)
-        cloud = GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
-        est = wl.s_energy(cloud, 1.3, seed=3)
-        assert not est.diverged
-        assert np.isfinite(est.value)

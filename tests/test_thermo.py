@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 import wtf_lab as wl
 from wtf_lab import (
@@ -30,7 +31,7 @@ from wtf_lab import (
     PotentialSpec,
     TooFlat,
 )
-from wtf_lab.thermo import s1_family, s2_family
+from wtf_lab.thermo import _branch_phi, _logsumexp, s1_family, s2_family
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -375,3 +376,66 @@ class TestMoranProperty:
         assert wl.bowen_root(sys, s1_family) == pytest.approx(wl.moran_oracle(sys, "s1"), abs=1e-6)
         assert wl.bowen_root(sys, s2_family) == pytest.approx(wl.moran_oracle(sys, "s2"), abs=1e-6)
         assert wl.A_of_q(sys, q) == pytest.approx(wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)
+
+
+_LSE_ELEMENTS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(allow_nan=False, allow_infinity=False),  # magnitudes up to 1.8e308
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+)
+
+
+class TestLocalLogsumexp:
+    """thermo._logsumexp has the bits of scipy.special.logsumexp."""
+
+    @settings(max_examples=600)
+    @given(values=st.lists(_LSE_ELEMENTS, min_size=1, max_size=64),
+           ties=st.lists(st.integers(0, 63), max_size=8))
+    def test_matches_scipy(self, values, ties):
+        a = np.array(values, dtype=np.float64)
+        finite = a[np.isfinite(a)]
+        if finite.size:  # tie several elements at the largest finite value
+            a[[t % a.size for t in ties]] = finite.max()
+        with np.errstate(all="ignore"):
+            ref = logsumexp(a)
+        assert float(_logsumexp(a)).hex() == float(ref).hex()
+
+    def test_tree_levels_match_scipy(self, systems):
+        pots = [PotentialSpec(-1.0, 0.0), PotentialSpec(0.3, -2.0), PotentialSpec(-5.0, 30.0)]
+        for name, sys in systems.items():
+            levels = sys.tree(12)
+            for n in range(1, 13):
+                _, u, v = levels[n]
+                for pot in pots:
+                    s = pot.a * u + pot.b * v
+                    assert float(_logsumexp(s)).hex() == float(logsumexp(s)).hex(), (name, n, pot)
+
+
+THREE_BRANCH = {
+    "branches": [{"domain": [0.0, 0.2]}, {"domain": [0.4, 0.6]}, {"domain": [0.7, 1.0]}],
+    "lambda": {"kind": "branch_constant", "values": [0.5, 0.6, 0.7]},
+}
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("depth", [1, 50])
+def test_bernoulli_words_match_rng_choice(m3, count, depth):
+    # the blocked sampler draws the digits of one rng.choice call
+    for sys in (m3, wl.validate_system(THREE_BRANCH)):
+        pot = PotentialSpec(-0.8, 1.3)
+        phi = _branch_phi(sys, pot)
+        p = np.exp(phi - logsumexp(phi))
+        p = p / p.sum()
+        ref = np.random.default_rng(77).choice(sys.ell, size=(count, depth), p=p).astype(np.uint8)
+        got = wl.thermo.sample_words(sys, pot, depth, count, 77)
+        assert got.dtype == np.uint8 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_bernoulli_nan_probabilities_refused():
+    # inf - inf in the branch potential: rng.choice refused the NaN weights
+    # with ValueError, and so does the blocked sampler
+    sys = wl.validate_system({"branches": [{"domain": [0.0, 0.15]}, {"domain": [0.85, 1.0]}],
+                              "lambda": {"kind": "branch_constant", "values": [0.2, 0.3]}})
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="Probabilities contain NaN"):
+        wl.thermo.sample_words(sys, PotentialSpec(1.7e308, 1.7e308), 5, 10, 1)

@@ -142,12 +142,10 @@ def _cmd_holder(config, out_dir, seed, report):
         _, xs = sample_repeller(sys, n, "random", seed=seed if seed is not None else 7)
         step = max(1, len(xs) // count)
         points = xs[::step][:count]
-    # One batch, one Newton group per point: the bits of per-point estimates.
     # Errors: every point's Birkhoff walk first, then the depths in order.
     xs = np.asarray(points, dtype=float)
     bv = holder_birkhoff_many(sys, xs, depth)
-    ov = holder_oscillation_many(sys, xs, theta, range(lo, hi + 1), probes, tol,
-                                 _groups=np.arange(len(xs)))
+    ov = holder_oscillation_many(sys, xs, theta, range(lo, hi + 1), probes, tol)
     rows = list(zip(xs.tolist(), bv.tolist(), ov.tolist()))
     out = out_dir / str(config.get("holder_csv", "holder.csv"))
     write_csv(out, ("x", "birkhoff", "oscillation"), rows)

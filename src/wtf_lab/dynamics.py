@@ -137,8 +137,7 @@ class AffineBranch:
     def derivative(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.slope)
 
-    def inverse(self, y, groups=None):
-        """Exact, elementwise: ``groups`` (see _invert_increasing) changes nothing."""
+    def inverse(self, y):
         x = (np.asarray(y, dtype=float) - self.offset) / self.slope
         return np.clip(x, self.lo, self.hi)
 
@@ -170,68 +169,53 @@ class SineFamilyBranch:
         x = np.asarray(x, dtype=float)
         return self.ell + 2.0 * math.pi * self.eps * np.cos(2.0 * math.pi * x)
 
-    def inverse(self, y, groups=None):
+    def inverse(self, y):
         target = np.asarray(y, dtype=float) + float(self.index)
-        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi, groups)
+        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi)
         return np.clip(x, self.lo, self.hi)
 
 
-def _invert_increasing(f, fprime, target, lo, hi, groups=None, tol=_INVERT_TOL, max_iter=200):
-    """Solve f(x) = target on [lo, hi] for increasing f: safeguarded Newton
-    with a bisection bracket, absolute tolerance ``tol`` on x.  ``groups``
-    labels the targets (default: one group).  A group stops once its largest
-    step is below tol and its widest bracket below 4 * tol, which only its
-    distinct targets decide: each group gets the bits of a separate call on
-    its targets, and each distinct (group, target) pair is solved once.
-    InversionFailed for a target that is not finite."""
+def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200):
+    """Solve f(x) = target on [lo, hi] for increasing f, each element on its
+    own: Newton from the chord guess, safeguarded by a bisection bracket.  An
+    element stops at x - s once its step s = (f(x) - target) / f'(x) is below
+    ``tol``, so its root depends on its own target only, alone or in any
+    batch.  A target at or past f(lo) or f(hi) gives that end.
+    InversionFailed for a target that is not finite and when ``max_iter``
+    steps leave an element unconverged."""
     target = np.asarray(target, dtype=float)
     if not np.isfinite(target).all():
         raise InversionFailed("inverse branch target is not finite")
-    flat = target.ravel()
-    labels = np.zeros(flat.size, dtype=np.intp) if groups is None else np.ravel(groups)
-    keys = flat.view(np.int64)  # bit patterns
-    order = np.lexsort((keys, labels))
-    keys, labels = keys[order], labels[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (labels[1:] != labels[:-1])
-    slot = np.empty(flat.size, dtype=np.intp)
-    slot[order] = np.cumsum(first) - 1
-    t = flat[order[first]]
-    sizes = np.unique(labels[first], return_counts=True)[1]
-    starts = np.cumsum(sizes) - sizes
-    live = np.arange(t.size)  # result slot of each working element
-    roots = np.empty(t.size)
+    t = target.ravel()
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    roots = np.where(t <= f_lo, lo, hi)
+    live = np.flatnonzero((t > f_lo) & (t < f_hi))  # result slot of each working element
+    t = t[live]
     a = np.full_like(t, lo)
     b = np.full_like(t, hi)
-    x = 0.5 * (a + b)
+    x = lo + (t - f_lo) * ((hi - lo) / (f_hi - f_lo))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            if not sizes.size:
+            if not live.size:
                 break
             fx = f(x) - t
             below = fx <= 0
             np.copyto(a, x, where=below)
             np.copyto(b, x, where=~below)
-            xn = x - fx / fprime(x)
-            inside = (xn > a) & (xn < b)  # False for NaN and +-inf too
+            s = fx / fprime(x)
+            x = x - s
+            done = np.abs(s) < tol  # converged steps skip the bracket test
+            if done.any():  # finished elements leave the working arrays
+                roots[live[done]] = x[done]
+                keep = ~done
+                live, t, a, b, x = live[keep], t[keep], a[keep], b[keep], x[keep]
+            inside = (x > a) & (x < b)  # False for NaN and +-inf too
             if not inside.all():
-                np.copyto(xn, 0.5 * (a + b), where=~inside)
-            stop = np.maximum.reduceat(b - a, starts) < 4.0 * tol
-            if stop.any():
-                stop &= np.maximum.reduceat(np.abs(xn - x), starts) < tol
-                if stop.any():  # stopped groups leave the working arrays
-                    out = np.repeat(stop, sizes)
-                    roots[live[out]] = xn[out]
-                    keep = ~out
-                    live, t, a, b, xn = live[keep], t[keep], a[keep], b[keep], xn[keep]
-                    sizes = sizes[~stop]
-                    starts = np.cumsum(sizes) - sizes
-            x = xn
-    if sizes.size:
+                np.copyto(x, 0.5 * (a + b), where=~inside)
+    if live.size:
         raise InversionFailed(
             f"inverse branch root-finding did not reach {tol:g} on [{lo}, {hi}]")
-    x = roots[slot].reshape(target.shape)
-    return float(x) if target.ndim == 0 else x
+    return float(roots[0]) if target.ndim == 0 else roots.reshape(target.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +455,11 @@ def _parse_lambda(spec) -> LambdaSpec:
 
 def _parse_entry(parse, spec: dict, key: str):
     """parse(spec[key]), with a missing field or a value of the wrong type
-    inside the entry reported as BadConfig."""
+    or out of range (``"ell": "two"``, ``"ell": 1e400``) inside the entry
+    reported as BadConfig."""
     try:
         return parse(spec.get(key))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError, ValueError) as exc:
         raise BadConfig(f"malformed {key!r} entry: {type(exc).__name__}: {exc}") from exc
 
 
@@ -576,7 +561,7 @@ def validate_system(spec: dict) -> CookieCutterSystem:
             lam_vals = np.full_like(grid, lam.values[br.index])
         else:
             lam_vals = lam.poly(grid)
-        if np.any(lam_vals <= 0.0) or np.any(lam_vals >= 1.0):
+        if not np.all((lam_vals > 0.0) & (lam_vals < 1.0)):  # NaN included
             raise LambdaOutOfRange(
                 f"lambda leaves (0,1) on branch {br.index}")
         lam_inf = min(lam_inf, float(lam_vals.min()))
@@ -670,14 +655,11 @@ def cylinder_of(sys: CookieCutterSystem, word) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, groups=None) -> np.ndarray:
+def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
     """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth) uint8
-    digit matrix; x is a scalar or one value per row.
-
-    One inverse call per (column, branch) on the rows carrying that digit.
-    The M5 Newton inverse stops per group: rows that share a ``groups`` label
-    (default: all rows) get the bits of a call on just those rows.
-    """
+    digit matrix; x is a scalar or one value per row.  One inverse call per
+    (column, branch) on the rows carrying that digit; every inverse is
+    elementwise, so a row gets the same bits in any batch."""
     count = digits.shape[0]
     x = np.full(count, x, dtype=float)
     for col in range(digits.shape[1] - 1, -1, -1):
@@ -686,21 +668,19 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, groups=None) -> np.
         for i in range(sys.ell):
             m = d == i
             if np.any(m):
-                nxt[m] = sys.branches[i].inverse(x[m], None if groups is None else groups[m])
+                nxt[m] = sys.branches[i].inverse(x[m])
         x = nxt
     return x
 
 
-def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray,
-                         groups=None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix; rows
-    are composed in ``groups`` (see _compose).
+def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix.
 
-    Non-affine systems raise InversionFailed for a cylinder shorter than the
-    bracket width 4 * 1e-12 at which the Newton inverse stops: its endpoints
-    are inversion noise, not geometry."""
-    a = _compose(sys, digits, 0.0, groups)
-    b = _compose(sys, digits, 1.0, groups)
+    Non-affine systems raise InversionFailed for a cylinder shorter than
+    4 * 1e-12, four times the Newton step tolerance: the lab does not resolve
+    geometry that fine."""
+    a = _compose(sys, digits, 0.0)
+    b = _compose(sys, digits, 1.0)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     if not sys.is_affine and np.any(hi - lo < 4.0 * _INVERT_TOL):
         raise InversionFailed(
@@ -708,10 +688,10 @@ def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray,
     return lo, hi
 
 
-def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5, groups=None) -> np.ndarray:
-    """rho_w(t) for each row of a (count, depth) digit matrix, rows composed
-    in ``groups`` (see _compose); only the leading 64 digits are composed."""
-    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t, groups)
+def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndarray:
+    """rho_w(t) for each row of a (count, depth) digit matrix; only the
+    leading 64 digits are composed."""
+    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
 
 
 def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoints",

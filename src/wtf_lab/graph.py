@@ -99,12 +99,11 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 
 
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, tol: float, _curve=None, groups=None) -> np.ndarray:
+                  probes: int, tol: float, _curve=None) -> np.ndarray:
     """sup - inf of W (or of the test hook ``_curve``) per row w of a
     (count, n) digit matrix: W is probed at rho_{wv}(1/2) for every v of the
     least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
-    series evaluation.  The probes of a row are composed in that row's
-    ``groups`` label (see dynamics._compose)."""
+    series evaluation."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
     count, n = words.shape
@@ -114,7 +113,7 @@ def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequen
     ext = np.empty((count * per, n + m), dtype=np.uint8)
     ext[:, :n] = np.repeat(words, per, axis=0)
     ext[:, n:] = np.tile(sub, (count, 1))
-    pts = point_of_word(sys, ext, 0.5, None if groups is None else np.repeat(groups, per))
+    pts = point_of_word(sys, ext, 0.5)
     if _curve is None:
         ys, _, _ = eval_W_many(sys, pts, theta, tol)
     else:

@@ -253,11 +253,9 @@ def holder_oscillation(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 
 def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
-                            tol: float = 1e-12, _curve=None, _groups=None) -> np.ndarray:
+                            tol: float = 1e-12, _curve=None) -> np.ndarray:
     """holder_oscillation at each point of xs: one orbit walk codes every
-    itinerary to the deepest depth, one batched series evaluation per depth.
-    ``_groups=np.arange(len(xs))`` gives each point the bits of
-    holder_oscillation at that point alone (see dynamics._compose)."""
+    itinerary to the deepest depth, one batched series evaluation per depth."""
     depths = sorted(depth_range)
     if not depths:
         raise ValueError("depth_range must be nonempty")
@@ -276,12 +274,12 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve, _groups)
+        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
                 "increase probes or loosen the depth range")
-        lo, hi = cylinder_bounds_many(sys, words[:, :n], _groups)
+        lo, hi = cylinder_bounds_many(sys, words[:, :n])
         # math.log, not np.log: numpy's SIMD log differs from libm in the
         # last bit on some inputs, and the per-point exponents used libm
         return (np.array([math.log(v) for v in osc.tolist()]),

@@ -108,13 +108,15 @@ def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
         log_lm = np.log(sys.lam.branch_values(sys.ell))
     else:
         log_lm = np.zeros(sys.ell)
-    return pot.a * log_tp + pot.b * log_lm + pot.c
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: inf or NaN
+        return pot.a * log_tp + pot.b * log_lm + pot.c
 
 
 def _cylinder_pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> float:
     levels = sys.tree(depth)
     _, u, v = levels[depth]
-    return float(_logsumexp(pot.a * u + pot.b * v)) / depth + pot.c
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _branch_phi
+        return float(_logsumexp(pot.a * u + pot.b * v)) / depth + pot.c
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_DEPTH) -> PressureEstimate:
@@ -334,7 +336,7 @@ _GIBBS_PRESSURE_TOL = 1e-6
 
 def _require_normalised(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> None:
     p = pressure(sys, pot, depth).value
-    if abs(p) > _GIBBS_PRESSURE_TOL:
+    if not abs(p) <= _GIBBS_PRESSURE_TOL:  # a NaN pressure is not normalised
         raise NotNormalised(
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
 

@@ -163,6 +163,21 @@ class TestSpectrumGibbsLiftHolder:
         assert len(word) == 30 and set(word) <= {"0", "1"}
         assert 0.0 <= float(x) < 1.0
 
+    @pytest.mark.parametrize("model", [
+        {"branches": [{"domain": [0.0, 0.15]}, {"domain": [0.85, 1.0]}],
+         "lambda": {"kind": "branch_constant", "values": [0.2, 0.3]}},
+        "M5",
+    ], ids=["branch_constant", "M5"])
+    def test_nan_pressure_not_normalised(self, tmp_path, model):
+        # huge coefficients give inf - inf weights: a NaN pressure, refused by
+        # the normalisation gate without an overflow warning
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": model, "pot_a": 1.7e308, "pot_b": 1.7e308, "depth": 5, "count": 10,
+        })
+        out = tmp_path / "out"
+        assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 3
+        assert read_report(out)["error"]["type"] == "NotNormalised"
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model": "M1", "q": 0.0, "depth": 10, "count": 50, "seed": 4,
@@ -280,18 +295,33 @@ MALFORMED = {
     "spectrum-q_grid_past_float_range": ("spectrum", {"q_grid": [10**400]}),
     "boxdim-scale_zero": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [0.0]}),
     "boxdim-scale_negative": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [-0.5]}),
+    "validate-ell_infinite": ("validate", {"model": {"branches": {"family": "ell_adic", "ell": 1e400}}}),
+    "validate-ell_text": ("validate", {"model": {"branches": {"family": "ell_adic", "ell": "two"}}}),
+    "validate-lambda_nan": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": math.nan}},
+        "LambdaOutOfRange"),
+    "validate-branch_lambda_nan": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
+                               "lambda": {"kind": "branch_constant", "values": [0.7, math.nan]}}},
+        "LambdaOutOfRange"),
+    "validate-trig_lambda_nan": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
+                               "lambda": {"kind": "trig", "c0": 0.7, "harmonics": [[1, math.nan, 0.0]]}}},
+        "LambdaOutOfRange"),
 }
 
 
-@pytest.mark.parametrize("command,entries", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_list_is_validation_error(tmp_path, command, entries):
-    # malformed lists and model/theta/input entries end in a BadConfig report
+@pytest.mark.parametrize("case", list(MALFORMED), ids=list(MALFORMED))
+def test_malformed_list_is_validation_error(tmp_path, case):
+    # malformed lists and model/theta/input entries end in a validation
+    # error report: BadConfig unless the case names another type
+    command, entries, *error = MALFORMED[case]
     cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, **entries})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     report = read_report(out)
     assert report["status"] == "error"
-    assert report["error"]["type"] == "BadConfig"
+    assert report["error"]["type"] == (error[0] if error else "BadConfig")
 
 
 _NO_SCIPY = """

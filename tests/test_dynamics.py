@@ -25,6 +25,7 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
+from wtf_lab.graph import _oscillations
 
 
 class TestValidation:
@@ -161,33 +162,6 @@ class TestApplyTau:
         assert float(m1.tau(0.75)) == pytest.approx(0.5, abs=1e-12)
 
 
-def _reference_invert(f, fprime, target, lo, hi, tol=1e-12, max_iter=200):
-    """The Newton inverse with one stopping test over the whole call."""
-    target = np.asarray(target, dtype=float)
-    scalar = target.ndim == 0
-    t = np.atleast_1d(target)
-    a = np.full_like(t, lo)
-    b = np.full_like(t, hi)
-    x = 0.5 * (a + b)
-    for _ in range(max_iter):
-        fx = f(x) - t
-        below = fx <= 0
-        a = np.where(below, x, a)
-        b = np.where(below, b, x)
-        d = fprime(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - fx / d
-        bad = ~np.isfinite(xn) | (xn <= a) | (xn >= b)
-        xn = np.where(bad, 0.5 * (a + b), xn)
-        if np.max(np.abs(xn - x)) < tol and np.max(b - a) < 4.0 * tol:
-            x = xn
-            break
-        x = xn
-    else:
-        raise InversionFailed("no convergence")
-    return float(x[0]) if scalar else x
-
-
 def _reference_orbit(sys, x, n):
     """One point, one step at a time: digits, orbit points (0 from the exit
     on) and the iterate at which the orbit leaves the partition."""
@@ -202,59 +176,84 @@ def _reference_orbit(sys, x, n):
     return digits, points, n
 
 
-class TestGroupedInverse:
-    def test_groups_match_separate_calls(self, m5):
-        # a grouped call gives each group the bits of a reference call on
-        # that group's targets alone, with duplicates, unsorted labels and
-        # targets at and past both bracket ends
+def _mp_inverse(sys, digits, t):
+    """rho_{w_1} o ... o rho_{w_n}(t) on M5 at 40 digits: mpmath Newton on
+    ell x + eps sin(2 pi x) = digit + u, innermost digit first."""
+    mpmath = pytest.importorskip("mpmath")
+    br = sys.branches[0]
+    with mpmath.workdps(40):
+        ell, eps, u = mpmath.mpf(br.ell), mpmath.mpf(br.eps), mpmath.mpf(float(t))
+        for d in digits[::-1]:
+            rhs = int(d) + u
+            u = mpmath.findroot(lambda x: ell * x + eps * mpmath.sin(2 * mpmath.pi * x) - rhs,
+                                rhs / ell)
+        return u
+
+
+class TestNewtonInverse:
+    def test_batch_independent(self, m5, zeros):
+        # every M5 value has the same bits alone and in any batch: duplicated
+        # targets, unsorted input and 0-d targets
         rng = np.random.default_rng(41)
+        y = rng.random(80)
+        y = np.concatenate([y, y[rng.integers(0, y.size, 30)], [0.0, 1.0]])
+        for br in m5.branches:
+            batch = br.inverse(y)
+            assert batch.tobytes() == np.array([br.inverse(v) for v in y.tolist()]).tobytes()
+            assert np.ndim(br.inverse(np.float64(y[0]))) == 0
+        words = rng.integers(0, 2, size=(40, 30)).astype(np.uint8)
+        words = np.concatenate([words, words[::-3]])
+        alone = [point_of_word(m5, w[None, :], 0.3) for w in words]
+        assert point_of_word(m5, words, 0.3).tobytes() == np.concatenate(alone).tobytes()
+        lo, hi = cylinder_bounds_many(m5, words)
+        bounds = [cylinder_bounds_many(m5, w[None, :]) for w in words]
+        assert lo.tolist() == [float(b[0][0]) for b in bounds]
+        assert hi.tolist() == [float(b[1][0]) for b in bounds]
+        osc = _oscillations(m5, words[:12, :8], zeros, 16, 1e-10)
+        assert osc.tolist() == [float(_oscillations(m5, w[None, :8], zeros, 16, 1e-10)[0])
+                                for w in words[:12]]
+
+    def test_matches_mpmath(self, m5):
+        # 40-digit references: single inverses at sampled targets and depth-30
+        # compositions agree to a few units in the last place
+        rng = np.random.default_rng(47)
+        y = rng.random(20)
+        for br in m5.branches:
+            x = br.inverse(y)
+            ref = np.array([float(_mp_inverse(m5, [br.index], v)) for v in y])
+            assert np.all(np.abs(x - ref) <= 4 * np.spacing(ref))
+        words = rng.integers(0, 2, size=(12, 30)).astype(np.uint8)
+        x = point_of_word(m5, words, 0.5)
+        ref = np.array([float(_mp_inverse(m5, w, 0.5)) for w in words])
+        assert np.all(np.abs(x - ref) <= 4 * np.spacing(ref))
+
+    def test_image_ends(self, m5):
+        # targets at and past f(lo) and f(hi) give the bracket end itself
         for br in m5.branches:
             f, fp = br._f, br.derivative
-            t = np.concatenate([br.index + rng.random(60),
-                                br.index + np.array([0.0, 1.0, -0.25, 1.25])])
-            t = np.concatenate([t, t[rng.integers(0, t.size, 30)]])
-            labels = np.array([7, 2, 9, 4, 11])[rng.integers(0, 5, t.size)]
-            got = _invert_increasing(f, fp, t, br.lo, br.hi, labels)
-            for label in np.unique(labels):
-                m = labels == label
-                ref = _reference_invert(f, fp, t[m], br.lo, br.hi)
-                assert got[m].tobytes() == ref.tobytes(), (br.index, label)
-            # a target shared by two groups is solved once in each
-            c = br.index + 0.3
-            for d in br.index + 0.3 + 0.7 * rng.random(8):
-                got = _invert_increasing(f, fp, np.array([d, c, c]), br.lo, br.hi, [9, 9, 5])
-                assert got[2:].tobytes() == _reference_invert(f, fp, [c], br.lo, br.hi).tobytes()
-                assert got[:2].tobytes() == _reference_invert(f, fp, [d, c], br.lo, br.hi).tobytes()
-            one = _invert_increasing(f, fp, t, br.lo, br.hi)
-            assert one.tobytes() == _reference_invert(f, fp, t, br.lo, br.hi).tobytes()
-            for t0 in (t[0], br.index + 1.0):
-                x0 = _invert_increasing(f, fp, np.float64(t0), br.lo, br.hi)
-                assert type(x0) is float and x0 == _reference_invert(f, fp, t0, br.lo, br.hi)
+            f_lo, f_hi = float(f(br.lo)), float(f(br.hi))
+            t = np.array([f_lo, f_lo - 0.25, f_hi, f_hi + 0.25, np.nextafter(f_lo, -1.0)])
+            assert _invert_increasing(f, fp, t, br.lo, br.hi).tolist() == [br.lo] * 2 + [br.hi] * 2 + [br.lo]
+            assert br.inverse(np.array([0.0, 1.0])).tolist() == [br.lo, br.hi]
+        assert m5.branches[0].hi == 0.5  # the cut point of 2x + 0.05 sin(2 pi x)
 
     def test_non_finite_target_refused(self, m5):
-        # NaN and +-inf targets raise before any Newton step (the old loop
-        # bisected a NaN target down to within 4e-12 of the branch's low end)
+        # NaN and +-inf targets raise before any Newton step
         br = m5.branches[1]
         for bad in (np.nan, np.inf, -np.inf):
-            t = np.array([1.5, bad, 1.25, 1.75])
-            for groups in (None, [0, 0, 1, 1]):
-                with pytest.raises(InversionFailed):
-                    _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, groups)
+            with pytest.raises(InversionFailed):
+                _invert_increasing(br._f, br.derivative, np.array([1.5, bad, 1.25]), br.lo, br.hi)
             with pytest.raises(InversionFailed):
                 _invert_increasing(br._f, br.derivative, np.float64(bad), br.lo, br.hi)
         with pytest.raises(InversionFailed):
             point_of_word(m5, np.array([[0, 1, 1]], dtype=np.uint8), np.nan)
 
-    def test_grouped_composition(self, m5):
-        # point_of_word with row labels: each label's rows get the bits of a
-        # call on those rows alone
-        rng = np.random.default_rng(43)
-        words = rng.integers(0, 2, size=(24, 12)).astype(np.uint8)
-        labels = rng.integers(0, 5, 24)
-        got = point_of_word(m5, words, 0.5, labels)
-        for label in np.unique(labels):
-            m = labels == label
-            assert got[m].tobytes() == point_of_word(m5, words[m], 0.5).tobytes()
+    def test_max_iter_exhausted(self, m5):
+        br = m5.branches[0]
+        t = np.array([0.2, 0.7])
+        for kwargs in ({"max_iter": 1}, {"tol": 0.0}):
+            with pytest.raises(InversionFailed):
+                _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, **kwargs)
 
 
 class TestOrbitWalk:
@@ -353,10 +352,8 @@ class TestCoding:
 
     def test_bounds_many_match_cylinder_of(self, systems):
         # reference: the scalar endpoint loop, one inverse call per endpoint
-        # and digit.  A one-word batch passes the Newton inverse the same
-        # values, so cylinder_of matches it bit for bit on every model; a
-        # many-word batch stops the M5 Newton inverse on batch-wide tests and
-        # agrees to a few units of its 1e-12 tolerance
+        # and digit; every inverse is elementwise, so the batch matches it
+        # bit for bit on every model
         def scalar_bounds(sys, word):
             lo, hi = 0.0, 1.0
             for d in word[::-1]:
@@ -371,15 +368,11 @@ class TestCoding:
             lo, hi = cylinder_bounds_many(sys, words)
             ref = np.array([scalar_bounds(sys, w) for w in words])
             assert [wl.cylinder_of(sys, w) for w in words] == [tuple(r) for r in ref]
-            if name == "M5":
-                assert np.max(np.abs(lo - ref[:, 0])) <= 5e-12
-                assert np.max(np.abs(hi - ref[:, 1])) <= 5e-12
-            else:
-                assert np.array_equal(lo, ref[:, 0]) and np.array_equal(hi, ref[:, 1])
+            assert np.array_equal(lo, ref[:, 0]) and np.array_equal(hi, ref[:, 1]), name
 
     def test_deep_m5_cylinder_refused(self, m5):
-        # the depth-40 cylinder of 0^40 is shorter than the Newton bracket
-        # width 4e-12, so its endpoints would be inversion noise
+        # the depth-40 cylinder of 0^40 is shorter than 4e-12, four times
+        # the Newton step tolerance
         word = np.zeros(40, dtype=np.uint8)
         with pytest.raises(InversionFailed):
             wl.cylinder_of(m5, word)

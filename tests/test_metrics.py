@@ -212,12 +212,11 @@ class TestHolderBirkhoffMany:
 
 
 class TestHolderOscillation:
-    def test_point_groups_match_per_point(self, systems, zeros):
-        # one Newton group per point: every exponent has the bits of the
-        # point estimated alone
+    def test_batch_matches_per_point(self, systems, zeros):
+        # every exponent has the bits of the point estimated alone
         for name, sys in systems.items():
             xs = _repeller_points(sys, 4, 61)
-            got = wl.holder_oscillation_many(sys, xs, zeros, _groups=np.arange(len(xs)))
+            got = wl.holder_oscillation_many(sys, xs, zeros)
             ref = [wl.holder_oscillation(sys, x, zeros) for x in xs.tolist()]
             assert got.tolist() == ref, name
 

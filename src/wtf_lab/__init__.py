@@ -8,7 +8,6 @@ from .dynamics import (
     code_of,
     cylinder_budget,
     cylinder_of,
-    sample_repeller,
     torus_distance,
     validate_system,
 )

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
+from .dynamics import _check_budget, enumerate_words, point_of_word
 from .errors import (
     BadConfig,
     BudgetExceeded,
@@ -31,6 +32,7 @@ from .metrics import (
     write_cloud_csv,
 )
 from .report import RunReport, write_csv
+from .theta import counter_uniforms
 from .thermo import (
     A_of_q,
     PotentialSpec,
@@ -135,13 +137,14 @@ def _cmd_holder(config, out_dir, seed, report):
     points = require_list(config, "points")
     if points == []:
         raise BadConfig("'points' must not be empty")
-    if points is None:
-        from .dynamics import sample_repeller
+    if points is None:  # count evenly spaced words of depth n, each at a seeded uniform
         n = require_int(config, "point_depth", default=12, low=1)
         count = require_int(config, "point_count", default=50, low=1)
-        _, xs = sample_repeller(sys, n, "random", seed=seed if seed is not None else 7)
-        step = max(1, len(xs) // count)
-        points = xs[::step][:count]
+        total = sys.ell**n
+        _check_budget(total)
+        rows = np.arange(0, total, max(1, total // count))[:count]
+        u = counter_uniforms(seed if seed is not None else 7, 0, total, stream=n)
+        points = point_of_word(sys, enumerate_words(sys.ell, n)[rows], u[rows])
     # Errors: every point's Birkhoff walk first, then the depths in order.
     xs = np.asarray(points, dtype=float)
     bv = holder_birkhoff_many(sys, xs, depth)

@@ -36,7 +36,6 @@ from .errors import (
     NotOnto,
     OverlappingBranches,
 )
-from .theta import counter_uniforms
 
 DEFAULT_BUDGET = 2**24
 _ONTO_TOL = 1e-9
@@ -61,6 +60,13 @@ def cylinder_budget() -> int:
     if value < 2:
         raise BadConfig("WTF_LAB_BUDGET must be >= 2")
     return value
+
+
+def _check_budget(count: int) -> None:
+    """BudgetExceeded when count cylinders or points exceed cylinder_budget()."""
+    budget = cylinder_budget()
+    if count > budget:
+        raise BudgetExceeded(f"{count} cylinders or points exceed the budget {budget}")
 
 
 def torus_distance(x, u):
@@ -361,68 +367,44 @@ class CookieCutterSystem:
     def distortion_constants(self) -> tuple[float, float]:
         """Largest in-cylinder oscillation of S_n log|tau'| and S_n log lambda
         over the depth-8 cylinders, from three representatives per cylinder."""
-        words = enumerate_words(self.ell, _DISTORTION_DEPTH)
-        sums = []
-        for t in (0.15, 0.5, 0.85):
-            cur = point_of_word(self, words, t)
-            u = np.zeros(len(words))
-            v = np.zeros(len(words))
-            for _ in range(_DISTORTION_DEPTH):
-                u += self.log_abs_tau_prime(cur)
-                v += self.log_lam(cur)
-                cur = self.tau(cur)
-            sums.append((u, v))
-        du = dv = 0.0
-        for i in range(len(sums)):
-            for j in range(i + 1, len(sums)):
-                du = max(du, float(np.max(np.abs(sums[i][0] - sums[j][0]))))
-                dv = max(dv, float(np.max(np.abs(sums[i][1] - sums[j][1]))))
-        return du, dv
+        cur = _walk(self, (0.15, 0.5, 0.85), _DISTORTION_DEPTH).reshape(-1, 3)
+        u = np.zeros(cur.shape)
+        v = np.zeros(cur.shape)
+        for _ in range(_DISTORTION_DEPTH):
+            u += self.log_abs_tau_prime(cur)
+            v += self.log_lam(cur)
+            cur = self.tau(cur)
+        return float(np.ptp(u, axis=1).max()), float(np.ptp(v, axis=1).max())
 
     # -- cylinder tree -------------------------------------------------------
 
-    def tree(self, depth: int, budget: int | None = None):
-        """Midpoint representatives and Birkhoff sums for every depth-k word,
-        k <= depth.  Returns dict level -> (X, U, V) with X the representative
-        rho_w(1/2), U = S_k log|tau'|, V = S_k log lambda, words in
-        lexicographic order (first digit most significant)."""
-        budget = cylinder_budget() if budget is None else budget
-        if self.ell**depth > budget:
-            raise BudgetExceeded(
-                f"{self.ell}^{depth} cylinders exceed the budget {budget}")
+    def tree(self, depth: int):
+        """Level ``depth`` of the cylinder tree: (X, U, V) with X the midpoint
+        representatives rho_w(1/2) of the depth-n words (lexicographic order,
+        first digit most significant), U = S_n log|tau'| and V = S_n log lambda
+        at X.  Every level up to ``depth`` stays cached."""
+        _check_budget(self.ell**depth)
         levels = self._tree_cache
-        if depth in levels:
-            return levels
-        start = max((k for k in levels if k < depth), default=0)
-        if start == 0 and 0 not in levels:
-            x0 = np.array([0.5])
-            levels[0] = (x0, np.zeros(1), np.zeros(1))
-        for k in range(start + 1, depth + 1):
+        levels.setdefault(0, (np.array([0.5]), np.zeros(1), np.zeros(1)))
+        for k in range(max(j for j in levels if j <= depth) + 1, depth + 1):
             xp, up, vp = levels[k - 1]
-            xs, us, vs = [], [], []
-            for i in range(self.ell):
-                xi = self.branches[i].inverse(xp)
-                xs.append(xi)
-                us.append(np.log(np.abs(self.branches[i].derivative(xi))) + up)
-                vs.append(self.log_lam(xi) + vp)
-            levels[k] = (np.concatenate(xs), np.concatenate(us), np.concatenate(vs))
-        return levels
-
-    def representatives(self, depth: int, t, budget: int | None = None) -> np.ndarray:
-        """rho_w(t) over all depth-n words w (lexicographic order)."""
-        budget = cylinder_budget() if budget is None else budget
-        if self.ell**depth > budget:
-            raise BudgetExceeded(
-                f"{self.ell}^{depth} cylinders exceed the budget {budget}")
-        x = np.array([float(t)])
-        for _ in range(depth):
-            x = np.concatenate([self.branches[i].inverse(x) for i in range(self.ell)])
-        return x
+            x = _walk(self, xp, 1).reshape(self.ell, -1)  # row i: branch i's preimages
+            d = np.stack([br.derivative(xi) for br, xi in zip(self.branches, x)])
+            levels[k] = (x.ravel(), (np.log(np.abs(d)) + up).ravel(), (self.log_lam(x) + vp).ravel())
+        return levels[depth]
 
 
 # ---------------------------------------------------------------------------
 # construction / validation
 # ---------------------------------------------------------------------------
+
+def _integer(value, name: str) -> int:
+    """int(value); BadConfig when that changes the value (``"ell": 2.5``)."""
+    out = int(value)
+    if out != value:
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+    return out
+
 
 def _parse_g(spec) -> TrigPoly:
     if spec is None:
@@ -433,7 +415,8 @@ def _parse_g(spec) -> TrigPoly:
     if kind == "zero":
         return TrigPoly(0.0, ())
     if kind == "trig":
-        harmonics = tuple((int(k), float(a), float(b)) for k, a, b in spec.get("harmonics", []))
+        harmonics = tuple((_integer(k, "harmonic index"), float(a), float(b))
+                          for k, a, b in spec.get("harmonics", []))
         return TrigPoly(float(spec.get("c0", 0.0)), harmonics)
     raise BadConfig(f"unknown g kind {kind!r}")
 
@@ -466,28 +449,25 @@ def _parse_entry(parse, spec: dict, key: str):
 def _build_branches(spec) -> tuple:
     if isinstance(spec, dict) and "family" in spec:
         family = spec["family"]
+        if family not in ("ell_adic", "doubling_plus_sine"):
+            raise BadConfig(f"unknown branch family {family!r}")
+        ell = _integer(spec["ell"], "ell")
+        if ell < 2:
+            raise BadConfig(f"{family} needs ell >= 2")
         if family == "ell_adic":
-            ell = int(spec["ell"])
-            if ell < 2:
-                raise BadConfig("ell_adic family needs ell >= 2")
             return tuple(
                 AffineBranch(i, i / ell, (i + 1) / ell, float(ell), -float(i))
                 for i in range(ell)
             )
-        if family == "doubling_plus_sine":
-            ell = int(spec["ell"])
-            eps = float(spec.get("eps", 0.0))
-            if ell < 2:
-                raise BadConfig("doubling_plus_sine needs ell >= 2")
-            if 2.0 * math.pi * abs(eps) >= ell:
-                raise BadConfig("doubling_plus_sine needs 2*pi*|eps| < ell for monotonicity")
-            whole = SineFamilyBranch(0, 0.0, 1.0, ell, eps)  # ell x + eps sin(2 pi x) on [0, 1]
-            cuts = [0.0] + [_invert_increasing(whole._f, whole.derivative, float(k), 0.0, 1.0)
-                            for k in range(1, ell)] + [1.0]
-            return tuple(
-                SineFamilyBranch(i, cuts[i], cuts[i + 1], ell, eps) for i in range(ell)
-            )
-        raise BadConfig(f"unknown branch family {family!r}")
+        eps = float(spec.get("eps", 0.0))
+        if 2.0 * math.pi * abs(eps) >= ell:
+            raise BadConfig("doubling_plus_sine needs 2*pi*|eps| < ell for monotonicity")
+        whole = SineFamilyBranch(0, 0.0, 1.0, ell, eps)  # ell x + eps sin(2 pi x) on [0, 1]
+        cuts = [0.0] + [_invert_increasing(whole._f, whole.derivative, float(k), 0.0, 1.0)
+                        for k in range(1, ell)] + [1.0]
+        return tuple(
+            SineFamilyBranch(i, cuts[i], cuts[i + 1], ell, eps) for i in range(ell)
+        )
 
     branches = []
     for i, b in enumerate(spec):
@@ -521,6 +501,8 @@ def validate_system(spec: dict) -> CookieCutterSystem:
         raise BadConfig("need at least 2 branches")
     lam = _parse_entry(_parse_lambda, spec, "lambda")
     g = _parse_entry(_parse_g, spec, "g")
+    if not math.isfinite(g.sup_bound):
+        raise BadConfig("g coefficients must be finite")
 
     if lam.kind == "branch_constant" and len(lam.values) != len(branches):
         raise BadConfig("branch_constant lambda needs one value per branch")
@@ -550,7 +532,7 @@ def validate_system(spec: dict) -> CookieCutterSystem:
         if np.any(np.sign(d) != np.sign(d[0])):
             raise BadConfig(f"branch {br.index}: forward map not monotone")
         ends = sorted((image[0], image[-1]))
-        if abs(ends[0]) > _ONTO_TOL or abs(ends[1] - 1.0) > _ONTO_TOL:
+        if not (abs(ends[0]) <= _ONTO_TOL and abs(ends[1] - 1.0) <= _ONTO_TOL):  # NaN fails
             raise NotOnto(
                 f"branch {br.index} image [{ends[0]:.3g}, {ends[1]:.3g}] != (0,1)")
         orientations.add(br.orientation)
@@ -673,6 +655,17 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
     return x
 
 
+def _walk(sys: CookieCutterSystem, x, depth: int) -> np.ndarray:
+    """rho_w(x_j) for every depth-n word w and start value x_j, level by
+    level; index i * len(x) + j holds word i in lexicographic order (first
+    digit most significant) and start value j.  Every inverse is elementwise,
+    so up to depth 64 each value has the bits point_of_word gives it."""
+    x = np.asarray(x, dtype=float).ravel()
+    for _ in range(depth):
+        x = np.concatenate([br.inverse(x) for br in sys.branches])
+    return x
+
+
 def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized cylinder endpoints for a (count, depth) digit matrix.
 
@@ -692,31 +685,6 @@ def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndar
     """rho_w(t) for each row of a (count, depth) digit matrix; only the
     leading 64 digits are composed."""
     return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
-
-
-def sample_repeller(sys: CookieCutterSystem, depth: int, strategy: str = "midpoints",
-                    seed: int | None = None, budget: int | None = None):
-    """One representative per depth-n cylinder: the (ell^n, n) digit matrix
-    of all words in lexicographic order and one point per row.
-
-    strategy "midpoints": x = rho_w(1/2); "random": x = rho_w(u_w) with u_w
-    an independent uniform draw keyed by (seed, word), so repeated calls with
-    the same seed are identical and per-word draws do not depend on order.
-    """
-    budget = cylinder_budget() if budget is None else budget
-    n_words = sys.ell**depth
-    if n_words > budget:
-        raise BudgetExceeded(f"{sys.ell}^{depth} exceeds budget {budget}")
-    words = enumerate_words(sys.ell, depth)
-    if strategy == "midpoints":
-        xs = point_of_word(sys, words, 0.5)
-    elif strategy == "random":
-        if seed is None:
-            raise ValueError("random strategy requires a seed")
-        xs = _compose(sys, words, counter_uniforms(seed, 0, n_words, stream=depth))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return words, xs
 
 
 def enumerate_words(ell: int, depth: int) -> np.ndarray:

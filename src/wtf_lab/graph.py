@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import (
     CookieCutterSystem,
     _orbit_of,
+    _walk,
     _word,
     birkhoff_sum,
     birkhoff_sums_from_digits,
@@ -101,19 +102,15 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
                   probes: int, tol: float, _curve=None) -> np.ndarray:
     """sup - inf of W (or of the test hook ``_curve``) per row w of a
-    (count, n) digit matrix: W is probed at rho_{wv}(1/2) for every v of the
-    least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
+    (count, n) digit matrix: W is probed at rho_w(rho_v(1/2)) for every v of
+    the least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
     series evaluation."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
-    count, n = words.shape
-    m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
-    sub = enumerate_words(sys.ell, m)
-    per = len(sub)
-    ext = np.empty((count * per, n + m), dtype=np.uint8)
-    ext[:, :n] = np.repeat(words, per, axis=0)
-    ext[:, n:] = np.tile(sub, (count, 1))
-    pts = point_of_word(sys, ext, 0.5)
+    count = words.shape[0]
+    tails = _walk(sys, [0.5], max(1, math.ceil(math.log(probes) / math.log(sys.ell))))
+    per = len(tails)
+    pts = point_of_word(sys, np.repeat(words, per, axis=0), np.tile(tails, count))
     if _curve is None:
         ys, _, _ = eval_W_many(sys, pts, theta, tol)
     else:

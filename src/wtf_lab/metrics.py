@@ -17,13 +17,14 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
+    _check_budget,
     _orbit,
+    _walk,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
-    cylinder_budget,
     torus_distance,
 )
-from .errors import BudgetExceeded, DegenerateFit, NotInPartition, OscillationUnderflow
+from .errors import DegenerateFit, NotInPartition, OscillationUnderflow
 from .graph import _oscillations, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
@@ -63,24 +64,18 @@ class GraphCloud:
 
 def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
                  per_cylinder: int, tol: float = 1e-8,
-                 restrict_to_repeller: bool = False,
-                 budget: int | None = None) -> GraphCloud:
+                 restrict_to_repeller: bool = False) -> GraphCloud:
     """Sample (x, W_theta(x)).
 
     Unrestricted: uniform grid of ell^depth * per_cylinder points on [0,1).
     Restricted: per_cylinder stratified representatives inside every depth-n
     cylinder (a Moran cover of the repeller), so all x lie on the repeller.
     """
-    budget = cylinder_budget() if budget is None else budget
     total = sys.ell**depth * per_cylinder
-    if total > budget:
-        raise BudgetExceeded(f"{total} sample points exceed budget {budget}")
+    _check_budget(total)
     if restrict_to_repeller:
-        parts = []
-        for j in range(per_cylinder):
-            t = (j + 0.5) / per_cylinder
-            parts.append(sys.representatives(depth, t, budget=budget))
-        xs = np.sort(np.concatenate(parts))
+        xs = _walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder, depth)
+        xs.sort()  # in place: no second copy of the cloud
     else:
         xs = np.arange(total, dtype=float) / total
     ys, _, _ = eval_W_many(sys, xs, theta, tol)

@@ -113,8 +113,7 @@ def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
 
 
 def _cylinder_pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> float:
-    levels = sys.tree(depth)
-    _, u, v = levels[depth]
+    _, u, v = sys.tree(depth)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _branch_phi
         return float(_logsumexp(pot.a * u + pot.b * v)) / depth + pot.c
 
@@ -348,8 +347,7 @@ def gibbs_weights(sys: CookieCutterSystem, pot: PotentialSpec,
     weight of each, proportional to exp(S_n phi) at the representative.
     Exact Bernoulli product weights in the branch-constant case."""
     _require_normalised(sys, pot, depth)
-    levels = sys.tree(depth)
-    _, u, v = levels[depth]
+    _, u, v = sys.tree(depth)
     s = pot.a * u + pot.b * v + pot.c * depth
     w = np.exp(s - _logsumexp(s))
     return enumerate_words(sys.ell, depth), w
@@ -381,8 +379,7 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
         return digits
 
     k = min(_MARKOV_DEPTH, depth)
-    levels = sys.tree(k)
-    _, u, v = levels[k]
+    _, u, v = sys.tree(k)
     s = pot.a * u + pot.b * v
     w = np.exp(s - _logsumexp(s))
     digits = np.empty((count, depth), dtype=np.uint8)
@@ -435,8 +432,7 @@ def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFA
     from depth-n cylinder weights (exact per-digit quantities for Bernoulli
     products); dim = h/chi and alpha = -mean(log lambda)/chi."""
     _require_normalised(sys, pot, depth)
-    levels = sys.tree(depth)
-    _, u, v = levels[depth]
+    _, u, v = sys.tree(depth)
     s = pot.a * u + pot.b * v
     log_w = s - _logsumexp(s)
     w = np.exp(log_w)

@@ -12,7 +12,9 @@ import pytest
 import wtf_lab as wl
 from wtf_lab import ThetaSequence
 from wtf_lab.cli import main
+from wtf_lab.dynamics import _compose, enumerate_words
 from wtf_lab.report import write_csv
+from wtf_lab.theta import counter_uniforms
 
 
 def write_config(tmp_path, name, payload):
@@ -214,11 +216,20 @@ class TestSpectrumGibbsLiftHolder:
             assert bv == pytest.approx(0.5145731728297583, abs=1e-9)
             assert abs(ov - bv) < 0.05
 
+    def test_holder_budget_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WTF_LAB_BUDGET", "64")
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "point_depth": 7})
+        out = tmp_path / "out"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 4
+        assert read_report(out)["error"]["type"] == "BudgetExceeded"
+
 
 def _holder_per_point(sys, path):
     """CLI holder's defaults, one point at a time: writes the CSV and returns
-    the first error raised, or None."""
-    _, xs = wl.sample_repeller(sys, 12, "random", seed=7)
+    the first error raised, or None.  The points are composed for every
+    depth-12 word at its seeded uniform, then every (ell^12 // 6)-th is kept."""
+    words = enumerate_words(sys.ell, 12)
+    xs = _compose(sys, words, counter_uniforms(7, 0, len(words), stream=12))
     rows = []
     for x in xs[::max(1, len(xs) // 6)][:6].tolist():
         try:
@@ -304,6 +315,27 @@ MALFORMED = {
         "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
                                "lambda": {"kind": "branch_constant", "values": [0.7, math.nan]}}},
         "LambdaOutOfRange"),
+    "validate-ell_fraction": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2.5}, "lambda": 0.7}}),
+    "validate-sine_ell_fraction": (
+        "validate", {"model": {"branches": {"family": "doubling_plus_sine", "ell": 2.7}, "lambda": 0.7}}),
+    "validate-g_nan": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
+                               "g": {"kind": "trig", "harmonics": [[1, math.nan, 0.0]]}}}),
+    "sample-g_nan": (
+        "sample", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
+                             "g": {"kind": "trig", "harmonics": [[1, math.nan, 0.0]]}}}),
+    "validate-g_c0_infinite": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
+                               "g": {"kind": "trig", "c0": math.inf}}}),
+    "validate-g_harmonic_fraction": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
+                               "g": {"kind": "trig", "harmonics": [[1.5, 1.0, 0.0]]}}}),
+    "validate-offset_nan": (
+        "validate", {"model": {"branches": [{"domain": [0.0, 0.4], "slope": 2.5, "offset": math.nan},
+                                            {"domain": [0.6, 1.0], "slope": 2.5, "offset": -1.5}],
+                               "lambda": 0.7}},
+        "NotOnto"),
     "validate-trig_lambda_nan": (
         "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2},
                                "lambda": {"kind": "trig", "c0": 0.7, "harmonics": [[1, math.nan, 0.0]]}}},

@@ -18,14 +18,17 @@ from wtf_lab import (
     ThetaSequence,
 )
 from wtf_lab.dynamics import (
+    _check_budget,
     _invert_increasing,
     _orbit,
+    _walk,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
     point_of_word,
 )
 from wtf_lab.graph import _oscillations
+from wtf_lab.theta import counter_uniforms
 
 
 class TestValidation:
@@ -132,7 +135,7 @@ def _tau_inputs(sys):
     return np.concatenate([
         np.arange(2**12) / 2**12,
         np.random.default_rng(5).random(4096),
-        sys.representatives(6, 0.5),
+        _walk(sys, [0.5], 6),
         edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
         [-0.0, 1.0, -0.25, 1.5, np.nan, np.inf, -np.inf, 1e308, -1e308],
     ])
@@ -382,42 +385,93 @@ class TestCoding:
         assert hi - lo > 4e-12
 
 
+M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
+                  "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
+
+
+def _walk_systems(systems):
+    return {**_tau_systems(systems), "M5_trig_lambda": wl.validate_system(M5_TRIG_LAMBDA)}
+
+
+def _reference_tree(sys, depth):
+    """Level ``depth`` of the cylinder tree, one inverse branch at a time,
+    each branch's log-derivative taken from that branch."""
+    x, u, v = np.array([0.5]), np.zeros(1), np.zeros(1)
+    for _ in range(depth):
+        xs = [br.inverse(x) for br in sys.branches]
+        u = np.concatenate([np.log(np.abs(br.derivative(xi))) + u for br, xi in zip(sys.branches, xs)])
+        v = np.concatenate([sys.log_lam(xi) + v for xi in xs])
+        x = np.concatenate(xs)
+    return x, u, v
+
+
 class TestSampling:
     def test_midpoints_depth1(self, m1):
-        words, xs = wl.sample_repeller(m1, 1, "midpoints")
-        assert words.dtype == np.uint8
-        assert words.tolist() == [[0], [1]]
-        assert xs.tolist() == [0.25, 0.75]
+        assert _walk(m1, [0.5], 1).tolist() == [0.25, 0.75]
 
     def test_containment(self, systems):
         for sys in systems.values():
-            for words, xs in (wl.sample_repeller(sys, 2, "midpoints"),
-                              wl.sample_repeller(sys, 8, "random", seed=3)):
-                for word, x in zip(words, xs):
-                    lo, hi = wl.cylinder_of(sys, word)
-                    assert lo - 1e-12 <= x <= hi + 1e-12
+            for depth, x in ((2, [0.5]), (8, counter_uniforms(3, 0, 3))):
+                xs = _walk(sys, x, depth).reshape(-1, len(x))
+                lo, hi = cylinder_bounds_many(sys, enumerate_words(sys.ell, depth))
+                assert np.all((lo[:, None] - 1e-12 <= xs) & (xs <= hi[:, None] + 1e-12))
 
-    def test_seeded_determinism(self, m1):
-        words, a = wl.sample_repeller(m1, 3, "random", seed=7)
-        _, b = wl.sample_repeller(m1, 3, "random", seed=7)
-        assert np.array_equal(words, enumerate_words(2, 3))
-        assert np.array_equal(a, b)
-        _, c = wl.sample_repeller(m1, 3, "random", seed=8)
-        assert np.any(a != c)
+    def test_multi_start_order(self, m3, m5):
+        # index i * len(x) + j holds word i (lexicographic) at start value j
+        x = counter_uniforms(7, 0, 5)
+        words = enumerate_words(2, 3)
+        for sys in (m3, m5):
+            walked = _walk(sys, x, 3)
+            for i in range(len(words)):
+                for j in range(len(x)):
+                    assert walked[i * len(x) + j] == point_of_word(sys, words[i:i + 1], x[j])[0]
 
-    def test_budget(self, m1):
+    def test_budget(self, m1, monkeypatch):
+        monkeypatch.setenv("WTF_LAB_BUDGET", "100")
+        assert len(m1.tree(6)[0]) == 64
         with pytest.raises(BudgetExceeded):
-            wl.sample_repeller(m1, 10, "midpoints", budget=100)
+            m1.tree(7)
+        with pytest.raises(BudgetExceeded):
+            _check_budget(101)
 
     @pytest.mark.parametrize("depth", [1, 5, 9])
     def test_level_order_matches_point_of_word(self, systems, depth):
-        # tree and representatives invert level by level, point_of_word
-        # composes the enumerated digit matrix: the same bits on every model
-        for sys in systems.values():
+        # tree and _walk invert level by level, point_of_word composes the
+        # enumerated digit matrix: the same bits on every model, and tree's
+        # sums are the per-branch reference's
+        for name, sys in _walk_systems(systems).items():
             words = enumerate_words(sys.ell, depth)
-            assert np.array_equal(sys.tree(depth)[depth][0], point_of_word(sys, words, 0.5))
-            for t in (0.125, 0.5, 0.9):
-                assert np.array_equal(sys.representatives(depth, t), point_of_word(sys, words, t))
+            level = sys.tree(depth)
+            for got, ref in zip(level, _reference_tree(sys, depth)):
+                assert _same_bits(got, ref), name
+            assert _same_bits(level[0], point_of_word(sys, words, 0.5)), name
+            ts = np.array([0.125, 0.5, 0.9])
+            walked = _walk(sys, ts, depth)
+            for j, t in enumerate(ts):
+                assert _same_bits(walked[j::len(ts)], point_of_word(sys, words, t)), (name, t)
+
+
+def test_distortion_constants_match_three_pass_reference(systems):
+    # one pass over a (words, 3) matrix and np.ptp give the floats of three
+    # passes and the pairwise maximum
+    for name, sys in _walk_systems(systems).items():
+        words = enumerate_words(sys.ell, 8)
+        sums = []
+        for t in (0.15, 0.5, 0.85):
+            cur = point_of_word(sys, words, t)
+            u, v = np.zeros(len(words)), np.zeros(len(words))
+            for _ in range(8):
+                u += sys.log_abs_tau_prime(cur)
+                v += sys.log_lam(cur)
+                cur = sys.tau(cur)
+            sums.append((u, v))
+        du = dv = 0.0
+        for i in range(3):
+            for j in range(i + 1, 3):
+                du = max(du, float(np.max(np.abs(sums[i][0] - sums[j][0]))))
+                dv = max(dv, float(np.max(np.abs(sums[i][1] - sums[j][1]))))
+        got = sys.distortion_constants
+        assert (got[0].hex(), got[1].hex()) == (du.hex(), dv.hex()), name
 
 
 class TestBirkhoff:

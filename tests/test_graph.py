@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import wtf_lab as wl
 from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
-from wtf_lab.dynamics import point_of_word
+from wtf_lab.dynamics import _walk, point_of_word
 
 
 class TestEval:
@@ -105,7 +105,7 @@ class TestOscillation:
             m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
             for n in (1, 8, 20):
                 word = rng.integers(0, sys.ell, n).astype(np.uint8)
-                pts = sys.representatives(m, 0.5)
+                pts = _walk(sys, [0.5], m)
                 for d in word[::-1]:
                     pts = sys.branches[d].inverse(pts)
                 ys, _, _ = wl.eval_W_many(sys, pts, zeros, 1e-12)

@@ -43,9 +43,10 @@ class TestSampleGraph:
             lo, hi = wl.cylinder_of(m2, wl.code_of(m2, float(x), 10))
             assert lo - 1e-12 <= x <= hi + 1e-12
 
-    def test_budget(self, m1, zeros):
+    def test_budget(self, m1, zeros, monkeypatch):
+        monkeypatch.setenv("WTF_LAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded):
-            wl.sample_graph(m1, zeros, depth=10, per_cylinder=4, budget=1000)
+            wl.sample_graph(m1, zeros, depth=10, per_cylinder=4)
 
     def test_csv_roundtrip_bit_exact(self, m2, zeros, tmp_path):
         cloud = wl.sample_graph(m2, zeros, depth=6, per_cylinder=3, tol=1e-8)

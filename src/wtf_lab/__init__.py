@@ -49,7 +49,6 @@ from .thermo import (
     aq_family,
     bowen_root,
     gibbs_sample,
-    gibbs_weights,
     graph_dimension_prediction,
     jin_upper,
     lifted_dim_prediction,

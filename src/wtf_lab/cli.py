@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
-from .dynamics import _check_budget, enumerate_words, point_of_word
+from .dynamics import _check_budget, _words_at, point_of_word
 from .errors import (
     BadConfig,
     BudgetExceeded,
@@ -83,7 +83,9 @@ def _sample_from_config(config, seed):
     depth = require_int(config, "depth", low=1, high=40)
     per_cylinder = require_int(config, "per_cylinder", default=1, low=1)
     tol = require_number(config, "tol", default=1e-8, low=1e-15)
-    restricted = bool(config.get("restrict_to_repeller", False))
+    restricted = config.get("restrict_to_repeller", False)
+    if not isinstance(restricted, bool):  # bool("false") is True
+        raise BadConfig("'restrict_to_repeller' must be true or false")
     return sample_graph(sys, theta, depth, per_cylinder, tol, restricted)
 
 
@@ -143,8 +145,8 @@ def _cmd_holder(config, out_dir, seed, report):
         total = sys.ell**n
         _check_budget(total)
         rows = np.arange(0, total, max(1, total // count))[:count]
-        u = counter_uniforms(seed if seed is not None else 7, 0, total, stream=n)
-        points = point_of_word(sys, enumerate_words(sys.ell, n)[rows], u[rows])
+        u = counter_uniforms(seed if seed is not None else 7, rows, stream=n)
+        points = point_of_word(sys, _words_at(rows, sys.ell, n), u)
     # Errors: every point's Birkhoff walk first, then the depths in order.
     xs = np.asarray(points, dtype=float)
     bv = holder_birkhoff_many(sys, xs, depth)
@@ -229,6 +231,8 @@ def _cmd_lift(config, out_dir, seed, report):
 
 def _cmd_verify(config, out_dir, seed, report):
     criteria = require_list(config, "criteria", str)
+    if criteria == []:
+        raise BadConfig("'criteria' must not be empty")
     if criteria is not None:
         unknown = set(criteria) - set(CHECK_IDS)
         if unknown:

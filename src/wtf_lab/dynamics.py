@@ -39,13 +39,15 @@ from .errors import (
 
 DEFAULT_BUDGET = 2**24
 _ONTO_TOL = 1e-9
-_INVERT_TOL = 1e-12
+_INVERT_TOL = 1e-12  # Newton step below which an inverse-branch root is accepted
+_INVERT_MAX_ITER = 200
 _PROBES_PER_BRANCH = 10_001
 # Digits composed by point_of_word: deeper digits move the point by less than
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
 _DISTORTION_DEPTH = 8
 _BIRKHOFF_ROWS = 256  # digit rows gathered at once by birkhoff_sums_from_digits
+_MAX_BRANCHES = 255  # digits are uint8
 
 
 def cylinder_budget() -> int:
@@ -181,13 +183,13 @@ class SineFamilyBranch:
         return np.clip(x, self.lo, self.hi)
 
 
-def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200):
+def _invert_increasing(f, fprime, target, lo, hi):
     """Solve f(x) = target on [lo, hi] for increasing f, each element on its
     own: Newton from the chord guess, safeguarded by a bisection bracket.  An
     element stops at x - s once its step s = (f(x) - target) / f'(x) is below
-    ``tol``, so its root depends on its own target only, alone or in any
+    _INVERT_TOL, so its root depends on its own target only, alone or in any
     batch.  A target at or past f(lo) or f(hi) gives that end.
-    InversionFailed for a target that is not finite and when ``max_iter``
+    InversionFailed for a target that is not finite and when _INVERT_MAX_ITER
     steps leave an element unconverged."""
     target = np.asarray(target, dtype=float)
     if not np.isfinite(target).all():
@@ -201,7 +203,7 @@ def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200)
     b = np.full_like(t, hi)
     x = lo + (t - f_lo) * ((hi - lo) / (f_hi - f_lo))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_INVERT_MAX_ITER):
             if not live.size:
                 break
             fx = f(x) - t
@@ -210,7 +212,7 @@ def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200)
             np.copyto(b, x, where=~below)
             s = fx / fprime(x)
             x = x - s
-            done = np.abs(s) < tol  # converged steps skip the bracket test
+            done = np.abs(s) < _INVERT_TOL  # converged steps skip the bracket test
             if done.any():  # finished elements leave the working arrays
                 roots[live[done]] = x[done]
                 keep = ~done
@@ -220,7 +222,7 @@ def _invert_increasing(f, fprime, target, lo, hi, tol=_INVERT_TOL, max_iter=200)
                 np.copyto(x, 0.5 * (a + b), where=~inside)
     if live.size:
         raise InversionFailed(
-            f"inverse branch root-finding did not reach {tol:g} on [{lo}, {hi}]")
+            f"inverse branch root-finding did not reach {_INVERT_TOL:g} on [{lo}, {hi}]")
     return float(roots[0]) if target.ndim == 0 else roots.reshape(target.shape)
 
 
@@ -452,8 +454,8 @@ def _build_branches(spec) -> tuple:
         if family not in ("ell_adic", "doubling_plus_sine"):
             raise BadConfig(f"unknown branch family {family!r}")
         ell = _integer(spec["ell"], "ell")
-        if ell < 2:
-            raise BadConfig(f"{family} needs ell >= 2")
+        if not 2 <= ell <= _MAX_BRANCHES:
+            raise BadConfig(f"{family} needs 2 <= ell <= {_MAX_BRANCHES}")
         if family == "ell_adic":
             return tuple(
                 AffineBranch(i, i / ell, (i + 1) / ell, float(ell), -float(i))
@@ -469,6 +471,8 @@ def _build_branches(spec) -> tuple:
             SineFamilyBranch(i, cuts[i], cuts[i + 1], ell, eps) for i in range(ell)
         )
 
+    if len(spec) > _MAX_BRANCHES:
+        raise BadConfig(f"an explicit branch list holds at most {_MAX_BRANCHES} branches")
     branches = []
     for i, b in enumerate(spec):
         if b.get("kind", "affine") != "affine":
@@ -687,14 +691,20 @@ def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndar
     return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
 
 
-def enumerate_words(ell: int, depth: int) -> np.ndarray:
-    """(ell^depth, depth) digit matrix in lexicographic order."""
-    idx = np.arange(ell**depth)
+def _words_at(idx, ell: int, depth: int) -> np.ndarray:
+    """(len(idx), depth) digit matrix of the depth-n words with lexicographic
+    indices idx: the base-ell digits of each index, most significant first."""
+    idx = np.array(idx, dtype=np.int64)
     out = np.empty((len(idx), depth), dtype=np.uint8)
     for col in range(depth - 1, -1, -1):
         out[:, col] = idx % ell
         idx //= ell
     return out
+
+
+def enumerate_words(ell: int, depth: int) -> np.ndarray:
+    """(ell^depth, depth) digit matrix in lexicographic order."""
+    return _words_at(np.arange(ell**depth), ell, depth)
 
 
 BIRKHOFF_FIELDS = ("log_abs_tau_prime", "log_lambda")

@@ -28,7 +28,13 @@ from .dynamics import (
 from .errors import Inconclusive, InvalidTolerance
 from .theta import ThetaSequence
 
-_WORDS_PER_DEPTH = 8  # sampled cylinders per depth in detect_degenerate
+# detect_degenerate: its depths, sampled cylinders per depth, probes per
+# cylinder, series tolerance and word seed
+_DEGENERACY_DEPTHS = range(2, 13)
+_WORDS_PER_DEPTH = 8
+_DEGENERACY_PROBES = 128
+_DEGENERACY_TOL = 1e-12
+_DEGENERACY_SEED = 2024
 _EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
@@ -137,20 +143,16 @@ class DegeneracyVerdict:
         return "degenerate" if self.degenerate else "non_degenerate"
 
 
-def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
-                      depth_range=range(2, 13), probes: int = 128,
-                      tol: float = 1e-12, seed: int = 2024) -> DegeneracyVerdict:
-    """Finite-range Lipschitz test.
+def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> DegeneracyVerdict:
+    """Finite-range Lipschitz test over the depths 2..12.
 
     Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
     over sampled depth-n cylinders.  Degenerate verdict: r_n decays
     exponentially while the Lipschitz ratio stays flat; non-degenerate:
     r_n stays bounded away from 0.  Mixed signals raise Inconclusive.
     """
-    depths = sorted(depth_range)
-    if not depths:
-        raise ValueError("depth_range must be nonempty")
-    rng = np.random.default_rng(seed)
+    depths = list(_DEGENERACY_DEPTHS)
+    rng = np.random.default_rng(_DEGENERACY_SEED)
     ratios, lips = [], []
     for n in depths:
         if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
@@ -160,7 +162,7 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
         lo, hi = cylinder_bounds_many(sys, words)
         r_best, lip_best = 0.0, 0.0
         for j in range(words.shape[0]):
-            osc = oscillation_over(sys, words[j], theta, probes=probes, tol=tol)
+            osc = oscillation_over(sys, words[j], theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
             lam_n = math.exp(_log_lambda_word(sys, words[j], lo[j], hi[j]))
             r_best = max(r_best, osc / lam_n)
             lip_best = max(lip_best, osc / (hi[j] - lo[j]))
@@ -169,7 +171,7 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence,
 
     r = np.array(ratios)
     lip = np.array(lips)
-    if np.all(r < 10.0 * tol):
+    if np.all(r < 10.0 * _DEGENERACY_TOL):
         return DegeneracyVerdict(True, None, tuple(ratios), tuple(lips))
 
     ns = np.array(depths, dtype=float)

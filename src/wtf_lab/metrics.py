@@ -32,6 +32,8 @@ from .thermo import A_of_q, PotentialSpec, sample_words
 
 _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
+_R2_MIN = 0.95  # least r^2 of an accepted box-count or correlation fit
+_MAX_PAIRS = 10**6  # point pairs sampled by correlation_dimension
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ def _fit_loglog(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, flo
     return slope, stderr, r2
 
 
-def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
-                  r2_threshold: float = 0.95) -> BoxCountResult:
+def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
     """Least-squares slope of log N_r against -log r for an axis-aligned grid
     anchored at (0, min y).
 
@@ -192,8 +193,8 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2),
     slope, stderr, r2 = _fit_loglog(log_inv_r, log_n)
     result = BoxCountResult(tuple(scales), tuple(counts), slope, stderr, r2,
                             window, tuple(warnings))
-    if r2 < r2_threshold:
-        raise DegenerateFit(f"box-count fit r^2 = {r2:.4f} < {r2_threshold}", result)
+    if r2 < _R2_MIN:
+        raise DegenerateFit(f"box-count fit r^2 = {r2:.4f} < {_R2_MIN}", result)
     return result
 
 
@@ -291,10 +292,10 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
 
 
 def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
-                       birkhoff_depth: int, seed: int,
-                       fd_step: float = 1e-3) -> list[tuple[float, float, float]]:
+                       birkhoff_depth: int, seed: int) -> list[tuple[float, float, float]]:
     """For each q: draw a Gibbs sample for the spectrum potential and average
     the symbolic exponent over it; paired with the predicted alpha(q)."""
+    step = 1e-3  # finite-difference step of the predicted alpha(q)
     out = []
     for j, q in enumerate(q_grid):
         a_q = A_of_q(sys, float(q))
@@ -302,9 +303,9 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
         digits = sample_words(sys, pot, birkhoff_depth, samples_per_q, seed + j)
         u, v = birkhoff_sums_from_digits(sys, digits)
         alpha_hat = float(np.mean(-v / u))
-        a_plus = A_of_q(sys, float(q) + fd_step)
-        a_minus = A_of_q(sys, float(q) - fd_step)
-        alpha_pred = -(a_plus - a_minus) / (2.0 * fd_step)
+        a_plus = A_of_q(sys, float(q) + step)
+        a_minus = A_of_q(sys, float(q) - step)
+        alpha_pred = -(a_plus - a_minus) / (2.0 * step)
         out.append((float(q), alpha_hat, alpha_pred))
     return out
 
@@ -313,13 +314,13 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
 # pair probes
 # ---------------------------------------------------------------------------
 
-def _pair_distances(cloud: GraphCloud, max_pairs: int, seed: int) -> np.ndarray:
+def _pair_distances(cloud: GraphCloud, seed: int) -> np.ndarray:
     n = len(cloud)
     if n < 2:
         raise ValueError("need at least 2 points")
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=max_pairs)
-    j = rng.integers(0, n - 1, size=max_pairs)
+    i = rng.integers(0, n, size=_MAX_PAIRS)
+    j = rng.integers(0, n - 1, size=_MAX_PAIRS)
     j = np.where(j >= i, j + 1, j)  # uniform over j != i
     dx = torus_distance(cloud.x[i], cloud.x[j])
     dy = cloud.y[i] - cloud.y[j]
@@ -336,8 +337,7 @@ class CorrelationResult:
     warnings: tuple[str, ...] = ()
 
 
-def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
-                          seed: int = 0, r2_threshold: float = 0.95) -> CorrelationResult:
+def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> CorrelationResult:
     """Pair-correlation slope: fit log C(r) against log r over the radii
     ladder, C(r) the fraction of sampled pairs within distance r (planar
     distance with a torus first coordinate)."""
@@ -346,7 +346,7 @@ def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
         raise ValueError("need at least 5 radii")
     if len(cloud) < 10**3:
         raise ValueError("need at least 1000 points")
-    d = _pair_distances(cloud, max_pairs, seed)
+    d = _pair_distances(cloud, seed)
     corr = np.array([(d <= r).mean() for r in radii])
     warnings = []
     keep = corr > 0
@@ -359,6 +359,6 @@ def correlation_dimension(cloud: GraphCloud, radii, max_pairs: int = 10**6,
     slope, stderr, r2 = _fit_loglog(np.log(np.array(radii)[keep]), np.log(corr[keep]))
     result = CorrelationResult(slope, stderr, r2, tuple(radii), tuple(corr),
                                tuple(warnings))
-    if r2 < r2_threshold:
-        raise DegenerateFit(f"correlation fit r^2 = {r2:.4f} < {r2_threshold}", result)
+    if r2 < _R2_MIN:
+        raise DegenerateFit(f"correlation fit r^2 = {r2:.4f} < {_R2_MIN}", result)
     return result

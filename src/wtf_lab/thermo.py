@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    CookieCutterSystem,
-    enumerate_words,
-    point_of_word,
-)
+from .dynamics import CookieCutterSystem, point_of_word
 from .errors import (
     NoSignChange,
     NotBranchConstant,
@@ -90,7 +86,6 @@ def aq_family(q: float):
 @dataclass(frozen=True)
 class PressureEstimate:
     value: float
-    depth: int
     error_bound: float
     exact: bool
 
@@ -129,7 +124,7 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_D
         raise ValueError("depth must be >= 1")
     if _is_exact(sys, pot):
         phi = _branch_phi(sys, pot)
-        return PressureEstimate(float(_logsumexp(phi)), depth, 0.0, True)
+        return PressureEstimate(float(_logsumexp(phi)), 0.0, True)
 
     p_n = _cylinder_pressure(sys, pot, depth)
     if depth >= 5:
@@ -144,13 +139,13 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_D
         value = p_n
     du, dv = sys.distortion_constants
     d_pot = abs(pot.a) * du + abs(pot.b) * dv
-    return PressureEstimate(float(value), depth, d_pot / depth, False)
+    return PressureEstimate(float(value), d_pot / depth, False)
 
 
-def _expand_bracket(f, lo: float, hi: float, max_expand: int = 60) -> tuple[float, float, float, float]:
+def _expand_bracket(f, lo: float, hi: float) -> tuple[float, float, float, float]:
     f_lo, f_hi = f(lo), f(hi)
     width = hi - lo
-    for _ in range(max_expand):
+    for _ in range(60):
         if f_lo * f_hi <= 0:
             return lo, hi, f_lo, f_hi
         width *= 2.0
@@ -163,20 +158,18 @@ def _expand_bracket(f, lo: float, hi: float, max_expand: int = 60) -> tuple[floa
     raise NoSignChange(f"no sign change found in [{lo}, {hi}]")
 
 
-def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] | None = None,
-               tol: float | None = None, depth: int = DEFAULT_DEPTH) -> float:
-    """Unique zero of s -> pressure(family(s)).
+def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] | None = None) -> float:
+    """Unique zero of s -> pressure(family(s)), with a residual within 1e-8
+    (exact pressure) or 1e-4 (cylinder sums).
 
     The families used here are strictly decreasing in s (their s-derivative
     is minus an integral of log|tau'| or of -log lambda against an invariant
     measure), which guarantees uniqueness once a sign change is bracketed.
     """
     def f(s: float) -> float:
-        return pressure(sys, family(float(s)), depth).value
+        return pressure(sys, family(float(s))).value
 
-    exact = _is_exact(sys, family(0.0))
-    if tol is None:
-        tol = 1e-8 if exact else 1e-4
+    tol = 1e-8 if _is_exact(sys, family(0.0)) else 1e-4
 
     if bracket is None:
         lo, hi, f_lo, f_hi = _expand_bracket(f, -4.0, 4.0)
@@ -205,29 +198,28 @@ class DimensionPrediction:
     min_is: str  # "s1" | "s2"
 
 
-def graph_dimension_prediction(sys: CookieCutterSystem, depth: int = DEFAULT_DEPTH) -> DimensionPrediction:
+def graph_dimension_prediction(sys: CookieCutterSystem) -> DimensionPrediction:
     """Box dimension s1 and Hausdorff cap min(s1, s2) for the graph over the
     repeller (equality holds a.s. for the iid-randomised function)."""
-    s1 = bowen_root(sys, s1_family, bracket=(0.0, 2.0), depth=depth)
-    s2 = bowen_root(sys, s2_family, depth=depth)
+    s1 = bowen_root(sys, s1_family, bracket=(0.0, 2.0))
+    s2 = bowen_root(sys, s2_family)
     return DimensionPrediction(
         s1=s1, s2=s2, box_dim=s1, hausdorff_upper=min(s1, s2),
         min_is="s1" if s1 <= s2 else "s2",
     )
 
 
-def A_of_q(sys: CookieCutterSystem, q: float, tol: float | None = None,
-           depth: int = DEFAULT_DEPTH) -> float:
+def A_of_q(sys: CookieCutterSystem, q: float) -> float:
     """Root A of pressure(-A log|tau'| + q log lambda) = 0, for |q| <= Q_MAX."""
     if abs(q) > Q_MAX:
         raise ValueError(f"|q| exceeds the configured maximum {Q_MAX}")
 
     def f(a: float) -> float:
-        return pressure(sys, aq_family(q)(a), depth).value
+        return pressure(sys, aq_family(q)(a)).value
 
     span = 2.0 + 2.0 * abs(q)
     lo, hi, _, _ = _expand_bracket(f, -span, span)
-    return bowen_root(sys, aq_family(q), bracket=(lo, hi), tol=tol, depth=depth)
+    return bowen_root(sys, aq_family(q), bracket=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +248,7 @@ class SpectrumCurve:
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 
-def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
-             depth: int = DEFAULT_DEPTH) -> SpectrumCurve:
+def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3) -> SpectrumCurve:
     """Sample the spectrum on a q grid.
 
     alpha(q) = -(A_{q+h} - A_{q-h}) / 2h with a Richardson consistency check
@@ -274,7 +265,7 @@ def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
 
     def A(qv: float) -> float:
         if qv not in cache:
-            cache[qv] = A_of_q(sys, qv, depth=depth)
+            cache[qv] = A_of_q(sys, qv)
         return cache[qv]
 
     warnings: list[str] = []
@@ -310,7 +301,7 @@ def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
         # pressure((q alpha_c - A_0) log|tau'| + q log lambda) = 0
         a0 = A(0.0)
         for q in (-1.0, 1.0):
-            p = pressure(sys, PotentialSpec(q * alpha_c - a0, q), depth).value
+            p = pressure(sys, PotentialSpec(q * alpha_c - a0, q)).value
             if abs(p) > 1e-6:
                 warnings.append(
                     f"degenerate flag set but cohomology diagnostic at q={q:+.0f} "
@@ -333,24 +324,13 @@ def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3,
 _GIBBS_PRESSURE_TOL = 1e-6
 
 
-def _require_normalised(sys: CookieCutterSystem, pot: PotentialSpec, depth: int) -> None:
-    p = pressure(sys, pot, depth).value
+def _require_normalised(sys: CookieCutterSystem, pot: PotentialSpec) -> None:
+    """NotNormalised unless the pressure at DEFAULT_DEPTH, the depth at which
+    A_of_q and measure_stats solve, is zero."""
+    p = pressure(sys, pot).value
     if not abs(p) <= _GIBBS_PRESSURE_TOL:  # a NaN pressure is not normalised
         raise NotNormalised(
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
-
-
-def gibbs_weights(sys: CookieCutterSystem, pot: PotentialSpec,
-                  depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cylinder weights of the Gibbs measure for a zero-pressure potential:
-    the (ell^n, n) digit matrix of all words in lexicographic order and the
-    weight of each, proportional to exp(S_n phi) at the representative.
-    Exact Bernoulli product weights in the branch-constant case."""
-    _require_normalised(sys, pot, depth)
-    _, u, v = sys.tree(depth)
-    s = pot.a * u + pot.b * v + pot.c * depth
-    w = np.exp(s - _logsumexp(s))
-    return enumerate_words(sys.ell, depth), w
 
 
 def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
@@ -412,7 +392,7 @@ def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
                  seed: int) -> list[tuple[np.ndarray, float]]:
     """iid draws (word, representative) from the Gibbs measure, each word a
     uint8 digit row; reproducible per seed."""
-    _require_normalised(sys, pot, min(depth, DEFAULT_DEPTH))
+    _require_normalised(sys, pot)
     digits = sample_words(sys, pot, depth, count, seed)
     xs = point_of_word(sys, digits, 0.5)
     return list(zip(digits, xs.tolist()))
@@ -427,11 +407,12 @@ class MeasureStats:
     alpha: float
 
 
-def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec, depth: int = DEFAULT_DEPTH) -> MeasureStats:
+def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec) -> MeasureStats:
     """Entropy, Lyapunov exponent and lambda-average of the Gibbs measure,
-    from depth-n cylinder weights (exact per-digit quantities for Bernoulli
-    products); dim = h/chi and alpha = -mean(log lambda)/chi."""
-    _require_normalised(sys, pot, depth)
+    from the DEFAULT_DEPTH cylinder weights (exact per-digit quantities for
+    Bernoulli products); dim = h/chi and alpha = -mean(log lambda)/chi."""
+    depth = DEFAULT_DEPTH
+    _require_normalised(sys, pot)
     _, u, v = sys.tree(depth)
     s = pot.a * u + pot.b * v
     log_w = s - _logsumexp(s)

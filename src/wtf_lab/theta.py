@@ -26,14 +26,14 @@ def _splitmix64(v: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def counter_uniforms(seed: int, start: int, count: int, stream: int = 0) -> np.ndarray:
-    """Uniform [0,1) doubles at counter positions start..start+count-1.
+def counter_uniforms(seed: int, positions, stream: int = 0) -> np.ndarray:
+    """Uniform [0,1) doubles at the given non-negative counter positions.
 
     Distinct (seed, stream) pairs give independent deterministic streams.
     """
     with np.errstate(over="ignore"):
         base = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (np.uint64(stream) * _MIX2))
-        idx = np.arange(start, start + count, dtype=np.uint64)
+        idx = np.asarray(positions, dtype=np.uint64)
         z = _splitmix64(base + idx * _GOLDEN)
     return (z >> np.uint64(11)).astype(np.float64) * _UNIT
 
@@ -65,13 +65,14 @@ class ThetaSequence:
             raise IndexError("theta index must be >= 0")
         if self.mode == "zeros":
             return 0.0
-        return float(counter_uniforms(self.seed, self.offset + n, 1)[0])
+        return float(counter_uniforms(self.seed, [self.offset + n])[0])
 
     def block(self, start: int, count: int) -> np.ndarray:
         """theta[start .. start+count-1] as an array."""
         if self.mode == "zeros":
             return np.zeros(count)
-        return counter_uniforms(self.seed, self.offset + start, count)
+        first = self.offset + start
+        return counter_uniforms(self.seed, np.arange(first, first + count, dtype=np.uint64))
 
     def shift(self, k: int) -> "ThetaSequence":
         """Drop the first k entries: shift(k)[n] == self[n+k]."""

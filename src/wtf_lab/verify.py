@@ -446,12 +446,13 @@ CHECKS = [
 CHECK_IDS = [cid for cid, _, _ in CHECKS]
 
 
-def run_battery(criteria=None, ctx: BatteryContext | None = None) -> list[CheckResult]:
-    ctx = ctx or BatteryContext()
-    wanted = set(criteria) if criteria else None
+def run_battery(criteria=None) -> list[CheckResult]:
+    """Run the criteria named in ``criteria`` (all ten when it is None) in
+    battery order, sharing one BatteryContext."""
+    ctx = BatteryContext()
     results = []
     for cid, title, fn in CHECKS:
-        if wanted is not None and cid not in wanted:
+        if criteria is not None and cid not in criteria:
             continue
         t0 = time.perf_counter()
         try:

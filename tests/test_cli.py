@@ -12,7 +12,7 @@ import pytest
 import wtf_lab as wl
 from wtf_lab import ThetaSequence
 from wtf_lab.cli import main
-from wtf_lab.dynamics import _compose, enumerate_words
+from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
 from wtf_lab.report import write_csv
 from wtf_lab.theta import counter_uniforms
 
@@ -180,6 +180,14 @@ class TestSpectrumGibbsLiftHolder:
         assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 3
         assert read_report(out)["error"]["type"] == "NotNormalised"
 
+    def test_gibbs_m5_below_default_depth(self, tmp_path):
+        # the normalisation gate uses the depth at which A_of_q solved, not
+        # the sample depth, where the M5 pressure would read -3.2e-4
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M5", "q": 1.0, "depth": 8, "count": 100})
+        out = tmp_path / "out"
+        assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "gibbs.csv").read_text().splitlines()) == 101
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model": "M1", "q": 0.0, "depth": 10, "count": 50, "seed": 4,
@@ -229,7 +237,7 @@ def _holder_per_point(sys, path):
     the first error raised, or None.  The points are composed for every
     depth-12 word at its seeded uniform, then every (ell^12 // 6)-th is kept."""
     words = enumerate_words(sys.ell, 12)
-    xs = _compose(sys, words, counter_uniforms(7, 0, len(words), stream=12))
+    xs = _compose(sys, words, counter_uniforms(7, np.arange(len(words)), stream=12))
     rows = []
     for x in xs[::max(1, len(xs) // 6)][:6].tolist():
         try:
@@ -239,6 +247,25 @@ def _holder_per_point(sys, path):
             return exc
     write_csv(path, ("x", "birkhoff", "oscillation"), rows)
     return None
+
+
+@pytest.mark.parametrize("model", ["M1", "M5"])
+def test_holder_default_points_match_full_enumeration(tmp_path, systems, model):
+    # the kept rows' digits and uniforms, computed alone, give the points of
+    # composing every depth-n word at its uniform and keeping every step-th
+    sys_ = systems[model]
+    for n, count in ((16, 7), (2, 10)):
+        cfg = write_config(tmp_path, "cfg.json", {
+            "model": model, "point_depth": n, "point_count": count, "birkhoff_depth": 4,
+            "osc_depth_min": 2, "osc_depth_max": 4, "probes": 8})
+        out = tmp_path / f"out{n}"
+        assert main(["holder", "--config", cfg, "--out", str(out), "--seed", "11"]) == 0
+        xs = [float(line.split(",")[0]) for line in (out / "holder.csv").read_text().splitlines()[1:]]
+        total = sys_.ell**n
+        rows = np.arange(0, total, max(1, total // count))[:count]
+        u = counter_uniforms(11, np.arange(total), stream=n)
+        ref = point_of_word(sys_, enumerate_words(sys_.ell, n)[rows], u[rows])
+        assert xs == ref.tolist()
 
 
 @pytest.mark.parametrize("model", ["M1", "M5", "M2"])
@@ -283,6 +310,17 @@ MALFORMED = {
     "holder-points": ("holder", {"points": 5}),
     "holder-points_empty": ("holder", {"points": []}),
     "verify-criteria": ("verify", {"criteria": 5}),
+    "verify-criteria_empty": ("verify", {"criteria": []}),
+    "sample-restrict_text": ("sample", {"restrict_to_repeller": "false"}),
+    "sample-restrict_number": ("sample", {"restrict_to_repeller": 1}),
+    "validate-ell_300": ("validate", {"model": {"branches": {"family": "ell_adic", "ell": 300}, "lambda": 0.7}}),
+    "validate-ell_million": (
+        "validate", {"model": {"branches": {"family": "ell_adic", "ell": 10**6}, "lambda": 0.7}}),
+    "validate-sine_ell_300": (
+        "validate", {"model": {"branches": {"family": "doubling_plus_sine", "ell": 300}, "lambda": 0.7}}),
+    "validate-branch_list_256": (
+        "validate", {"model": {"branches": [{"domain": [i / 256, (i + 1) / 256]} for i in range(256)],
+                               "lambda": 0.7}}),
     "validate-ell_adic_without_ell": (
         "validate", {"model": {"branches": {"family": "ell_adic"}, "lambda": 0.7}}),
     "validate-branch_domain_not_a_list": (

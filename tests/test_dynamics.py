@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wtf_lab as wl
+from wtf_lab import dynamics
 from wtf_lab import (
     BudgetExceeded,
     HyperbolicityViolated,
@@ -251,12 +252,14 @@ class TestNewtonInverse:
         with pytest.raises(InversionFailed):
             point_of_word(m5, np.array([[0, 1, 1]], dtype=np.uint8), np.nan)
 
-    def test_max_iter_exhausted(self, m5):
+    def test_max_iter_exhausted(self, m5, monkeypatch):
         br = m5.branches[0]
         t = np.array([0.2, 0.7])
-        for kwargs in ({"max_iter": 1}, {"tol": 0.0}):
-            with pytest.raises(InversionFailed):
-                _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, **kwargs)
+        for name, value in (("_INVERT_MAX_ITER", 1), ("_INVERT_TOL", 0.0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, name, value)
+                with pytest.raises(InversionFailed):
+                    _invert_increasing(br._f, br.derivative, t, br.lo, br.hi)
 
 
 class TestOrbitWalk:
@@ -411,14 +414,14 @@ class TestSampling:
 
     def test_containment(self, systems):
         for sys in systems.values():
-            for depth, x in ((2, [0.5]), (8, counter_uniforms(3, 0, 3))):
+            for depth, x in ((2, [0.5]), (8, counter_uniforms(3, range(3)))):
                 xs = _walk(sys, x, depth).reshape(-1, len(x))
                 lo, hi = cylinder_bounds_many(sys, enumerate_words(sys.ell, depth))
                 assert np.all((lo[:, None] - 1e-12 <= xs) & (xs <= hi[:, None] + 1e-12))
 
     def test_multi_start_order(self, m3, m5):
         # index i * len(x) + j holds word i (lexicographic) at start value j
-        x = counter_uniforms(7, 0, 5)
+        x = counter_uniforms(7, range(5))
         words = enumerate_words(2, 3)
         for sys in (m3, m5):
             walked = _walk(sys, x, 3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wtf_lab as wl
+from wtf_lab import metrics
 from wtf_lab import (
     BudgetExceeded,
     CloudProvenance,
@@ -89,10 +90,10 @@ class TestBoxDimension:
         with pytest.raises(ValueError):
             wl.box_dimension(line_cloud, [0.5, 0.25, 0.125, 0.0625, 0.03125])
 
-    def test_degenerate_fit_carries_result(self, line_cloud):
+    def test_degenerate_fit_carries_result(self, line_cloud, monkeypatch):
+        monkeypatch.setattr(metrics, "_R2_MIN", 1.0 + 1e-9)
         with pytest.raises(DegenerateFit) as err:
-            wl.box_dimension(line_cloud, [2.0**-k for k in range(4, 15)],
-                             r2_threshold=1.0 + 1e-9)
+            wl.box_dimension(line_cloud, [2.0**-k for k in range(4, 15)])
         assert err.value.result is not None
         assert err.value.result.slope == pytest.approx(1.0, abs=0.02)
 

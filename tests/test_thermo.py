@@ -175,29 +175,14 @@ class TestSpectrum:
 
 
 class TestGibbs:
-    def test_m3_depth1_weights(self, m3):
-        a0 = wl.A_of_q(m3, 0.0)
-        words, weights = wl.gibbs_weights(m3, PotentialSpec(-a0, 0.0), 1)
-        assert words.tolist() == [[0], [1]]
-        assert weights[0] == pytest.approx(0.3**M3_A0, abs=1e-6)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_m1_s1_weights_symmetric(self, m1):
+        # equal branch weights: the entropy of the fair coin
         s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
-        _, weights = wl.gibbs_weights(m1, s1_family(s1), 1)
-        assert weights == pytest.approx([0.5, 0.5], abs=1e-9)
-
-    def test_depth2_product_structure(self, m3):
-        a0 = wl.A_of_q(m3, 0.0)
-        pot = PotentialSpec(-a0, 0.0)
-        _, w1 = wl.gibbs_weights(m3, pot, 1)
-        words, w2 = wl.gibbs_weights(m3, pot, 2)
-        for (i, j), p in zip(words.tolist(), w2):
-            assert p == pytest.approx(w1[i] * w1[j], abs=1e-12)
+        assert wl.measure_stats(m1, s1_family(s1)).entropy == pytest.approx(math.log(2), abs=1e-12)
 
     def test_not_normalised(self, m1):
         with pytest.raises(NotNormalised):
-            wl.gibbs_weights(m1, PotentialSpec(0.0, 0.0), 2)
+            wl.measure_stats(m1, PotentialSpec(0.0, 0.0))
 
     def test_sampling_frequency_and_determinism(self, m3):
         a0 = wl.A_of_q(m3, 0.0)

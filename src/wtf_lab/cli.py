@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +52,14 @@ EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
 
+def _output_path(config, out_dir, key, default):
+    """out_dir / config[key]; BadConfig unless a plain file name, so it stays in out_dir."""
+    name = str(config.get(key, default))
+    if name in ("", ".", "..", "report.json") or Path(name).name != name:
+        raise BadConfig(f"{key!r} must be a plain file name other than report.json")
+    return out_dir / name
+
+
 def _cmd_validate(config, out_dir, seed, report):
     sys = parse_model(config)
     report.outputs = {
@@ -90,8 +99,8 @@ def _sample_from_config(config, seed):
 
 
 def _cmd_sample(config, out_dir, seed, report):
+    out = _output_path(config, out_dir, "cloud_csv", "cloud.csv")
     cloud = _sample_from_config(config, seed)
-    out = out_dir / str(config.get("cloud_csv", "cloud.csv"))
     write_cloud_csv(cloud, out)
     report.outputs = {
         "points": len(cloud),
@@ -129,6 +138,7 @@ def _cmd_boxdim(config, out_dir, seed, report):
 
 
 def _cmd_holder(config, out_dir, seed, report):
+    out = _output_path(config, out_dir, "holder_csv", "holder.csv")
     sys = parse_model(config)
     theta = parse_theta(config, seed)
     depth = require_int(config, "birkhoff_depth", default=30, low=1)
@@ -152,7 +162,6 @@ def _cmd_holder(config, out_dir, seed, report):
     bv = holder_birkhoff_many(sys, xs, depth)
     ov = holder_oscillation_many(sys, xs, theta, range(lo, hi + 1), probes, tol)
     rows = list(zip(xs.tolist(), bv.tolist(), ov.tolist()))
-    out = out_dir / str(config.get("holder_csv", "holder.csv"))
     write_csv(out, ("x", "birkhoff", "oscillation"), rows)
     report.outputs = {
         "holder_csv": out.name,
@@ -163,6 +172,7 @@ def _cmd_holder(config, out_dir, seed, report):
 
 
 def _cmd_spectrum(config, out_dir, seed, report):
+    out = _output_path(config, out_dir, "spectrum_csv", "spectrum.csv")
     sys = parse_model(config)
     grid = require_list(config, "q_grid")
     if grid is None:
@@ -172,7 +182,6 @@ def _cmd_spectrum(config, out_dir, seed, report):
         grid = list(np.linspace(q_min, q_max, steps))
     fd_step = require_number(config, "fd_step", default=1e-3, low=1e-8)
     curve = spectrum(sys, grid, fd_step)
-    out = out_dir / str(config.get("spectrum_csv", "spectrum.csv"))
     write_csv(out, ("q", "A_q", "alpha", "D"), curve.samples)
     report.outputs = {
         "spectrum_csv": out.name,
@@ -195,13 +204,13 @@ def _pot_from_config(sys, config) -> PotentialSpec:
 
 
 def _cmd_gibbs(config, out_dir, seed, report):
+    out = _output_path(config, out_dir, "sample_csv", "gibbs.csv")
     sys = parse_model(config)
     pot = _pot_from_config(sys, config)
     depth = require_int(config, "depth", default=50, low=1)
     count = require_int(config, "count", default=10000, low=1)
     sample_seed = seed if seed is not None else require_int(config, "seed", default=1)
     sample = gibbs_sample(sys, pot, depth, count, sample_seed)
-    out = out_dir / str(config.get("sample_csv", "gibbs.csv"))
     write_csv(out, ("word", "x"), (("".join(map(str, word.tolist())), x) for word, x in sample))
     stats = measure_stats(sys, pot)
     report.outputs = {
@@ -216,6 +225,7 @@ def _cmd_gibbs(config, out_dir, seed, report):
 
 
 def _cmd_lift(config, out_dir, seed, report):
+    out = _output_path(config, out_dir, "lift_csv", "lift.csv")
     sys = parse_model(config)
     grid = require_list(config, "q_grid", default=[-2.0, -1.0, 0.0, 1.0, 2.0])
     rows = []
@@ -224,7 +234,6 @@ def _cmd_lift(config, out_dir, seed, report):
         stats = measure_stats(sys, PotentialSpec(-a_q, float(q)))
         rows.append((float(q), stats.dim, stats.alpha,
                      lifted_dim_prediction(stats), jin_upper(stats.dim, stats.alpha)))
-    out = out_dir / str(config.get("lift_csv", "lift.csv"))
     write_csv(out, ("q", "dim", "alpha", "lifted_dim", "jin_upper"), rows)
     report.outputs = {"lift_csv": out.name, "rows": len(rows)}
 
@@ -279,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from pathlib import Path
-
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     report = RunReport(command=args.command, config={}, version=__version__)
     t0 = time.perf_counter()

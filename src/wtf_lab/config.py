@@ -14,10 +14,10 @@ from .theta import ThetaSequence
 
 def load_config(path) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise BadConfig(f"config file {p} does not exist")
     try:
-        config = json.loads(p.read_text())
+        config = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise BadConfig(f"cannot read config file {p}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BadConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

@@ -99,18 +99,6 @@ class TrigPoly:
                 out = out + b * np.sin(w)
         return out
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, a, b in self.harmonics:
-            w = 2.0 * math.pi * k * x
-            c = 2.0 * math.pi * k
-            if a:
-                out = out - a * c * np.sin(w)
-            if b:
-                out = out + b * c * np.cos(w)
-        return out
-
     @property
     def sup_bound(self) -> float:
         return abs(self.c0) + sum(abs(a) + abs(b) for _, a, b in self.harmonics)
@@ -340,18 +328,14 @@ class CookieCutterSystem:
                 np.copyto(out, br.forward(x), where=idx == i)
         return out - np.floor(out)  # np.mod(out, 1.0) bit for bit on finite out
 
-    def tau_prime(self, x):
+    def log_abs_tau_prime(self, x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, np.nan)
-        idx = self.nearest_branch(x)
+        idx = self.nearest_branch(x).reshape(x.shape)  # 0-d for a scalar x
         for i, br in enumerate(self.branches):
             m = idx == i
-            if np.any(m):
-                out[m] = br.derivative(x[m])
-        return out
-
-    def log_abs_tau_prime(self, x):
-        return np.log(np.abs(self.tau_prime(x)))
+            out[m] = br.derivative(x[m])
+        return np.log(np.abs(out))
 
     def lam_at(self, x):
         x = np.asarray(x, dtype=float)

@@ -158,9 +158,47 @@ def _expand_bracket(f, lo: float, hi: float) -> tuple[float, float, float, float
     raise NoSignChange(f"no sign change found in [{lo}, {hi}]")
 
 
-def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] | None = None) -> float:
-    """Unique zero of s -> pressure(family(s)), with a residual within 1e-8
-    (exact pressure) or 1e-4 (cylinder sums).
+def _brent(f, a: float, b: float, f_a: float, f_b: float) -> tuple[float, float]:
+    """(root, f(root)) for f(a), f(b) of opposite signs: scipy 1.17's C brentq
+    line for line (xtol 1e-13, rtol 8.9e-16, the same float operations in the
+    same order, so the same bits); TooFlat when 200 steps do not converge."""
+    xpre, xcur, fpre, fcur = a, b, f_a, f_b
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0 or fcur == 0:
+        return (xpre, fpre) if fpre == 0 else (xcur, fcur)
+    for _ in range(200):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-13 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise TooFlat("Brent's method did not converge in 200 steps")
+
+
+def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] = (-4.0, 4.0)) -> float:
+    """Unique zero of s -> pressure(family(s)), bracketed by widening the
+    start bracket, with a residual within 1e-8 (exact) or 1e-4 (cylinder sums).
 
     The families used here are strictly decreasing in s (their s-derivative
     is minus an integral of log|tau'| or of -log lambda against an invariant
@@ -170,22 +208,12 @@ def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] | N
         return pressure(sys, family(float(s))).value
 
     tol = 1e-8 if _is_exact(sys, family(0.0)) else 1e-4
-
-    if bracket is None:
-        lo, hi, f_lo, f_hi = _expand_bracket(f, -4.0, 4.0)
-    else:
-        lo, hi = bracket
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo * f_hi > 0:
-            raise NoSignChange(
-                f"pressure has the same sign at both bracket ends ({f_lo:.3g}, {f_hi:.3g})")
+    lo, hi, f_lo, f_hi = _expand_bracket(f, *bracket)
     if abs(f_lo - f_hi) < 1e-12:
         raise TooFlat("pressure does not vary across the bracket")
-    from scipy.optimize import brentq  # imported here: the rest of the package runs without scipy
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    residual = abs(f(root))
-    if residual > tol:
-        raise TooFlat(f"root residual {residual:.3g} exceeds tolerance {tol:g}")
+    root, residual = _brent(f, lo, hi, f_lo, f_hi)
+    if not abs(residual) <= tol:  # a NaN residual fails too
+        raise TooFlat(f"root residual {abs(residual):.3g} exceeds tolerance {tol:g}")
     return float(root)
 
 
@@ -213,13 +241,8 @@ def A_of_q(sys: CookieCutterSystem, q: float) -> float:
     """Root A of pressure(-A log|tau'| + q log lambda) = 0, for |q| <= Q_MAX."""
     if abs(q) > Q_MAX:
         raise ValueError(f"|q| exceeds the configured maximum {Q_MAX}")
-
-    def f(a: float) -> float:
-        return pressure(sys, aq_family(q)(a)).value
-
     span = 2.0 + 2.0 * abs(q)
-    lo, hi, _, _ = _expand_bracket(f, -span, span)
-    return bowen_root(sys, aq_family(q), bracket=(lo, hi))
+    return bowen_root(sys, aq_family(q), (-span, span))
 
 
 # ---------------------------------------------------------------------------

@@ -421,13 +421,23 @@ def _flat_or_noise(tail: np.ndarray, last_row: np.ndarray) -> bool:
     is float noise: deep cylinder lengths lose eps/|I_n| to cancellation."""
     if np.ptp(tail) < 1e-5 * max(1.0, float(np.abs(tail).max())):
         return True
-    from scipy.stats import spearmanr  # imported here: only this criterion needs scipy.stats
-    rho = spearmanr(np.arange(len(tail)), tail).statistic
+    rho = _rank_correlation(tail)
     if math.isnan(rho) or rho <= 0.2:
         return True
     groups = last_row[: 4 * (len(last_row) // 4)].reshape(4, -1).max(axis=1)
     noise = float(groups.std())
     return float(np.ptp(tail)) <= 3.0 * noise
+
+
+def _rank_correlation(y: np.ndarray) -> float:
+    """Spearman's rho of y against its index with spearmanr's bits: average
+    ranks, correlation read at [1, 0] (corrcoef rounds [0, 1] differently);
+    NaN when y holds a NaN."""
+    if np.isnan(y).any():
+        return math.nan
+    s = np.sort(y)
+    ranks = (np.searchsorted(s, y, "left") + np.searchsorted(s, y, "right") + 1) / 2.0
+    return float(np.corrcoef(np.arange(1.0, len(y) + 1), ranks)[1, 0])
 
 
 CHECKS = [

@@ -4,9 +4,14 @@ Runs the same checks as `wtf-lab verify` (shared engine in wtf_lab.verify),
 one test per criterion, printing a PASS/FAIL line each.
 """
 
-import pytest
+import math
 
-from wtf_lab.verify import CHECKS, BatteryContext
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from scipy.stats import spearmanr
+
+from wtf_lab.verify import CHECKS, BatteryContext, _rank_correlation
 
 
 @pytest.fixture(scope="module")
@@ -19,3 +24,18 @@ def test_criterion(ctx, cid, title, fn):
     passed, detail = fn(ctx)
     print(f"{'PASS' if passed else 'FAIL'} {title}\n     {detail}")
     assert passed, f"{title}: {detail}"
+
+
+@given(values=st.lists(st.one_of(st.integers(0, 3).map(float), st.floats(-1e6, 1e6)),
+                       min_size=3, max_size=30),
+       nan_at=st.one_of(st.none(), st.integers(0, 29)))
+def test_rank_correlation_is_spearmanr(values, nan_at):
+    # ties from the small integers; a NaN anywhere makes rho NaN
+    y = np.array(values)
+    if nan_at is not None:
+        y[nan_at % len(y)] = math.nan
+    if np.ptp(y) == 0:  # constant: spearmanr warns and returns NaN
+        return
+    ref = spearmanr(np.arange(len(y)), y).statistic
+    got = _rank_correlation(y)
+    assert float(got).hex() == float(ref).hex()

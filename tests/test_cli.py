@@ -66,6 +66,15 @@ class TestValidate:
         assert main(["validate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("config", ["a_directory", "latin1.json"])
+    def test_unreadable_config(self, tmp_path, config):
+        # a directory or a file that is not UTF-8: a validation error report
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"model": "M1", "note": "\u00e9"}'.encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(tmp_path / config), "--out", str(out)]) == 2
+        assert read_report(out)["error"]["type"] == "BadConfig"
+
 
 class TestSampleAndBoxdim:
     def test_sample_then_ingest(self, tmp_path):
@@ -360,6 +369,9 @@ MALFORMED = {
     "validate-g_nan": (
         "validate", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
                                "g": {"kind": "trig", "harmonics": [[1, math.nan, 0.0]]}}}),
+    "sample-cloud_csv_empty": ("sample", {"cloud_csv": ""}),
+    "sample-cloud_csv_parent": ("sample", {"cloud_csv": "../escaped.csv"}),
+    "lift-lift_csv_report": ("lift", {"lift_csv": "report.json"}),
     "sample-g_nan": (
         "sample", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
                              "g": {"kind": "trig", "harmonics": [[1, math.nan, 0.0]]}}}),
@@ -397,24 +409,32 @@ def test_malformed_list_is_validation_error(tmp_path, case):
 _NO_SCIPY = """
 import json, sys
 from pathlib import Path
+import wtf_lab.cli, wtf_lab.verify
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.modules["scipy"] = None  # every scipy import now fails
 from wtf_lab.cli import main
 tmp = Path(sys.argv[1])
-configs = {
-    "validate": {"model": "M1"},
-    "sample": {"model": "M1", "depth": 6},
-    "boxdim": {"model": "M1", "depth": 10, "per_cylinder": 4, "min_scale_exp": 2, "max_scale_exp": 7},
-    "holder": {"model": "M1", "points": [0.3], "birkhoff_depth": 10, "osc_depth_max": 6},
-}
-for command, config in configs.items():
+runs = [
+    ("validate", {"model": "M1"}),
+    ("sample", {"model": "M1", "depth": 6}),
+    ("boxdim", {"model": "M1", "depth": 10, "per_cylinder": 4, "min_scale_exp": 2, "max_scale_exp": 7}),
+    ("holder", {"model": "M1", "points": [0.3], "birkhoff_depth": 10, "osc_depth_max": 6}),
+    ("verify", {"criteria": ["pressure_oracle", "distortion"]}),
+]
+for model in ("M1", "M5"):
+    runs += [("predict", {"model": model}), ("spectrum", {"model": model, "q_grid": [-1.0, 0.0, 1.0]}),
+             ("gibbs", {"model": model, "q": 1.0, "depth": 8, "count": 20}), ("lift", {"model": model})]
+for i, (command, config) in enumerate(runs):
     (tmp / "cfg.json").write_text(json.dumps(config))
-    assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / command)]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / str(i))]) == 0, command
 """
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # validate, sample, boxdim and holder never load scipy
+    # importing the CLI and the battery loads no scipy module, and every
+    # command, the Bowen-root and rank-correlation paths included, runs
+    # with scipy blocked
     src = str(Path(wl.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], capture_output=True,
-                         text=True, env={"PYTHONPATH": src}, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+                         text=True, env={"PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr[-2000:]

@@ -491,6 +491,12 @@ class TestBirkhoff:
         value = wl.birkhoff_sum(m5, "log_abs_tau_prime", 0.0, 3)
         assert value == pytest.approx(3 * math.log(2 + 0.1 * math.pi), abs=1e-10)
 
+    def test_log_abs_tau_prime_keeps_shape(self, m5):
+        # a scalar gives a scalar; it ended in an IndexError
+        assert m5.log_abs_tau_prime(0.0) == math.log(2 + 0.1 * math.pi)
+        xs = np.array([[0.0, 0.25], [0.5, 0.75]])
+        assert m5.log_abs_tau_prime(xs).tolist() == [m5.log_abs_tau_prime(x).tolist() for x in xs]
+
     def test_gap_propagates(self, m2):
         with pytest.raises(NotInPartition):
             wl.birkhoff_sum(m2, "log_lambda", 0.5, 1)

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 import wtf_lab as wl
@@ -31,7 +32,8 @@ from wtf_lab import (
     PotentialSpec,
     TooFlat,
 )
-from wtf_lab.thermo import _branch_phi, _logsumexp, s1_family, s2_family
+from wtf_lab.thermo import (
+    _branch_phi, _brent, _expand_bracket, _logsumexp, aq_family, s1_family, s2_family)
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -94,8 +96,12 @@ class TestBowenRoots:
         assert wl.graph_dimension_prediction(m2).min_is == "s2"
 
     def test_no_sign_change(self, m1):
+        # a start bracket without a sign change is widened until it has one
+        assert wl.bowen_root(m1, s2_family, bracket=(5.0, 9.0)) == pytest.approx(
+            wl.moran_oracle(m1, "s2"), abs=1e-9)
+        # a positive constant pressure changes sign nowhere
         with pytest.raises(NoSignChange):
-            wl.bowen_root(m1, s2_family, bracket=(5.0, 9.0))
+            wl.bowen_root(m1, lambda s: PotentialSpec(0.0, 0.0, 1.0))
 
     def test_too_flat(self, m1):
         # a sign change exists but the family barely moves the pressure
@@ -103,6 +109,19 @@ class TestBowenRoots:
             return PotentialSpec(0.0, 0.0, -math.log(2) + 1e-14 * (0.5 - s))
         with pytest.raises(TooFlat):
             wl.bowen_root(m1, family, bracket=(0.0, 1.0))
+
+    def test_nan_pressure_is_too_flat(self, m1, monkeypatch):
+        # a NaN pressure around the root fails the residual check; scipy's
+        # brentq ended such a solve in a bare ValueError
+        pressure = wl.thermo.pressure
+
+        def nan_near_root(sys, pot, *args):
+            est = pressure(sys, pot, *args)
+            return wl.thermo.PressureEstimate(math.nan, 0.0, True) if abs(pot.b - M1_S2) < 0.5 else est
+
+        monkeypatch.setattr(wl.thermo, "pressure", nan_near_root)
+        with pytest.raises(TooFlat):
+            wl.bowen_root(m1, s2_family)
 
     def test_root_residual_verified(self, m2):
         s1 = wl.bowen_root(m2, s1_family, bracket=(0.0, 2.0))
@@ -127,6 +146,21 @@ class TestAq:
     def test_q_max_guard(self, m1):
         with pytest.raises(ValueError):
             wl.A_of_q(m1, 31.0)
+
+    @pytest.mark.parametrize("name", ["M1", "M3", "M5"])
+    def test_each_pressure_evaluated_once(self, systems, name, monkeypatch):
+        # the bracket ends and the root are each evaluated once, not again
+        # by the solver or for the residual
+        seen = []
+        pressure = wl.thermo.pressure
+
+        def counting(sys, pot, *args):
+            seen.append(pot)
+            return pressure(sys, pot, *args)
+
+        monkeypatch.setattr(wl.thermo, "pressure", counting)
+        wl.A_of_q(systems[name], 1.0)
+        assert len(seen) == len(set(seen)) > 2
 
     def test_convexity(self, m3):
         grid = np.arange(-6.0, 6.01, 0.5)
@@ -361,6 +395,33 @@ class TestMoranProperty:
         assert wl.bowen_root(sys, s1_family) == pytest.approx(wl.moran_oracle(sys, "s1"), abs=1e-6)
         assert wl.bowen_root(sys, s2_family) == pytest.approx(wl.moran_oracle(sys, "s2"), abs=1e-6)
         assert wl.A_of_q(sys, q) == pytest.approx(wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)
+
+
+def _brent_matches_brentq(sys, family, bracket):
+    """_brent from the widened bracket has the bits of scipy's brentq, root
+    and residual."""
+    def f(s):
+        return wl.pressure(sys, family(float(s))).value
+
+    lo, hi, f_lo, f_hi = _expand_bracket(f, *bracket)
+    ref = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    root, residual = _brent(f, lo, hi, f_lo, f_hi)
+    assert (root.hex(), residual.hex()) == (ref.hex(), f(ref).hex())
+
+
+class TestBrentMatchesBrentq:
+    @given(sys=affine_cutters(), q=st.floats(-30.0, 30.0))
+    def test_affine(self, sys, q):
+        _brent_matches_brentq(sys, s1_family, (0.0, 2.0))
+        _brent_matches_brentq(sys, s2_family, (-4.0, 4.0))
+        span = 2.0 + 2.0 * abs(q)
+        _brent_matches_brentq(sys, aq_family(q), (-span, span))
+
+    @pytest.mark.parametrize("family,bracket", [
+        (s1_family, (0.0, 2.0)), (s2_family, (-4.0, 4.0)), (aq_family(-3.0), (-8.0, 8.0)),
+        (aq_family(0.0), (-2.0, 2.0)), (aq_family(1.0), (-4.0, 4.0))], ids=["s1", "s2", "A-3", "A0", "A1"])
+    def test_m5(self, m5, family, bracket):
+        _brent_matches_brentq(m5, family, bracket)
 
 
 _LSE_ELEMENTS = st.one_of(

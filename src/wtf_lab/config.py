@@ -12,6 +12,14 @@ from .models import model_spec
 from .theta import ThetaSequence
 
 
+# Every top-level key a command reads; one config may serve several commands.
+CONFIG_KEYS = frozenset((
+    "model theta seed criteria depth per_cylinder tol restrict_to_repeller cloud_csv "
+    "cloud_csv_in scales min_scale_exp max_scale_exp window_drop holder_csv birkhoff_depth "
+    "osc_depth_min osc_depth_max probes points point_depth point_count spectrum_csv q_grid "
+    "q_min q_max q_steps fd_step sample_csv q pot_a pot_b pot_c count lift_csv").split())
+
+
 def load_config(path) -> dict:
     p = Path(path)
     try:
@@ -22,6 +30,9 @@ def load_config(path) -> dict:
         raise BadConfig(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise BadConfig("config must be a JSON object")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise BadConfig(f"unknown config keys {unknown}")
     return config
 
 

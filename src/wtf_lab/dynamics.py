@@ -45,7 +45,7 @@ _PROBES_PER_BRANCH = 10_001
 # Digits composed by point_of_word: deeper digits move the point by less than
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
-_DISTORTION_DEPTH = 8
+_CHEBYSHEV_SIZES = (16, 32)  # node counts of the coarse and the fine transfer operator
 _BIRKHOFF_ROWS = 256  # digit rows gathered at once by birkhoff_sums_from_digits
 _MAX_BRANCHES = 255  # digits are uint8
 
@@ -350,17 +350,23 @@ class CookieCutterSystem:
         return np.log(self.lam_at(x))
 
     @cached_property
-    def distortion_constants(self) -> tuple[float, float]:
-        """Largest in-cylinder oscillation of S_n log|tau'| and S_n log lambda
-        over the depth-8 cylinders, from three representatives per cylinder."""
-        cur = _walk(self, (0.15, 0.5, 0.85), _DISTORTION_DEPTH).reshape(-1, 3)
-        u = np.zeros(cur.shape)
-        v = np.zeros(cur.shape)
-        for _ in range(_DISTORTION_DEPTH):
-            u += self.log_abs_tau_prime(cur)
-            v += self.log_lam(cur)
-            cur = self.tau(cur)
-        return float(np.ptp(u, axis=1).max()), float(np.ptp(v, axis=1).max())
+    def transfer_nodes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Transfer-operator data at N = 16 and N = 32 Chebyshev nodes x_j of
+        [0,1] (first kind, so no node is an end): per N, (B, U, V) with B[i]
+        the barycentric interpolation matrix taking f(x_k) to f(rho_i x_j),
+        and U[i, j], V[i, j] log|tau'| and log lambda at rho_i x_j."""
+        out = []
+        for n in _CHEBYSHEV_SIZES:
+            angle = (2 * np.arange(n) + 1) * (math.pi / (2 * n))
+            x = 0.5 - 0.5 * np.cos(angle)
+            y = np.stack([br.inverse(x) for br in self.branches])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
+                b /= b.sum(axis=2, keepdims=True)
+            u = np.log(np.abs([br.derivative(yi) for br, yi in zip(self.branches, y)]))
+            # a rho_i x_j on a node x_k reads inf / inf = NaN at k and 0 elsewhere
+            out.append((np.nan_to_num(b, nan=1.0), u, self.log_lam(y)))
+        return tuple(out)
 
     # -- cylinder tree -------------------------------------------------------
 
@@ -573,6 +579,7 @@ def _orbit(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.ndarray,
     which it leaves the partition (a gap, or an endpoint no half-open domain
     covers), n if it stays; digits and points from that iterate on are 0."""
     cur = np.array(xs, dtype=float).ravel()
+    _check_budget(cur.size * n)
     digits = np.zeros((cur.size, n), dtype=np.uint8)
     points = np.zeros((cur.size, n))
     left = np.full(cur.size, n)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
+    _check_budget,
     _orbit_of,
     _walk,
     _word,
@@ -114,7 +115,9 @@ def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequen
     if probes < 2:
         raise ValueError("probes must be >= 2")
     count = words.shape[0]
-    tails = _walk(sys, [0.5], max(1, math.ceil(math.log(probes) / math.log(sys.ell))))
+    m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+    _check_budget(count * sys.ell**m)
+    tails = _walk(sys, [0.5], m)
     per = len(tails)
     pts = point_of_word(sys, np.repeat(words, per, axis=0), np.tile(tails, count))
     if _curve is None:

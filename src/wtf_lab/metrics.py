@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import DegenerateFit, NotInPartition, OscillationUnderflow
 from .graph import _oscillations, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
-from .thermo import A_of_q, PotentialSpec, sample_words
+from .thermo import A_of_q, PotentialSpec, alpha_of_q, sample_words
 
 _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
@@ -295,7 +296,6 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
                        birkhoff_depth: int, seed: int) -> list[tuple[float, float, float]]:
     """For each q: draw a Gibbs sample for the spectrum potential and average
     the symbolic exponent over it; paired with the predicted alpha(q)."""
-    step = 1e-3  # finite-difference step of the predicted alpha(q)
     out = []
     for j, q in enumerate(q_grid):
         a_q = A_of_q(sys, float(q))
@@ -303,9 +303,7 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
         digits = sample_words(sys, pot, birkhoff_depth, samples_per_q, seed + j)
         u, v = birkhoff_sums_from_digits(sys, digits)
         alpha_hat = float(np.mean(-v / u))
-        a_plus = A_of_q(sys, float(q) + step)
-        a_minus = A_of_q(sys, float(q) - step)
-        alpha_pred = -(a_plus - a_minus) / (2.0 * step)
+        alpha_pred = alpha_of_q(partial(A_of_q, sys), float(q))
         out.append((float(q), alpha_hat, alpha_pred))
     return out
 

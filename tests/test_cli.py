@@ -190,12 +190,35 @@ class TestSpectrumGibbsLiftHolder:
         assert read_report(out)["error"]["type"] == "NotNormalised"
 
     def test_gibbs_m5_below_default_depth(self, tmp_path):
-        # the normalisation gate uses the depth at which A_of_q solved, not
-        # the sample depth, where the M5 pressure would read -3.2e-4
+        # the normalisation gate reads the pressure that A_of_q solved,
+        # whatever the sample depth
         cfg = write_config(tmp_path, "cfg.json", {"model": "M5", "q": 1.0, "depth": 8, "count": 100})
         out = tmp_path / "out"
         assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
         assert len((out / "gibbs.csv").read_text().splitlines()) == 101
+
+    def test_gibbs_m5_lebesgue_potential(self, tmp_path):
+        # -log|tau'| has pressure exactly 0 on the full-branch M5, so the
+        # normalisation gate passes it as it stands (its Gibbs measure is the acim)
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M5", "pot_a": -1, "depth": 10, "count": 50})
+        out = tmp_path / "out"
+        assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
+        # dim = h / chi still comes from depth-12 cylinder weights (0.9974)
+        assert read_report(out)["outputs"]["dim"] == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("command,config", [
+        ("gibbs", {"model": "M1", "q": 0.0, "count": 100, "depth": 50}),  # count x depth digits
+        ("holder", {"model": "M1", "points": [0.3], "probes": 2**20}),  # probe tails per row
+        ("holder", {"model": "M1", "points": [0.3, 0.4], "birkhoff_depth": 600}),  # orbit points x n
+    ], ids=["gibbs-count_depth", "holder-probes", "holder-orbit"])
+    def test_config_sized_arrays_within_budget(self, tmp_path, monkeypatch, command, config):
+        # each config-sized array is checked against the budget before it is
+        # allocated; a small budget shows the refusal without a large allocation
+        monkeypatch.setenv("WTF_LAB_BUDGET", "1000")
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        assert read_report(out)["error"]["type"] == "BudgetExceeded"
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
@@ -372,6 +395,7 @@ MALFORMED = {
     "sample-cloud_csv_empty": ("sample", {"cloud_csv": ""}),
     "sample-cloud_csv_parent": ("sample", {"cloud_csv": "../escaped.csv"}),
     "lift-lift_csv_report": ("lift", {"lift_csv": "report.json"}),
+    "sample-unknown_key": ("sample", {"per_cyl": 4}),  # a misspelt per_cylinder
     "sample-g_nan": (
         "sample", {"model": {"branches": {"family": "ell_adic", "ell": 2}, "lambda": 0.7,
                              "g": {"kind": "trig", "harmonics": [[1, math.nan, 0.0]]}}}),

@@ -454,29 +454,6 @@ class TestSampling:
                 assert _same_bits(walked[j::len(ts)], point_of_word(sys, words, t)), (name, t)
 
 
-def test_distortion_constants_match_three_pass_reference(systems):
-    # one pass over a (words, 3) matrix and np.ptp give the floats of three
-    # passes and the pairwise maximum
-    for name, sys in _walk_systems(systems).items():
-        words = enumerate_words(sys.ell, 8)
-        sums = []
-        for t in (0.15, 0.5, 0.85):
-            cur = point_of_word(sys, words, t)
-            u, v = np.zeros(len(words)), np.zeros(len(words))
-            for _ in range(8):
-                u += sys.log_abs_tau_prime(cur)
-                v += sys.log_lam(cur)
-                cur = sys.tau(cur)
-            sums.append((u, v))
-        du = dv = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                du = max(du, float(np.max(np.abs(sums[i][0] - sums[j][0]))))
-                dv = max(dv, float(np.max(np.abs(sums[i][1] - sums[j][1]))))
-        got = sys.distortion_constants
-        assert (got[0].hex(), got[1].hex()) == (du.hex(), dv.hex()), name
-
-
 class TestBirkhoff:
     def test_constant_lambda(self, m1):
         value = wl.birkhoff_sum(m1, "log_lambda", 0.1, 10)

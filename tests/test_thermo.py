@@ -33,7 +33,8 @@ from wtf_lab import (
     TooFlat,
 )
 from wtf_lab.thermo import (
-    _branch_phi, _brent, _expand_bracket, _logsumexp, aq_family, s1_family, s2_family)
+    _branch_phi, _brent, _expand_bracket, _logsumexp, _operator_pressure, aq_family, s1_family,
+    s2_family)
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -42,6 +43,9 @@ M2_S2 = 0.8680532245877164
 M3_A0 = 0.7023801913390276
 M3_ALPHA_C = 0.613744318754433
 M4_S1 = 1.1602520221136932
+# M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
+M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
+                  "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
 
 
 class TestPressure:
@@ -57,24 +61,50 @@ class TestPressure:
 
     def test_nonlinear_full_branch(self, m5):
         # repeller is the whole circle, so the Bowen root of -s log|tau'| is 1
-        est = wl.pressure(m5, PotentialSpec(-1.0, 0.0), depth=14)
+        # and the pressure of -log|tau'| is exactly 0: the bound must cover it
+        est = wl.pressure(m5, PotentialSpec(-1.0, 0.0))
         assert not est.exact
-        assert abs(est.value) <= 2e-3
-        assert est.error_bound > 0
+        assert abs(est.value) <= est.error_bound <= 1e-10
 
-    def test_deeper_call_reuses_cached_levels(self):
-        # a fresh system: the session fixtures already hold deeper levels
-        sys = wl.validate_system(wl.model_spec("M5"))
-        wl.pressure(sys, PotentialSpec(-1.0, 0.0), depth=10)
-        reused = wl.pressure(sys, PotentialSpec(-1.0, 0.0), depth=12)
-        fresh = wl.pressure(wl.validate_system(wl.model_spec("M5")),
-                            PotentialSpec(-1.0, 0.0), depth=12)
-        assert reused == fresh
+    def test_m5_repeller_dimension_is_one(self, m5):
+        assert wl.A_of_q(m5, 0.0) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4"])
+    def test_operator_matches_moran_oracle(self, systems, name):
+        # called directly, both node grids give the closed form
+        sys = systems[name]
+        for pot in (PotentialSpec(-1.0, 0.0), PotentialSpec(0.3, -2.0),
+                    PotentialSpec(-5.0, 30.0), PotentialSpec(-0.7, 1.3, 0.2)):
+            ref = wl.moran_oracle(sys, "pressure", pot=pot)
+            for nodes in sys.transfer_nodes:
+                assert _operator_pressure(nodes, pot) == pytest.approx(ref, abs=1e-12), pot
+
+    def test_trig_lambda_system(self):
+        # M5's map with a non-constant lambda: neither observable is constant
+        # on branches, and the s1 and s2 roots come from the operator alone
+        sys = wl.validate_system(M5_TRIG_LAMBDA)
+        for family, bracket in ((s1_family, (0.0, 2.0)), (s2_family, (-4.0, 4.0))):
+            est = wl.pressure(sys, family(wl.bowen_root(sys, family, bracket)))
+            assert not est.exact
+            assert abs(est.value) <= 1e-8 and est.error_bound <= 1e-9
+
+    def test_operator_pulled_back_node_on_node(self):
+        # rho_1 fixes the first 32-node x_0 exactly: its interpolation row is
+        # the unit vector at x_0, not inf / inf
+        x0 = 0.5 - 0.5 * math.cos(math.pi / 64)
+        sys = wl.validate_system({
+            "branches": [{"domain": [x0 / 2, x0 / 2 + 0.5], "slope": 2.0, "offset": -x0},
+                         {"domain": [0.6, 1.0]}],
+            "lambda": {"kind": "trig", "c0": 0.8, "harmonics": [[1, 0.1, 0.0]]}})
+        interp = sys.transfer_nodes[1][0]
+        assert interp[0, 0, 0] == 1.0 and not interp[0, 0, 1:].any()
+        est = wl.pressure(sys, PotentialSpec(-0.5, 1.0))
+        assert math.isfinite(est.value) and est.error_bound <= 1e-10
 
     def test_additive_constant_slope(self, m3, m5):
-        for sys, depth in ((m3, 8), (m5, 10)):
-            base = wl.pressure(sys, PotentialSpec(-0.4, 0.7), depth).value
-            shifted = wl.pressure(sys, PotentialSpec(-0.4, 0.7, 0.31), depth).value
+        for sys in (m3, m5):
+            base = wl.pressure(sys, PotentialSpec(-0.4, 0.7)).value
+            shifted = wl.pressure(sys, PotentialSpec(-0.4, 0.7, 0.31)).value
             assert shifted - base == pytest.approx(0.31, abs=1e-10)
 
 
@@ -240,7 +270,7 @@ class TestGibbs:
 
     def test_markov_sampler_nonconstant_potential(self, m5):
         # normalise -log|tau'| by its pressure through the constant term
-        p = wl.pressure(m5, PotentialSpec(-1.0, 0.0), depth=12).value
+        p = wl.pressure(m5, PotentialSpec(-1.0, 0.0)).value
         pot = PotentialSpec(-1.0, 0.0, -p)
         sample = wl.gibbs_sample(m5, pot, depth=12, count=4000, seed=9)
         digits = np.stack([w for w, _ in sample])

@@ -632,11 +632,12 @@ def cylinder_of(sys: CookieCutterSystem, word) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
+def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, step=None) -> np.ndarray:
     """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth) uint8
-    digit matrix; x is a scalar or one value per row.  One inverse call per
-    (column, branch) on the rows carrying that digit; every inverse is
-    elementwise, so a row gets the same bits in any batch."""
+    digit matrix; x is a scalar or one value per row; ``step(k, u)`` sees the
+    values after each column k, last first.  One inverse call per (column,
+    branch) on the rows carrying that digit; every inverse is elementwise, so
+    a row gets the same bits in any batch."""
     count = digits.shape[0]
     x = np.full(count, x, dtype=float)
     for col in range(digits.shape[1] - 1, -1, -1):
@@ -647,6 +648,8 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x) -> np.ndarray:
             if np.any(m):
                 nxt[m] = sys.branches[i].inverse(x[m])
         x = nxt
+        if step is not None:
+            step(col, x)
     return x
 
 

@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _MAX_EFFECTIVE_DEPTH,
     CookieCutterSystem,
     _check_budget,
+    _compose,
     _orbit_of,
-    _walk,
     _word,
     birkhoff_sum,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
-    point_of_word,
 )
 from .errors import Inconclusive, InvalidTolerance
 from .theta import ThetaSequence
@@ -90,41 +90,63 @@ def eval_W(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
 
 def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
                 n: int, tol: float = 1e-10) -> float:
-    """Evaluate W_theta(x) through the skew product: compute the deep value
-    W_{sigma^n theta}(tau^n x), then pull it back by the n plane contractions
-    F_{theta_k, i_k}(u, y) = (rho_i(u), lambda(rho_i(u)) y + g(rho_i(u)+theta_k)),
-    applied for k = n-1 down to 0.  Exactly eval_W at n = 0."""
+    """W_theta(x) through the skew product: W_{sigma^n theta}(tau^n x) pulled
+    back along the first n digits of x (the one-row case of _pull_back).
+    Exactly eval_W at n = 0; NotInPartition if an iterate leaves the partition."""
     if n == 0:
         return eval_W(sys, x, theta, tol).value
     word, orbit = _orbit_of(sys, x, n)
-    u = float(sys.tau(orbit[-1:])[0])
-    y = eval_W(sys, u, theta.shift(n), tol).value
-    for k in range(n - 1, -1, -1):
-        i = word[k]
-        u = float(sys.branches[i].inverse(u))
-        y = float(sys.lam_at(np.array([u]))[0]) * y + float(sys.g(np.array([u + theta[k]]))[0])
-    return y
+    u = sys.tau(orbit[-1:])
+    _, y = _pull_back(sys, word[None, :], u, eval_W_many(sys, u, theta.shift(n), tol)[0], theta)
+    return float(y[0])
 
 
-def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, tol: float, _curve=None) -> np.ndarray:
-    """sup - inf of W (or of the test hook ``_curve``) per row w of a
-    (count, n) digit matrix: W is probed at rho_w(rho_v(1/2)) for every v of
-    the least depth m with ell^m >= probes, a Moran cover of J cap I_w, in one
-    series evaluation."""
+def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
+               theta: ThetaSequence) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_w(t), W_theta(rho_w(t))) per row w of a (count, n) digit matrix
+    from y = W_{sigma^n theta}(t) (scalars or one value per row): per column k
+    of _compose, u <- rho_{w_k}(u) and y <- lambda(u) y + g(u + theta_k).  So
+    rho_w(t) has point_of_word's bits, and y carries the base error times
+    lambda^n plus a few ulps per step, not a forward orbit's rounding."""
+    shifts = theta.block(0, digits.shape[1])
+    y = np.full(digits.shape[0], y, dtype=float)
+
+    def step(k, u):
+        nonlocal y
+        y = sys.lam_at(u) * y + sys.g(u + shifts[k])
+
+    u = _compose(sys, digits, t, step)
+    return u, y
+
+
+def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
+            probes: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u, W_theta(u)) as (count, ell^m) arrays, u = rho_w(rho_v(1/2)) per row w
+    of a (count, n) digit matrix and word v of the least depth m with
+    ell^m >= probes (a Moran cover of J cap I_w): two _pull_back stages from
+    one series value W_{sigma^{n+m} theta}(1/2), whose error a probe carries
+    times lambda^{n+m}.  Like point_of_word, only the leading 64 digits
+    (_MAX_EFFECTIVE_DEPTH) count: a deeper word gets its depth-64 prefix's
+    probes, and so its oscillation."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
     count = words.shape[0]
     m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
     _check_budget(count * sys.ell**m)
-    tails = _walk(sys, [0.5], m)
-    per = len(tails)
-    pts = point_of_word(sys, np.repeat(words, per, axis=0), np.tile(tails, count))
-    if _curve is None:
-        ys, _, _ = eval_W_many(sys, pts, theta, tol)
-    else:
-        ys = np.asarray(_curve(pts), dtype=float)
-    ys = ys.reshape(count, per)
+    n = min(words.shape[1], _MAX_EFFECTIVE_DEPTH)
+    base, _, _ = eval_W_many(sys, np.array([0.5]), theta.shift(n + m), tol)
+    tails, y = _pull_back(sys, enumerate_words(sys.ell, m), 0.5, base, theta.shift(n))
+    u, y = _pull_back(sys, np.repeat(words[:, :n], tails.size, axis=0), np.tile(tails, count),
+                      np.tile(y, count), theta)
+    return u.reshape(count, -1), y.reshape(count, -1)
+
+
+def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
+                  probes: int, tol: float, _curve=None) -> np.ndarray:
+    """sup - inf of W (or of the test hook ``_curve``, evaluated pointwise)
+    per row w of a (count, n) digit matrix over the probes of _probes."""
+    u, ys = _probes(sys, words, theta, probes, tol)
+    ys = ys if _curve is None else np.asarray(_curve(u), dtype=float)
     return ys.max(axis=1) - ys.min(axis=1)
 
 
@@ -163,14 +185,13 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
         else:
             words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
         lo, hi = cylinder_bounds_many(sys, words)
-        r_best, lip_best = 0.0, 0.0
-        for j in range(words.shape[0]):
-            osc = oscillation_over(sys, words[j], theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
-            lam_n = math.exp(_log_lambda_word(sys, words[j], lo[j], hi[j]))
-            r_best = max(r_best, osc / lam_n)
-            lip_best = max(lip_best, osc / (hi[j] - lo[j]))
-        ratios.append(r_best)
-        lips.append(lip_best)
+        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
+        if sys.is_affine and sys.lam.branch_constant:
+            log_lam = birkhoff_sums_from_digits(sys, words)[1]
+        else:  # S_n log lambda along the orbits of the cylinder midpoints
+            log_lam = np.array([birkhoff_sum(sys, "log_lambda", x, n) for x in 0.5 * (lo + hi)])
+        ratios.append(float(np.max(osc / np.exp(log_lam))))
+        lips.append(float(np.max(osc / (hi - lo))))
 
     r = np.array(ratios)
     lip = np.array(lips)
@@ -201,10 +222,3 @@ def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
     x = x - x.mean()
     return float((x * (y - y.mean())).sum() / (x * x).sum())
 
-
-def _log_lambda_word(sys: CookieCutterSystem, digits: np.ndarray, lo: float, hi: float) -> float:
-    """S_n log lambda at the cylinder's representative."""
-    if sys.is_affine and sys.lam.branch_constant:
-        _, v = birkhoff_sums_from_digits(sys, digits[None, :])
-        return float(v[0])
-    return birkhoff_sum(sys, "log_lambda", 0.5 * (lo + hi), len(digits))

@@ -252,7 +252,8 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
                             tol: float = 1e-12, _curve=None) -> np.ndarray:
     """holder_oscillation at each point of xs: one orbit walk codes every
-    itinerary to the deepest depth, one batched series evaluation per depth."""
+    itinerary to the deepest depth, one pulled-back _oscillations call per
+    depth.  OscillationUnderflow when osc < 10*tol or a cylinder length is 0."""
     depths = sorted(depth_range)
     if not depths:
         raise ValueError("depth_range must be nonempty")
@@ -277,6 +278,8 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
                 "increase probes or loosen the depth range")
         lo, hi = cylinder_bounds_many(sys, words[:, :n])
+        if not np.all(hi - lo > 0.0):
+            raise OscillationUnderflow(f"a cylinder length at depth {n} rounds to 0")
         # math.log, not np.log: numpy's SIMD log differs from libm in the
         # last bit on some inputs, and the per-point exponents used libm
         return (np.array([math.log(v) for v in osc.tolist()]),

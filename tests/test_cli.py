@@ -263,6 +263,16 @@ class TestSpectrumGibbsLiftHolder:
         assert main(["holder", "--config", cfg, "--out", str(out)]) == 4
         assert read_report(out)["error"]["type"] == "BudgetExceeded"
 
+    def test_holder_past_float_resolution(self, tmp_path):
+        # M1 cylinders of depth 64 round to length 0: a typed refusal (exit
+        # 3), not a math domain error from the logarithm
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "osc_depth_max": 70, "point_count": 3})
+        out = tmp_path / "out"
+        assert main(["holder", "--config", cfg, "--out", str(out)]) == 3
+        error = read_report(out)["error"]
+        assert error["type"] == "OscillationUnderflow"
+        assert "cylinder length" in error["message"]
+
 
 def _holder_per_point(sys, path):
     """CLI holder's defaults, one point at a time: writes the CSV and returns

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import wtf_lab as wl
 from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
 from wtf_lab.dynamics import _walk, point_of_word
+from wtf_lab.graph import _probes, _pull_back
 
 
 class TestEval:
@@ -93,24 +94,91 @@ class TestSkew:
         assert abs(wl.eval_W(sys, x, theta, tol).value - skew) <= 10 * tol
 
 
+def _mp_W(x, lam, eps, terms=120):
+    """W_0(x) for 2x + eps sin(2 pi x) mod 1, lambda constant and g = cos 2 pi x,
+    summed at the working precision (0.7^120 / 0.3 < 1e-18)."""
+    mpmath = pytest.importorskip("mpmath")
+    two_pi = 2 * mpmath.pi
+    total, weight = mpmath.mpf(0), mpmath.mpf(1)
+    for _ in range(terms):
+        total += weight * mpmath.cos(two_pi * x)
+        weight *= lam
+        x = 2 * x + eps * mpmath.sin(two_pi * x)
+        x -= mpmath.floor(x)
+    return total
+
+
+class TestPullBack:
+    def test_points_have_point_of_word_bits(self, systems):
+        # the kernel's u is _compose's column loop: the probes are
+        # point_of_word's bits at the level-order tails rho_v(1/2)
+        rng = np.random.default_rng(23)
+        for sys in systems.values():
+            theta = ThetaSequence.iid_uniform(5)
+            for n in (1, 20, 64):
+                words = rng.integers(0, sys.ell, size=(30, n)).astype(np.uint8)
+                t = rng.random(30)
+                u, _ = _pull_back(sys, words, t, np.zeros(30), theta)
+                assert u.tobytes() == point_of_word(sys, words, t).tobytes()
+                u, _ = _probes(sys, words, theta, 16, 1e-12)
+                tails = _walk(sys, [0.5], 4)
+                ref = point_of_word(sys, np.repeat(words, 16, axis=0), np.tile(tails, 30))
+                assert u.tobytes() == ref.tobytes()
+
+    def test_closer_than_forward_sum_on_m5(self, m5, zeros):
+        # 60-digit references on M5: W at the exact point rho_w(t) of each
+        # probe for the pull-back, and W at the probe's float point for the
+        # forward sum evaluated there.  The forward orbit amplifies rounding
+        # by up to 2.3 per step; a probe carries the error of one series
+        # value at 1/2 times 0.7^(n+m) and a few ulps per step
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        with mpmath.workdps(60):
+            lam, eps = mpmath.mpf(0.7), mpmath.mpf(m5.branches[0].eps)
+            for n in (5, 12, 20):
+                words = rng.integers(0, 2, size=(3, n)).astype(np.uint8)
+                u, pulled = _probes(m5, words, zeros, 128, 1e-12)
+                pick = rng.choice(128, 3, replace=False)
+                forward, _, _ = wl.eval_W_many(m5, u[:, pick], zeros, 1e-12)
+                err_pull, err_fwd = [], []
+                for r, word in enumerate(words):
+                    for c, j in enumerate(pick.tolist()):
+                        x = mpmath.mpf(0.5)
+                        for d in (word.tolist() + [int(b) for b in f"{j:07b}"])[::-1]:
+                            rhs = d + x
+                            x = mpmath.findroot(
+                                lambda v: 2 * v + eps * mpmath.sin(2 * mpmath.pi * v) - rhs, rhs / 2)
+                        err_pull.append(abs(pulled[r, j] - float(_mp_W(x, lam, eps))))
+                        err_fwd.append(abs(forward[r, c] - float(_mp_W(mpmath.mpf(float(u[r, j])), lam, eps))))
+                assert max(err_pull) <= 0.1 * max(err_fwd)
+                assert max(err_pull) <= 1e-12  # the series tolerance
+
+
 class TestOscillation:
     @pytest.mark.parametrize("probes", [2, 16, 128])
     def test_probes_match_level_order_reference(self, systems, zeros, probes):
-        # reference: the level-order representatives of the depth-m
-        # refinements, pulled back through the word one digit at a time.
-        # For one word every inverse call sees the same set of values, so
+        # reference: the level-order walk from 1/2 to the depth-m tails, then
+        # the word one digit at a time, pulling y back at every step from the
+        # series value W_{sigma^{n+m} theta}(1/2): u <- rho_d(u) and
+        # y <- lambda(u) y + g(u + theta_k).  Every step is elementwise, so
         # the M5 Newton inverse gives the same bits
         rng = np.random.default_rng(19)
         for sys in systems.values():
             m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
             for n in (1, 8, 20):
                 word = rng.integers(0, sys.ell, n).astype(np.uint8)
-                pts = _walk(sys, [0.5], m)
-                for d in word[::-1]:
-                    pts = sys.branches[d].inverse(pts)
-                ys, _, _ = wl.eval_W_many(sys, pts, zeros, 1e-12)
-                osc = wl.oscillation_over(sys, word, zeros, probes=probes, tol=1e-12)
-                assert osc == ys.max() - ys.min()
+                for theta in (zeros, ThetaSequence.iid_uniform(n)):
+                    u = np.array([0.5])
+                    y, _, _ = wl.eval_W_many(sys, u, theta.shift(n + m), 1e-12)
+                    for k in range(n + m - 1, n - 1, -1):
+                        level = [br.inverse(u) for br in sys.branches]
+                        y = np.concatenate([sys.lam_at(v) * y + sys.g(v + theta[k]) for v in level])
+                        u = np.concatenate(level)
+                    for k in range(n - 1, -1, -1):
+                        u = sys.branches[word[k]].inverse(u)
+                        y = sys.lam_at(u) * y + sys.g(u + theta[k])
+                    osc = wl.oscillation_over(sys, word, theta, probes=probes, tol=1e-12)
+                    assert osc == y.max() - y.min()
 
     def test_zero_forcing(self, zeros):
         sys = wl.validate_system({**wl.model_spec("M1"), "g": {"kind": "zero"}, "id": "M1g0"})

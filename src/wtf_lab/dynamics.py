@@ -89,15 +89,20 @@ class TrigPoly:
     harmonics: tuple[tuple[int, float, float], ...] = ()
 
     def __call__(self, x):
+        """c0 and the terms added left to right.  With c0 = 0 a leading
+        cos(2 pi k x) starts the sum: 0 + 1 * cos(w) is cos(w) bit for bit, as
+        a cosine is never 0 at a float.  So cos 2 pi x costs one cos."""
         x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.c0)
+        out = None  # stands for c0 until the first term
         for k, a, b in self.harmonics:
             w = 2.0 * math.pi * k * x
-            if a:
-                out = out + a * np.cos(w)
+            if a == 1.0 and out is None and self.c0 == 0.0:
+                out = np.cos(w)
+            elif a:
+                out = (self.c0 if out is None else out) + a * np.cos(w)
             if b:
-                out = out + b * np.sin(w)
-        return out
+                out = (self.c0 if out is None else out) + b * np.sin(w)
+        return np.full_like(x, self.c0) if out is None else out
 
     @property
     def sup_bound(self) -> float:
@@ -318,14 +323,25 @@ class CookieCutterSystem:
             idx[gap] = pick
         return idx
 
+    @cached_property
+    def _affine_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([b.slope for b in self.branches]),
+                np.array([b.offset for b in self.branches]))
+
     def tau(self, x):
-        """Forward map; gap points go to 0, endpoint images wrap mod 1."""
+        """Forward map; gap points go to 0, endpoint images wrap mod 1.  Each
+        point's branch is evaluated once: affine systems gather slope and
+        offset by branch index, the sine family evaluates ell x + eps sin 2 pi x
+        and subtracts the index, with each branch's forward bits."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         idx = self.branch_index(x)
-        with np.errstate(over="ignore", invalid="ignore"):  # only points off br can warn
-            for i, br in enumerate(self.branches):
-                np.copyto(out, br.forward(x), where=idx == i)
+        with np.errstate(over="ignore", invalid="ignore"):  # only gap points can warn
+            if self.is_affine:
+                slope, offset = self._affine_coefficients
+                out = slope[idx] * x + offset[idx]
+            else:  # one doubling_plus_sine family
+                out = self.branches[0]._f(x) - idx
+            out = np.where(idx < 0, 0.0, out)
         return out - np.floor(out)  # np.mod(out, 1.0) bit for bit on finite out
 
     def log_abs_tau_prime(self, x):
@@ -653,14 +669,18 @@ def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, step=None) -> np.nd
     return x
 
 
-def _walk(sys: CookieCutterSystem, x, depth: int) -> np.ndarray:
+def _walk(sys: CookieCutterSystem, x, depth: int, step=None) -> np.ndarray:
     """rho_w(x_j) for every depth-n word w and start value x_j, level by
     level; index i * len(x) + j holds word i in lexicographic order (first
-    digit most significant) and start value j.  Every inverse is elementwise,
-    so up to depth 64 each value has the bits point_of_word gives it."""
+    digit most significant) and start value j.  ``step(k, u)`` sees the
+    values after the level of digit column k, last column first, as in
+    _compose.  Every inverse is elementwise, so up to depth 64 each value has
+    the bits point_of_word gives it."""
     x = np.asarray(x, dtype=float).ravel()
-    for _ in range(depth):
+    for col in range(depth - 1, -1, -1):
         x = np.concatenate([br.inverse(x) for br in sys.branches])
+        if step is not None:
+            step(col, x)
     return x
 
 

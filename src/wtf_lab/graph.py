@@ -20,6 +20,7 @@ from .dynamics import (
     _check_budget,
     _compose,
     _orbit_of,
+    _walk,
     _word,
     birkhoff_sum,
     birkhoff_sums_from_digits,
@@ -101,6 +102,22 @@ def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
     return float(y[0])
 
 
+class _Carry:
+    """The skew-product step y <- lambda(u) y + g(u + theta_k), the step hook
+    of _compose (fan 1) and of _walk (fan ell: a walk level concatenates the
+    ell branch images of the level before).  From y = W_{sigma^n theta} at
+    the start values, y ends as W_theta at the composed points."""
+
+    def __init__(self, sys: CookieCutterSystem, y: np.ndarray, theta: ThetaSequence,
+                 n: int, fan: int = 1):
+        self.sys, self.y, self.fan = sys, y, fan
+        self.shifts = theta.block(0, n)
+
+    def __call__(self, k: int, u: np.ndarray) -> None:
+        y = self.y if self.fan == 1 else np.tile(self.y, self.fan)
+        self.y = self.sys.lam_at(u) * y + self.sys.g(u + self.shifts[k])
+
+
 def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
                theta: ThetaSequence) -> tuple[np.ndarray, np.ndarray]:
     """(rho_w(t), W_theta(rho_w(t))) per row w of a (count, n) digit matrix
@@ -108,15 +125,35 @@ def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
     of _compose, u <- rho_{w_k}(u) and y <- lambda(u) y + g(u + theta_k).  So
     rho_w(t) has point_of_word's bits, and y carries the base error times
     lambda^n plus a few ulps per step, not a forward orbit's rounding."""
-    shifts = theta.block(0, digits.shape[1])
-    y = np.full(digits.shape[0], y, dtype=float)
+    carry = _Carry(sys, np.full(digits.shape[0], y, dtype=float), theta, digits.shape[1])
+    u = _compose(sys, digits, t, carry)
+    return u, carry.y
 
-    def step(k, u):
-        nonlocal y
-        y = sys.lam_at(u) * y + sys.g(u + shifts[k])
 
-    u = _compose(sys, digits, t, step)
-    return u, y
+def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(_walk(sys, t, depth), W_theta there) from one series value
+    W_{sigma^depth theta}(t_j) per start value, carried up the walk as in
+    _pull_back, so y's error is about lambda_sup^depth * tol.  The last
+    floor(log_ell _EVAL_BLOCK) levels run on row chunks of the level above
+    them, so their temporaries hold at most _EVAL_BLOCK points; every step is
+    elementwise, so x has _walk's bits."""
+    t = np.asarray(t, dtype=float).ravel()
+    base, _, _ = eval_W_many(sys, t, theta.shift(depth), tol)
+    tail = 0
+    while tail < depth and sys.ell**(tail + 1) <= _EVAL_BLOCK:
+        tail += 1
+    carry = _Carry(sys, base, theta.shift(tail), depth - tail, sys.ell)
+    head = _walk(sys, t, depth - tail, carry)
+    fan = sys.ell**tail
+    rows = _EVAL_BLOCK // fan  # >= 1, as fan <= _EVAL_BLOCK
+    # row r of the head and tail word p land at p * head.size + r
+    x, y = np.empty((fan, head.size)), np.empty((fan, head.size))
+    for r in range(0, head.size, rows):
+        chunk = _Carry(sys, carry.y[r:r + rows], theta, tail, sys.ell)
+        x[:, r:r + rows] = _walk(sys, head[r:r + rows], tail, chunk).reshape(fan, -1)
+        y[:, r:r + rows] = chunk.y.reshape(fan, -1)
+    return x.ravel(), y.ravel()
 
 
 def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 from functools import partial
 from pathlib import Path
@@ -20,13 +21,12 @@ from .dynamics import (
     CookieCutterSystem,
     _check_budget,
     _orbit,
-    _walk,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     torus_distance,
 )
-from .errors import DegenerateFit, NotInPartition, OscillationUnderflow
-from .graph import _oscillations, eval_W_many
+from .errors import BadConfig, DegenerateFit, NotInPartition, OscillationUnderflow
+from .graph import _oscillations, _pull_back_walk, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, alpha_of_q, sample_words
@@ -73,15 +73,30 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
     Unrestricted: uniform grid of ell^depth * per_cylinder points on [0,1).
     Restricted: per_cylinder stratified representatives inside every depth-n
     cylinder (a Moran cover of the repeller), so all x lie on the repeller.
+
+    Restricted clouds, and grids that the walk from the start values
+    j / per_cylinder reproduces bit for bit (affine full systems such as the
+    ell-adic maps with a power-of-two per_cylinder), are pulled back from one
+    series value per start value (graph._pull_back_walk); every other grid
+    sums the forward series at each point.
     """
     total = sys.ell**depth * per_cylinder
     _check_budget(total)
     if restrict_to_repeller:
-        xs = _walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder, depth)
-        xs.sort()  # in place: no second copy of the cloud
+        xs, ys = _pull_back_walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder,
+                                 theta, depth, tol)
+        if not np.all(xs[1:] >= xs[:-1]):  # decreasing branches reverse the walk order
+            order = np.argsort(xs, kind="stable")
+            xs, ys = xs[order], ys[order]
     else:
-        xs = np.arange(total, dtype=float) / total
-    ys, _, _ = eval_W_many(sys, xs, theta, tol)
+        xs, ys = np.arange(total, dtype=float) / total, None
+        if sys.is_affine and sys.is_full:
+            walk_x, walk_y = _pull_back_walk(sys, np.arange(per_cylinder) / per_cylinder,
+                                             theta, depth, tol)
+            if np.array_equal(walk_x, xs):
+                ys = walk_y
+        if ys is None:
+            ys, _, _ = eval_W_many(sys, xs, theta, tol)
     prov = CloudProvenance(
         model_id=sys.model_id,
         theta_mode=theta.mode,
@@ -96,15 +111,26 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
 
 def write_cloud_csv(cloud: GraphCloud, path) -> None:
     """x,y CSV (see report.write_csv), provenance sidecar <path>.meta.json."""
-    write_csv(path, ("x", "y"), zip(cloud.x.tolist(), cloud.y.tolist()))
+    write_csv(path, ("x", "y"), np.column_stack((cloud.x, cloud.y)))
     with open(str(path) + ".meta.json", "w", newline="\n") as fh:
         json.dump(cloud.provenance.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def read_cloud_csv(path) -> GraphCloud:
+    """The cloud of an x,y CSV and of its provenance sidecar, if there is one;
+    BadConfig unless the file holds one or more rows of exactly two numeric
+    columns after its header."""
     path = Path(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise BadConfig(f"{path.name} is not an x,y CSV: {exc}") from exc
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise BadConfig(f"{path.name} must hold one or more rows of exactly two numeric "
+                        f"columns, not {data.shape[0]} rows of {data.shape[1]}")
     meta_path = Path(str(path) + ".meta.json")
     if meta_path.exists():
         prov = CloudProvenance(**json.loads(meta_path.read_text()))

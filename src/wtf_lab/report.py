@@ -11,25 +11,34 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 
 def write_csv(path, header, rows) -> None:
     """The one CSV format of the lab: a header line of column names, then one
-    line per row tuple; numbers with 17 significant digits (they round-trip
+    line per row; numbers with 17 significant digits (they round-trip
     float64 exactly), strings as given, commas between, LF line endings.
-    Every row has the column types of the first.  Creates the parent
-    directory."""
+    rows is an iterable of row tuples or a 2-D array, and every row has the
+    column types of the first.  One % formats a block of rows at a time.
+    Creates the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
+    block = 1024  # rows per % call
+    if isinstance(rows, np.ndarray):
+        blocks = (rows[r:r + block].tolist() for r in range(0, len(rows), block))
+    else:
+        rows = iter(rows)
+        blocks = iter(lambda: list(islice(rows, block)), [])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is not None:
-            line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
-            fh.write(line % first)
-            fh.writelines(line % row for row in rows)
+        line = None
+        for chunk in blocks:
+            if line is None:
+                line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in chunk[0]) + "\n"
+            fh.write(line * len(chunk) % tuple(chain.from_iterable(chunk)))
 
 
 def config_hash(config: dict) -> str:

@@ -136,6 +136,22 @@ class TestSampleAndBoxdim:
         assert report["error"]["type"] == "ValueError"
         assert "finite" in report["error"]["message"]
 
+    @pytest.mark.parametrize("text", ["x,y\n", "", "x\n0.5\n0.25\n", "x,y,z\n0.5,1,2\n",
+                                      "x,y\n0.5,1\n0.25\n", "x,y\n0.5,one\n"],
+                             ids=["header_only", "empty", "one_column", "three_columns",
+                                  "ragged", "not_numeric"])
+    def test_boxdim_refuses_malformed_cloud_csv(self, tmp_path, text):
+        # one or more rows of exactly two numeric columns, or a validation
+        # error report: no IndexError, no silent read of the first two columns
+        csv_path = tmp_path / "cloud.csv"
+        csv_path.write_text(text)
+        cfg = write_config(tmp_path, "cfg.json", {"cloud_csv_in": str(csv_path)})
+        out = tmp_path / "out"
+        assert main(["boxdim", "--config", cfg, "--out", str(out)]) == 2
+        report = read_report(out)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "BadConfig"
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WTF_LAB_BUDGET", "64")
         cfg = write_config(tmp_path, "cfg.json", {
@@ -272,6 +288,40 @@ class TestSpectrumGibbsLiftHolder:
         error = read_report(out)["error"]
         assert error["type"] == "OscillationUnderflow"
         assert "cylinder length" in error["message"]
+
+
+def _per_row_csv(header, rows):
+    """write_csv's format one row at a time: the reference for its blocks."""
+    rows = [tuple(r) for r in rows]
+    text = ",".join(header) + "\n"
+    if rows:
+        line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+        text += "".join(line % row for row in rows)
+    return text.encode()
+
+
+def test_write_csv_blocks_match_per_row_format(tmp_path):
+    # numeric rows across the 1024-row block boundaries, as tuples and as an
+    # array; mixed str/float rows (gibbs); no rows at all
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.random(8200) * 10.0**rng.integers(-300, 300, 8200),
+                        [0.0, -0.0, 1.0, 2.0**-1074, math.nan, math.inf, -math.inf]])
+    y = -x[::-1]
+    cases = [
+        (("x", "y"), list(zip(x.tolist(), y.tolist())), np.column_stack((x, y))),
+        (("word", "x"), [("".join(map(str, rng.integers(0, 2, 9).tolist())), v) for v in x[:5000].tolist()],
+         None),
+        (("q", "A_q"), [], np.empty((0, 2))),
+    ]
+    for header, rows, array in cases:
+        want = _per_row_csv(header, rows)
+        write_csv(tmp_path / "rows.csv", header, rows)
+        assert (tmp_path / "rows.csv").read_bytes() == want, header
+        write_csv(tmp_path / "gen.csv", header, (row for row in rows))
+        assert (tmp_path / "gen.csv").read_bytes() == want, header
+        if array is not None:
+            write_csv(tmp_path / "array.csv", header, array)
+            assert (tmp_path / "array.csv").read_bytes() == want, header
 
 
 def _holder_per_point(sys, path):

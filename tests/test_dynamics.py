@@ -166,6 +166,66 @@ class TestApplyTau:
         assert float(m1.tau(0.75)) == pytest.approx(0.5, abs=1e-12)
 
 
+def _copyto_tau(sys, x):
+    """The per-branch tau: every branch's forward map on the whole array,
+    each point keeping its own branch's value by a masked copyto."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    idx = sys.branch_index(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, br in enumerate(sys.branches):
+            np.copyto(out, br.forward(x), where=idx == i)
+    return out - np.floor(out)
+
+
+def _filled_trig(poly, x):
+    """TrigPoly term by term: fill with c0, then add a_k cos and b_k sin."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, poly.c0)
+    for k, a, b in poly.harmonics:
+        w = 2.0 * math.pi * k * x
+        if a:
+            out = out + a * np.cos(w)
+        if b:
+            out = out + b * np.sin(w)
+    return out
+
+
+class TestOneEvaluationPerPoint:
+    POLYS = (dynamics.COS_2PI, dynamics.TrigPoly(), dynamics.TrigPoly(0.75, ((1, 0.1, 0.0),)),
+             dynamics.TrigPoly(0.0, ((1, 0.0, -1.0), (3, 1.0, 0.0))),
+             dynamics.TrigPoly(-0.0, ((2, 1.0, 0.5), (1, 1.0, -0.25))),
+             dynamics.TrigPoly(0.0, ((1, -0.58, 0.0), (2, 1.0, 0.0))))
+
+    def _inputs(self, sys):
+        edges = np.concatenate([sys.branch_lows, sys.branch_highs])
+        gaps = [0.5 * (hi + lo) for hi, lo in zip(sys.branch_highs[:-1], sys.branch_lows[1:])]
+        return np.concatenate([
+            np.random.default_rng(17).random(2**16),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            gaps, [0.0, -0.0, 1.0, -0.25, 1.5, np.nan, np.inf, -np.inf],
+        ])
+
+    def test_tau_matches_copyto_formula(self, systems):
+        # affine systems gather slope and offset by branch index, the sine
+        # family subtracts the index from one ell x + eps sin 2 pi x
+        for name, sys in _tau_systems(systems).items():
+            x = self._inputs(sys)
+            assert _same_bits(sys.tau(x), _copyto_tau(sys, x)), name
+            for x0 in (0.3, -0.0, 1.0, np.nan, float(sys.branch_highs[0])):
+                for arg in (np.float64(x0), np.array(x0)):
+                    assert _same_bits(sys.tau(arg), _copyto_tau(sys, arg)), (name, x0)
+
+    def test_trig_poly_matches_filled_sum(self, systems):
+        # cos 2 pi x is one cos; other polynomials add their terms as before
+        x = np.concatenate([self._inputs(sys) for sys in systems.values()])
+        with np.errstate(invalid="ignore"):
+            for poly in self.POLYS:
+                assert _same_bits(poly(x), _filled_trig(poly, x)), poly
+                for arg in (np.float64(0.3), np.array(-0.0), 0.25):
+                    assert _same_bits(poly(arg), _filled_trig(poly, arg)), (poly, arg)
+
+
 def _reference_orbit(sys, x, n):
     """One point, one step at a time: digits, orbit points (0 from the exit
     on) and the iterate at which the orbit leaves the partition."""

@@ -17,7 +17,7 @@ from wtf_lab import (
     PotentialSpec,
     ThetaSequence,
 )
-from wtf_lab.dynamics import cylinder_bounds_many, point_of_word
+from wtf_lab.dynamics import _walk, cylinder_bounds_many, point_of_word
 from wtf_lab.thermo import sample_words
 
 
@@ -58,6 +58,93 @@ class TestSampleGraph:
         assert np.array_equal(cloud.y, back.y)
         assert back.provenance == cloud.provenance
         assert path.read_text().splitlines()[0] == "x,y"
+
+
+def _mp_W_dyadic(x, theta, terms):
+    """W_theta(x) on M1 at 40 digits for a dyadic x: the orbit 2^n x mod 1 is
+    exact and reaches 0, where cos(2 pi theta_n) alone is left.  With theta
+    = 0 the rest is the geometric tail lam^n / (1 - lam); else ``terms`` terms."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, two_pi = mpmath.mpf(0.7), 2 * mpmath.pi
+        u, total, weight = mpmath.mpf(x), mpmath.mpf(0), mpmath.mpf(1)
+        for n in range(terms):
+            if theta is None and u == 0:
+                return total + weight / (1 - lam)
+            total += weight * mpmath.cos(two_pi * (u + (0 if theta is None else mpmath.mpf(theta[n]))))
+            weight *= lam
+            u = 2 * u - mpmath.floor(2 * u)
+        return total
+
+
+def _level_order_cloud(sys, t, theta, depth, tol):
+    """Reference pull-back: the whole walk one level at a time, each level's
+    y from the level before, y <- lambda(u) y + g(u + theta_k)."""
+    u = np.asarray(t, dtype=float)
+    y, _, _ = wl.eval_W_many(sys, u, theta.shift(depth), tol)
+    for k in range(depth - 1, -1, -1):
+        level = [br.inverse(u) for br in sys.branches]
+        y = np.concatenate([sys.lam_at(v) * y + sys.g(v + theta[k]) for v in level])
+        u = np.concatenate(level)
+    return u, y
+
+
+class TestPullBackCloud:
+    def test_m1_grid_within_1e_10_of_mpmath(self, m1, zeros):
+        # depth 17 x 4 at tol 1e-8: a pulled-back value carries the base
+        # error times 0.7^17, the forward sum the whole 1e-8
+        cloud = wl.sample_graph(m1, zeros, depth=17, per_cylinder=4, tol=1e-8)
+        total = 2**17 * 4
+        assert cloud.x.tobytes() == (np.arange(total, dtype=float) / total).tobytes()
+        pick = np.random.default_rng(41).choice(total, 128, replace=False)
+        err = max(abs(cloud.y[i] - float(_mp_W_dyadic(cloud.x[i], None, 64))) for i in pick)
+        assert err <= 1e-10
+
+    def test_m1_grid_iid_theta_within_1e_10_of_mpmath(self, m1):
+        theta = ThetaSequence.iid_uniform(901)
+        cloud = wl.sample_graph(m1, theta, depth=17, per_cylinder=4, tol=1e-8)
+        shifts = theta.block(0, 260)  # 0.7^260 / 0.3 < 1e-40
+        pick = np.random.default_rng(43).choice(len(cloud), 6, replace=False)
+        err = max(abs(cloud.y[i] - float(_mp_W_dyadic(cloud.x[i], shifts, 260))) for i in pick)
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("depth,per", [(10, 3), (5, 20)])
+    def test_restricted_matches_level_order_walk(self, systems, monkeypatch, depth, per):
+        # 256-point blocks: depth 10 runs 8 levels per head row, depth 5 all
+        # levels on chunks of 8 rows; the bits are the unchunked walk's
+        monkeypatch.setattr(wl.graph, "_EVAL_BLOCK", 256)
+        mixed = wl.validate_system({"branches": [
+            {"domain": [0.0, 0.4], "slope": -2.5, "offset": 1.0},
+            {"domain": [0.6, 1.0], "slope": 2.5, "offset": -1.5}], "lambda": 0.7})
+        t = (np.arange(per) + 0.5) / per
+        for sys in [*systems.values(), mixed]:
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(depth)):
+                cloud = wl.sample_graph(sys, theta, depth, per, 1e-8, restrict_to_repeller=True)
+                assert cloud.x.tobytes() == np.sort(_walk(sys, t, depth)).tobytes()
+                u, y = _level_order_cloud(sys, t, theta, depth, 1e-8)
+                order = np.argsort(u, kind="stable")
+                assert cloud.y.tobytes() == y[order].tobytes()
+
+    def test_m1_grid_matches_level_order_walk(self, m1, monkeypatch):
+        monkeypatch.setattr(wl.graph, "_EVAL_BLOCK", 256)
+        for per in (1, 4, 5):
+            theta = ThetaSequence.iid_uniform(per)
+            cloud = wl.sample_graph(m1, theta, 9, per, 1e-8)
+            u, y = _level_order_cloud(m1, np.arange(per) / per, theta, 9, 1e-8)
+            assert cloud.x.tobytes() == u.tobytes()
+            assert cloud.y.tobytes() == y.tobytes()
+
+    def test_other_grids_stay_forward(self, systems):
+        # M1 with 3 points per cylinder: the walk from j / 3 misses the grid
+        # k / (3 * 2^n) in the last bit, so the series is summed forward
+        triadic = wl.validate_system({"branches": {"family": "ell_adic", "ell": 3}, "lambda": 0.5})
+        for sys, per in ((systems["M5"], 4), (systems["M2"], 4), (systems["M1"], 3), (triadic, 2)):
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(3)):
+                cloud = wl.sample_graph(sys, theta, 8, per, 1e-8)
+                total = sys.ell**8 * per
+                assert cloud.x.tobytes() == (np.arange(total, dtype=float) / total).tobytes()
+                y, _, _ = wl.eval_W_many(sys, cloud.x, theta, 1e-8)
+                assert cloud.y.tobytes() == y.tobytes()
 
 
 def _unique_counts(cloud, scales):

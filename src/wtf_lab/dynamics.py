@@ -170,25 +170,29 @@ class SineFamilyBranch:
         x = np.asarray(x, dtype=float)
         return self.ell + 2.0 * math.pi * self.eps * np.cos(2.0 * math.pi * x)
 
+    @cached_property
+    def _image(self) -> tuple[float, float]:
+        """(f(lo), f(hi)): the ends of the branch image before the index shift."""
+        return float(self._f(self.lo)), float(self._f(self.hi))
+
     def inverse(self, y):
         target = np.asarray(y, dtype=float) + float(self.index)
-        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi)
+        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi, *self._image)
         return np.clip(x, self.lo, self.hi)
 
 
-def _invert_increasing(f, fprime, target, lo, hi):
-    """Solve f(x) = target on [lo, hi] for increasing f, each element on its
-    own: Newton from the chord guess, safeguarded by a bisection bracket.  An
-    element stops at x - s once its step s = (f(x) - target) / f'(x) is below
-    _INVERT_TOL, so its root depends on its own target only, alone or in any
-    batch.  A target at or past f(lo) or f(hi) gives that end.
-    InversionFailed for a target that is not finite and when _INVERT_MAX_ITER
-    steps leave an element unconverged."""
+def _invert_increasing(f, fprime, target, lo, hi, f_lo, f_hi):
+    """Solve f(x) = target on [lo, hi] for increasing f, with f_lo = f(lo) and
+    f_hi = f(hi), each element on its own: Newton from the chord guess,
+    safeguarded by a bisection bracket.  An element stops at x - s once its
+    step s = (f(x) - target) / f'(x) is below _INVERT_TOL, so its root
+    depends on its own target only, alone or in any batch.  A target at or
+    past f_lo or f_hi gives that end.  InversionFailed for a target that is
+    not finite and when _INVERT_MAX_ITER steps leave an element unconverged."""
     target = np.asarray(target, dtype=float)
     if not np.isfinite(target).all():
         raise InversionFailed("inverse branch target is not finite")
     t = target.ravel()
-    f_lo, f_hi = float(f(lo)), float(f(hi))
     roots = np.where(t <= f_lo, lo, hi)
     live = np.flatnonzero((t > f_lo) & (t < f_hi))  # result slot of each working element
     t = t[live]
@@ -471,8 +475,8 @@ def _build_branches(spec) -> tuple:
         if 2.0 * math.pi * abs(eps) >= ell:
             raise BadConfig("doubling_plus_sine needs 2*pi*|eps| < ell for monotonicity")
         whole = SineFamilyBranch(0, 0.0, 1.0, ell, eps)  # ell x + eps sin(2 pi x) on [0, 1]
-        cuts = [0.0] + [_invert_increasing(whole._f, whole.derivative, float(k), 0.0, 1.0)
-                        for k in range(1, ell)] + [1.0]
+        cuts = [0.0] + [_invert_increasing(whole._f, whole.derivative, float(k), 0.0, 1.0,
+                                           *whole._image) for k in range(1, ell)] + [1.0]
         return tuple(
             SineFamilyBranch(i, cuts[i], cuts[i + 1], ell, eps) for i in range(ell)
         )
@@ -728,15 +732,25 @@ def birkhoff_sum(sys: CookieCutterSystem, field_name: str, x: float, n: int) -> 
     """Partial sum of log|tau'| or log lambda along the orbit of x."""
     if field_name not in BIRKHOFF_FIELDS:
         raise ValueError(f"field must be one of {BIRKHOFF_FIELDS}")
-    _, points = _orbit_of(sys, x, n)
-    if field_name == "log_abs_tau_prime":
-        terms = sys.log_abs_tau_prime(points)
-    else:
-        terms = sys.log_lam(points)
-    total = 0.0
-    for term in terms.tolist():  # left to right: np.sum adds pairwise
-        total += term
-    return total
+    sums = _birkhoff_sums(sys, [x], n)
+    return float(sums[BIRKHOFF_FIELDS.index(field_name)][0])
+
+
+def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_n log|tau'|, S_n log lambda) along the orbit of each point of xs,
+    from one orbit walk; both sums add their terms left to right (np.sum
+    adds pairwise).  NotInPartition(k) for the first point, in the order of
+    xs, whose iterate k leaves the partition."""
+    _, points, left = _orbit(sys, xs, n)
+    out = np.flatnonzero(left < n)
+    if out.size:
+        raise NotInPartition(int(left[out[0]]))
+    log_tp, log_lam = sys.log_abs_tau_prime(points), sys.log_lam(points)
+    u, v = np.zeros(len(points)), np.zeros(len(points))
+    for k in range(n):
+        u += log_tp[:, k]
+        v += log_lam[:, k]
+    return u, v
 
 
 def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):

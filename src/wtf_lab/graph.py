@@ -19,10 +19,10 @@ from .dynamics import (
     CookieCutterSystem,
     _check_budget,
     _compose,
+    _birkhoff_sums,
     _orbit_of,
     _walk,
     _word,
-    birkhoff_sum,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
@@ -156,22 +156,48 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
     return x.ravel(), y.ravel()
 
 
-def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-            probes: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u, W_theta(u)) as (count, ell^m) arrays, u = rho_w(rho_v(1/2)) per row w
-    of a (count, n) digit matrix and word v of the least depth m with
-    ell^m >= probes (a Moran cover of J cap I_w): two _pull_back stages from
-    one series value W_{sigma^{n+m} theta}(1/2), whose error a probe carries
-    times lambda^{n+m}.  Like point_of_word, only the leading 64 digits
-    (_MAX_EFFECTIVE_DEPTH) count: a deeper word gets its depth-64 prefix's
-    probes, and so its oscillation."""
+def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:
+    """The depth m of _probes' tails: the least m >= 1 with ell^m >= probes."""
     if probes < 2:
         raise ValueError("probes must be >= 2")
+    return max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+
+
+def _probe_bases(sys: CookieCutterSystem, depths, theta: ThetaSequence, probes: int,
+                 tol: float) -> np.ndarray:
+    """The base W_{sigma^{n+m} theta}(1/2) of _probes for each word depth n
+    in depths (n capped at _MAX_EFFECTIVE_DEPTH), from one orbit walk of 1/2:
+    eval_W_many's term loop with a shift axis.  Every shift s shares the
+    orbit, so one g, lam_at and tau per term; only the theta index s + k
+    differs.  Each base adds its terms in eval_W_many's order, so it has the
+    bits of eval_W_many(sys, [0.5], theta.shift(s), tol)."""
+    n_terms, _ = _terms_for_tolerance(sys, tol)
+    m = _probe_depth(sys, probes)
+    shifts = np.minimum(np.asarray(depths, dtype=np.int64), _MAX_EFFECTIVE_DEPTH) + m
+    thetas = theta.block(0, int(shifts.max()) + n_terms)
+    cur, weight = np.array([0.5]), np.ones(1)
+    acc = np.zeros(shifts.size)
+    for k in range(n_terms):
+        acc += weight * sys.g(cur + thetas[shifts + k])
+        if k + 1 < n_terms:
+            weight *= sys.lam_at(cur)
+            cur = sys.tau(cur)
+    return acc
+
+
+def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
+            probes: int, base: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u, W_theta(u)) as (count, ell^m) arrays, u = rho_w(rho_v(1/2)) per row w
+    of a (count, n) digit matrix and word v of depth m = _probe_depth (a Moran
+    cover of J cap I_w): two _pull_back stages from the series value
+    base = W_{sigma^{n+m} theta}(1/2) (see _probe_bases), whose error a probe
+    carries times lambda^{n+m}.  Like point_of_word, only the leading 64
+    digits (_MAX_EFFECTIVE_DEPTH) count: a deeper word gets its depth-64
+    prefix's probes, and so its oscillation."""
+    m = _probe_depth(sys, probes)
     count = words.shape[0]
-    m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
     _check_budget(count * sys.ell**m)
     n = min(words.shape[1], _MAX_EFFECTIVE_DEPTH)
-    base, _, _ = eval_W_many(sys, np.array([0.5]), theta.shift(n + m), tol)
     tails, y = _pull_back(sys, enumerate_words(sys.ell, m), 0.5, base, theta.shift(n))
     u, y = _pull_back(sys, np.repeat(words[:, :n], tails.size, axis=0), np.tile(tails, count),
                       np.tile(y, count), theta)
@@ -179,10 +205,10 @@ def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
 
 
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, tol: float, _curve=None) -> np.ndarray:
+                  probes: int, base: float, _curve=None) -> np.ndarray:
     """sup - inf of W (or of the test hook ``_curve``, evaluated pointwise)
     per row w of a (count, n) digit matrix over the probes of _probes."""
-    u, ys = _probes(sys, words, theta, probes, tol)
+    u, ys = _probes(sys, words, theta, probes, base)
     ys = ys if _curve is None else np.asarray(_curve(u), dtype=float)
     return ys.max(axis=1) - ys.min(axis=1)
 
@@ -190,7 +216,9 @@ def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequen
 def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
                      probes: int = 128, tol: float = 1e-10) -> float:
     """sup - inf of W over stratified sub-cylinder representatives of the word."""
-    return float(_oscillations(sys, _word(sys, word)[None, :], theta, probes, tol)[0])
+    word = _word(sys, word)
+    base = _probe_bases(sys, [word.size], theta, probes, tol)[0]
+    return float(_oscillations(sys, word[None, :], theta, probes, base)[0])
 
 
 @dataclass(frozen=True)
@@ -214,19 +242,20 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
     r_n stays bounded away from 0.  Mixed signals raise Inconclusive.
     """
     depths = list(_DEGENERACY_DEPTHS)
+    bases = _probe_bases(sys, depths, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
     rng = np.random.default_rng(_DEGENERACY_SEED)
     ratios, lips = [], []
-    for n in depths:
+    for n, base in zip(depths, bases):
         if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
             words = enumerate_words(sys.ell, n)
         else:
             words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
         lo, hi = cylinder_bounds_many(sys, words)
-        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
+        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
         if sys.is_affine and sys.lam.branch_constant:
             log_lam = birkhoff_sums_from_digits(sys, words)[1]
         else:  # S_n log lambda along the orbits of the cylinder midpoints
-            log_lam = np.array([birkhoff_sum(sys, "log_lambda", x, n) for x in 0.5 * (lo + hi)])
+            log_lam = _birkhoff_sums(sys, 0.5 * (lo + hi), n)[1]
         ratios.append(float(np.max(osc / np.exp(log_lam))))
         lips.append(float(np.max(osc / (hi - lo))))
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
+    _birkhoff_sums,
     _check_budget,
     _orbit,
     birkhoff_sums_from_digits,
@@ -26,7 +27,7 @@ from .dynamics import (
     torus_distance,
 )
 from .errors import BadConfig, DegenerateFit, NotInPartition, OscillationUnderflow
-from .graph import _oscillations, _pull_back_walk, eval_W_many
+from .graph import _oscillations, _probe_bases, _pull_back_walk, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, alpha_of_q, sample_words
@@ -119,15 +120,21 @@ def write_cloud_csv(cloud: GraphCloud, path) -> None:
 
 def read_cloud_csv(path) -> GraphCloud:
     """The cloud of an x,y CSV and of its provenance sidecar, if there is one;
-    BadConfig unless the file holds one or more rows of exactly two numeric
-    columns after its header."""
+    BadConfig unless the file's first line is the header x,y and one or more
+    rows of exactly two numeric columns follow it."""
     path = Path(path)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n")
+        if header == "x,y":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data" warning
+                # a path, not fh: loadtxt reads a path in blocks, a handle line by line
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
         raise BadConfig(f"{path.name} is not an x,y CSV: {exc}") from exc
+    if header != "x,y":
+        raise BadConfig(f"{path.name} must start with the header line x,y, not {header[:40]!r}")
     if data.shape[0] == 0 or data.shape[1] != 2:
         raise BadConfig(f"{path.name} must hold one or more rows of exactly two numeric "
                         f"columns, not {data.shape[0]} rows of {data.shape[1]}")
@@ -242,15 +249,7 @@ def holder_birkhoff_many(sys: CookieCutterSystem, xs, n: int) -> np.ndarray:
     partition."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    _, points, left = _orbit(sys, xs, n)
-    out = np.flatnonzero(left < n)
-    if out.size:
-        raise NotInPartition(int(left[out[0]]))
-    log_tp, log_lam = sys.log_abs_tau_prime(points), sys.log_lam(points)
-    u, v = np.zeros(len(points)), np.zeros(len(points))
-    for k in range(n):
-        u += log_tp[:, k]
-        v += log_lam[:, k]
+    u, v = _birkhoff_sums(sys, xs, n)
     return -v / u
 
 
@@ -278,8 +277,10 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
                             tol: float = 1e-12, _curve=None) -> np.ndarray:
     """holder_oscillation at each point of xs: one orbit walk codes every
-    itinerary to the deepest depth, one pulled-back _oscillations call per
-    depth.  OscillationUnderflow when osc < 10*tol or a cylinder length is 0."""
+    itinerary to the deepest depth, one walk of 1/2 sums the probe bases of
+    every depth used (graph._probe_bases), one pulled-back _oscillations call
+    per depth.  OscillationUnderflow when osc < 10*tol or a cylinder length
+    is 0."""
     depths = sorted(depth_range)
     if not depths:
         raise ValueError("depth_range must be nonempty")
@@ -292,13 +293,15 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     # first depth past it, so an earlier depth's OscillationUnderflow still
     # comes first, as when each depth was coded on its own.
     words, _, left = _orbit(sys, xs, n_max)
+    used = [depths[0]] + hi_cluster
+    bases = dict(zip(used, _probe_bases(sys, used, theta, probes, tol).tolist()))
 
     def logs(n):
         """log(osc over I_n) and log|I_n| per point."""
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc = _oscillations(sys, words[:, :n], theta, probes, tol, _curve)
+        osc = _oscillations(sys, words[:, :n], theta, probes, bases[n], _curve)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import spearmanr
 
-from wtf_lab.verify import CHECKS, BatteryContext, _rank_correlation
+from wtf_lab import ThetaSequence, oscillation_over
+from wtf_lab.verify import CHECKS, BatteryContext, _band_ratios, _rank_correlation
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +40,21 @@ def test_rank_correlation_is_spearmanr(values, nan_at):
     ref = spearmanr(np.arange(len(y)), y).statistic
     got = _rank_correlation(y)
     assert float(got).hex() == float(ref).hex()
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+def test_band_ratios_match_per_word_reference(ctx, name):
+    # criterion 9(a): one probe-base walk and one batch per depth give each
+    # word the bits of its own oscillation_over call (the per-word route)
+    sys = ctx.systems[name]
+    zeros = ThetaSequence.zeros()
+    rng = np.random.default_rng(97)
+    lam = np.asarray(sys.lam.branch_values(sys.ell))
+    ref = []
+    for n in range(1, 17):
+        for _ in range(3):
+            digits = rng.integers(0, sys.ell, n).astype(np.uint8)
+            osc = oscillation_over(sys, digits, zeros, probes=128, tol=1e-12)
+            lam_n = sys.lam.value**n if sys.lam.kind == "constant" else float(np.prod(lam[digits]))
+            ref.append(osc / lam_n)
+    assert _band_ratios(sys, zeros) == ref

@@ -33,8 +33,9 @@ class TestPredict:
         out = tmp_path / "out"
         assert main(["predict", "--config", cfg, "--out", str(out)]) == 0
         report = read_report(out)
-        assert abs(report["outputs"]["s1"] - 1.4854268) <= 1e-6
-        assert abs(report["outputs"]["s2"] - 1.9433575) <= 1e-6
+        m1 = wl.validate_system(wl.model_spec("M1"))
+        assert abs(report["outputs"]["s1"] - wl.moran_oracle(m1, "s1")) <= 1e-6
+        assert abs(report["outputs"]["s2"] - wl.moran_oracle(m1, "s2")) <= 1e-6
         assert report["outputs"]["min_is"] == "s1"
         assert report["status"] == "ok"
         assert "config_hash" in report and report["version"]
@@ -137,12 +138,14 @@ class TestSampleAndBoxdim:
         assert "finite" in report["error"]["message"]
 
     @pytest.mark.parametrize("text", ["x,y\n", "", "x\n0.5\n0.25\n", "x,y,z\n0.5,1,2\n",
-                                      "x,y\n0.5,1\n0.25\n", "x,y\n0.5,one\n"],
+                                      "x,y\n0.5,1\n0.25\n", "x,y\n0.5,one\n",
+                                      "0.5,1\n0.25,2\n0.75,3\n"],
                              ids=["header_only", "empty", "one_column", "three_columns",
-                                  "ragged", "not_numeric"])
+                                  "ragged", "not_numeric", "headerless"])
     def test_boxdim_refuses_malformed_cloud_csv(self, tmp_path, text):
-        # one or more rows of exactly two numeric columns, or a validation
-        # error report: no IndexError, no silent read of the first two columns
+        # the x,y header, then one or more rows of exactly two numeric
+        # columns, or a validation error report: no IndexError, no silent
+        # read of the first two columns, no first row dropped unread
         csv_path = tmp_path / "cloud.csv"
         csv_path.write_text(text)
         cfg = write_config(tmp_path, "cfg.json", {"cloud_csv_in": str(csv_path)})

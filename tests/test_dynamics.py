@@ -28,7 +28,7 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _oscillations
+from wtf_lab.graph import _oscillations, _probe_bases
 from wtf_lab.theta import counter_uniforms
 
 
@@ -273,8 +273,9 @@ class TestNewtonInverse:
         bounds = [cylinder_bounds_many(m5, w[None, :]) for w in words]
         assert lo.tolist() == [float(b[0][0]) for b in bounds]
         assert hi.tolist() == [float(b[1][0]) for b in bounds]
-        osc = _oscillations(m5, words[:12, :8], zeros, 16, 1e-10)
-        assert osc.tolist() == [float(_oscillations(m5, w[None, :8], zeros, 16, 1e-10)[0])
+        base = _probe_bases(m5, [8], zeros, 16, 1e-10)[0]
+        osc = _oscillations(m5, words[:12, :8], zeros, 16, base)
+        assert osc.tolist() == [float(_oscillations(m5, w[None, :8], zeros, 16, base)[0])
                                 for w in words[:12]]
 
     def test_matches_mpmath(self, m5):
@@ -292,12 +293,14 @@ class TestNewtonInverse:
         assert np.all(np.abs(x - ref) <= 4 * np.spacing(ref))
 
     def test_image_ends(self, m5):
-        # targets at and past f(lo) and f(hi) give the bracket end itself
+        # targets at and past f(lo) and f(hi) give the bracket end itself;
+        # the branch holds those ends bit for bit
         for br in m5.branches:
             f, fp = br._f, br.derivative
             f_lo, f_hi = float(f(br.lo)), float(f(br.hi))
+            assert br._image == (f_lo, f_hi)
             t = np.array([f_lo, f_lo - 0.25, f_hi, f_hi + 0.25, np.nextafter(f_lo, -1.0)])
-            assert _invert_increasing(f, fp, t, br.lo, br.hi).tolist() == [br.lo] * 2 + [br.hi] * 2 + [br.lo]
+            assert _invert_increasing(f, fp, t, br.lo, br.hi, f_lo, f_hi).tolist() == [br.lo] * 2 + [br.hi] * 2 + [br.lo]
             assert br.inverse(np.array([0.0, 1.0])).tolist() == [br.lo, br.hi]
         assert m5.branches[0].hi == 0.5  # the cut point of 2x + 0.05 sin(2 pi x)
 
@@ -306,9 +309,10 @@ class TestNewtonInverse:
         br = m5.branches[1]
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(InversionFailed):
-                _invert_increasing(br._f, br.derivative, np.array([1.5, bad, 1.25]), br.lo, br.hi)
+                _invert_increasing(br._f, br.derivative, np.array([1.5, bad, 1.25]), br.lo, br.hi,
+                                   *br._image)
             with pytest.raises(InversionFailed):
-                _invert_increasing(br._f, br.derivative, np.float64(bad), br.lo, br.hi)
+                _invert_increasing(br._f, br.derivative, np.float64(bad), br.lo, br.hi, *br._image)
         with pytest.raises(InversionFailed):
             point_of_word(m5, np.array([[0, 1, 1]], dtype=np.uint8), np.nan)
 
@@ -319,7 +323,7 @@ class TestNewtonInverse:
             with monkeypatch.context() as patch:
                 patch.setattr(dynamics, name, value)
                 with pytest.raises(InversionFailed):
-                    _invert_increasing(br._f, br.derivative, t, br.lo, br.hi)
+                    _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, *br._image)
 
 
 class TestOrbitWalk:

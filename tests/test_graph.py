@@ -8,8 +8,14 @@ from hypothesis import given, strategies as st
 
 import wtf_lab as wl
 from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
-from wtf_lab.dynamics import _walk, point_of_word
-from wtf_lab.graph import _probes, _pull_back
+from wtf_lab.dynamics import (
+    _walk,
+    birkhoff_sums_from_digits,
+    cylinder_bounds_many,
+    enumerate_words,
+    point_of_word,
+)
+from wtf_lab.graph import _probe_bases, _probes, _pull_back
 
 
 class TestEval:
@@ -120,7 +126,7 @@ class TestPullBack:
                 t = rng.random(30)
                 u, _ = _pull_back(sys, words, t, np.zeros(30), theta)
                 assert u.tobytes() == point_of_word(sys, words, t).tobytes()
-                u, _ = _probes(sys, words, theta, 16, 1e-12)
+                u, _ = _probes(sys, words, theta, 16, _probe_bases(sys, [n], theta, 16, 1e-12)[0])
                 tails = _walk(sys, [0.5], 4)
                 ref = point_of_word(sys, np.repeat(words, 16, axis=0), np.tile(tails, 30))
                 assert u.tobytes() == ref.tobytes()
@@ -137,7 +143,7 @@ class TestPullBack:
             lam, eps = mpmath.mpf(0.7), mpmath.mpf(m5.branches[0].eps)
             for n in (5, 12, 20):
                 words = rng.integers(0, 2, size=(3, n)).astype(np.uint8)
-                u, pulled = _probes(m5, words, zeros, 128, 1e-12)
+                u, pulled = _probes(m5, words, zeros, 128, _probe_bases(m5, [n], zeros, 128, 1e-12)[0])
                 pick = rng.choice(128, 3, replace=False)
                 forward, _, _ = wl.eval_W_many(m5, u[:, pick], zeros, 1e-12)
                 err_pull, err_fwd = [], []
@@ -152,6 +158,28 @@ class TestPullBack:
                         err_fwd.append(abs(forward[r, c] - float(_mp_W(mpmath.mpf(float(u[r, j])), lam, eps))))
                 assert max(err_pull) <= 0.1 * max(err_fwd)
                 assert max(err_pull) <= 1e-12  # the series tolerance
+
+
+class TestProbeBases:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_match_one_point_series(self, systems, tol):
+        # one orbit walk of 1/2 for every depth: each base has the bits of
+        # the one-point series at its own shift min(n, 64) + m
+        depths = list(range(0, 70, 3)) + [64, 65, 2]
+        for sys in systems.values():
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(7).shift(3)):
+                for probes in (2, 128):
+                    m = max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+                    bases = _probe_bases(sys, depths, theta, probes, tol)
+                    for n, base in zip(depths, bases.tolist()):
+                        ref, _, _ = wl.eval_W_many(sys, np.array([0.5]), theta.shift(min(n, 64) + m), tol)
+                        assert base.hex() == float(ref[0]).hex(), (sys.model_id, n)
+
+    def test_argument_errors(self, m1, zeros):
+        with pytest.raises(ValueError):
+            _probe_bases(m1, [3], zeros, 1, 1e-10)
+        with pytest.raises(InvalidTolerance):
+            _probe_bases(m1, [3], zeros, 16, 0.0)
 
 
 class TestOscillation:
@@ -272,6 +300,38 @@ class TestDegeneracy:
         value = wl.eval_W(sys, 0.2, zeros, 1e-12).value
         assert value == pytest.approx(math.cos(2 * math.pi * 0.2), abs=1e-10)
         assert wl.detect_degenerate(sys, zeros).degenerate
+
+    @pytest.mark.parametrize("name", ["M1", "M5", "telescoping"])
+    def test_matches_per_word_reference(self, systems, zeros, name):
+        # reference: the per-word route, one oscillation_over per word and
+        # (off the digit-level case) one birkhoff_sum per cylinder midpoint,
+        # words drawn in the same rng order; the verdict keeps every bit
+        sys = systems.get(name) or wl.validate_system({
+            "id": "M1coh",
+            "branches": {"family": "ell_adic", "ell": 2},
+            "lambda": {"kind": "constant", "value": 0.7},
+            "g": {"kind": "trig", "harmonics": [[1, 1.0, 0.0], [2, -0.7, 0.0]]},
+        })
+        rng = np.random.default_rng(2024)
+        ratios, lips = [], []
+        for n in range(2, 13):
+            if sys.ell**n <= 16:
+                words = enumerate_words(sys.ell, n)
+            else:
+                words = rng.integers(0, sys.ell, size=(8, n)).astype(np.uint8)
+            lo, hi = cylinder_bounds_many(sys, words)
+            osc = np.array([wl.oscillation_over(sys, w, zeros, 128, 1e-12) for w in words])
+            if sys.is_affine and sys.lam.branch_constant:
+                log_lam = birkhoff_sums_from_digits(sys, words)[1]
+            else:
+                log_lam = np.array([wl.birkhoff_sum(sys, "log_lambda", x, n) for x in 0.5 * (lo + hi)])
+            ratios.append(float(np.max(osc / np.exp(log_lam))))
+            lips.append(float(np.max(osc / (hi - lo))))
+        verdict = wl.detect_degenerate(sys, zeros)
+        assert verdict.ratios == tuple(ratios)
+        assert verdict.lipschitz == tuple(lips)
+        assert verdict.degenerate == (name == "telescoping")
+        assert verdict.c_hat == (None if verdict.degenerate else min(ratios))
 
     def test_inconclusive_near_threshold(self, zeros):
         # same telescoping construction with lambda = 0.58: osc/lambda^n

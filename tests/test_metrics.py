@@ -352,6 +352,30 @@ class TestHolderOscillation:
                 expected = min(1.0, max(1e-12, slope))
                 assert wl.holder_oscillation(sys, x, zeros, depths, 128, 1e-12) == expected
 
+    def test_oscillations_match_oscillation_over(self, systems, monkeypatch):
+        # the bases of one walk of 1/2 give every point and depth the
+        # oscillation of its own oscillation_over call, bit for bit
+        calls = []
+
+        def record(sys, words, theta, probes, base, _curve=None):
+            osc = oscillations(sys, words, theta, probes, base, _curve)
+            calls.append((words.copy(), osc))
+            return osc
+
+        oscillations = metrics._oscillations
+        monkeypatch.setattr(metrics, "_oscillations", record)
+        for name in ("M1", "M3", "M5"):
+            sys = systems[name]
+            words = np.random.default_rng(31).integers(0, 2, size=(4, 30)).astype(np.uint8)
+            xs = point_of_word(sys, words, 0.5)
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(11)):
+                calls.clear()
+                wl.holder_oscillation_many(sys, xs, theta, range(3, 16), 64, 1e-12)
+                assert [w.shape[1] for w, _ in calls] == [3] + list(range(9, 16))
+                for rows, osc in calls:
+                    ref = [wl.oscillation_over(sys, w, theta, probes=64, tol=1e-12) for w in rows]
+                    assert osc.tolist() == ref, (name, rows.shape)
+
     def test_gap_iterate_reported(self, m2, m3, zeros):
         # tau^5 x is the centre of M2's gap
         x = float(point_of_word(m2, np.array([[0, 1, 1, 0, 1]], dtype=np.uint8), 0.5)[0])

@@ -180,8 +180,7 @@ def _cmd_spectrum(config, out_dir, seed, report):
         q_max = require_number(config, "q_max", default=3.0)
         steps = require_int(config, "q_steps", default=25, low=2)
         grid = list(np.linspace(q_min, q_max, steps))
-    fd_step = require_number(config, "fd_step", default=1e-3, low=1e-8)
-    curve = spectrum(sys, grid, fd_step)
+    curve = spectrum(sys, grid)
     write_csv(out, ("q", "A_q", "alpha", "D"), curve.samples)
     report.outputs = {
         "spectrum_csv": out.name,

@@ -17,7 +17,7 @@ CONFIG_KEYS = frozenset((
     "model theta seed criteria depth per_cylinder tol restrict_to_repeller cloud_csv "
     "cloud_csv_in scales min_scale_exp max_scale_exp window_drop holder_csv birkhoff_depth "
     "osc_depth_min osc_depth_max probes points point_depth point_count spectrum_csv q_grid "
-    "q_min q_max q_steps fd_step sample_csv q pot_a pot_b pot_c count lift_csv").split())
+    "q_min q_max q_steps sample_csv q pot_a pot_b pot_c count lift_csv").split())
 
 
 def load_config(path) -> dict:

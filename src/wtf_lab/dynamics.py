@@ -332,6 +332,13 @@ class CookieCutterSystem:
         return (np.array([b.slope for b in self.branches]),
                 np.array([b.offset for b in self.branches]))
 
+    @cached_property
+    def branch_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log|tau_i'|, log lambda_i); 0 for an observable not constant on branches."""
+        zeros = np.zeros(self.ell)
+        return (np.log(np.abs(self._affine_coefficients[0])) if self.is_affine else zeros,
+                np.log(self.lam.branch_values(self.ell)) if self.lam.branch_constant else zeros)
+
     def tau(self, x):
         """Forward map; gap points go to 0, endpoint images wrap mod 1.  Each
         point's branch is evaluated once: affine systems gather slope and
@@ -761,8 +768,7 @@ def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
     """
     if not (sys.is_affine and sys.lam.branch_constant):
         raise NotBranchConstant("digit-level Birkhoff sums need branch-constant observables")
-    log_tp = np.log(np.abs(np.array([b.slope for b in sys.branches])))
-    log_lm = np.log(sys.lam.branch_values(sys.ell))
+    log_tp, log_lm = sys.branch_logs
     d = np.asarray(digits)
     if d.ndim != 2 or not d.flags.c_contiguous:
         return log_tp[d].sum(axis=-1), log_lm[d].sum(axis=-1)

@@ -12,7 +12,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import BadConfig, DegenerateFit, NotInPartition, OscillationUnderfl
 from .graph import _oscillations, _probe_bases, _pull_back_walk, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
-from .thermo import A_of_q, PotentialSpec, alpha_of_q, sample_words
+from .thermo import A_of_q, PotentialSpec, measure_stats, sample_words
 
 _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
@@ -335,7 +334,7 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
         digits = sample_words(sys, pot, birkhoff_depth, samples_per_q, seed + j)
         u, v = birkhoff_sums_from_digits(sys, digits)
         alpha_hat = float(np.mean(-v / u))
-        alpha_pred = alpha_of_q(partial(A_of_q, sys), float(q))
+        alpha_pred = measure_stats(sys, pot).alpha
         out.append((float(q), alpha_hat, alpha_pred))
     return out
 

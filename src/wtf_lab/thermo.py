@@ -6,8 +6,9 @@ is the closed form log sum_i exp(phi_i) when it is constant on branches, and
 otherwise the log spectral radius of the transfer operator
 L f(x) = sum_i exp(phi(rho_i x)) f(rho_i x), interpolated at Chebyshev nodes
 of [0,1]: for analytic branches and weights its error decays geometrically in
-the node count, so the 16-node value bounds the error of the 32-node one.
-Gibbs sampling and measure statistics use midpoint cylinder weights.
+the node count, so the 16-node value bounds the error of the 32-node one.  Measure statistics
+and alpha(q) are means of the equilibrium state (_equilibrium_means); Gibbs
+sampling of potentials not constant on branches uses midpoint cylinder weights.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     TooFlat,
 )
 
-DEFAULT_DEPTH = 12
 Q_MAX = 30.0
 _DEGENERATE_THRESHOLD = 1e-4
 _MARKOV_DEPTH = 8
@@ -87,35 +87,55 @@ class PressureEstimate:
     exact: bool
 
 
-def _is_exact(sys: CookieCutterSystem, pot: PotentialSpec) -> bool:
-    tau_const = sys.is_affine or pot.a == 0.0
-    lam_const = sys.lam.branch_constant or pot.b == 0.0
-    return tau_const and lam_const
-
-
 def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
-    log_tp = np.log(np.abs(np.array([b.slope for b in sys.branches]))) if sys.is_affine \
-        else np.zeros(sys.ell)
-    if sys.lam.branch_constant:
-        log_lm = np.log(sys.lam.branch_values(sys.ell))
-    else:
-        log_lm = np.zeros(sys.ell)
+    log_tp, log_lm = sys.branch_logs
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: inf or NaN
         return pot.a * log_tp + pot.b * log_lm + pot.c
+
+
+def _operators(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec,
+               *observables: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """(max phi, [L, then L_psi per psi]) on one grid of transfer_nodes: L has
+    the weights exp(phi - max phi), as in _logsumexp, and L_psi those times psi."""
+    interp, u, v = nodes
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _branch_phi
+        phi = pot.a * u + pot.b * v + pot.c
+        top = phi.max()
+        w = np.exp(phi - top)
+        ops = [np.einsum("ij,ijk->jk", w * psi, interp) for psi in (1.0, *observables)]
+    return float(top), ops
 
 
 def _operator_pressure(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec) -> float:
     """log of the spectral radius of the transfer operator of pot on one node
     grid of CookieCutterSystem.transfer_nodes; NaN when the operator is not
-    finite.  The weights are shifted by their maximum, as in _logsumexp."""
-    interp, u, v = nodes
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _branch_phi
-        phi = pot.a * u + pot.b * v + pot.c
-        top = phi.max()
-        op = np.einsum("ij,ijk->jk", np.exp(phi - top), interp)
+    finite."""
+    top, (op,) = _operators(nodes, pot)
     if not np.isfinite(op).all():
         return math.nan
-    return math.log(np.abs(np.linalg.eigvals(op)).max()) + float(top)
+    return math.log(np.abs(np.linalg.eigvals(op)).max()) + top
+
+
+def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec) -> tuple[float, float, float]:
+    """(P, int log|tau'| dmu, int log lambda dmu) for the equilibrium state mu
+    of pot, by Ruelle's formula dP(phi + t psi)/dt = int psi dmu: the Bernoulli
+    p_i = exp(phi_i - P) for affine systems with branch-constant lambda, else
+    l L_psi h / l L h on the 32-node operator, h and l its Perron vectors."""
+    if sys.is_affine and sys.lam.branch_constant:
+        phi = _branch_phi(sys, pot)
+        p_total = float(_logsumexp(phi))
+        p = np.exp(phi - p_total)
+        log_tp, log_lm = sys.branch_logs
+        return p_total, float(p @ log_tp), float(p @ log_lm)
+    nodes = sys.transfer_nodes[1]
+    top, (op, op_u, op_v) = _operators(nodes, pot, nodes[1], nodes[2])
+    vals, right = np.linalg.eig(op)
+    k = np.abs(vals).argmax()
+    left_vals, left = np.linalg.eig(op.T)
+    h, l = right[:, k].real, left[:, np.abs(left_vals).argmax()].real
+    norm = l @ op @ h
+    return (math.log(abs(vals[k])) + top,
+            float(l @ op_u @ h / norm), float(l @ op_v @ h / norm))
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
@@ -124,7 +144,7 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
     Exact for branch-constant potentials; else the transfer operator at 32
     Chebyshev nodes, with error bound |P_16 - P_32|.
     """
-    if _is_exact(sys, pot):
+    if (sys.is_affine or pot.a == 0.0) and (sys.lam.branch_constant or pot.b == 0.0):
         phi = _branch_phi(sys, pot)
         return PressureEstimate(float(_logsumexp(phi)), 0.0, True)
     coarse, fine = (_operator_pressure(nodes, pot) for nodes in sys.transfer_nodes)
@@ -233,12 +253,6 @@ def A_of_q(sys: CookieCutterSystem, q: float) -> float:
     return bowen_root(sys, aq_family(q), (-span, span))
 
 
-def alpha_of_q(A, q: float, h: float = 1e-3) -> float:
-    """alpha(q) = -A'(q) as the central difference -(A(q+h) - A(q-h)) / 2h,
-    for A a function q -> A_q (A_of_q on one system, or a cache of it)."""
-    return -(A(q + h) - A(q - h)) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -265,57 +279,41 @@ class SpectrumCurve:
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 
-def spectrum(sys: CookieCutterSystem, q_grid, fd_step: float = 1e-3) -> SpectrumCurve:
+def spectrum(sys: CookieCutterSystem, q_grid) -> SpectrumCurve:
     """Sample the spectrum on a q grid.
 
-    alpha(q) = -(A_{q+h} - A_{q-h}) / 2h with a Richardson consistency check
-    at h/2; D = q alpha + A_q.  For branch-constant systems the exact branch
-    exponents -log lambda_i / log|tau'_i| override the endpoint estimates.
+    alpha(q) = -A'(q) is the alpha of measure_stats at the root A_q, the
+    mean -int log lambda / int log|tau'| of the equilibrium state of
+    -A_q log|tau'| + q log lambda; D = q alpha + A_q.  For branch-constant
+    systems the exact branch exponents -log lambda_i / log|tau'_i| override
+    the endpoint estimates.
     """
     q_grid = [float(q) for q in q_grid]
     if q_grid != sorted(q_grid):
         raise ValueError("q_grid must be sorted ascending")
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
 
-    cache: dict[float, float] = {}
-
-    def A(qv: float) -> float:
-        if qv not in cache:
-            cache[qv] = A_of_q(sys, qv)
-        return cache[qv]
-
-    warnings: list[str] = []
-
-    def alpha(qv: float) -> float:
-        a_full = alpha_of_q(A, qv, fd_step)
-        a_half = alpha_of_q(A, qv, fd_step / 2)
-        if abs(a_full - a_half) > max(1e-6, 1e-3 * abs(a_full)):
-            warnings.append(f"alpha({qv}): finite difference unstable "
-                            f"({a_full:.8f} vs {a_half:.8f} at h/2)")
-        return a_half
-
+    points = dict.fromkeys([*q_grid, 0.0])  # (A_q, alpha(q)), one root per distinct q
+    for q in points:
+        aq = A_of_q(sys, q)
+        points[q] = aq, measure_stats(sys, PotentialSpec(-aq, q)).alpha
     samples = []
     for q in q_grid:
-        aq = A(q)
-        al = alpha(q)
+        aq, al = points[q]
         samples.append((q, aq, al, q * al + aq))
-
-    alpha_c = alpha(0.0)
+    a0, alpha_c = points[0.0]
     if sys.is_affine and sys.lam.branch_constant:
-        log_tp = np.log(np.abs(np.array([b.slope for b in sys.branches])))
-        log_lm = np.log(sys.lam.branch_values(sys.ell))
+        log_tp, log_lm = sys.branch_logs
         ratios = -log_lm / log_tp
         alpha_min, alpha_max = float(ratios.min()), float(ratios.max())
     else:
         alphas = [s[2] for s in samples]
         alpha_min, alpha_max = min(alphas), max(alphas)
 
+    warnings: list[str] = []
     degenerate = (alpha_max - alpha_min) < _DEGENERATE_THRESHOLD
     if degenerate:
         # corroborating cohomology diagnostic: A_q affine in q, i.e.
         # pressure((q alpha_c - A_0) log|tau'| + q log lambda) = 0
-        a0 = A(0.0)
         for q in (-1.0, 1.0):
             p = pressure(sys, PotentialSpec(q * alpha_c - a0, q)).value
             if abs(p) > 1e-6:
@@ -424,20 +422,16 @@ class MeasureStats:
 
 
 def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec) -> MeasureStats:
-    """Entropy, Lyapunov exponent and lambda-average of the Gibbs measure,
-    from the DEFAULT_DEPTH cylinder weights (exact per-digit quantities for
-    Bernoulli products); dim = h/chi and alpha = -mean(log lambda)/chi."""
-    depth = DEFAULT_DEPTH
+    """Entropy, Lyapunov exponent and lambda-average of the Gibbs measure of
+    a normalised potential, from the equilibrium means of _equilibrium_means:
+    h = P - int phi, dim = h/chi and alpha = -mean(log lambda)/chi."""
     _require_normalised(sys, pot)
-    _, u, v = sys.tree(depth)
-    s = pot.a * u + pot.b * v
-    log_w = s - _logsumexp(s)
-    w = np.exp(log_w)
-    h = float(-(w * log_w).sum()) / depth
-    chi = float((w * u).sum()) / depth
-    mll = float((w * v).sum()) / depth
+    p_total, chi, mll = _equilibrium_means(sys, pot)
+    h = p_total - (pot.a * chi + pot.b * mll + pot.c)
+    # Ruelle's inequality h <= chi caps the dimension of an invariant measure
+    # of an interval map at 1; rounding alone can put h/chi an ulp above it
     return MeasureStats(entropy=h, lyapunov=chi, mean_log_lambda=mll,
-                        dim=h / chi, alpha=-mll / chi)
+                        dim=min(h / chi, 1.0), alpha=-mll / chi)
 
 
 def lifted_dim_prediction(stats: MeasureStats) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .theta import ThetaSequence
 from .thermo import (
     A_of_q,
     PotentialSpec,
-    alpha_of_q,
     aq_family,
     bowen_root,
     graph_dimension_prediction,
@@ -161,11 +159,7 @@ def check_spectrum(ctx: BatteryContext) -> tuple[bool, str]:
     ok &= abs(curve.alpha_max - 0.7610569) <= 1e-4
     ok &= abs(curve.alpha_c - 0.6137) <= 1e-3
     # D at the critical point and its flatness, via samples at q = +-0.01
-    h = 0.01
-    a_p, a_m = A_of_q(sys3, h), A_of_q(sys3, -h)
-    al_p = alpha_of_q(partial(A_of_q, sys3), h)
-    al_m = alpha_of_q(partial(A_of_q, sys3), -h)
-    d_p, d_m = h * al_p + a_p, -h * al_m + a_m
+    (_, _, al_m, d_m), (_, _, al_p, d_p) = spectrum(sys3, [-0.01, 0.01]).samples
     slope_c = (d_p - d_m) / (al_p - al_m)
     ok &= abs(slope_c) <= 1e-2
     d_c = max(s[3] for s in curve.samples)
@@ -195,9 +189,10 @@ def check_gibbs_chain(ctx: BatteryContext) -> tuple[bool, str]:
     ok = True
     worst_dim, worst_alpha = 0.0, 0.0
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        a_q = A_of_q(sys3, q)
-        alpha_q = alpha_of_q(partial(A_of_q, sys3), q)
-        stats = measure_stats(sys3, PotentialSpec(-a_q, q))
+        # the references are M3's Moran closed forms, not the route measured
+        a_q = moran_oracle(sys3, "A_of_q", q=q)
+        alpha_q = moran_oracle(sys3, "alpha_of_q", q=q)
+        stats = measure_stats(sys3, PotentialSpec(-A_of_q(sys3, q), q))
         worst_dim = max(worst_dim, abs(stats.dim - (q * alpha_q + a_q)))
         worst_alpha = max(worst_alpha, abs(stats.alpha - alpha_q))
     ok &= worst_dim <= 2e-3 and worst_alpha <= 1e-3

@@ -222,8 +222,23 @@ class TestSpectrumGibbsLiftHolder:
         cfg = write_config(tmp_path, "cfg.json", {"model": "M5", "pot_a": -1, "depth": 10, "count": 50})
         out = tmp_path / "out"
         assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
-        # dim = h / chi still comes from depth-12 cylinder weights (0.9974)
-        assert read_report(out)["outputs"]["dim"] == pytest.approx(1.0, abs=1e-2)
+        assert read_report(out)["outputs"]["dim"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4", "M5"])
+    def test_lift_dims_at_most_one(self, tmp_path, model):
+        # on M5, A_of_q(0) lands an ulp above 1: dim still stays within jin_upper's [0, 1]
+        cfg = write_config(tmp_path, "cfg.json", {"model": model})
+        out = tmp_path / "out"
+        assert main(["lift", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "lift.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(float(row[1]) <= 1.0 for row in rows)
+
+    def test_spectrum_fd_step_refused(self, tmp_path):
+        # fd_step is no config key: alpha(q) is a mean of the equilibrium state
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M3", "fd_step": 1e-3})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert read_report(out)["error"]["type"] == "BadConfig"
 
     @pytest.mark.parametrize("command,config", [
         ("gibbs", {"model": "M1", "q": 0.0, "count": 100, "depth": 50}),  # count x depth digits

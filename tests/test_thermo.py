@@ -237,6 +237,25 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             wl.spectrum(m1, [1.0, -1.0])
 
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4"])
+    def test_alpha_matches_moran_oracle(self, systems, name):
+        sys = systems[name]
+        grid = [round(-3.0 + 0.25 * k, 2) for k in range(25)]
+        for q, _, alpha, _ in wl.spectrum(sys, grid).samples:
+            assert alpha == pytest.approx(wl.moran_oracle(sys, "alpha_of_q", q=q), abs=1e-12), q
+
+    def test_one_root_solve_per_q(self, m5, monkeypatch):
+        seen = []
+        A_of_q = wl.thermo.A_of_q
+
+        def counting(sys, q):
+            seen.append(q)
+            return A_of_q(sys, q)
+
+        monkeypatch.setattr(wl.thermo, "A_of_q", counting)
+        wl.spectrum(m5, [-1.0, -0.5, 0.5, 0.5, 1.0])
+        assert sorted(seen) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
 
 class TestGibbs:
     def test_m1_s1_weights_symmetric(self, m1):
@@ -279,6 +298,18 @@ class TestGibbs:
 
 
 class TestMeasureStats:
+    def test_m5_acim(self, m5):
+        # -log|tau'| on the full-branch M5: the equilibrium state is the acim,
+        # so dim = 1 and h = chi; chi is the a-derivative of the pressure, here
+        # by a central difference, a route without the Perron vectors
+        stats = wl.measure_stats(m5, PotentialSpec(-1.0, 0.0))
+        assert abs(stats.dim - 1.0) <= 1e-10
+        assert abs(stats.entropy - stats.lyapunov) <= 1e-12
+        da = 1e-4
+        chi = (wl.pressure(m5, PotentialSpec(-1.0 + da, 0.0)).value
+               - wl.pressure(m5, PotentialSpec(-1.0 - da, 0.0)).value) / (2 * da)
+        assert stats.lyapunov == pytest.approx(chi, abs=1e-7)
+
     def test_m1_uniform(self, m1):
         s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
         stats = wl.measure_stats(m1, s1_family(s1))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,9 +176,91 @@ class SineFamilyBranch:
         return float(self._f(self.lo)), float(self._f(self.hi))
 
     def inverse(self, y):
-        target = np.asarray(y, dtype=float) + float(self.index)
-        x = _invert_increasing(self._f, self.derivative, target, self.lo, self.hi, *self._image)
-        return np.clip(x, self.lo, self.hi)
+        """The root of f(x) = y + index, each element on its own.  A target
+        strictly inside the branch image takes one Newton step x = x0 - s from
+        the seed x0 of _inverse_seed; x is kept where Newton's bound on its
+        error, K (r s)^2 (see _inverse_seed), is at most half an ulp of x.
+        Every other element is solved by _invert_increasing, with its bits.
+        InversionFailed for a target that is not finite."""
+        y = np.asarray(y, dtype=float)
+        target = y + float(self.index)
+        if not np.isfinite(target).all():
+            raise InversionFailed("inverse branch target is not finite")
+        f_lo, f_hi = self._image
+        t = target.ravel()
+        x = np.empty_like(t)
+        rest = np.ones(t.size, dtype=bool)  # elements left to _invert_increasing
+        seed = _inverse_seed(self)
+        if seed is not None:
+            center, scale, coefficients, bound = seed
+            live = np.flatnonzero((t > f_lo) & (t < f_hi))
+            x0 = _clenshaw(coefficients, (t[live] - center) * scale)
+            # f(x0) - (y + index) with the nearly equal terms first: ell x0 -
+            # index - y cancels almost exactly, so neither the rounding of
+            # y + index nor that of f(x0) near it enters the step
+            residual = (self.ell * x0 - self.index - y.ravel()[live]
+                        + self.eps * np.sin(2.0 * math.pi * x0))
+            s = residual / self.derivative(x0)
+            xl = x0 - s
+            ok = bound * (s * s) <= _HALF_ULP * np.abs(xl)
+            kept = live[ok]
+            x[kept] = xl[ok]
+            rest[kept] = False
+        if rest.any():
+            x[rest] = _invert_increasing(self._f, self.derivative, t[rest], self.lo, self.hi,
+                                         f_lo, f_hi)
+        return np.clip(x.reshape(target.shape), self.lo, self.hi)
+
+
+_SEED_DEGREES = range(8, 65, 4)  # Chebyshev degrees tried for the inverse seed
+_SEED_TOL = 1e-9  # largest seed error on the check grid that a degree may leave
+_HALF_ULP = 2.0**-54  # a lower bound on half an ulp of x, relative to |x|
+
+
+def _clenshaw(coefficients, u):
+    """sum_j c_j T_j(u) by Clenshaw's recurrence, elementwise."""
+    u2 = u + u
+    b1, b2 = np.full_like(u, coefficients[-1]), np.zeros_like(u)
+    for c in coefficients[-2:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coefficients[0]
+
+
+@lru_cache(maxsize=None)
+def _inverse_seed(branch: SineFamilyBranch):
+    """(center, scale, coefficients, K r^2) of the Chebyshev interpolant of
+    the branch inverse on its image [f_lo, f_hi], in u = (t - center) * scale
+    on [-1, 1], of the first degree in _SEED_DEGREES whose seed is within
+    _SEED_TOL of the inverse on a check grid; None when none is.  The node
+    values, at the extrema of T_n, and the grid values, at the zeros of
+    T_64, which no node meets, come from _invert_increasing.
+
+    With m = ell - 2 pi |eps| and M = ell + 2 pi |eps| bounding f', a seed
+    error e is at most r |s| for the Newton step s and r = M / m, and the
+    step leaves at most K e^2 for K = 2 pi^2 |eps| / m."""
+    f_lo, f_hi = branch._image
+    center, half = 0.5 * (f_lo + f_hi), 0.5 * (f_hi - f_lo)
+
+    def inverse_at(u):
+        return _invert_increasing(branch._f, branch.derivative, center + half * u,
+                                  branch.lo, branch.hi, f_lo, f_hi)
+
+    grid = np.cos((np.arange(64) + 0.5) * (math.pi / 64))
+    reference = inverse_at(grid)
+    for n in _SEED_DEGREES:
+        # the DCT-I of the node values: c_j = (2/n) sum_k'' g_k cos(pi j k / n),
+        # the ends of the sum and of c halved
+        k = np.arange(n + 1)
+        g = inverse_at(np.cos(k * (math.pi / n)))
+        g[[0, -1]] *= 0.5
+        c = (2.0 / n) * (np.cos(np.outer(k, k) * (math.pi / n)) @ g)
+        c[[0, -1]] *= 0.5
+        if np.abs(_clenshaw(c, grid) - reference).max() <= _SEED_TOL:
+            slope = 2.0 * math.pi * abs(branch.eps)
+            m = branch.ell - slope
+            kr2 = (math.pi * slope / m) * ((branch.ell + slope) / m) ** 2
+            return center, 1.0 / half, tuple(c.tolist()), kr2
+    return None
 
 
 def _invert_increasing(f, fprime, target, lo, hi, f_lo, f_hi):

@@ -120,15 +120,20 @@ def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec) -> tuple[flo
     """(P, int log|tau'| dmu, int log lambda dmu) for the equilibrium state mu
     of pot, by Ruelle's formula dP(phi + t psi)/dt = int psi dmu: the Bernoulli
     p_i = exp(phi_i - P) for affine systems with branch-constant lambda, else
-    l L_psi h / l L h on the 32-node operator, h and l its Perron vectors."""
+    l L_psi h / l L h on the 32-node operator, h and l its Perron vectors.
+    The means are NaN when P or the operator is not finite."""
     if sys.is_affine and sys.lam.branch_constant:
         phi = _branch_phi(sys, pot)
         p_total = float(_logsumexp(phi))
+        if not math.isfinite(p_total):
+            return p_total, math.nan, math.nan
         p = np.exp(phi - p_total)
         log_tp, log_lm = sys.branch_logs
         return p_total, float(p @ log_tp), float(p @ log_lm)
     nodes = sys.transfer_nodes[1]
     top, (op, op_u, op_v) = _operators(nodes, pot, nodes[1], nodes[2])
+    if not np.isfinite(op).all():  # np.linalg.eig raises on it
+        return math.nan, math.nan, math.nan
     vals, right = np.linalg.eig(op)
     k = np.abs(vals).argmax()
     left_vals, left = np.linalg.eig(op.T)
@@ -338,9 +343,8 @@ def spectrum(sys: CookieCutterSystem, q_grid) -> SpectrumCurve:
 _GIBBS_PRESSURE_TOL = 1e-6
 
 
-def _require_normalised(sys: CookieCutterSystem, pot: PotentialSpec) -> None:
-    """NotNormalised unless the pressure of pot is zero within 1e-6."""
-    p = pressure(sys, pot).value
+def _require_normalised(p: float) -> None:
+    """NotNormalised unless the pressure p of a potential is zero within 1e-6."""
     if not abs(p) <= _GIBBS_PRESSURE_TOL:  # a NaN pressure is not normalised
         raise NotNormalised(
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
@@ -405,7 +409,7 @@ def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
                  seed: int) -> list[tuple[np.ndarray, float]]:
     """iid draws (word, representative) from the Gibbs measure, each word a
     uint8 digit row; reproducible per seed."""
-    _require_normalised(sys, pot)
+    _require_normalised(pressure(sys, pot).value)
     _check_budget(count * depth)
     digits = sample_words(sys, pot, depth, count, seed)
     xs = point_of_word(sys, digits, 0.5)
@@ -425,8 +429,8 @@ def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec) -> MeasureStats:
     """Entropy, Lyapunov exponent and lambda-average of the Gibbs measure of
     a normalised potential, from the equilibrium means of _equilibrium_means:
     h = P - int phi, dim = h/chi and alpha = -mean(log lambda)/chi."""
-    _require_normalised(sys, pot)
     p_total, chi, mll = _equilibrium_means(sys, pot)
+    _require_normalised(p_total)
     h = p_total - (pot.a * chi + pot.b * mll + pot.c)
     # Ruelle's inequality h <= chi caps the dimension of an invariant measure
     # of an interval map at 1; rounding alone can put h/chi an ulp above it

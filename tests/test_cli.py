@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wtf_lab as wl
-from wtf_lab import ThetaSequence
+from wtf_lab import ThetaSequence, dynamics
 from wtf_lab.cli import main
 from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
 from wtf_lab.report import write_csv
@@ -392,6 +392,34 @@ def test_holder_batch_matches_per_point(tmp_path, systems, model):
     else:
         assert model == "M2" and code == 3
         assert read_report(out)["error"] == {"type": type(error).__name__, "message": str(error)}
+
+
+STEEP_SINE = {"id": "steep_sine", "branches": {"family": "doubling_plus_sine", "ell": 3, "eps": 0.3},
+              "lambda": 0.95}
+
+
+def test_holder_steep_sine_map(tmp_path, monkeypatch):
+    # 2 pi eps = 1.88 against ell = 3: the middle branch's seed needs degree
+    # 60 and leaves elements that fail the accept test; they go to
+    # _invert_increasing and the command still succeeds
+    sys_ = wl.validate_system(STEEP_SINE)
+    middle = sys_.branches[1]
+    assert len(dynamics._inverse_seed(middle)[2]) - 1 == 60  # built before the spy
+    seen = []
+    solve = dynamics._invert_increasing
+
+    def spy(f, fprime, target, lo, hi, f_lo, f_hi):
+        t = np.asarray(target, dtype=float)
+        if lo == middle.lo:
+            seen.append(int(((t > f_lo) & (t < f_hi)).sum()))
+        return solve(f, fprime, target, lo, hi, f_lo, f_hi)
+
+    monkeypatch.setattr(dynamics, "_invert_increasing", spy)
+    cfg = write_config(tmp_path, "cfg.json", {"model": STEEP_SINE, "point_count": 10, "osc_depth_max": 14})
+    out = tmp_path / "out"
+    assert main(["holder", "--config", cfg, "--out", str(out)]) == 0
+    assert read_report(out)["outputs"]["points"] == 10
+    assert sum(seen) > 0
 
 
 class TestVerify:

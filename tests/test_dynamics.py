@@ -326,6 +326,75 @@ class TestNewtonInverse:
                     _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, *br._image)
 
 
+def _fallback_spy(monkeypatch):
+    """Wrap dynamics._invert_increasing; the returned list collects every
+    target array it is handed."""
+    seen = []
+    solve = dynamics._invert_increasing
+
+    def spy(f, fprime, target, *rest):
+        seen.append(np.array(target, dtype=float).ravel())
+        return solve(f, fprime, target, *rest)
+
+    monkeypatch.setattr(dynamics, "_invert_increasing", spy)
+    return seen
+
+
+class TestSeededInverse:
+    def test_ends_and_cut_match_mpmath(self, m5):
+        # roots next to either end of each branch and next to the cut point
+        # 1/2, down to 1e-15, within 2 ulp of a 40-digit root
+        pytest.importorskip("mpmath")
+        tiny = [10.0**-k for k in range(1, 16)]
+        cut = [0.5 - 1e-6, 0.5 + 1e-6]
+        for br, ys in ((m5.branches[0], tiny + cut), (m5.branches[1], [1 - v for v in tiny] + cut)):
+            x = br.inverse(np.array(ys))
+            ref = np.array([float(_mp_inverse(m5, [br.index], v)) for v in ys])
+            assert np.all(np.abs(x - ref) <= 2 * np.spacing(ref))
+        x = point_of_word(m5, np.zeros((1, 30), dtype=np.uint8), 1.0)[0]
+        ref = float(_mp_inverse(m5, [0] * 30, 1.0))
+        assert 0.0 < ref < 1e-8 and abs(x - ref) <= 2 * np.spacing(ref)
+
+    def test_fallback_bits(self, m5, monkeypatch):
+        # without a seed, or with one whose Newton step every element fails,
+        # each root is _invert_increasing's bit for bit
+        y = np.concatenate([np.random.default_rng(59).random(60), [0.0, 1.0, 1e-12]])
+        for br in m5.branches:
+            want = _invert_increasing(br._f, br.derivative, y + br.index, br.lo, br.hi, *br._image)
+            center, scale, coefficients, bound = dynamics._inverse_seed(br)
+            for seed in (None, (center, scale, (coefficients[0] + 1e-3,) + coefficients[1:], bound)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dynamics, "_inverse_seed", lambda branch, seed=seed: seed)
+                    assert br.inverse(y).tobytes() == want.tobytes()
+
+    def test_mixed_batch_independent(self, m5, monkeypatch):
+        # end targets always go to the fallback, and a seed off by 1e-7 u
+        # passes the accept test only near u = 0: batches that mix accepted
+        # and fallback elements give every element its bits alone
+        br = m5.branches[0]
+        y = np.concatenate([np.random.default_rng(61).random(60), [0.0, 1.0, 0.5, 0.5 + 1e-9]])
+        center, scale, coefficients, bound = dynamics._inverse_seed(br)
+        off = (center, scale, (coefficients[0], coefficients[1] + 1e-7) + coefficients[2:], bound)
+        seen = _fallback_spy(monkeypatch)
+        for seed in (dynamics._inverse_seed(br), off):
+            monkeypatch.setattr(dynamics, "_inverse_seed", lambda branch, seed=seed: seed)
+            seen.clear()
+            batch = br.inverse(y)
+            assert len(seen) == 1 and 2 <= seen[0].size < y.size
+            assert batch.tobytes() == np.array([br.inverse(v) for v in y.tolist()]).tobytes()
+
+    def test_degree_and_seed_error(self, m5):
+        # the kept degree is at most 64, and its seed is within 1e-9 of the
+        # inverse off the check grid too
+        u = np.random.default_rng(67).uniform(-1.0, 1.0, 2000)
+        for br in m5.branches:
+            center, scale, coefficients, _ = dynamics._inverse_seed(br)
+            assert len(coefficients) - 1 <= 64
+            t = center + u / scale
+            want = _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, *br._image)
+            assert np.abs(dynamics._clenshaw(coefficients, u) - want).max() <= 1e-9
+
+
 class TestOrbitWalk:
     def test_matches_scalar_walk(self, systems):
         for name, sys in systems.items():

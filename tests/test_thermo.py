@@ -267,6 +267,21 @@ class TestGibbs:
         with pytest.raises(NotNormalised):
             wl.measure_stats(m1, PotentialSpec(0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["M3", "M5"])
+    def test_gate_reads_equilibrium_pressure(self, systems, name, monkeypatch):
+        # the gate takes P from _equilibrium_means, with no pressure call;
+        # huge coefficients (an inf closed form on M3, a NaN operator on M5)
+        # are refused without a warning
+        sys = systems[name]
+        pot = PotentialSpec(-wl.A_of_q(sys, 1.0), 1.0)
+        want = wl.measure_stats(sys, pot)
+        monkeypatch.setattr(wl.thermo, "pressure", None)
+        assert wl.measure_stats(sys, pot) == want
+        for a, b in ((1.7e308, 1.7e308), (1.7e308, -1.7e308), (0.0, -1.7e308)):
+            with pytest.raises(NotNormalised):
+                wl.measure_stats(sys, PotentialSpec(a, b))
+
     def test_sampling_frequency_and_determinism(self, m3):
         a0 = wl.A_of_q(m3, 0.0)
         pot = PotentialSpec(-a0, 0.0)

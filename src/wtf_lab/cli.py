@@ -2,7 +2,10 @@
 
 One command per process; every run writes a deterministic report.json (and
 any CSV outputs) into the output directory.  Exit codes: 0 ok, 2 validation
-error, 3 numerical failure, 4 budget exhausted.
+error, 3 numerical failure, 4 budget exhausted.  Any other exception (a bug)
+also writes report.json with status "error" and its type and message, prints
+its traceback to stderr and exits 3; KeyboardInterrupt and SystemExit
+propagate.
 """
 
 from __future__ import annotations
@@ -294,17 +297,21 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else {}
         report.config = config
         COMMANDS[args.command](config, out_dir, args.seed, report)
-    except (WtfLabError, ValueError) as exc:
+    except Exception as exc:  # KeyboardInterrupt and SystemExit propagate
+        expected = isinstance(exc, (WtfLabError, ValueError))
         report.status = "error"
         report.error = {"type": type(exc).__name__, "message": str(exc)}
         report.timings["total"] = time.perf_counter() - t0
         report.write(out_dir)
+        if not expected:  # a bug: keep its traceback (the module loads only here)
+            import traceback
+            traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         if isinstance(exc, BudgetExceeded):
             return EXIT_BUDGET
-        if isinstance(exc, NUMERICAL_ERRORS):
-            return EXIT_NUMERICAL
-        return EXIT_VALIDATION
+        if expected and not isinstance(exc, NUMERICAL_ERRORS):
+            return EXIT_VALIDATION
+        return EXIT_NUMERICAL
     report.timings["total"] = time.perf_counter() - t0
     path = report.write(out_dir)
     print(f"report: {path}")

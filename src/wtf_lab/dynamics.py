@@ -180,20 +180,21 @@ class SineFamilyBranch:
         strictly inside the branch image takes one Newton step x = x0 - s from
         the seed x0 of _inverse_seed; x is kept where Newton's bound on its
         error, K (r s)^2 (see _inverse_seed), is at most half an ulp of x.
-        Every other element is solved by _invert_increasing, with its bits.
-        InversionFailed for a target that is not finite."""
+        A target at or past an image end gives that end, as in
+        _invert_increasing; every other element is solved by it, with its
+        bits.  InversionFailed for a target that is not finite."""
         y = np.asarray(y, dtype=float)
         target = y + float(self.index)
         if not np.isfinite(target).all():
             raise InversionFailed("inverse branch target is not finite")
         f_lo, f_hi = self._image
         t = target.ravel()
-        x = np.empty_like(t)
-        rest = np.ones(t.size, dtype=bool)  # elements left to _invert_increasing
+        x = np.where(t <= f_lo, self.lo, self.hi)  # the image ends; the rest is overwritten
+        rest = (t > f_lo) & (t < f_hi)  # elements left to _invert_increasing
         seed = _inverse_seed(self)
         if seed is not None:
             center, scale, coefficients, bound = seed
-            live = np.flatnonzero((t > f_lo) & (t < f_hi))
+            live = np.flatnonzero(rest)
             x0 = _clenshaw(coefficients, (t[live] - center) * scale)
             # f(x0) - (y + index) with the nearly equal terms first: ell x0 -
             # index - y cancels almost exactly, so neither the rounding of

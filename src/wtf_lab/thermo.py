@@ -7,8 +7,9 @@ otherwise the log spectral radius of the transfer operator
 L f(x) = sum_i exp(phi(rho_i x)) f(rho_i x), interpolated at Chebyshev nodes
 of [0,1]: for analytic branches and weights its error decays geometrically in
 the node count, so the 16-node value bounds the error of the 32-node one.  Measure statistics
-and alpha(q) are means of the equilibrium state (_equilibrium_means); Gibbs
-sampling of potentials not constant on branches uses midpoint cylinder weights.
+and alpha(q) are means of the equilibrium state (_equilibrium_means), and so
+is the slope of each Bowen root's Newton iteration; Gibbs sampling of
+potentials not constant on branches uses midpoint cylinder weights.
 """
 
 from __future__ import annotations
@@ -87,22 +88,36 @@ class PressureEstimate:
     exact: bool
 
 
-def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
-    log_tp, log_lm = sys.branch_logs
+def _phi(pot: PotentialSpec, u, v):
+    """a*u + b*v + c for u = log|tau'| and v = log lambda values."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients: inf or NaN
-        return pot.a * log_tp + pot.b * log_lm + pot.c
+        return pot.a * u + pot.b * v + pot.c
+
+
+def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
+    return _phi(pot, *sys.branch_logs)
+
+
+def _branch_constant(sys: CookieCutterSystem, *pots: PotentialSpec) -> bool:
+    """True when every potential is constant on branches: a log|tau'| term
+    only on an affine system, a log lambda term only for a branch-constant
+    lambda."""
+    return all((sys.is_affine or pot.a == 0.0) and (sys.lam.branch_constant or pot.b == 0.0)
+               for pot in pots)
 
 
 def _operators(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec,
-               *observables: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """(max phi, [L, then L_psi per psi]) on one grid of transfer_nodes: L has
-    the weights exp(phi - max phi), as in _logsumexp, and L_psi those times psi."""
+               *directions: PotentialSpec) -> tuple[float, list[np.ndarray]]:
+    """(max phi, [L, then L_psi per direction psi]) on one grid of
+    transfer_nodes: L has the weights exp(phi - max phi), as in _logsumexp,
+    and L_psi those times psi."""
     interp, u, v = nodes
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _branch_phi
-        phi = pot.a * u + pot.b * v + pot.c
+    phi = _phi(pot, u, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _phi
         top = phi.max()
         w = np.exp(phi - top)
-        ops = [np.einsum("ij,ijk->jk", w * psi, interp) for psi in (1.0, *observables)]
+        ops = [np.einsum("ij,ijk->jk", w * psi, interp)
+               for psi in (1.0, *(_phi(d, u, v) for d in directions))]
     return float(top), ops
 
 
@@ -116,31 +131,30 @@ def _operator_pressure(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: Po
     return math.log(np.abs(np.linalg.eigvals(op)).max()) + top
 
 
-def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec) -> tuple[float, float, float]:
-    """(P, int log|tau'| dmu, int log lambda dmu) for the equilibrium state mu
+def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec,
+                       *directions: PotentialSpec) -> tuple[float, ...]:
+    """(P, then int psi dmu per direction psi) for the equilibrium state mu
     of pot, by Ruelle's formula dP(phi + t psi)/dt = int psi dmu: the Bernoulli
-    p_i = exp(phi_i - P) for affine systems with branch-constant lambda, else
+    p_i = exp(phi_i - P) when pot and every psi are constant on branches, else
     l L_psi h / l L h on the 32-node operator, h and l its Perron vectors.
     The means are NaN when P or the operator is not finite."""
-    if sys.is_affine and sys.lam.branch_constant:
+    nan = (math.nan,) * len(directions)
+    if _branch_constant(sys, pot, *directions):
         phi = _branch_phi(sys, pot)
         p_total = float(_logsumexp(phi))
         if not math.isfinite(p_total):
-            return p_total, math.nan, math.nan
+            return p_total, *nan
         p = np.exp(phi - p_total)
-        log_tp, log_lm = sys.branch_logs
-        return p_total, float(p @ log_tp), float(p @ log_lm)
-    nodes = sys.transfer_nodes[1]
-    top, (op, op_u, op_v) = _operators(nodes, pot, nodes[1], nodes[2])
+        return p_total, *(float(p @ _branch_phi(sys, d)) for d in directions)
+    top, (op, *op_psi) = _operators(sys.transfer_nodes[1], pot, *directions)
     if not np.isfinite(op).all():  # np.linalg.eig raises on it
-        return math.nan, math.nan, math.nan
+        return math.nan, *nan
     vals, right = np.linalg.eig(op)
     k = np.abs(vals).argmax()
     left_vals, left = np.linalg.eig(op.T)
     h, l = right[:, k].real, left[:, np.abs(left_vals).argmax()].real
     norm = l @ op @ h
-    return (math.log(abs(vals[k])) + top,
-            float(l @ op_u @ h / norm), float(l @ op_v @ h / norm))
+    return math.log(abs(vals[k])) + top, *(float(l @ o @ h / norm) for o in op_psi)
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
@@ -149,85 +163,41 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
     Exact for branch-constant potentials; else the transfer operator at 32
     Chebyshev nodes, with error bound |P_16 - P_32|.
     """
-    if (sys.is_affine or pot.a == 0.0) and (sys.lam.branch_constant or pot.b == 0.0):
-        phi = _branch_phi(sys, pot)
-        return PressureEstimate(float(_logsumexp(phi)), 0.0, True)
+    if _branch_constant(sys, pot):
+        return PressureEstimate(float(_logsumexp(_branch_phi(sys, pot))), 0.0, True)
     coarse, fine = (_operator_pressure(nodes, pot) for nodes in sys.transfer_nodes)
     return PressureEstimate(fine, abs(coarse - fine), False)
 
 
-def _expand_bracket(f, lo: float, hi: float) -> tuple[float, float, float, float]:
-    f_lo, f_hi = f(lo), f(hi)
-    width = hi - lo
-    for _ in range(60):
-        if f_lo * f_hi <= 0:
-            return lo, hi, f_lo, f_hi
-        width *= 2.0
-        if abs(f_lo) < abs(f_hi):
-            lo -= width
-            f_lo = f(lo)
-        else:
-            hi += width
-            f_hi = f(hi)
-    raise NoSignChange(f"no sign change found in [{lo}, {hi}]")
+def bowen_root(sys: CookieCutterSystem, family) -> float:
+    """Zero of s -> P(family(s)) for a family affine in s, by Newton's method
+    from s = 0, with a residual within 1e-10.
 
-
-def _brent(f, a: float, b: float, f_a: float, f_b: float) -> tuple[float, float]:
-    """(root, f(root)) for f(a), f(b) of opposite signs: scipy 1.17's C brentq
-    line for line (xtol 1e-13, rtol 8.9e-16, the same float operations in the
-    same order, so the same bits); TooFlat when 200 steps do not converge."""
-    xpre, xcur, fpre, fcur = a, b, f_a, f_b
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0 or fcur == 0:
-        return (xpre, fpre) if fpre == 0 else (xcur, fcur)
-    for _ in range(200):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-13 + 8.9e-16 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise TooFlat("Brent's method did not converge in 200 steps")
-
-
-def bowen_root(sys: CookieCutterSystem, family, bracket: tuple[float, float] = (-4.0, 4.0)) -> float:
-    """Unique zero of s -> pressure(family(s)), bracketed by widening the
-    start bracket, with a residual within 1e-8.
-
-    The families used here are strictly decreasing in s (their s-derivative
-    is minus an integral of log|tau'| or of -log lambda against an invariant
-    measure), which guarantees uniqueness once a sign change is bracketed.
+    The slope is Ruelle's dP/ds = int psi dmu_s for psi = family(1) -
+    family(0), which _equilibrium_means returns with P.  The families used
+    here are convex and strictly decreasing in s (their slope is minus a mean
+    of log|tau'| or of -log lambda), so after the first step the iterates lie
+    at or left of the root and climb to it.  The root is returned after the
+    first step of at most 1e-13 max(1, |s|).  NoSignChange for a zero slope;
+    TooFlat for a slope below 1e-12 in size, a value that is not finite, a
+    residual past 1e-10 or 100 steps without convergence.
     """
-    def f(s: float) -> float:
-        return pressure(sys, family(float(s))).value
-
-    lo, hi, f_lo, f_hi = _expand_bracket(f, *bracket)
-    if abs(f_lo - f_hi) < 1e-12:
-        raise TooFlat("pressure does not vary across the bracket")
-    root, residual = _brent(f, lo, hi, f_lo, f_hi)
-    if not abs(residual) <= 1e-8:  # a NaN residual fails too
-        raise TooFlat(f"root residual {abs(residual):.3g} exceeds tolerance 1e-8")
-    return float(root)
+    zero, one = family(0.0), family(1.0)
+    psi = PotentialSpec(one.a - zero.a, one.b - zero.b, one.c - zero.c)
+    s = 0.0
+    for _ in range(100):
+        p, slope = _equilibrium_means(sys, family(s), psi)
+        if slope == 0.0:
+            raise NoSignChange(f"pressure {p:.3g} does not vary along the family at s = {s}")
+        step = p / slope
+        if not (abs(slope) >= 1e-12 and math.isfinite(s - step)):  # NaN fails too
+            raise TooFlat(f"pressure {p:.3g} with slope {slope:.3g} at s = {s}")
+        s -= step
+        if abs(step) <= 1e-13 * max(1.0, abs(s)):
+            if not abs(p) <= 1e-10:
+                raise TooFlat(f"root residual {abs(p):.3g} exceeds tolerance 1e-10")
+            return s
+    raise TooFlat("Newton's method did not converge in 100 steps")
 
 
 @dataclass(frozen=True)
@@ -242,7 +212,7 @@ class DimensionPrediction:
 def graph_dimension_prediction(sys: CookieCutterSystem) -> DimensionPrediction:
     """Box dimension s1 and Hausdorff cap min(s1, s2) for the graph over the
     repeller (equality holds a.s. for the iid-randomised function)."""
-    s1 = bowen_root(sys, s1_family, bracket=(0.0, 2.0))
+    s1 = bowen_root(sys, s1_family)
     s2 = bowen_root(sys, s2_family)
     return DimensionPrediction(
         s1=s1, s2=s2, box_dim=s1, hausdorff_upper=min(s1, s2),
@@ -254,8 +224,7 @@ def A_of_q(sys: CookieCutterSystem, q: float) -> float:
     """Root A of pressure(-A log|tau'| + q log lambda) = 0, for |q| <= Q_MAX."""
     if abs(q) > Q_MAX:
         raise ValueError(f"|q| exceeds the configured maximum {Q_MAX}")
-    span = 2.0 + 2.0 * abs(q)
-    return bowen_root(sys, aq_family(q), (-span, span))
+    return bowen_root(sys, aq_family(q))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +398,7 @@ def measure_stats(sys: CookieCutterSystem, pot: PotentialSpec) -> MeasureStats:
     """Entropy, Lyapunov exponent and lambda-average of the Gibbs measure of
     a normalised potential, from the equilibrium means of _equilibrium_means:
     h = P - int phi, dim = h/chi and alpha = -mean(log lambda)/chi."""
-    p_total, chi, mll = _equilibrium_means(sys, pot)
+    p_total, chi, mll = _equilibrium_means(sys, pot, PotentialSpec(1.0, 0.0), PotentialSpec(0.0, 1.0))
     _require_normalised(p_total)
     h = p_total - (pot.a * chi + pot.b * mll + pot.c)
     # Ruelle's inequality h <= chi caps the dimension of an invariant measure

@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from scipy.stats import spearmanr
 
 from wtf_lab import ThetaSequence, oscillation_over
-from wtf_lab.verify import CHECKS, BatteryContext, _band_ratios, _rank_correlation
+from wtf_lab.dynamics import point_of_word
+from wtf_lab.verify import (
+    CHECKS, BatteryContext, _band_ratios, _rank_correlation, _suffix_log_derivative_sums)
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +60,18 @@ def test_band_ratios_match_per_word_reference(ctx, name):
             lam_n = sys.lam.value**n if sys.lam.kind == "constant" else float(np.prod(lam[digits]))
             ref.append(osc / lam_n)
     assert _band_ratios(sys, zeros) == ref
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M5"])
+def test_suffix_sums_match_per_suffix_reference(ctx, name):
+    # criterion 10: one composition per start value gives the sums of the
+    # per-suffix point_of_word route, bit for bit
+    sys = ctx.systems[name]
+    rng = np.random.default_rng(31)
+    for n in (1, 7, 20):
+        words = rng.integers(0, sys.ell, size=(64, n)).astype(np.uint8)
+        for t in (0.25, 0.75):
+            ref = np.zeros(len(words))
+            for k in range(n):
+                ref += sys.log_abs_tau_prime(point_of_word(sys, words[:, k:], t))
+            assert _suffix_log_derivative_sums(sys, words, t).tobytes() == ref.tobytes()

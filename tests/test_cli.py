@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wtf_lab as wl
-from wtf_lab import ThetaSequence, dynamics
+from wtf_lab import ThetaSequence, cli, dynamics
 from wtf_lab.cli import main
 from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
 from wtf_lab.report import write_csv
@@ -75,6 +75,30 @@ class TestValidate:
         out = tmp_path / "out"
         assert main(["validate", "--config", str(tmp_path / config), "--out", str(out)]) == 2
         assert read_report(out)["error"]["type"] == "BadConfig"
+
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()],
+                             ids=["RuntimeError", "KeyboardInterrupt"])
+    def test_unexpected_exception(self, tmp_path, monkeypatch, capsys, exc):
+        # any other exception is an error report with exit 3, not a
+        # traceback; KeyboardInterrupt propagates
+        def broken(config, out_dir, seed, report):
+            raise exc
+
+        monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+        argv = ["validate", "--config", write_config(tmp_path, "cfg.json", {"model": "M1"}),
+                "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+            assert not (out / "report.json").exists()
+            return
+        assert main(argv) == 3
+        assert "Traceback" in capsys.readouterr().err
+        report = read_report(out)
+        assert report["status"] == "error"
+        assert report["error"] == {"type": "RuntimeError", "message": "boom"}
 
 
 class TestSampleAndBoxdim:

@@ -368,20 +368,42 @@ class TestSeededInverse:
                     assert br.inverse(y).tobytes() == want.tobytes()
 
     def test_mixed_batch_independent(self, m5, monkeypatch):
-        # end targets always go to the fallback, and a seed off by 1e-7 u
-        # passes the accept test only near u = 0: batches that mix accepted
-        # and fallback elements give every element its bits alone
+        # end targets never reach the fallback, and a seed off by 1e-7 u
+        # passes the accept test only near u = 0: batches that mix end,
+        # accepted and fallback elements give every element its bits alone
         br = m5.branches[0]
+        f_lo, f_hi = br._image
         y = np.concatenate([np.random.default_rng(61).random(60), [0.0, 1.0, 0.5, 0.5 + 1e-9]])
         center, scale, coefficients, bound = dynamics._inverse_seed(br)
         off = (center, scale, (coefficients[0], coefficients[1] + 1e-7) + coefficients[2:], bound)
         seen = _fallback_spy(monkeypatch)
-        for seed in (dynamics._inverse_seed(br), off):
+        for seed, calls in ((dynamics._inverse_seed(br), 0), (off, 1)):
             monkeypatch.setattr(dynamics, "_inverse_seed", lambda branch, seed=seed: seed)
             seen.clear()
             batch = br.inverse(y)
-            assert len(seen) == 1 and 2 <= seen[0].size < y.size
+            assert len(seen) == calls
+            for targets in seen:
+                assert 1 <= targets.size < y.size - 2
+                assert f_lo < targets.min() and targets.max() < f_hi
             assert batch.tobytes() == np.array([br.inverse(v) for v in y.tolist()]).tobytes()
+
+    def test_bounds_reach_no_fallback(self, m5, monkeypatch):
+        # cylinder_bounds_many composes 0.0 and 1.0, which hit the image ends:
+        # inverse writes those itself, with the bits the fallback gives them
+        words = np.random.default_rng(71).integers(0, 2, size=(256, 20)).astype(np.uint8)
+        words[:8, -6:] = 0  # runs of end targets
+        words[8:16, -6:] = 1
+        seen = _fallback_spy(monkeypatch)
+        lo, hi = cylinder_bounds_many(m5, words)
+        assert not seen
+        monkeypatch.undo()
+        for br in m5.branches:
+            f_lo, f_hi = br._image
+            t = np.array([f_lo, f_hi, np.nextafter(f_lo, -2.0), np.nextafter(f_hi, 3.0), f_lo - 0.5])
+            want = _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, f_lo, f_hi)
+            assert br.inverse(t - br.index).tobytes() == want.tobytes()
+        bounds = [wl.cylinder_of(m5, w) for w in words[:32]]
+        assert lo[:32].tolist() == [b[0] for b in bounds] and hi[:32].tolist() == [b[1] for b in bounds]
 
     def test_degree_and_seed_error(self, m5):
         # the kept degree is at most 64, and its seed is within 1e-9 of the

@@ -17,7 +17,9 @@ log sum exp(phi_i); bisection on the Moran equation sum r_i^A lam_i^q = 1):
 """
 
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +35,7 @@ from wtf_lab import (
     TooFlat,
 )
 from wtf_lab.thermo import (
-    _branch_phi, _brent, _expand_bracket, _logsumexp, _operator_pressure, aq_family, s1_family,
-    s2_family)
+    _branch_phi, _logsumexp, _operator_pressure, aq_family, s1_family, s2_family)
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -83,10 +84,10 @@ class TestPressure:
         # M5's map with a non-constant lambda: neither observable is constant
         # on branches, and the s1 and s2 roots come from the operator alone
         sys = wl.validate_system(M5_TRIG_LAMBDA)
-        for family, bracket in ((s1_family, (0.0, 2.0)), (s2_family, (-4.0, 4.0))):
-            est = wl.pressure(sys, family(wl.bowen_root(sys, family, bracket)))
+        for family in (s1_family, s2_family):
+            est = wl.pressure(sys, family(wl.bowen_root(sys, family)))
             assert not est.exact
-            assert abs(est.value) <= 1e-8 and est.error_bound <= 1e-9
+            assert abs(est.value) <= 1e-10 and est.error_bound <= 1e-9
 
     def test_operator_pulled_back_node_on_node(self):
         # rho_1 fixes the first 32-node x_0 exactly: its interpolation row is
@@ -126,9 +127,9 @@ class TestBowenRoots:
         assert wl.graph_dimension_prediction(m2).min_is == "s2"
 
     def test_no_sign_change(self, m1):
-        # a start bracket without a sign change is widened until it has one
-        assert wl.bowen_root(m1, s2_family, bracket=(5.0, 9.0)) == pytest.approx(
-            wl.moran_oracle(m1, "s2"), abs=1e-9)
+        # Newton's method from s = 0 reaches a root far from it
+        assert wl.bowen_root(m1, lambda s: s2_family(s - 7.0)) == pytest.approx(
+            7.0 + wl.moran_oracle(m1, "s2"), abs=1e-9)
         # a positive constant pressure changes sign nowhere
         with pytest.raises(NoSignChange):
             wl.bowen_root(m1, lambda s: PotentialSpec(0.0, 0.0, 1.0))
@@ -138,24 +139,23 @@ class TestBowenRoots:
         def family(s):
             return PotentialSpec(0.0, 0.0, -math.log(2) + 1e-14 * (0.5 - s))
         with pytest.raises(TooFlat):
-            wl.bowen_root(m1, family, bracket=(0.0, 1.0))
+            wl.bowen_root(m1, family)
 
     def test_nan_pressure_is_too_flat(self, m1, monkeypatch):
-        # a NaN pressure around the root fails the residual check; scipy's
-        # brentq ended such a solve in a bare ValueError
-        pressure = wl.thermo.pressure
+        # a NaN pressure around the root is refused, not stepped from
+        means = wl.thermo._equilibrium_means
 
-        def nan_near_root(sys, pot, *args):
-            est = pressure(sys, pot, *args)
-            return wl.thermo.PressureEstimate(math.nan, 0.0, True) if abs(pot.b - M1_S2) < 0.5 else est
+        def nan_near_root(sys, pot, *directions):
+            values = means(sys, pot, *directions)
+            return (math.nan,) * len(values) if abs(pot.b - M1_S2) < 0.5 else values
 
-        monkeypatch.setattr(wl.thermo, "pressure", nan_near_root)
+        monkeypatch.setattr(wl.thermo, "_equilibrium_means", nan_near_root)
         with pytest.raises(TooFlat):
             wl.bowen_root(m1, s2_family)
 
     def test_root_residual_verified(self, m2):
-        s1 = wl.bowen_root(m2, s1_family, bracket=(0.0, 2.0))
-        assert abs(wl.pressure(m2, s1_family(s1)).value) <= 1e-8
+        s1 = wl.bowen_root(m2, s1_family)
+        assert abs(wl.pressure(m2, s1_family(s1)).value) <= 1e-10
 
 
 class TestAq:
@@ -179,18 +179,18 @@ class TestAq:
 
     @pytest.mark.parametrize("name", ["M1", "M3", "M5"])
     def test_each_pressure_evaluated_once(self, systems, name, monkeypatch):
-        # the bracket ends and the root are each evaluated once, not again
-        # by the solver or for the residual
+        # each Newton iterate is evaluated once, not again for the residual
+        # (on M1 A_q is linear in the potential: one step lands on the root)
         seen = []
-        pressure = wl.thermo.pressure
+        means = wl.thermo._equilibrium_means
 
-        def counting(sys, pot, *args):
+        def counting(sys, pot, *directions):
             seen.append(pot)
-            return pressure(sys, pot, *args)
+            return means(sys, pot, *directions)
 
-        monkeypatch.setattr(wl.thermo, "pressure", counting)
+        monkeypatch.setattr(wl.thermo, "_equilibrium_means", counting)
         wl.A_of_q(systems[name], 1.0)
-        assert len(seen) == len(set(seen)) > 2
+        assert len(seen) == len(set(seen)) >= 2
 
     def test_convexity(self, m3):
         grid = np.arange(-6.0, 6.01, 0.5)
@@ -260,7 +260,7 @@ class TestSpectrum:
 class TestGibbs:
     def test_m1_s1_weights_symmetric(self, m1):
         # equal branch weights: the entropy of the fair coin
-        s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
+        s1 = wl.bowen_root(m1, s1_family)
         assert wl.measure_stats(m1, s1_family(s1)).entropy == pytest.approx(math.log(2), abs=1e-12)
 
     def test_not_normalised(self, m1):
@@ -297,7 +297,7 @@ class TestGibbs:
             assert lo - 1e-12 <= x <= hi + 1e-12
 
     def test_m1_symmetric_sampling_frequency(self, m1):
-        s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
+        s1 = wl.bowen_root(m1, s1_family)
         sample = wl.gibbs_sample(m1, s1_family(s1), depth=40, count=20_000, seed=8)
         digits = np.stack([w for w, _ in sample])
         assert (digits == 0).mean() == pytest.approx(0.5, abs=0.005)
@@ -326,7 +326,7 @@ class TestMeasureStats:
         assert stats.lyapunov == pytest.approx(chi, abs=1e-7)
 
     def test_m1_uniform(self, m1):
-        s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
+        s1 = wl.bowen_root(m1, s1_family)
         stats = wl.measure_stats(m1, s1_family(s1))
         assert stats.entropy == pytest.approx(math.log(2), abs=1e-9)
         assert stats.lyapunov == pytest.approx(math.log(2), abs=1e-9)
@@ -363,13 +363,13 @@ class TestMeasureStats:
             assert stats.alpha == pytest.approx(alpha_q, abs=1e-3)
 
     def test_s1_equals_one_plus_a1(self, m2):
-        s1 = wl.bowen_root(m2, s1_family, bracket=(0.0, 2.0))
+        s1 = wl.bowen_root(m2, s1_family)
         assert s1 == pytest.approx(1.0 + wl.A_of_q(m2, 1.0), abs=1e-8)
 
 
 class TestLift:
     def test_m1_nu1(self, m1):
-        s1 = wl.bowen_root(m1, s1_family, bracket=(0.0, 2.0))
+        s1 = wl.bowen_root(m1, s1_family)
         stats = wl.measure_stats(m1, s1_family(s1))
         assert wl.lifted_dim_prediction(stats) == pytest.approx(M1_S1, abs=1e-9)
 
@@ -473,31 +473,66 @@ class TestMoranProperty:
         assert wl.A_of_q(sys, q) == pytest.approx(wl.moran_oracle(sys, "A_of_q", q=q), abs=1e-6)
 
 
-def _brent_matches_brentq(sys, family, bracket):
-    """_brent from the widened bracket has the bits of scipy's brentq, root
-    and residual."""
-    def f(s):
-        return wl.pressure(sys, family(float(s))).value
+def _mpmath_root(sys, family, guess):
+    """40-digit root of sum_i exp(phi_i + s psi_i) = 1 on an affine
+    branch-constant system, phi = family(0) and psi = family(1) - family(0)
+    on the branches: the Moran equation of the family, by Newton's method
+    from guess with each log|tau_i'| and log lambda_i taken from the float
+    slope and lambda at 40 digits."""
+    with mpmath.workdps(40):
+        zero, one = family(0.0), family(1.0)
+        logs = [(mpmath.log(abs(mpmath.mpf(b.slope))), mpmath.log(mpmath.mpf(float(lam))))
+                for b, lam in zip(sys.branches, sys.lam.branch_values(sys.ell))]
+        phi = [zero.a * u + zero.b * v + zero.c for u, v in logs]
+        psi = [(one.a - zero.a) * u + (one.b - zero.b) * v + (one.c - zero.c) for u, v in logs]
+        s = mpmath.mpf(guess)
+        for _ in range(100):
+            terms = [mpmath.exp(f + s * g) for f, g in zip(phi, psi)]
+            step = (mpmath.fsum(terms) - 1) / mpmath.fsum(t * g for t, g in zip(terms, psi))
+            s -= step
+            if abs(step) < mpmath.mpf(10) ** -35:
+                return float(s)
+    raise AssertionError("the 40-digit Newton iteration did not converge")
 
-    lo, hi, f_lo, f_hi = _expand_bracket(f, *bracket)
-    ref = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    root, residual = _brent(f, lo, hi, f_lo, f_hi)
-    assert (root.hex(), residual.hex()) == (ref.hex(), f(ref).hex())
+
+def _root_and_evaluations(sys, family):
+    """(bowen_root, number of _equilibrium_means calls it made)."""
+    means = wl.thermo._equilibrium_means
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return means(*args)
+
+    with mock.patch.object(wl.thermo, "_equilibrium_means", counting):
+        return wl.bowen_root(sys, family), len(seen)
 
 
-class TestBrentMatchesBrentq:
+class TestNewtonRoots:
+    @pytest.mark.filterwarnings("error")
     @given(sys=affine_cutters(), q=st.floats(-30.0, 30.0))
-    def test_affine(self, sys, q):
-        _brent_matches_brentq(sys, s1_family, (0.0, 2.0))
-        _brent_matches_brentq(sys, s2_family, (-4.0, 4.0))
-        span = 2.0 + 2.0 * abs(q)
-        _brent_matches_brentq(sys, aq_family(q), (-span, span))
+    def test_affine_matches_mpmath(self, sys, q):
+        for family in (s1_family, s2_family, aq_family(q)):
+            root, evaluations = _root_and_evaluations(sys, family)
+            assert root == pytest.approx(_mpmath_root(sys, family, root), abs=1e-12)
+            assert evaluations <= 12
 
-    @pytest.mark.parametrize("family,bracket", [
-        (s1_family, (0.0, 2.0)), (s2_family, (-4.0, 4.0)), (aq_family(-3.0), (-8.0, 8.0)),
-        (aq_family(0.0), (-2.0, 2.0)), (aq_family(1.0), (-4.0, 4.0))], ids=["s1", "s2", "A-3", "A0", "A1"])
-    def test_m5(self, m5, family, bracket):
-        _brent_matches_brentq(m5, family, bracket)
+    @pytest.mark.parametrize("family", [s1_family, s2_family, aq_family(-3.0), aq_family(0.0),
+                                        aq_family(1.0)], ids=["s1", "s2", "A-3", "A0", "A1"])
+    def test_m5_matches_brentq(self, m5, family):
+        # scipy's brentq on the 32-node pressure is an independent route
+        def f(s):
+            return wl.pressure(m5, family(float(s))).value
+
+        root = wl.bowen_root(m5, family)
+        assert root == pytest.approx(brentq(f, -8.0, 8.0, xtol=1e-14), abs=1e-12)
+        assert abs(f(root)) <= 1e-10
+
+    def test_m5_spectrum_range(self, m5):
+        # every A_q for integer q in [-30, 30] converges, with A_q decreasing
+        roots = [wl.A_of_q(m5, float(q)) for q in range(-30, 31)]
+        assert all(math.isfinite(a) for a in roots) and len(roots) == 61
+        assert np.all(np.diff(roots) < 0)
 
 
 _LSE_ELEMENTS = st.one_of(

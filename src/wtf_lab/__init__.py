@@ -7,18 +7,14 @@ from .dynamics import (
     birkhoff_sum,
     code_of,
     cylinder_budget,
-    cylinder_of,
     torus_distance,
     validate_system,
 )
 from .errors import *  # noqa: F401,F403 -- the taxonomy is the public surface
 from .graph import (
     DegeneracyVerdict,
-    EvalResult,
     detect_degenerate,
-    eval_W,
     eval_W_many,
-    eval_W_skew,
     oscillation_over,
 )
 from .metrics import (

@@ -128,6 +128,8 @@ def _cmd_boxdim(config, out_dir, seed, report):
         hi = require_int(config, "max_scale_exp", default=14, low=2)
         scales = [2.0**-k for k in range(lo, hi + 1)]
     drop = tuple(require_list(config, "window_drop", int, length=2, default=[2, 2]))
+    if min(drop) < 0:
+        raise BadConfig("'window_drop' entries must be >= 0")
     result = box_dimension(cloud, scales, drop=drop)
     report.outputs = {
         "slope": result.slope,

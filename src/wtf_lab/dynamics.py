@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -355,7 +355,6 @@ class CookieCutterSystem:
     lambda_inf: float
     lambda_sup: float
     warnings: tuple[str, ...] = ()
-    _tree_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def ell(self) -> int:
@@ -484,16 +483,19 @@ class CookieCutterSystem:
         """Level ``depth`` of the cylinder tree: (X, U, V) with X the midpoint
         representatives rho_w(1/2) of the depth-n words (lexicographic order,
         first digit most significant), U = S_n log|tau'| and V = S_n log lambda
-        at X.  Every level up to ``depth`` stays cached."""
+        at X.  One _walk of 1/2, whose step adds each level's log|tau'| and
+        log lambda to the sums of the level before; computed on each call."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         _check_budget(self.ell**depth)
-        levels = self._tree_cache
-        levels.setdefault(0, (np.array([0.5]), np.zeros(1), np.zeros(1)))
-        for k in range(max(j for j in levels if j <= depth) + 1, depth + 1):
-            xp, up, vp = levels[k - 1]
-            x = _walk(self, xp, 1).reshape(self.ell, -1)  # row i: branch i's preimages
+        sums = [np.zeros(1), np.zeros(1)]  # U and V of the level walked last
+
+        def add_level(_, x):
+            x = x.reshape(self.ell, -1)  # row i: branch i's preimages
             d = np.stack([br.derivative(xi) for br, xi in zip(self.branches, x)])
-            levels[k] = (x.ravel(), (np.log(np.abs(d)) + up).ravel(), (self.log_lam(x) + vp).ravel())
-        return levels[depth]
+            sums[:] = (np.log(np.abs(d)) + sums[0]).ravel(), (self.log_lam(x) + sums[1]).ravel()
+
+        return _walk(self, [0.5], depth, add_level), *sums  # the walk runs first
 
 
 # ---------------------------------------------------------------------------
@@ -707,21 +709,15 @@ def _orbit(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.ndarray,
     return digits, points, left
 
 
-def _orbit_of(sys: CookieCutterSystem, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digits and orbit points of one point (see _orbit); NotInPartition(k)
-    if iterate k leaves the partition."""
-    digits, points, left = _orbit(sys, [x], n)
-    if left[0] < n:
-        raise NotInPartition(int(left[0]))
-    return digits[0], points[0]
-
-
 def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
     """First n digits of x's itinerary (uint8); NotInPartition(k) if iterate
     k falls in a gap or on an endpoint no half-open domain covers."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    return _orbit_of(sys, x, n)[0]
+    digits, _, left = _orbit(sys, [x], n)
+    if left[0] < n:
+        raise NotInPartition(int(left[0]))
+    return digits[0]
 
 
 def _word(sys: CookieCutterSystem, word) -> np.ndarray:
@@ -733,13 +729,6 @@ def _word(sys: CookieCutterSystem, word) -> np.ndarray:
     if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= sys.ell:
         raise ValueError(f"digit out of range for an {sys.ell}-branch system")
     return arr.astype(np.uint8)
-
-
-def cylinder_of(sys: CookieCutterSystem, word) -> tuple[float, float]:
-    """Endpoints (lo, hi) of rho_{w_1} o ... o rho_{w_n} ([0,1]), first digit
-    outermost."""
-    lo, hi = cylinder_bounds_many(sys, _word(sys, word)[None, :])
-    return float(lo[0]), float(hi[0])
 
 
 def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, step=None) -> np.ndarray:

@@ -4,7 +4,9 @@ W_theta(x) = sum_n lambda(x) lambda(tau x) ... lambda(tau^{n-1} x) * g(tau^n x +
 truncated where the geometric tail bound
 (sup lambda)^N * sup|g| / (1 - sup lambda) drops below the requested
 tolerance.  Orbits continue through gaps via tau(gap) = 0, so the series is
-defined on the whole circle.
+defined on the whole circle.  _series is the one term loop (eval_W_many,
+_probe_bases); _pull_back carries a series value up the inverse branches by
+the skew-product identity, for clouds and oscillation probes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .dynamics import (
     _check_budget,
     _compose,
     _birkhoff_sums,
-    _orbit_of,
     _walk,
     _word,
     birkhoff_sums_from_digits,
@@ -40,13 +41,6 @@ _DEGENERACY_SEED = 2024
 _EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    terms_used: int
-    tail_bound: float
-
-
 def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, float]:
     if tol <= 0:
         raise InvalidTolerance("tolerance must be positive")
@@ -63,43 +57,31 @@ def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, floa
     return n, g_sup * lam_sup**n / (1.0 - lam_sup)
 
 
+def _series(sys: CookieCutterSystem, xs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """sum_k lambda(x) ... lambda(tau^{k-1} x) g(tau^k x + thetas[k]) over
+    the rows k of thetas.  A row is one shift, one shift per point of xs, or
+    many shifts for a single point, and broadcasts against xs elementwise, so
+    a value has the same bits in any batch."""
+    cur, acc, weight = xs, np.zeros_like(xs), np.ones_like(xs)
+    for k, shift in enumerate(thetas):
+        acc = acc + weight * sys.g(cur + shift)
+        if k + 1 < len(thetas):
+            weight = weight * sys.lam_at(cur)
+            cur = sys.tau(cur)
+    return acc
+
+
 def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
                 tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
-    """Vectorized series evaluation; one truncation index for the whole batch,
-    in blocks of _EVAL_BLOCK points (every kernel is elementwise)."""
+    """(W_theta at each point of xs, terms summed, tail bound), with one
+    truncation index for the batch, summed in blocks of _EVAL_BLOCK points."""
     n_terms, tail = _terms_for_tolerance(sys, tol)
     xs = np.asarray(xs, dtype=float)
     shifts = theta.block(0, n_terms)
     out = np.empty(xs.shape)
     for r in range(0, xs.size, _EVAL_BLOCK):
-        cur = xs.reshape(-1)[r:r + _EVAL_BLOCK]
-        acc, weight = np.zeros_like(cur), np.ones_like(cur)
-        for n in range(n_terms):
-            acc += weight * sys.g(cur + shifts[n])
-            if n + 1 < n_terms:
-                weight *= sys.lam_at(cur)
-                cur = sys.tau(cur)
-        out.reshape(-1)[r:r + _EVAL_BLOCK] = acc
+        out.reshape(-1)[r:r + _EVAL_BLOCK] = _series(sys, xs.reshape(-1)[r:r + _EVAL_BLOCK], shifts)
     return out, n_terms, tail
-
-
-def eval_W(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
-           tol: float = 1e-10) -> EvalResult:
-    values, n_terms, tail = eval_W_many(sys, np.array([float(x)]), theta, tol)
-    return EvalResult(float(values[0]), n_terms, tail)
-
-
-def eval_W_skew(sys: CookieCutterSystem, x: float, theta: ThetaSequence,
-                n: int, tol: float = 1e-10) -> float:
-    """W_theta(x) through the skew product: W_{sigma^n theta}(tau^n x) pulled
-    back along the first n digits of x (the one-row case of _pull_back).
-    Exactly eval_W at n = 0; NotInPartition if an iterate leaves the partition."""
-    if n == 0:
-        return eval_W(sys, x, theta, tol).value
-    word, orbit = _orbit_of(sys, x, n)
-    u = sys.tau(orbit[-1:])
-    _, y = _pull_back(sys, word[None, :], u, eval_W_many(sys, u, theta.shift(n), tol)[0], theta)
-    return float(y[0])
 
 
 class _Carry:
@@ -166,23 +148,14 @@ def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:
 def _probe_bases(sys: CookieCutterSystem, depths, theta: ThetaSequence, probes: int,
                  tol: float) -> np.ndarray:
     """The base W_{sigma^{n+m} theta}(1/2) of _probes for each word depth n
-    in depths (n capped at _MAX_EFFECTIVE_DEPTH), from one orbit walk of 1/2:
-    eval_W_many's term loop with a shift axis.  Every shift s shares the
-    orbit, so one g, lam_at and tau per term; only the theta index s + k
-    differs.  Each base adds its terms in eval_W_many's order, so it has the
-    bits of eval_W_many(sys, [0.5], theta.shift(s), tol)."""
+    in depths (n capped at _MAX_EFFECTIVE_DEPTH), from one _series call at
+    1/2 whose term k takes theta_{n+m+k} per depth.  Every base has the bits
+    of eval_W_many(sys, [0.5], theta.shift(n + m), tol)."""
     n_terms, _ = _terms_for_tolerance(sys, tol)
     m = _probe_depth(sys, probes)
     shifts = np.minimum(np.asarray(depths, dtype=np.int64), _MAX_EFFECTIVE_DEPTH) + m
     thetas = theta.block(0, int(shifts.max()) + n_terms)
-    cur, weight = np.array([0.5]), np.ones(1)
-    acc = np.zeros(shifts.size)
-    for k in range(n_terms):
-        acc += weight * sys.g(cur + thetas[shifts + k])
-        if k + 1 < n_terms:
-            weight *= sys.lam_at(cur)
-            cur = sys.tau(cur)
-    return acc
+    return _series(sys, np.array([0.5]), thetas[shifts + np.arange(n_terms)[:, None]])
 
 
 def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
@@ -227,10 +200,6 @@ class DegeneracyVerdict:
     c_hat: float | None
     ratios: tuple[float, ...]
     lipschitz: tuple[float, ...]
-
-    @property
-    def label(self) -> str:
-        return "degenerate" if self.degenerate else "non_degenerate"
 
 
 def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> DegeneracyVerdict:

@@ -193,6 +193,8 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> 
         raise ValueError("box scales must be finite and positive")
     if len(cloud) == 0 or not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
         raise ValueError("box counting needs a non-empty cloud of finite points")
+    if min(drop) < 0:
+        raise ValueError("the scales dropped at each end must be >= 0")
     y0 = float(cloud.y.min())
     counts = []
     for r in scales:

@@ -106,29 +106,30 @@ def _branch_constant(sys: CookieCutterSystem, *pots: PotentialSpec) -> bool:
                for pot in pots)
 
 
-def _operators(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec,
-               *directions: PotentialSpec) -> tuple[float, list[np.ndarray]]:
-    """(max phi, [L, then L_psi per direction psi]) on one grid of
-    transfer_nodes: L has the weights exp(phi - max phi), as in _logsumexp,
-    and L_psi those times psi."""
+def _perron(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec,
+            *directions: PotentialSpec) -> tuple[float, ...]:
+    """(P, then l L_psi h / l L h per direction psi) on one transfer_nodes grid:
+    L has the weights exp(phi - max phi), as in _logsumexp, and L_psi those times
+    psi; P = max phi + log of L's spectral radius; h and l are L's right and left
+    Perron vectors (l only with directions).  All NaN when L is not finite."""
     interp, u, v = nodes
     phi = _phi(pot, u, v)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _phi
-        top = phi.max()
+        top = float(phi.max())
         w = np.exp(phi - top)
-        ops = [np.einsum("ij,ijk->jk", w * psi, interp)
-               for psi in (1.0, *(_phi(d, u, v) for d in directions))]
-    return float(top), ops
-
-
-def _operator_pressure(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec) -> float:
-    """log of the spectral radius of the transfer operator of pot on one node
-    grid of CookieCutterSystem.transfer_nodes; NaN when the operator is not
-    finite."""
-    top, (op,) = _operators(nodes, pot)
-    if not np.isfinite(op).all():
-        return math.nan
-    return math.log(np.abs(np.linalg.eigvals(op)).max()) + top
+        op, *op_psi = [np.einsum("ij,ijk->jk", w * psi, interp)
+                       for psi in (1.0, *(_phi(d, u, v) for d in directions))]
+    if not np.isfinite(op).all():  # np.linalg.eig raises on it
+        return (math.nan,) * (1 + len(directions))
+    vals, right = np.linalg.eig(op)
+    k = np.abs(vals).argmax()
+    p_total = math.log(abs(vals[k])) + top
+    if not directions:
+        return (p_total,)
+    left_vals, left = np.linalg.eig(op.T)
+    h, l = right[:, k].real, left[:, np.abs(left_vals).argmax()].real
+    norm = l @ op @ h
+    return p_total, *(float(l @ o @ h / norm) for o in op_psi)
 
 
 def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec,
@@ -136,25 +137,16 @@ def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec,
     """(P, then int psi dmu per direction psi) for the equilibrium state mu
     of pot, by Ruelle's formula dP(phi + t psi)/dt = int psi dmu: the Bernoulli
     p_i = exp(phi_i - P) when pot and every psi are constant on branches, else
-    l L_psi h / l L h on the 32-node operator, h and l its Perron vectors.
-    The means are NaN when P or the operator is not finite."""
-    nan = (math.nan,) * len(directions)
+    _perron on the 32-node operator.  The means are NaN when P or the
+    operator is not finite."""
     if _branch_constant(sys, pot, *directions):
         phi = _branch_phi(sys, pot)
         p_total = float(_logsumexp(phi))
         if not math.isfinite(p_total):
-            return p_total, *nan
+            return p_total, *(math.nan,) * len(directions)
         p = np.exp(phi - p_total)
         return p_total, *(float(p @ _branch_phi(sys, d)) for d in directions)
-    top, (op, *op_psi) = _operators(sys.transfer_nodes[1], pot, *directions)
-    if not np.isfinite(op).all():  # np.linalg.eig raises on it
-        return math.nan, *nan
-    vals, right = np.linalg.eig(op)
-    k = np.abs(vals).argmax()
-    left_vals, left = np.linalg.eig(op.T)
-    h, l = right[:, k].real, left[:, np.abs(left_vals).argmax()].real
-    norm = l @ op @ h
-    return math.log(abs(vals[k])) + top, *(float(l @ o @ h / norm) for o in op_psi)
+    return _perron(sys.transfer_nodes[1], pot, *directions)
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
@@ -165,7 +157,7 @@ def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
     """
     if _branch_constant(sys, pot):
         return PressureEstimate(float(_logsumexp(_branch_phi(sys, pot))), 0.0, True)
-    coarse, fine = (_operator_pressure(nodes, pot) for nodes in sys.transfer_nodes)
+    (coarse,), (fine,) = (_perron(nodes, pot) for nodes in sys.transfer_nodes)
     return PressureEstimate(fine, abs(coarse - fine), False)
 
 

@@ -466,6 +466,10 @@ class TestVerify:
 
 MALFORMED = {
     "boxdim-window_drop": ("boxdim", {"window_drop": 5}),
+    "boxdim-window_drop_negative_end": (
+        "boxdim", {"depth": 8, "window_drop": [2, -3], "min_scale_exp": 2, "max_scale_exp": 9}),
+    "boxdim-window_drop_negative_start": (
+        "boxdim", {"depth": 8, "window_drop": [-1, 2], "min_scale_exp": 2, "max_scale_exp": 9}),
     "boxdim-scales": ("boxdim", {"scales": 5}),
     "spectrum-q_grid": ("spectrum", {"q_grid": 5}),
     "lift-q_grid": ("lift", {"q_grid": 5}),

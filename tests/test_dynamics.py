@@ -32,6 +32,12 @@ from wtf_lab.graph import _oscillations, _probe_bases
 from wtf_lab.theta import counter_uniforms
 
 
+def _cylinder(sys, word):
+    """(lo, hi) of one word: a one-row cylinder_bounds_many call."""
+    lo, hi = cylinder_bounds_many(sys, np.array([word], dtype=np.uint8))
+    return float(lo[0]), float(hi[0])
+
+
 class TestValidation:
     def test_m1_margin_exact(self, m1):
         # doubling map with constant lambda: inf |tau'| lambda = 2 * 0.7
@@ -402,7 +408,7 @@ class TestSeededInverse:
             t = np.array([f_lo, f_hi, np.nextafter(f_lo, -2.0), np.nextafter(f_hi, 3.0), f_lo - 0.5])
             want = _invert_increasing(br._f, br.derivative, t, br.lo, br.hi, f_lo, f_hi)
             assert br.inverse(t - br.index).tobytes() == want.tobytes()
-        bounds = [wl.cylinder_of(m5, w) for w in words[:32]]
+        bounds = [_cylinder(m5, w) for w in words[:32]]
         assert lo[:32].tolist() == [b[0] for b in bounds] and hi[:32].tolist() == [b[1] for b in bounds]
 
     def test_degree_and_seed_error(self, m5):
@@ -450,15 +456,15 @@ class TestCoding:
         assert err.value.iterate == 1
 
     def test_cylinder_examples(self, m1, m2):
-        assert wl.cylinder_of(m1, (0, 1)) == pytest.approx((0.25, 0.5), abs=1e-12)
-        assert wl.cylinder_of(m2, (1,)) == pytest.approx((0.65, 1.0), abs=1e-12)
-        assert wl.cylinder_of(m2, (1, 0)) == pytest.approx((0.65, 0.7725), abs=1e-12)
+        assert _cylinder(m1, (0, 1)) == pytest.approx((0.25, 0.5), abs=1e-12)
+        assert _cylinder(m2, (1,)) == pytest.approx((0.65, 1.0), abs=1e-12)
+        assert _cylinder(m2, (1, 0)) == pytest.approx((0.65, 0.7725), abs=1e-12)
 
     @pytest.mark.parametrize("word", [(), [[0, 1]], (0, 2), (0, -1), (0.0, 1.0), "01"],
                              ids=["empty", "2d", "too_large", "negative", "float", "text"])
     def test_malformed_word_refused(self, m1, word):
         with pytest.raises(ValueError):
-            wl.cylinder_of(m1, word)
+            dynamics._word(m1, word)
         with pytest.raises(ValueError):
             wl.oscillation_over(m1, word, ThetaSequence.zeros())
 
@@ -470,9 +476,9 @@ class TestCoding:
             for _ in range(20):
                 n = int(rng.integers(1, 10))
                 word = tuple(int(d) for d in rng.integers(0, sys.ell, n))
-                p_lo, p_hi = wl.cylinder_of(sys, word)
+                p_lo, p_hi = _cylinder(sys, word)
                 for d in range(sys.ell):
-                    c_lo, c_hi = wl.cylinder_of(sys, word + (d,))
+                    c_lo, c_hi = _cylinder(sys, word + (d,))
                     assert c_lo >= p_lo - 5e-12
                     assert c_hi <= p_hi + 5e-12
 
@@ -483,7 +489,7 @@ class TestCoding:
             xs = point_of_word(sys, words, 0.5)
             for x in xs:
                 for n in (1, 5, 12, 20):
-                    lo, hi = wl.cylinder_of(sys, wl.code_of(sys, float(x), n))
+                    lo, hi = _cylinder(sys, wl.code_of(sys, float(x), n))
                     assert lo - 1e-12 <= x <= hi + 1e-12
 
     def test_affine_cylinder_lengths_exact(self, m3):
@@ -493,7 +499,7 @@ class TestCoding:
         for _ in range(30):
             n = int(rng.integers(1, 16))
             word = tuple(int(d) for d in rng.integers(0, 2, n))
-            lo, hi = wl.cylinder_of(m3, word)
+            lo, hi = _cylinder(m3, word)
             expected = math.prod(ratios[d] for d in word)
             assert hi - lo == pytest.approx(expected, abs=1e-12)
 
@@ -511,10 +517,10 @@ class TestCoding:
                     assert ratio.max() < 1.0
                 prev_len = lens
 
-    def test_bounds_many_match_cylinder_of(self, systems):
+    def test_bounds_many_match_scalar_loop(self, systems):
         # reference: the scalar endpoint loop, one inverse call per endpoint
-        # and digit; every inverse is elementwise, so the batch matches it
-        # bit for bit on every model
+        # and digit; every inverse is elementwise, so the batch and one-row
+        # calls match it bit for bit on every model
         def scalar_bounds(sys, word):
             lo, hi = 0.0, 1.0
             for d in word[::-1]:
@@ -528,7 +534,7 @@ class TestCoding:
             words = rng.integers(0, sys.ell, size=(200, 25)).astype(np.uint8)
             lo, hi = cylinder_bounds_many(sys, words)
             ref = np.array([scalar_bounds(sys, w) for w in words])
-            assert [wl.cylinder_of(sys, w) for w in words] == [tuple(r) for r in ref]
+            assert [_cylinder(sys, w) for w in words] == [tuple(r) for r in ref]
             assert np.array_equal(lo, ref[:, 0]) and np.array_equal(hi, ref[:, 1]), name
 
     def test_deep_m5_cylinder_refused(self, m5):
@@ -536,10 +542,8 @@ class TestCoding:
         # the Newton step tolerance
         word = np.zeros(40, dtype=np.uint8)
         with pytest.raises(InversionFailed):
-            wl.cylinder_of(m5, word)
-        with pytest.raises(InversionFailed):
             cylinder_bounds_many(m5, word[None, :])
-        lo, hi = wl.cylinder_of(m5, word[:30])
+        lo, hi = _cylinder(m5, word[:30])
         assert hi - lo > 4e-12
 
 
@@ -608,6 +612,17 @@ class TestSampling:
             for j, t in enumerate(ts):
                 assert _same_bits(walked[j::len(ts)], point_of_word(sys, words, t)), (name, t)
 
+    def test_tree_recomputed_with_the_same_bits(self, systems):
+        # tree keeps no cache: a second call walks again and gets the first's bits
+        for name, sys in _walk_systems(systems).items():
+            first, second = sys.tree(7), sys.tree(7)
+            for a, b in zip(first, second):
+                assert a is not b and _same_bits(a, b), name
+
+    def test_tree_negative_depth_refused(self, m1):
+        with pytest.raises(ValueError):
+            m1.tree(-1)
+
 
 class TestBirkhoff:
     def test_constant_lambda(self, m1):
@@ -615,7 +630,7 @@ class TestBirkhoff:
         assert value == pytest.approx(10 * math.log(0.7), abs=1e-12)
 
     def test_m3_two_digits(self, m3):
-        x = wl.cylinder_of(m3, (0, 1))[0] + 1e-6
+        x = _cylinder(m3, (0, 1))[0] + 1e-6
         value = wl.birkhoff_sum(m3, "log_abs_tau_prime", x, 2)
         assert value == pytest.approx(math.log(1 / 0.3) + math.log(1 / 0.45), abs=1e-12)
 

@@ -9,34 +9,53 @@ from hypothesis import given, strategies as st
 import wtf_lab as wl
 from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
 from wtf_lab.dynamics import (
+    _orbit,
     _walk,
     birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _probe_bases, _probes, _pull_back
+from wtf_lab.graph import _probe_bases, _probes, _pull_back, _series, _terms_for_tolerance
+from wtf_lab.verify import _skew_values
+
+
+def _one(sys, x, theta, tol):
+    """W_theta(x) from a one-point eval_W_many call."""
+    return float(wl.eval_W_many(sys, np.array([x]), theta, tol)[0][0])
+
+
+def _skew(sys, x, theta, n, tol):
+    """W_theta(x) through the skew product: the series at tau^n x, summed by
+    _series with the shifts theta_{n+k}, pulled back along x's first n digits
+    by _pull_back.  NotInPartition when an iterate before n leaves the
+    partition."""
+    digits, points, left = _orbit(sys, [x], n)
+    if left[0] < n:
+        raise NotInPartition(int(left[0]))
+    u = sys.tau(points[:, -1]) if n else np.array([x])
+    n_terms, _ = _terms_for_tolerance(sys, tol)
+    return float(_pull_back(sys, digits, u, _series(sys, u, theta.block(n, n_terms)), theta)[1][0])
 
 
 class TestEval:
     def test_fixed_point(self, m1, zeros):
         # orbit of 0 is constant, cos(0) = 1: geometric series 1/(1 - 0.7)
-        r = wl.eval_W(m1, 0.0, zeros, 1e-10)
-        assert r.value == pytest.approx(10.0 / 3.0, abs=2e-10)
-        assert r.tail_bound <= 1e-10
+        values, _, tail = wl.eval_W_many(m1, np.array([0.0]), zeros, 1e-10)
+        assert values[0] == pytest.approx(10.0 / 3.0, abs=2e-10)
+        assert tail <= 1e-10
 
     def test_period_two(self, m1, zeros):
         # orbit {1/3, 2/3}: cos at both points is -1/2
-        r = wl.eval_W(m1, 1.0 / 3.0, zeros, 1e-10)
-        assert r.value == pytest.approx(-5.0 / 3.0, abs=1e-7)
+        assert _one(m1, 1.0 / 3.0, zeros, 1e-10) == pytest.approx(-5.0 / 3.0, abs=1e-7)
 
     def test_terms_used(self, m1, zeros):
         # smallest N with 0.7^N / 0.3 <= 1e-12
-        assert wl.eval_W(m1, 0.0, zeros, 1e-12).terms_used == 81
+        assert wl.eval_W_many(m1, np.array([0.0]), zeros, 1e-12)[1] == 81
 
     def test_invalid_tolerance(self, m1, zeros):
         with pytest.raises(InvalidTolerance):
-            wl.eval_W(m1, 0.0, zeros, 0.0)
+            wl.eval_W_many(m1, np.array([0.0]), zeros, 0.0)
 
     def test_truncation_soundness(self, m1):
         # refining tol by 1e3 moves the value by less than the coarse tail bound
@@ -51,24 +70,37 @@ class TestEval:
 
     def test_gap_orbit_continues(self, m2, zeros):
         # gaps map to 0, so the series is defined off the repeller too
-        r = wl.eval_W(m2, 0.5, zeros, 1e-10)
-        assert math.isfinite(r.value)
+        assert math.isfinite(_one(m2, 0.5, zeros, 1e-10))
+
+    def test_series_with_one_shift_per_point(self, systems):
+        # row k of the shift matrix holds theta_{n+k} for each point's own n:
+        # every value has the bits of the one-point series of theta.shift(n)
+        rng = np.random.default_rng(41)
+        xs, ns = rng.random(12), rng.integers(0, 70, 12)
+        for sys in systems.values():
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(7).shift(3)):
+                for tol in (1e-8, 1e-12):
+                    n_terms, _ = _terms_for_tolerance(sys, tol)
+                    shifts = theta.block(0, int(ns.max()) + n_terms)
+                    got = _series(sys, xs, shifts[ns + np.arange(n_terms)[:, None]])
+                    for x, n, value in zip(xs.tolist(), ns.tolist(), got.tolist()):
+                        assert value.hex() == _one(sys, x, theta.shift(n), tol).hex(), sys.model_id
 
 
 class TestSkew:
     def test_zero_depth_is_eval(self, m3, zeros):
         x = 0.123
-        assert wl.eval_W_skew(m3, x, zeros, 0, 1e-10) == wl.eval_W(m3, x, zeros, 1e-10).value
+        assert _skew(m3, x, zeros, 0, 1e-10) == _one(m3, x, zeros, 1e-10)
 
     def test_period_two_depth_ten(self, m1, zeros):
-        direct = wl.eval_W(m1, 1.0 / 3.0, zeros, 1e-12).value
-        skew = wl.eval_W_skew(m1, 1.0 / 3.0, zeros, 10, 1e-12)
+        direct = _one(m1, 1.0 / 3.0, zeros, 1e-12)
+        skew = _skew(m1, 1.0 / 3.0, zeros, 10, 1e-12)
         assert abs(direct - skew) <= 1e-10
 
     def test_randomised_invariance(self, m1):
         theta = ThetaSequence.iid_uniform(42)
-        direct = wl.eval_W(m1, 0.3, theta, 1e-12).value
-        skew = wl.eval_W_skew(m1, 0.3, theta, 8, 1e-12)
+        direct = _one(m1, 0.3, theta, 1e-12)
+        skew = _skew(m1, 0.3, theta, 8, 1e-12)
         assert abs(direct - skew) <= 1e-10
 
     def test_invariance_sweep(self, systems):
@@ -77,10 +109,10 @@ class TestSkew:
             for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(3)):
                 for x, n in ((0.1234, 5), (0.77, 3)):
                     try:
-                        skew = wl.eval_W_skew(sys, x, theta, n, tol)
+                        skew = _skew(sys, x, theta, n, tol)
                     except NotInPartition:
                         continue
-                    direct = wl.eval_W(sys, x, theta, tol).value
+                    direct = _one(sys, x, theta, tol)
                     assert abs(direct - skew) <= 10 * tol
 
     @given(name=st.sampled_from(["M1", "M2", "M3", "M4", "M5"]),
@@ -94,10 +126,32 @@ class TestSkew:
         theta = ThetaSequence.zeros() if seed < 0 else ThetaSequence.iid_uniform(seed)
         tol = 1e-10
         try:
-            skew = wl.eval_W_skew(sys, x, theta, n, tol)
+            skew = _skew(sys, x, theta, n, tol)
         except NotInPartition:
             return
-        assert abs(wl.eval_W(sys, x, theta, tol).value - skew) <= 10 * tol
+        assert abs(_one(sys, x, theta, tol) - skew) <= 10 * tol
+
+    def test_criterion_batch_matches_per_point(self, systems):
+        # criterion 9(b) sums every base in one _series call and pulls each
+        # point back along its digits from one _orbit walk: each value has
+        # the bits of the one-point route (an _orbit of the point alone, its
+        # base from eval_W_many, one _pull_back)
+        rng = np.random.default_rng(43)
+        xs = np.concatenate([[0.3, 1.0 / 3.0, 0.1234, 0.77], rng.random(12)])
+        depths = np.concatenate([[8, 10, 5, 3], rng.integers(1, 13, 12)])
+        for sys in systems.values():
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(42)):
+                n_terms, _ = _terms_for_tolerance(sys, 1e-10)
+                got = _skew_values(sys, xs, depths, theta, n_terms)
+                for x, n, value in zip(xs.tolist(), depths.tolist(), got.tolist()):
+                    digits, points, left = _orbit(sys, [x], n)
+                    if left[0] < n:
+                        assert math.isnan(value)
+                        continue
+                    u = sys.tau(points[:, -1])
+                    base, _, _ = wl.eval_W_many(sys, u, theta.shift(n), 1e-10)
+                    _, ref = _pull_back(sys, digits, u, base, theta)
+                    assert value.hex() == float(ref[0]).hex(), (sys.model_id, x, n)
 
 
 def _mp_W(x, lam, eps, terms=120):
@@ -297,7 +351,7 @@ class TestDegeneracy:
             "lambda": {"kind": "constant", "value": 0.7},
             "g": {"kind": "trig", "harmonics": [[1, 1.0, 0.0], [2, -0.7, 0.0]]},
         })
-        value = wl.eval_W(sys, 0.2, zeros, 1e-12).value
+        value = _one(sys, 0.2, zeros, 1e-12)
         assert value == pytest.approx(math.cos(2 * math.pi * 0.2), abs=1e-10)
         assert wl.detect_degenerate(sys, zeros).degenerate
 

@@ -41,8 +41,8 @@ class TestSampleGraph:
         idx = m2.branch_index(cloud.x)
         assert np.all(idx >= 0)
         for x in cloud.x[:: len(cloud) // 50]:
-            lo, hi = wl.cylinder_of(m2, wl.code_of(m2, float(x), 10))
-            assert lo - 1e-12 <= x <= hi + 1e-12
+            lo, hi = cylinder_bounds_many(m2, wl.code_of(m2, float(x), 10)[None, :])
+            assert lo[0] - 1e-12 <= x <= hi[0] + 1e-12
 
     def test_budget(self, m1, zeros, monkeypatch):
         monkeypatch.setenv("WTF_LAB_BUDGET", "1000")
@@ -219,6 +219,13 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match="non-empty"):
             wl.box_dimension(cloud, [2.0**-k for k in range(2, 10)])
 
+    @pytest.mark.parametrize("drop", [(2, -3), (-1, 2)])
+    def test_negative_drop_refused(self, line_cloud, drop):
+        # a negative entry would widen the fit window past the ends of the
+        # scale list
+        with pytest.raises(ValueError, match=">= 0"):
+            wl.box_dimension(line_cloud, [2.0**-k for k in range(2, 10)], drop=drop)
+
 
 class TestHolderBirkhoff:
     def test_m1_constant(self, m1):
@@ -331,7 +338,7 @@ class TestHolderOscillation:
 
     def test_matches_per_depth_reference(self, systems, zeros):
         # reference: the per-depth route through the public pieces (code_of,
-        # cylinder_of, oscillation_over and libm logs), bit for bit
+        # one-row cylinder_bounds_many, oscillation_over and libm logs), bit for bit
         depths = range(2, 21)
         for name in ("M1", "M3", "M5"):
             sys = systems[name]
@@ -340,8 +347,8 @@ class TestHolderOscillation:
                 def terms(n):
                     word = wl.code_of(sys, x, n)
                     osc = wl.oscillation_over(sys, word, zeros, probes=128, tol=1e-12)
-                    lo, hi = wl.cylinder_of(sys, word)
-                    return math.log(osc), math.log(hi - lo)
+                    lo, hi = cylinder_bounds_many(sys, word[None, :])
+                    return math.log(osc), math.log(float(hi[0] - lo[0]))
                 lo_osc, lo_len = terms(2)
                 hi = [terms(n) for n in depths[-7:]]
                 hi_osc = hi_len = 0.0

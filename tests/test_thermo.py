@@ -34,8 +34,9 @@ from wtf_lab import (
     PotentialSpec,
     TooFlat,
 )
+from wtf_lab.dynamics import cylinder_bounds_many
 from wtf_lab.thermo import (
-    _branch_phi, _logsumexp, _operator_pressure, aq_family, s1_family, s2_family)
+    _branch_phi, _logsumexp, _perron, aq_family, s1_family, s2_family)
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -78,7 +79,7 @@ class TestPressure:
                     PotentialSpec(-5.0, 30.0), PotentialSpec(-0.7, 1.3, 0.2)):
             ref = wl.moran_oracle(sys, "pressure", pot=pot)
             for nodes in sys.transfer_nodes:
-                assert _operator_pressure(nodes, pot) == pytest.approx(ref, abs=1e-12), pot
+                assert _perron(nodes, pot)[0] == pytest.approx(ref, abs=1e-12), pot
 
     def test_trig_lambda_system(self):
         # M5's map with a non-constant lambda: neither observable is constant
@@ -293,8 +294,8 @@ class TestGibbs:
         assert np.array_equal(digits[:100], np.stack([w for w, _ in again]))
         assert [x for _, x in sample[:100]] == [x for _, x in again]
         for word, x in sample[:50]:
-            lo, hi = wl.cylinder_of(m3, word[:12])
-            assert lo - 1e-12 <= x <= hi + 1e-12
+            lo, hi = cylinder_bounds_many(m3, word[None, :12])
+            assert lo[0] - 1e-12 <= x <= hi[0] + 1e-12
 
     def test_m1_symmetric_sampling_frequency(self, m1):
         s1 = wl.bowen_root(m1, s1_family)

@@ -214,8 +214,13 @@ def _cmd_gibbs(config, out_dir, seed, report):
     depth = require_int(config, "depth", default=50, low=1)
     count = require_int(config, "count", default=10000, low=1)
     sample_seed = seed if seed is not None else require_int(config, "seed", default=1)
-    sample = gibbs_sample(sys, pot, depth, count, sample_seed)
-    write_csv(out, ("word", "x"), (("".join(map(str, word.tolist())), x) for word, x in sample))
+    digits, xs = gibbs_sample(sys, pot, depth, count, sample_seed)
+    # each word as one string: every digit in decimal, zero-padded to the
+    # width of ell - 1, so the words of an ell > 10 sample stay decodable
+    width = len(str(sys.ell - 1))
+    chars = digits[..., None] // 10 ** np.arange(width - 1, -1, -1, dtype=np.uint8) % 10 + ord("0")
+    words = chars.reshape(count, -1).view(f"S{depth * width}").ravel().astype(str)
+    write_csv(out, ("word", "x"), zip(words.tolist(), xs.tolist()))
     stats = measure_stats(sys, pot)
     report.outputs = {
         "sample_csv": out.name,

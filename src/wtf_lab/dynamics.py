@@ -46,7 +46,6 @@ _PROBES_PER_BRANCH = 10_001
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
 _CHEBYSHEV_SIZES = (16, 32)  # node counts of the coarse and the fine transfer operator
-_BIRKHOFF_ROWS = 256  # digit rows gathered at once by birkhoff_sums_from_digits
 _MAX_BRANCHES = 255  # digits are uint8
 
 
@@ -833,7 +832,8 @@ def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.
 
 
 def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
-    """(S_n log|tau'|, S_n log lambda) per row, evaluated at the branch level.
+    """(S_n log|tau'|, S_n log lambda) per row of a uint8 digit matrix, from the
+    row's digit counts c_i: c_i log|tau'_i| and c_i log lambda_i summed in digit order.
 
     Exact for affine systems with branch-constant lambda, where both
     observables depend only on the digit; the bulk sampling paths rely on it.
@@ -842,13 +842,11 @@ def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
         raise NotBranchConstant("digit-level Birkhoff sums need branch-constant observables")
     log_tp, log_lm = sys.branch_logs
     d = np.asarray(digits)
-    if d.ndim != 2 or not d.flags.c_contiguous:
-        return log_tp[d].sum(axis=-1), log_lm[d].sum(axis=-1)
-    # Row blocks bound the gathered temporaries.  numpy reduces each
-    # contiguous row on its own in pairwise order, so the blocks keep the bits.
-    u, v = np.empty(len(d)), np.empty(len(d))
-    for r in range(0, len(d), _BIRKHOFF_ROWS):
-        block = d[r:r + _BIRKHOFF_ROWS]
-        log_tp[block].sum(axis=-1, out=u[r:r + _BIRKHOFF_ROWS])
-        log_lm[block].sum(axis=-1, out=v[r:r + _BIRKHOFF_ROWS])
+    if d.size and d.max() >= sys.ell:
+        raise ValueError(f"digit out of range for an {sys.ell}-branch system")
+    u, v = np.zeros(d.shape[:-1]), np.zeros(d.shape[:-1])
+    for i in range(sys.ell):
+        c = np.count_nonzero(d == i, axis=-1)
+        u += c * log_tp[i]
+        v += c * log_lm[i]
     return u, v

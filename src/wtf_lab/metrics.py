@@ -193,6 +193,8 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> 
         raise ValueError("box scales must be finite and positive")
     if len(cloud) == 0 or not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
         raise ValueError("box counting needs a non-empty cloud of finite points")
+    if not all(isinstance(k, (int, np.integer)) for k in drop):
+        raise ValueError("the scales dropped at each end must be integers")
     if min(drop) < 0:
         raise ValueError("the scales dropped at each end must be >= 0")
     y0 = float(cloud.y.min())
@@ -375,6 +377,8 @@ def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> Correla
     radii = sorted(float(r) for r in radii)
     if len(radii) < 5:
         raise ValueError("need at least 5 radii")
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise ValueError("correlation radii must be finite and positive")
     if len(cloud) < 10**3:
         raise ValueError("need at least 1000 points")
     d = _pair_distances(cloud, seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CookieCutterSystem, _check_budget, point_of_word
+from .dynamics import CookieCutterSystem, _check_budget, _words_at, point_of_word
 from .errors import (
     NoSignChange,
     NotBranchConstant,
@@ -343,9 +343,7 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     digits = np.empty((count, depth), dtype=np.uint8)
     # joint draw of the first k digits from the depth-k cylinder weights
     first = rng.choice(len(w), size=count, p=w / w.sum())
-    for col in range(k - 1, -1, -1):
-        digits[:, col] = first % sys.ell
-        first //= sys.ell
+    digits[:, :k] = _words_at(first, sys.ell, k)
     if depth > k:
         # next digit conditioned on the last k-1 digits (word index layout is
         # first-digit-major, so state*ell + d picks cylinder (state, d))
@@ -353,28 +351,22 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
         cond = w.reshape(base, sys.ell)
         cond = cond / cond.sum(axis=1, keepdims=True)
         cum = np.cumsum(cond, axis=1)
-        state = np.zeros(count, dtype=np.int64)
-        for col in range(1, k):
-            state = state * sys.ell + digits[:, col]
-        drop = base // sys.ell if k > 1 else 1
+        state = first % base  # the index of the last k-1 digits
         for col in range(k, depth):
-            u01 = rng.random(count)
-            nxt = (u01[:, None] > cum[state]).sum(axis=1).astype(np.uint8)
+            nxt = (rng.random(count)[:, None] > cum[state]).sum(axis=1).astype(np.uint8)
             digits[:, col] = nxt
-            if k > 1:
-                state = (state % drop) * sys.ell + nxt
+            state = (state * sys.ell + nxt) % base
     return digits
 
 
 def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
-                 seed: int) -> list[tuple[np.ndarray, float]]:
-    """iid draws (word, representative) from the Gibbs measure, each word a
-    uint8 digit row; reproducible per seed."""
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, xs): a (count, depth) uint8 matrix of iid Gibbs draws and each
+    row's representative rho_w(1/2); reproducible per seed."""
     _require_normalised(pressure(sys, pot).value)
     _check_budget(count * depth)
     digits = sample_words(sys, pot, depth, count, seed)
-    xs = point_of_word(sys, digits, 0.5)
-    return list(zip(digits, xs.tolist()))
+    return digits, point_of_word(sys, digits, 0.5)
 
 
 @dataclass(frozen=True)

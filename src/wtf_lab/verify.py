@@ -40,6 +40,7 @@ from .thermo import (
     PotentialSpec,
     aq_family,
     bowen_root,
+    gibbs_sample,
     graph_dimension_prediction,
     jin_upper,
     lifted_dim_prediction,
@@ -48,7 +49,6 @@ from .thermo import (
     pressure,
     s1_family,
     s2_family,
-    sample_words,
     spectrum,
 )
 
@@ -234,14 +234,14 @@ def check_lifted_probe(ctx: BatteryContext) -> tuple[bool, str]:
     # M1: nu_1 draws on the iid-randomised graph
     sys1 = ctx.systems["M1"]
     pot = s1_family(moran_oracle(sys1, "s1"))
-    xs = point_of_word(sys1, sample_words(sys1, pot, depth=50, count=10**5, seed=90210), 0.5)
+    xs = gibbs_sample(sys1, pot, depth=50, count=10**5, seed=90210)[1]
     ys, _, _ = eval_W_many(sys1, xs, ThetaSequence.iid_uniform(777), tol=1e-8)
     cloud = GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
     lifted = correlation_dimension(cloud, [2.0**-k for k in range(2, 9)], seed=31)
     # M2: draws of the q = 0 measure on the repeller itself
     sys2 = ctx.systems["M2"]
     pot = PotentialSpec(-moran_oracle(sys2, "A_of_q", q=0.0), 0.0)
-    xs = point_of_word(sys2, sample_words(sys2, pot, depth=50, count=10**5, seed=4181), 0.5)
+    xs = gibbs_sample(sys2, pot, depth=50, count=10**5, seed=4181)[1]
     cloud = GraphCloud(xs, np.zeros_like(xs), CloudProvenance("M2", "zeros", None, 50, 0.0))
     base = correlation_dimension(cloud, [2.0**-k for k in range(5, 13)], seed=32)
     ok = 1.37 <= lifted.slope <= 1.60
@@ -337,13 +337,12 @@ def _band_ratios(sys: CookieCutterSystem, theta: ThetaSequence) -> list[float]:
     bases = _probe_bases(sys, depths, theta, 128, 1e-12)
     ratios = []
     for n, base in zip(depths, bases.tolist()):
-        words = np.array([rng.integers(0, sys.ell, n) for _ in range(3)]).astype(np.uint8)
-        for digits, osc in zip(words, _oscillations(sys, words, theta, 128, base).tolist()):
-            if sys.lam.kind == "constant":
-                lam_n = sys.lam.value**n
-            else:
-                lam_n = float(np.prod(np.asarray(sys.lam.values)[digits]))
-            ratios.append(osc / lam_n)
+        words = rng.integers(0, sys.ell, (3, n)).astype(np.uint8)
+        if sys.lam.kind == "constant":
+            lam_n = sys.lam.value**n
+        else:
+            lam_n = np.prod(np.asarray(sys.lam.values)[words], axis=1)
+        ratios += (_oscillations(sys, words, theta, 128, base) / lam_n).tolist()
     return ratios
 
 

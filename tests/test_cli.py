@@ -217,6 +217,25 @@ class TestSpectrumGibbsLiftHolder:
         assert len(word) == 30 and set(word) <= {"0", "1"}
         assert 0.0 <= float(x) < 1.0
 
+    @pytest.mark.parametrize("ell,width", [(10, 1), (12, 2)])
+    def test_gibbs_words_decode(self, tmp_path, ell, width):
+        # each digit takes width zero-padded characters (two from 11 branches
+        # on), so every word decodes to its sampled digit row; up to ten
+        # branches a word is the plain join of its digits
+        model = {"branches": {"family": "ell_adic", "ell": ell}, "lambda": 0.5}
+        cfg = write_config(tmp_path, "cfg.json", {"model": model, "q": 1.0, "depth": 6, "count": 200})
+        out = tmp_path / "out"
+        assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
+        sys = wl.validate_system(model)
+        digits, xs = wl.gibbs_sample(sys, wl.PotentialSpec(-wl.A_of_q(sys, 1.0), 1.0), 6, 200, 1)
+        rows = [line.split(",") for line in (out / "gibbs.csv").read_text().splitlines()[1:]]
+        assert all(len(word) == 6 * width for word, _ in rows)
+        decoded = [[int(word[i:i + width]) for i in range(0, 6 * width, width)] for word, _ in rows]
+        assert decoded == digits.tolist()
+        if width == 1:
+            assert [word for word, _ in rows] == ["".join(map(str, row)) for row in digits.tolist()]
+        assert [float(x) for _, x in rows] == xs.tolist()
+
     @pytest.mark.parametrize("model", [
         {"branches": [{"domain": [0.0, 0.15]}, {"domain": [0.85, 1.0]}],
          "lambda": {"kind": "branch_constant", "values": [0.2, 0.3]}},

@@ -1,6 +1,7 @@
 """Cookie-cutter systems: validation, coding, cylinders, Birkhoff sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -648,6 +649,10 @@ class TestBirkhoff:
         with pytest.raises(NotInPartition):
             wl.birkhoff_sum(m2, "log_lambda", 0.5, 1)
 
+    def test_digit_sums_refuse_out_of_range_digit(self, m3):
+        with pytest.raises(ValueError, match="out of range"):
+            birkhoff_sums_from_digits(m3, np.array([[0, 1], [1, 2]], dtype=np.uint8))
+
     def test_digit_sums_need_branch_constant(self, m5):
         with pytest.raises(NotBranchConstant):
             birkhoff_sums_from_digits(m5, np.zeros((2, 3), dtype=np.uint8))
@@ -681,13 +686,23 @@ class TestTheta:
         assert abs(block.mean() - 0.5) < 0.01
 
 
-@pytest.mark.parametrize("rows", [None, 1, 256, 513])
-def test_blocked_birkhoff_sums_match_direct(m3, rows):
-    # row blocks reduce each row as the one-shot gather did, bit for bit
+@pytest.mark.parametrize("rows", [None, 1, 256, 513, "column_slice"])
+def test_digit_count_birkhoff_sums_near_exact(m3, rows):
+    # each row's sum from its digit counts c_i is within
+    # ell * spacing(sum_i c_i |L_i|) of the exact sum of c_i L_i, for a 1-D
+    # word, 2-D matrices and a non-contiguous column slice
     rng = np.random.default_rng(31)
-    d = rng.integers(0, 2, 40 if rows is None else (rows, 40)).astype(np.uint8)
+    shape = {None: 40, "column_slice": (300, 60)}.get(rows, (rows, 40))
+    d = rng.integers(0, 2, shape).astype(np.uint8)
+    if rows == "column_slice":
+        d = d[:, 10:50]
+        assert not d.flags.c_contiguous
     log_tp = np.log(np.abs(np.array([b.slope for b in m3.branches])))
     log_lm = np.log(m3.lam.branch_values(m3.ell))
-    u, v = birkhoff_sums_from_digits(m3, d)
-    assert np.asarray(u).tobytes() == log_tp[d].sum(-1).tobytes()
-    assert np.asarray(v).tobytes() == log_lm[d].sum(-1).tobytes()
+    counts = [np.bincount(row, minlength=m3.ell).tolist() for row in np.atleast_2d(d)]
+    for sums, logs in zip(birkhoff_sums_from_digits(m3, d), (log_tp.tolist(), log_lm.tolist())):
+        assert np.shape(sums) == d.shape[:-1]
+        for got, c in zip(np.atleast_1d(sums).tolist(), counts):
+            exact = sum(Fraction(ci) * Fraction(li) for ci, li in zip(c, logs))
+            bound = m3.ell * np.spacing(sum(ci * abs(li) for ci, li in zip(c, logs)))
+            assert abs(Fraction(got) - exact) <= Fraction(float(bound))

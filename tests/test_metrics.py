@@ -226,6 +226,13 @@ class TestBoxDimension:
         with pytest.raises(ValueError, match=">= 0"):
             wl.box_dimension(line_cloud, [2.0**-k for k in range(2, 10)], drop=drop)
 
+    @pytest.mark.parametrize("drop", [(2.5, 2), (2, 2.0), (2, "2")])
+    def test_non_integer_drop_refused(self, line_cloud, drop):
+        # a fractional count of dropped scales has no meaning; it ended in a
+        # TypeError from range
+        with pytest.raises(ValueError, match="integers"):
+            wl.box_dimension(line_cloud, [2.0**-k for k in range(2, 10)], drop=drop)
+
 
 class TestHolderBirkhoff:
     def test_m1_constant(self, m1):
@@ -462,6 +469,16 @@ class TestCorrelationDimension:
                          CloudProvenance("b", "zeros", None, 0, 0.0))
         with pytest.raises(ValueError):
             wl.correlation_dimension(big, [0.5, 0.25])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
+    def test_bad_radius_refused(self, bad):
+        # an infinite radius read slope NaN with no warning; NaN and
+        # non-positive radii were dropped as radii with zero pair counts
+        rng = np.random.default_rng(5)
+        cloud = GraphCloud(rng.random(2000), rng.random(2000),
+                           CloudProvenance("b", "zeros", None, 0, 0.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            wl.correlation_dimension(cloud, [2.0**-k for k in range(1, 7)] + [bad])
 
     def test_torus_metric_uniform_slope(self):
         # pairs that wrap around x = 0/1 count at their torus distance

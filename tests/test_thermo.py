@@ -286,31 +286,54 @@ class TestGibbs:
     def test_sampling_frequency_and_determinism(self, m3):
         a0 = wl.A_of_q(m3, 0.0)
         pot = PotentialSpec(-a0, 0.0)
-        sample = wl.gibbs_sample(m3, pot, depth=50, count=20_000, seed=5)
-        digits = np.stack([w for w, _ in sample])
+        digits, xs = wl.gibbs_sample(m3, pot, depth=50, count=20_000, seed=5)
         assert digits.dtype == np.uint8
         assert (digits == 0).mean() == pytest.approx(0.3**M3_A0, abs=0.005)
-        again = wl.gibbs_sample(m3, pot, depth=50, count=100, seed=5)
-        assert np.array_equal(digits[:100], np.stack([w for w, _ in again]))
-        assert [x for _, x in sample[:100]] == [x for _, x in again]
-        for word, x in sample[:50]:
-            lo, hi = cylinder_bounds_many(m3, word[None, :12])
-            assert lo[0] - 1e-12 <= x <= hi[0] + 1e-12
+        again, xs_again = wl.gibbs_sample(m3, pot, depth=50, count=100, seed=5)
+        assert np.array_equal(digits[:100], again)
+        assert xs[:100].tolist() == xs_again.tolist()
+        lo, hi = cylinder_bounds_many(m3, digits[:50, :12])
+        assert np.all((lo - 1e-12 <= xs[:50]) & (xs[:50] <= hi + 1e-12))
 
     def test_m1_symmetric_sampling_frequency(self, m1):
         s1 = wl.bowen_root(m1, s1_family)
-        sample = wl.gibbs_sample(m1, s1_family(s1), depth=40, count=20_000, seed=8)
-        digits = np.stack([w for w, _ in sample])
+        digits, _ = wl.gibbs_sample(m1, s1_family(s1), depth=40, count=20_000, seed=8)
         assert (digits == 0).mean() == pytest.approx(0.5, abs=0.005)
 
     def test_markov_sampler_nonconstant_potential(self, m5):
         # normalise -log|tau'| by its pressure through the constant term
         p = wl.pressure(m5, PotentialSpec(-1.0, 0.0)).value
         pot = PotentialSpec(-1.0, 0.0, -p)
-        sample = wl.gibbs_sample(m5, pot, depth=12, count=4000, seed=9)
-        digits = np.stack([w for w, _ in sample])
+        digits, _ = wl.gibbs_sample(m5, pot, depth=12, count=4000, seed=9)
         # full-branch Lebesgue-like measure: digit frequencies near 1/2
         assert abs((digits == 0).mean() - 0.5) < 0.05
+
+    @pytest.mark.parametrize("depth", [3, 8, 9, 20])
+    def test_markov_sampler_matches_per_column_reference(self, m5, depth):
+        # the first k digits from one base-ell decode and the state from the
+        # joint index give the digits of the per-column loops, bit for bit
+        pot = PotentialSpec(-1.0, 0.3)
+        rng = np.random.default_rng(4)
+        k = min(wl.thermo._MARKOV_DEPTH, depth)
+        _, u, v = m5.tree(k)
+        s = pot.a * u + pot.b * v
+        w = np.exp(s - _logsumexp(s))
+        ref = np.empty((50, depth), dtype=np.uint8)
+        first = rng.choice(len(w), size=50, p=w / w.sum())
+        for col in range(k - 1, -1, -1):
+            ref[:, col] = first % m5.ell
+            first //= m5.ell
+        if depth > k:
+            base = m5.ell ** (k - 1)
+            cond = w.reshape(base, m5.ell)
+            cum = np.cumsum(cond / cond.sum(axis=1, keepdims=True), axis=1)
+            state = np.zeros(50, dtype=np.int64)
+            for col in range(1, k):
+                state = state * m5.ell + ref[:, col]
+            for col in range(k, depth):
+                ref[:, col] = (rng.random(50)[:, None] > cum[state]).sum(axis=1)
+                state = (state % (base // m5.ell)) * m5.ell + ref[:, col]
+        assert np.array_equal(wl.thermo.sample_words(m5, pot, depth, 50, 4), ref)
 
 
 class TestMeasureStats:

@@ -719,33 +719,51 @@ def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
     return digits[0]
 
 
+def _digits(sys: CookieCutterSystem, digits) -> np.ndarray:
+    """digits as an integer array; ValueError for a digit outside 0..ell-1."""
+    d = np.asarray(digits)
+    if d.dtype.kind not in "iu" or d.size and (
+            d.max() >= sys.ell or d.dtype.kind == "i" and d.min() < 0):
+        raise ValueError(f"digit out of range for an {sys.ell}-branch system")
+    return d
+
+
 def _word(sys: CookieCutterSystem, word) -> np.ndarray:
     """A word argument as a uint8 digit row; ValueError for an empty or
     non-1-D word and for a digit outside 0..ell-1."""
     arr = np.asarray(word)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("a word is a nonempty 1-D sequence of digits")
-    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= sys.ell:
-        raise ValueError(f"digit out of range for an {sys.ell}-branch system")
-    return arr.astype(np.uint8)
+    return _digits(sys, arr).astype(np.uint8)
 
 
-def _compose(sys: CookieCutterSystem, digits: np.ndarray, x, step=None) -> np.ndarray:
-    """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth) uint8
+def _compose(sys: CookieCutterSystem, digits, x, step=None) -> np.ndarray:
+    """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth)
     digit matrix; x is a scalar or one value per row; ``step(k, u)`` sees the
-    values after each column k, last first.  One inverse call per (column,
-    branch) on the rows carrying that digit; every inverse is elementwise, so
-    a row gets the same bits in any batch."""
-    count = digits.shape[0]
+    values after each column k, last first.  On affine systems each column
+    is one gather per branch table: (u - offset) / slope clipped to the
+    domain [lo, hi], AffineBranch.inverse's formula; the sine family makes
+    one inverse call per (column, branch) on the rows carrying that digit.
+    Every inverse is elementwise, so a row gets the same bits in any batch.
+    ValueError unless digits is a 2-D integer matrix of digits in 0..ell-1."""
+    digits = _digits(sys, digits)
+    if digits.ndim != 2:
+        raise ValueError("a digit matrix is 2-D, one word per row")
+    count, affine = digits.shape[0], sys.is_affine
     x = np.full(count, x, dtype=float)
     for col in range(digits.shape[1] - 1, -1, -1):
         d = digits[:, col]
-        nxt = np.empty(count)
-        for i in range(sys.ell):
-            m = d == i
-            if np.any(m):
-                nxt[m] = sys.branches[i].inverse(x[m])
-        x = nxt
+        if affine:
+            d, (slope, offset) = d.astype(np.intp), sys._affine_coefficients
+            x = np.clip((x - offset.take(d)) / slope.take(d),
+                        sys.branch_lows.take(d), sys.branch_highs.take(d))
+        else:
+            nxt = np.empty(count)
+            for i, br in enumerate(sys.branches):
+                m = d == i
+                if m.any():
+                    nxt[m] = br.inverse(x[m])
+            x = nxt
         if step is not None:
             step(col, x)
     return x
@@ -784,7 +802,7 @@ def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[n
 def point_of_word(sys: CookieCutterSystem, digits: np.ndarray, t=0.5) -> np.ndarray:
     """rho_w(t) for each row of a (count, depth) digit matrix; only the
     leading 64 digits are composed."""
-    return _compose(sys, digits[:, :_MAX_EFFECTIVE_DEPTH], t)
+    return _compose(sys, np.atleast_1d(digits)[..., :_MAX_EFFECTIVE_DEPTH], t)
 
 
 def _words_at(idx, ell: int, depth: int) -> np.ndarray:
@@ -832,21 +850,26 @@ def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.
 
 
 def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
-    """(S_n log|tau'|, S_n log lambda) per row of a uint8 digit matrix, from the
-    row's digit counts c_i: c_i log|tau'_i| and c_i log lambda_i summed in digit order.
+    """(S_n log|tau'|, S_n log lambda) per row of a digit matrix: the row's
+    digit counts, then _birkhoff_sums_from_counts.
 
     Exact for affine systems with branch-constant lambda, where both
     observables depend only on the digit; the bulk sampling paths rely on it.
     """
     if not (sys.is_affine and sys.lam.branch_constant):
         raise NotBranchConstant("digit-level Birkhoff sums need branch-constant observables")
+    d = _digits(sys, digits)
+    return _birkhoff_sums_from_counts(
+        sys, np.stack([np.count_nonzero(d == i, axis=-1) for i in range(sys.ell)], axis=-1))
+
+
+def _birkhoff_sums_from_counts(sys: CookieCutterSystem, counts: np.ndarray):
+    """(S_n log|tau'|, S_n log lambda) from digit counts c_i on the last axis:
+    c_i log|tau'_i| and c_i log lambda_i summed in digit order."""
     log_tp, log_lm = sys.branch_logs
-    d = np.asarray(digits)
-    if d.size and d.max() >= sys.ell:
-        raise ValueError(f"digit out of range for an {sys.ell}-branch system")
-    u, v = np.zeros(d.shape[:-1]), np.zeros(d.shape[:-1])
+    u, v = np.zeros(counts.shape[:-1]), np.zeros(counts.shape[:-1])
     for i in range(sys.ell):
-        c = np.count_nonzero(d == i, axis=-1)
+        c = counts[..., i]
         u += c * log_tp[i]
         v += c * log_lm[i]
     return u, v

@@ -19,9 +19,9 @@ import numpy as np
 from .dynamics import (
     CookieCutterSystem,
     _birkhoff_sums,
+    _birkhoff_sums_from_counts,
     _check_budget,
     _orbit,
-    birkhoff_sums_from_digits,
     cylinder_bounds_many,
     torus_distance,
 )
@@ -29,7 +29,7 @@ from .errors import BadConfig, DegenerateFit, NotInPartition, OscillationUnderfl
 from .graph import _oscillations, _probe_bases, _pull_back_walk, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
-from .thermo import A_of_q, PotentialSpec, measure_stats, sample_words
+from .thermo import A_of_q, PotentialSpec, measure_stats, sample_digit_counts
 
 _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
@@ -329,14 +329,19 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
 
 def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
                        birkhoff_depth: int, seed: int) -> list[tuple[float, float, float]]:
-    """For each q: draw a Gibbs sample for the spectrum potential and average
-    the symbolic exponent over it; paired with the predicted alpha(q)."""
+    """For each q: (q, the mean symbolic exponent -S_n log lambda / S_n log|tau'|
+    of a Gibbs sample for the spectrum potential, the predicted alpha(q)).  The
+    sums come from sample_digit_counts, with the bits of birkhoff_sums_from_digits
+    over sample_words' words; NotBranchConstant before any draw unless log|tau'|
+    and log lambda are branch-constant, ValueError for an empty sample or depth."""
+    if samples_per_q < 1 or birkhoff_depth < 1:
+        raise ValueError("samples_per_q and birkhoff_depth must be >= 1")
     out = []
     for j, q in enumerate(q_grid):
         a_q = A_of_q(sys, float(q))
         pot = PotentialSpec(-a_q, float(q))
-        digits = sample_words(sys, pot, birkhoff_depth, samples_per_q, seed + j)
-        u, v = birkhoff_sums_from_digits(sys, digits)
+        counts = sample_digit_counts(sys, pot, birkhoff_depth, samples_per_q, seed + j)
+        u, v = _birkhoff_sums_from_counts(sys, counts)
         alpha_hat = float(np.mean(-v / u))
         alpha_pred = measure_stats(sys, pot).alpha
         out.append((float(q), alpha_hat, alpha_pred))

@@ -311,6 +311,23 @@ def _require_normalised(p: float) -> None:
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
 
 
+def _bernoulli_uniforms(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
+                        seed: int):
+    """(cdf, blocks): rng.choice(ell, size=(count, depth), p=p) for the
+    Bernoulli p_i = exp(phi_i - P) as blocks of (first row, u) with
+    _SAMPLE_ROWS rows; numpy draws u = rng.random(shape) row-major, and the
+    digit of u counts the cdf entries <= u."""
+    phi = _branch_phi(sys, pot)
+    p = np.exp(phi - _logsumexp(phi))
+    cdf = (p / p.sum()).cumsum()
+    if np.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")  # as rng.choice
+    cdf /= cdf[-1]  # its last entry is exactly 1 > u
+    rng = np.random.default_rng(seed)
+    return cdf, ((r, rng.random((min(_SAMPLE_ROWS, count - r), depth)))
+                 for r in range(0, count, _SAMPLE_ROWS))
+
+
 def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
                  seed: int) -> np.ndarray:
     """(count, depth) digit matrix of iid Gibbs draws.
@@ -318,24 +335,16 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     Branch-constant potentials sample the exact Bernoulli product; otherwise
     digits follow depth-limited conditional cylinder-weight ratios (a Markov
     approximation of order 7)."""
-    rng = np.random.default_rng(seed)
     if sys.is_affine and sys.lam.branch_constant:
-        # rng.choice(ell, size=(count, depth), p=p) in row blocks: numpy draws
-        # u = rng.random(shape) row-major; the digit counts the cdf entries <= u.
-        phi = _branch_phi(sys, pot)
-        p = np.exp(phi - _logsumexp(phi))
-        cdf = (p / p.sum()).cumsum()
-        if np.isnan(cdf[-1]):
-            raise ValueError("Probabilities contain NaN")  # as rng.choice
-        cdf /= cdf[-1]  # its last entry is exactly 1 > u
+        cdf, blocks = _bernoulli_uniforms(sys, pot, depth, count, seed)
         digits = np.zeros((count, depth), dtype=np.uint8)
-        for r in range(0, count, _SAMPLE_ROWS):
-            block = digits[r:r + _SAMPLE_ROWS]
-            u = rng.random(block.shape)
+        for r, u in blocks:
+            block = digits[r:r + len(u)]
             for c in cdf[:-1]:
                 block += u >= c
         return digits
 
+    rng = np.random.default_rng(seed)
     k = min(_MARKOV_DEPTH, depth)
     _, u, v = sys.tree(k)
     s = pot.a * u + pot.b * v
@@ -357,6 +366,22 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
             digits[:, col] = nxt
             state = (state * sys.ell + nxt) % base
     return digits
+
+
+def sample_digit_counts(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
+                        seed: int) -> np.ndarray:
+    """(count, ell) digit counts of sample_words' Bernoulli rows, from the same
+    uniforms without the words: with n_i the number of u >= cdf[i] in a row
+    (its digits above i) and n_{-1} = depth, digit i occurs n_{i-1} - n_i times."""
+    if not (sys.is_affine and sys.lam.branch_constant):
+        raise NotBranchConstant("digit counts need branch-constant observables")
+    cdf, blocks = _bernoulli_uniforms(sys, pot, depth, count, seed)
+    above = np.zeros((count, sys.ell + 1), dtype=np.intp)
+    above[:, 0] = depth
+    for r, u in blocks:
+        for i, c in enumerate(cdf[:-1], 1):
+            above[r:r + len(u), i] = np.count_nonzero(u >= c, axis=1)
+    return above[:, :-1] - above[:, 1:]
 
 
 def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,

@@ -21,6 +21,7 @@ from wtf_lab import (
 )
 from wtf_lab.dynamics import (
     _check_budget,
+    _compose,
     _invert_increasing,
     _orbit,
     _walk,
@@ -29,7 +30,7 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _oscillations, _probe_bases
+from wtf_lab.graph import _Carry, _oscillations, _probe_bases, _pull_back
 from wtf_lab.theta import counter_uniforms
 
 
@@ -546,6 +547,92 @@ class TestCoding:
             cylinder_bounds_many(m5, word[None, :])
         lo, hi = _cylinder(m5, word[:30])
         assert hi - lo > 4e-12
+
+
+def _masked_compose(sys, digits, x, step=None):
+    """Reference _compose: one masked inverse call per (column, branch) on
+    the rows carrying that digit."""
+    count = digits.shape[0]
+    x = np.full(count, x, dtype=float)
+    for col in range(digits.shape[1] - 1, -1, -1):
+        d = digits[:, col]
+        nxt = np.empty(count)
+        for i, br in enumerate(sys.branches):
+            m = d == i
+            if np.any(m):
+                nxt[m] = br.inverse(x[m])
+        x = nxt
+        if step is not None:
+            step(col, x)
+    return x
+
+
+def _hex(values):
+    return [float.hex(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _affine_systems(systems):
+    three = {"branches": [{"domain": [0.0, 0.3]}, {"domain": [0.3, 0.6], "slope": -1.0 / 0.3},
+                          {"domain": [0.6, 1.0]}],
+             "lambda": 0.5}
+    return {**{name: systems[name] for name in ("M1", "M2", "M3", "M4")},  # M2 has a gap
+            "three_reversing": wl.validate_system(three)}
+
+
+class TestComposeTables:
+    def test_matches_masked_loop(self, systems):
+        # the affine gather path gives the per-branch masked loop's bits for a
+        # scalar start, one start per row (ends, out of range, non-finite)
+        affine = _affine_systems(systems)
+        assert [br.orientation for br in affine["three_reversing"].branches] == [1, -1, 1]
+        for name, sys in affine.items():
+            rng = np.random.default_rng(41)
+            words = rng.integers(0, sys.ell, size=(300, 40)).astype(np.uint8)
+            per_row = np.concatenate([rng.random(291), [0.0, 1.0, -0.25, 1.5, -0.0,
+                                                        np.nan, np.inf, -np.inf, 1e308]])
+            for x in (0.0, 0.5, 1.0, per_row):
+                got = _compose(sys, words, x)
+                assert _hex(got) == _hex(_masked_compose(sys, words, x)), name
+            assert _hex(point_of_word(sys, words, 0.5)) == _hex(_masked_compose(sys, words, 0.5))
+
+    def test_empty_matrices(self, systems):
+        for sys in _affine_systems(systems).values():
+            assert _compose(sys, np.zeros((0, 5), dtype=np.uint8), 0.5).shape == (0,)
+            x = np.linspace(0.0, 1.0, 7)
+            assert _hex(_compose(sys, np.zeros((7, 0), dtype=np.uint8), x)) == _hex(x)
+            assert _hex(_compose(sys, np.zeros((7, 0), dtype=np.uint8), 0.25)) == _hex([0.25] * 7)
+
+    def test_step_order_through_pull_back(self, systems):
+        # the hook sees the columns last first with the masked loop's values,
+        # and _pull_back's skew-product carry gets the same bits
+        theta = ThetaSequence.iid_uniform(8)
+        for name, sys in _affine_systems(systems).items():
+            rng = np.random.default_rng(43)
+            words = rng.integers(0, sys.ell, size=(50, 12)).astype(np.uint8)
+            t = rng.random(50)
+            seen, ref = [], []
+            _compose(sys, words, t, lambda k, u: seen.append((k, _hex(u))))
+            _masked_compose(sys, words, t, lambda k, u: ref.append((k, _hex(u))))
+            assert [k for k, _ in seen] == list(range(11, -1, -1))
+            assert seen == ref, name
+            carry = _Carry(sys, np.full(50, 0.3), theta, 12)
+            x = _masked_compose(sys, words, t, carry)
+            u, y = _pull_back(sys, words, t, 0.3, theta)
+            assert _hex(u) == _hex(x) and _hex(y) == _hex(carry.y), name
+
+    @pytest.mark.parametrize("digits", [np.array([[0, 5, 1]]), [[0, 5, 1]], np.array([[0, -1]]),
+                                        np.array([[0.5, 1.0]]), np.array([0, 1], dtype=np.uint8)],
+                             ids=["too_large", "list", "negative", "float", "1d"])
+    def test_malformed_digit_matrix_refused(self, m1, m5, digits):
+        # a digit past ell - 1 read uninitialised memory and a float digit
+        # matrix returned its start value
+        for sys in (m1, m5):
+            with pytest.raises(ValueError):
+                point_of_word(sys, digits)
+            with pytest.raises(ValueError):
+                cylinder_bounds_many(sys, digits)
+            with pytest.raises(ValueError):
+                _compose(sys, digits, 0.5)
 
 
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",

@@ -12,12 +12,13 @@ from wtf_lab import (
     CloudProvenance,
     DegenerateFit,
     GraphCloud,
+    NotBranchConstant,
     NotInPartition,
     OscillationUnderflow,
     PotentialSpec,
     ThetaSequence,
 )
-from wtf_lab.dynamics import _walk, cylinder_bounds_many, point_of_word
+from wtf_lab.dynamics import _walk, birkhoff_sums_from_digits, cylinder_bounds_many, point_of_word
 from wtf_lab.thermo import sample_words
 
 
@@ -449,6 +450,31 @@ class TestEmpiricalSpectrum:
         for _, hat, pred in rows:
             assert hat == pytest.approx(0.5, abs=1e-6)
             assert pred == pytest.approx(0.5, abs=1e-6)
+
+    def test_matches_the_word_route(self, m3):
+        # alpha_hat from the sampler's digit counts has the bits of the mean
+        # over birkhoff_sums_from_digits(sample_words(...)), seed + j for q_j
+        rows = wl.empirical_spectrum(m3, [-1.0, 2.0], samples_per_q=700,
+                                     birkhoff_depth=90, seed=12)
+        for j, (q, hat, _) in enumerate(rows):
+            pot = PotentialSpec(-wl.A_of_q(m3, q), q)
+            u, v = birkhoff_sums_from_digits(m3, sample_words(m3, pot, 90, 700, 12 + j))
+            assert hat.hex() == float(np.mean(-v / u)).hex()
+
+    def test_not_branch_constant_refused_before_drawing(self, m5, monkeypatch):
+        # M5 spent about a second in the Markov sampler before refusing
+        def no_draws(seed):
+            raise AssertionError("empirical_spectrum drew a sample")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(NotBranchConstant):
+            wl.empirical_spectrum(m5, [0.0], 10, 5, 1)
+
+    @pytest.mark.parametrize("samples, depth", [(0, 5), (10, 0)])
+    def test_empty_sample_refused(self, m3, samples, depth):
+        # these read alpha_hat = NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match=">= 1"):
+            wl.empirical_spectrum(m3, [0.0], samples, depth, 1)
 
 
 class TestCorrelationDimension:

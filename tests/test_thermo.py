@@ -34,7 +34,11 @@ from wtf_lab import (
     PotentialSpec,
     TooFlat,
 )
-from wtf_lab.dynamics import cylinder_bounds_many
+from wtf_lab.dynamics import (
+    _birkhoff_sums_from_counts,
+    birkhoff_sums_from_digits,
+    cylinder_bounds_many,
+)
 from wtf_lab.thermo import (
     _branch_phi, _logsumexp, _perron, aq_family, s1_family, s2_family)
 
@@ -617,5 +621,25 @@ def test_bernoulli_nan_probabilities_refused():
     # with ValueError, and so does the blocked sampler
     sys = wl.validate_system({"branches": [{"domain": [0.0, 0.15]}, {"domain": [0.85, 1.0]}],
                               "lambda": {"kind": "branch_constant", "values": [0.2, 0.3]}})
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="Probabilities contain NaN"):
-        wl.thermo.sample_words(sys, PotentialSpec(1.7e308, 1.7e308), 5, 10, 1)
+    for sample in (wl.thermo.sample_words, wl.thermo.sample_digit_counts):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="Probabilities contain NaN"):
+            sample(sys, PotentialSpec(1.7e308, 1.7e308), 5, 10, 1)
+
+
+@pytest.mark.parametrize("count", [1, 300, 700])
+def test_sampled_counts_give_the_sums_of_the_words(m3, count):
+    # sample_digit_counts never forms the words, yet its counts are those of
+    # sample_words' rows and its sums have birkhoff_sums_from_digits' bits
+    for sys in (m3, wl.validate_system(THREE_BRANCH)):
+        for pot in (PotentialSpec(-0.8, 1.3), PotentialSpec(-wl.A_of_q(sys, -2.0), -2.0)):
+            counts = wl.thermo.sample_digit_counts(sys, pot, 37, count, 91)
+            words = wl.thermo.sample_words(sys, pot, 37, count, 91)
+            assert counts.tolist() == [np.bincount(w, minlength=sys.ell).tolist() for w in words]
+            for got, ref in zip(_birkhoff_sums_from_counts(sys, counts),
+                                birkhoff_sums_from_digits(sys, words)):
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+
+
+def test_sampled_counts_need_branch_constant(m5):
+    with pytest.raises(NotBranchConstant):
+        wl.thermo.sample_digit_counts(m5, PotentialSpec(-1.0, 0.0), 5, 10, 1)

@@ -11,6 +11,7 @@ propagate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 import time
 from pathlib import Path
@@ -280,6 +281,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wtf-lab",

@@ -70,6 +70,15 @@ def _check_budget(count: int) -> None:
         raise BudgetExceeded(f"{count} cylinders or points exceed the budget {budget}")
 
 
+def _require_ints(**values) -> None:
+    """ValueError naming the first value that is not an int or a numpy
+    integer (a bool is refused too): numpy truncates a float count, depth or
+    seed silently in some calls and raises TypeError in others."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def torus_distance(x, u):
     """Circle metric min(|x-u|, 1-|x-u|)."""
     d = np.abs(np.asarray(x, dtype=float) - np.asarray(u, dtype=float))

@@ -22,6 +22,7 @@ from .dynamics import (
     _birkhoff_sums_from_counts,
     _check_budget,
     _orbit,
+    _require_ints,
     cylinder_bounds_many,
     torus_distance,
 )
@@ -328,23 +329,28 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
 
 
 def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
-                       birkhoff_depth: int, seed: int) -> list[tuple[float, float, float]]:
-    """For each q: (q, the mean symbolic exponent -S_n log lambda / S_n log|tau'|
-    of a Gibbs sample for the spectrum potential, the predicted alpha(q)).  The
-    sums come from sample_digit_counts, with the bits of birkhoff_sums_from_digits
-    over sample_words' words; NotBranchConstant before any draw unless log|tau'|
-    and log lambda are branch-constant, ValueError for an empty sample or depth."""
-    if samples_per_q < 1 or birkhoff_depth < 1:
-        raise ValueError("samples_per_q and birkhoff_depth must be >= 1")
+                       birkhoff_depth: int, seed: int) -> list[tuple[float, float, float, float]]:
+    """For each q_j: (q_j, alpha_hat, the predicted alpha(q_j), alpha_hat's
+    standard error), alpha_hat the mean symbolic exponent
+    -S_n log lambda / S_n log|tau'| over samples_per_q iid Gibbs rows of depth
+    birkhoff_depth for the spectrum potential -A_q log|tau'| + q log lambda.
+    Both sums depend only on a row's digit counts, which sample_digit_counts
+    draws from their multinomial law with seed + j; no row is formed.
+    NotBranchConstant before any draw unless log|tau'| and log lambda are
+    branch-constant; ValueError for fewer than 2 rows, an empty depth or an
+    argument that is not an integer."""
+    _require_ints(samples_per_q=samples_per_q, birkhoff_depth=birkhoff_depth, seed=seed)
+    if samples_per_q < 2 or birkhoff_depth < 1:
+        raise ValueError("samples_per_q must be >= 2 and birkhoff_depth >= 1")
     out = []
     for j, q in enumerate(q_grid):
         a_q = A_of_q(sys, float(q))
         pot = PotentialSpec(-a_q, float(q))
         counts = sample_digit_counts(sys, pot, birkhoff_depth, samples_per_q, seed + j)
         u, v = _birkhoff_sums_from_counts(sys, counts)
-        alpha_hat = float(np.mean(-v / u))
-        alpha_pred = measure_stats(sys, pot).alpha
-        out.append((float(q), alpha_hat, alpha_pred))
+        exponents = -v / u
+        stderr = float(np.std(exponents, ddof=1)) / math.sqrt(samples_per_q)
+        out.append((float(q), float(np.mean(exponents)), measure_stats(sys, pot).alpha, stderr))
     return out
 
 
@@ -378,7 +384,9 @@ class CorrelationResult:
 def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> CorrelationResult:
     """Pair-correlation slope: fit log C(r) against log r over the radii
     ladder, C(r) the fraction of sampled pairs within distance r (planar
-    distance with a torus first coordinate)."""
+    distance with a torus first coordinate); ValueError for a seed that is
+    not an integer."""
+    _require_ints(seed=seed)
     radii = sorted(float(r) for r in radii)
     if len(radii) < 5:
         raise ValueError("need at least 5 radii")

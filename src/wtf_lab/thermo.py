@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CookieCutterSystem, _check_budget, _words_at, point_of_word
+from .dynamics import CookieCutterSystem, _check_budget, _require_ints, _words_at, point_of_word
 from .errors import (
     NoSignChange,
     NotBranchConstant,
@@ -311,40 +311,41 @@ def _require_normalised(p: float) -> None:
             f"potential has pressure {p:.3g}; subtract it as the constant c first")
 
 
-def _bernoulli_uniforms(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
-                        seed: int):
-    """(cdf, blocks): rng.choice(ell, size=(count, depth), p=p) for the
-    Bernoulli p_i = exp(phi_i - P) as blocks of (first row, u) with
-    _SAMPLE_ROWS rows; numpy draws u = rng.random(shape) row-major, and the
-    digit of u counts the cdf entries <= u."""
+def _bernoulli_p(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
+    """The Bernoulli weights p_i = exp(phi_i - P), normalised to sum 1;
+    ValueError with rng.choice's message when they are NaN."""
     phi = _branch_phi(sys, pot)
     p = np.exp(phi - _logsumexp(phi))
-    cdf = (p / p.sum()).cumsum()
-    if np.isnan(cdf[-1]):
+    p = p / p.sum()
+    if np.isnan(p).any():
         raise ValueError("Probabilities contain NaN")  # as rng.choice
-    cdf /= cdf[-1]  # its last entry is exactly 1 > u
-    rng = np.random.default_rng(seed)
-    return cdf, ((r, rng.random((min(_SAMPLE_ROWS, count - r), depth)))
-                 for r in range(0, count, _SAMPLE_ROWS))
+    return p
 
 
 def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
                  seed: int) -> np.ndarray:
     """(count, depth) digit matrix of iid Gibbs draws.
 
-    Branch-constant potentials sample the exact Bernoulli product; otherwise
-    digits follow depth-limited conditional cylinder-weight ratios (a Markov
-    approximation of order 7)."""
+    Branch-constant potentials sample the exact Bernoulli product, with the
+    digits of rng.choice(ell, size=(count, depth), p=p): numpy draws
+    u = rng.random(shape) row-major, and a digit counts the cdf entries <= u
+    (here in blocks of _SAMPLE_ROWS rows).  Otherwise digits follow
+    depth-limited conditional cylinder-weight ratios (a Markov approximation
+    of order 7).  ValueError for a depth, count or seed that is not an
+    integer."""
+    _require_ints(depth=depth, count=count, seed=seed)
+    rng = np.random.default_rng(seed)
     if sys.is_affine and sys.lam.branch_constant:
-        cdf, blocks = _bernoulli_uniforms(sys, pot, depth, count, seed)
+        cdf = _bernoulli_p(sys, pot).cumsum()
+        cdf /= cdf[-1]  # its last entry is exactly 1 > u
         digits = np.zeros((count, depth), dtype=np.uint8)
-        for r, u in blocks:
-            block = digits[r:r + len(u)]
+        for r in range(0, count, _SAMPLE_ROWS):
+            block = digits[r:r + _SAMPLE_ROWS]
+            u = rng.random(block.shape)
             for c in cdf[:-1]:
                 block += u >= c
         return digits
 
-    rng = np.random.default_rng(seed)
     k = min(_MARKOV_DEPTH, depth)
     _, u, v = sys.tree(k)
     s = pot.a * u + pot.b * v
@@ -370,24 +371,24 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
 
 def sample_digit_counts(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
                         seed: int) -> np.ndarray:
-    """(count, ell) digit counts of sample_words' Bernoulli rows, from the same
-    uniforms without the words: with n_i the number of u >= cdf[i] in a row
-    (its digits above i) and n_{-1} = depth, digit i occurs n_{i-1} - n_i times."""
+    """(count, ell) digit counts of count iid Bernoulli rows of depth digits:
+    the counts of iid digits are Multinomial(depth, p) for the Bernoulli
+    p_i = exp(phi_i - P), drawn as rng.multinomial(depth, p, size=count)
+    without forming the rows.  Their law is that of sample_words' rows; the
+    RNG stream is not.  ValueError for a depth, count or seed that is not an
+    integer."""
+    _require_ints(depth=depth, count=count, seed=seed)
     if not (sys.is_affine and sys.lam.branch_constant):
         raise NotBranchConstant("digit counts need branch-constant observables")
-    cdf, blocks = _bernoulli_uniforms(sys, pot, depth, count, seed)
-    above = np.zeros((count, sys.ell + 1), dtype=np.intp)
-    above[:, 0] = depth
-    for r, u in blocks:
-        for i, c in enumerate(cdf[:-1], 1):
-            above[r:r + len(u), i] = np.count_nonzero(u >= c, axis=1)
-    return above[:, :-1] - above[:, 1:]
+    return np.random.default_rng(seed).multinomial(depth, _bernoulli_p(sys, pot), size=count)
 
 
 def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(digits, xs): a (count, depth) uint8 matrix of iid Gibbs draws and each
-    row's representative rho_w(1/2); reproducible per seed."""
+    row's representative rho_w(1/2); reproducible per seed.  ValueError for
+    a depth, count or seed that is not an integer."""
+    _require_ints(depth=depth, count=count, seed=seed)
     _require_normalised(pressure(sys, pot).value)
     _check_budget(count * depth)
     digits = sample_words(sys, pot, depth, count, seed)

@@ -198,12 +198,14 @@ def check_gibbs_chain(ctx: BatteryContext) -> tuple[bool, str]:
 
     emp = empirical_spectrum(sys3, [-2.0, -1.0, 0.0, 1.0, 2.0],
                              samples_per_q=10**4, birkhoff_depth=2000, seed=515)
-    worst_emp = max(abs(ah - ap) for _, ah, ap in emp)
+    worst_emp = max(abs(ah - ap) for _, ah, ap, _ in emp)
+    worst_z = max(abs(ah - ap) / se for _, ah, ap, se in emp)
     elapsed = time.perf_counter() - t0
-    ok &= worst_emp <= 0.01 and elapsed < 60.0
+    ok &= worst_emp <= 0.01 and worst_z <= 5.0 and elapsed < 60.0
     return ok, (f"worst |dim - (q alpha + A_q)| = {worst_dim:.2e} (tol 2e-3); "
                 f"worst |alpha - alpha(q)| = {worst_alpha:.2e} (tol 1e-3); "
-                f"worst |alpha_hat - alpha(q)| = {worst_emp:.4f} (tol 0.01); "
+                f"worst |alpha_hat - alpha(q)| = {worst_emp:.2e} (tol 0.01), "
+                f"at most {worst_z:.2f} standard errors (cap 5); "
                 f"elapsed {elapsed:.0f}s (< 60s)")
 
 

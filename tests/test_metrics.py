@@ -18,7 +18,7 @@ from wtf_lab import (
     PotentialSpec,
     ThetaSequence,
 )
-from wtf_lab.dynamics import _walk, birkhoff_sums_from_digits, cylinder_bounds_many, point_of_word
+from wtf_lab.dynamics import _birkhoff_sums_from_counts, _walk, cylinder_bounds_many, point_of_word
 from wtf_lab.thermo import sample_words
 
 
@@ -431,7 +431,7 @@ class TestEmpiricalSpectrum:
     def test_m3_critical_and_ordered(self, m3):
         rows = wl.empirical_spectrum(m3, [0.0, 3.0], samples_per_q=4000,
                                      birkhoff_depth=1500, seed=77)
-        (q0, hat0, pred0), (q3, hat3, pred3) = rows
+        (q0, hat0, pred0, _), (q3, hat3, pred3, _) = rows
         assert hat0 == pytest.approx(0.613744318754433, abs=0.005)
         assert hat3 == pytest.approx(pred3, abs=0.01)
         assert hat3 == pytest.approx(0.5407174514534251, abs=0.01)  # oracle alpha(3)
@@ -447,19 +447,36 @@ class TestEmpiricalSpectrum:
     def test_m4_constant(self, m4):
         rows = wl.empirical_spectrum(m4, [-1.0, 0.0, 2.0], samples_per_q=500,
                                      birkhoff_depth=400, seed=1)
-        for _, hat, pred in rows:
+        for _, hat, pred, _ in rows:
             assert hat == pytest.approx(0.5, abs=1e-6)
             assert pred == pytest.approx(0.5, abs=1e-6)
 
-    def test_matches_the_word_route(self, m3):
-        # alpha_hat from the sampler's digit counts has the bits of the mean
-        # over birkhoff_sums_from_digits(sample_words(...)), seed + j for q_j
+    def test_counts_from_their_law_without_uniforms(self, m3, monkeypatch):
+        # q_j's row reads the mean and standard error of the exponents of
+        # sample_digit_counts(..., seed + j), and no uniform is drawn; numpy's
+        # Generator is an immutable type, so the patch wraps default_rng
+        real = np.random.default_rng
+
+        class NoUniforms:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, *args, **kwargs):
+                raise AssertionError("empirical_spectrum drew uniforms")
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", NoUniforms)
         rows = wl.empirical_spectrum(m3, [-1.0, 2.0], samples_per_q=700,
                                      birkhoff_depth=90, seed=12)
-        for j, (q, hat, _) in enumerate(rows):
+        monkeypatch.undo()
+        for j, (q, hat, _, stderr) in enumerate(rows):
             pot = PotentialSpec(-wl.A_of_q(m3, q), q)
-            u, v = birkhoff_sums_from_digits(m3, sample_words(m3, pot, 90, 700, 12 + j))
+            counts = wl.thermo.sample_digit_counts(m3, pot, 90, 700, 12 + j)
+            u, v = _birkhoff_sums_from_counts(m3, counts)
             assert hat.hex() == float(np.mean(-v / u)).hex()
+            assert stderr == float(np.std(-v / u, ddof=1)) / math.sqrt(700)
 
     def test_not_branch_constant_refused_before_drawing(self, m5, monkeypatch):
         # M5 spent about a second in the Markov sampler before refusing
@@ -470,11 +487,19 @@ class TestEmpiricalSpectrum:
         with pytest.raises(NotBranchConstant):
             wl.empirical_spectrum(m5, [0.0], 10, 5, 1)
 
-    @pytest.mark.parametrize("samples, depth", [(0, 5), (10, 0)])
+    @pytest.mark.parametrize("samples, depth", [(0, 5), (10, 0), (1, 5)])
     def test_empty_sample_refused(self, m3, samples, depth):
-        # these read alpha_hat = NaN with a RuntimeWarning
+        # these read alpha_hat = NaN with a RuntimeWarning; one row has no
+        # standard error
         with pytest.raises(ValueError, match=">= 1"):
             wl.empirical_spectrum(m3, [0.0], samples, depth, 1)
+
+    @pytest.mark.parametrize("samples, depth, seed", [(10.5, 5, 1), (10, 5.0, 1), (10, 5, 1.5)])
+    def test_non_integer_arguments_refused(self, m3, samples, depth, seed):
+        # these raised TypeError; a float depth would reach rng.multinomial,
+        # which truncates it
+        with pytest.raises(ValueError, match="must be an integer"):
+            wl.empirical_spectrum(m3, [0.0], samples, depth, seed)
 
 
 class TestCorrelationDimension:
@@ -495,6 +520,11 @@ class TestCorrelationDimension:
                          CloudProvenance("b", "zeros", None, 0, 0.0))
         with pytest.raises(ValueError):
             wl.correlation_dimension(big, [0.5, 0.25])
+
+    def test_non_integer_seed_refused(self, line_cloud):
+        # rng.integers raised TypeError from the seed
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            wl.correlation_dimension(line_cloud, [2.0**-k for k in range(1, 7)], seed=1.5)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
     def test_bad_radius_refused(self, bad):

@@ -628,16 +628,48 @@ def test_bernoulli_nan_probabilities_refused():
 
 @pytest.mark.parametrize("count", [1, 300, 700])
 def test_sampled_counts_give_the_sums_of_the_words(m3, count):
-    # sample_digit_counts never forms the words, yet its counts are those of
-    # sample_words' rows and its sums have birkhoff_sums_from_digits' bits
+    # sample_digit_counts never forms the words, yet each of its rows is the
+    # digit count of a word of length depth, and its sums have
+    # birkhoff_sums_from_digits' bits on such words
+    depth = 37
     for sys in (m3, wl.validate_system(THREE_BRANCH)):
         for pot in (PotentialSpec(-0.8, 1.3), PotentialSpec(-wl.A_of_q(sys, -2.0), -2.0)):
-            counts = wl.thermo.sample_digit_counts(sys, pot, 37, count, 91)
-            words = wl.thermo.sample_words(sys, pot, 37, count, 91)
+            counts = wl.thermo.sample_digit_counts(sys, pot, depth, count, 91)
+            assert counts.shape == (count, sys.ell)
+            words = np.stack([np.repeat(np.arange(sys.ell, dtype=np.uint8), c) for c in counts])
+            assert words.shape == (count, depth)
             assert counts.tolist() == [np.bincount(w, minlength=sys.ell).tolist() for w in words]
             for got, ref in zip(_birkhoff_sums_from_counts(sys, counts),
                                 birkhoff_sums_from_digits(sys, words)):
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+
+
+def test_sampled_counts_follow_the_multinomial_law(m3):
+    # the digit counts of iid rows are Multinomial(depth, p): integer rows
+    # that sum to depth, with per-digit means depth * p
+    depth, count = 37, 4000
+    for sys in (m3, wl.validate_system(THREE_BRANCH)):
+        for pot in (PotentialSpec(-0.8, 1.3), PotentialSpec(-wl.A_of_q(sys, -2.0), -2.0)):
+            counts = wl.thermo.sample_digit_counts(sys, pot, depth, count, 91)
+            assert counts.shape == (count, sys.ell) and counts.dtype == np.int64
+            assert counts.min() >= 0 and (counts.sum(axis=1) == depth).all()
+            phi = _branch_phi(sys, pot)
+            p = np.exp(phi - logsumexp(phi))
+            se = np.sqrt(depth * p * (1.0 - p) / count)
+            assert (np.abs(counts.mean(axis=0) - depth * p) <= 5.0 * se).all()
+            again = wl.thermo.sample_digit_counts(sys, pot, depth, count, 91)
+            assert again.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("depth, count, seed", [(5.5, 10, 1), (5, 10.0, 1), (5, 10, 1.5),
+                                                (5, True, 1), (5, 10, None)])
+def test_samplers_refuse_non_integer_arguments(m3, depth, count, seed):
+    # rng.multinomial(5.5, p) draws with n = 5, and the other draws raised
+    # TypeError; every sampler refuses a non-integer with one ValueError
+    pot = PotentialSpec(-wl.A_of_q(m3, 0.0), 0.0)
+    for sample in (wl.thermo.sample_words, wl.thermo.sample_digit_counts, wl.gibbs_sample):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample(m3, pot, depth, count, seed)
 
 
 def test_sampled_counts_need_branch_constant(m5):

@@ -11,19 +11,16 @@ from .dynamics import (
     validate_system,
 )
 from .errors import *  # noqa: F401,F403 -- the taxonomy is the public surface
-from .graph import (
-    DegeneracyVerdict,
-    detect_degenerate,
-    eval_W_many,
-    oscillation_over,
-)
+from .graph import eval_W_many, oscillation_over
 from .metrics import (
     BoxCountResult,
     CloudProvenance,
     CorrelationResult,
+    DegeneracyVerdict,
     GraphCloud,
     box_dimension,
     correlation_dimension,
+    detect_degenerate,
     empirical_spectrum,
     holder_birkhoff,
     holder_birkhoff_many,

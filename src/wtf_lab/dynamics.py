@@ -31,7 +31,6 @@ from .errors import (
     HyperbolicityViolated,
     InversionFailed,
     LambdaOutOfRange,
-    NotBranchConstant,
     NotInPartition,
     NotOnto,
     OverlappingBranches,
@@ -315,48 +314,20 @@ def _invert_increasing(f, fprime, target, lo, hi, f_lo, f_hi):
 
 
 # ---------------------------------------------------------------------------
-# lambda specifications
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LambdaSpec:
-    """Contraction weight lambda with values in (0,1).
-
-    kinds: "constant" (value), "branch_constant" (one value per branch),
-    "trig" (TrigPoly).  Branch-constant evaluation at gap points takes the
-    value of the nearest branch (lower index on ties); only off-repeller
-    visualisation ever touches that case.
-    """
-
-    kind: str
-    value: float = 0.0
-    values: tuple[float, ...] = ()
-    poly: TrigPoly | None = None
-
-    @property
-    def branch_constant(self) -> bool:
-        return self.kind in ("constant", "branch_constant")
-
-    def branch_values(self, n_branches: int) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(n_branches, self.value)
-        if self.kind == "branch_constant":
-            return np.asarray(self.values, dtype=float)
-        raise NotImplementedError("analytic lambda has no branch values")
-
-
-# ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class CookieCutterSystem:
     """Validated cookie cutter (tau, lambda, g). Immutable after construction;
-    all operations are pure functions of (system, inputs)."""
+    all operations are pure functions of (system, inputs).  lam, with values
+    in (0,1), is a TrigPoly or a table of one value per branch (ell equal
+    values for a constant); a gap point takes its nearest branch's value
+    (lower index on ties), which only off-repeller visualisation touches."""
 
     model_id: str
     branches: tuple
-    lam: LambdaSpec
+    lam: tuple[float, ...] | TrigPoly
     g: TrigPoly
     hyperbolicity_margin: float
     margin_slack: float
@@ -371,6 +342,15 @@ class CookieCutterSystem:
     @property
     def is_affine(self) -> bool:
         return all(b.kind == "affine" for b in self.branches)
+
+    @property
+    def lam_is_table(self) -> bool:
+        return not isinstance(self.lam, TrigPoly)
+
+    @property
+    def branch_constant(self) -> bool:
+        """True when log|tau'| and log lambda are both constant on branches."""
+        return self.is_affine and self.lam_is_table
 
     @property
     def is_full(self) -> bool:
@@ -427,7 +407,7 @@ class CookieCutterSystem:
         """(log|tau_i'|, log lambda_i); 0 for an observable not constant on branches."""
         zeros = np.zeros(self.ell)
         return (np.log(np.abs(self._affine_coefficients[0])) if self.is_affine else zeros,
-                np.log(self.lam.branch_values(self.ell)) if self.lam.branch_constant else zeros)
+                np.log(self.lam) if self.lam_is_table else zeros)
 
     def tau(self, x):
         """Forward map; gap points go to 0, endpoint images wrap mod 1.  Each
@@ -456,12 +436,11 @@ class CookieCutterSystem:
 
     def lam_at(self, x):
         x = np.asarray(x, dtype=float)
-        if self.lam.kind == "constant":
-            return np.full_like(x, self.lam.value)
-        if self.lam.kind == "branch_constant":
-            vals = np.asarray(self.lam.values)
-            return vals[self.nearest_branch(x)]
-        return self.lam.poly(x)
+        if not self.lam_is_table:
+            return self.lam(x)
+        if self.lambda_inf == self.lambda_sup:  # equal weights: no branch lookup
+            return np.full_like(x, self.lambda_inf)
+        return np.asarray(self.lam)[self.nearest_branch(x)]
 
     def log_lam(self, x):
         return np.log(self.lam_at(x))
@@ -491,19 +470,14 @@ class CookieCutterSystem:
         """Level ``depth`` of the cylinder tree: (X, U, V) with X the midpoint
         representatives rho_w(1/2) of the depth-n words (lexicographic order,
         first digit most significant), U = S_n log|tau'| and V = S_n log lambda
-        at X.  One _walk of 1/2, whose step adds each level's log|tau'| and
-        log lambda to the sums of the level before; computed on each call."""
+        at X: one _walk of 1/2 with the _Sums hook; computed on each call.
+        ValueError for a depth that is not an integer >= 0."""
+        _require_ints(depth=depth)
         if depth < 0:
             raise ValueError("depth must be >= 0")
         _check_budget(self.ell**depth)
-        sums = [np.zeros(1), np.zeros(1)]  # U and V of the level walked last
-
-        def add_level(_, x):
-            x = x.reshape(self.ell, -1)  # row i: branch i's preimages
-            d = np.stack([br.derivative(xi) for br, xi in zip(self.branches, x)])
-            sums[:] = (np.log(np.abs(d)) + sums[0]).ravel(), (self.log_lam(x) + sums[1]).ravel()
-
-        return _walk(self, [0.5], depth, add_level), *sums  # the walk runs first
+        sums = _Sums(self, 1)
+        return _walk(self, [0.5], depth, sums), sums.u, sums.v
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +507,16 @@ def _parse_g(spec) -> TrigPoly:
     raise BadConfig(f"unknown g kind {kind!r}")
 
 
-def _parse_lambda(spec) -> LambdaSpec:
-    if isinstance(spec, LambdaSpec):
-        return spec
+def _parse_lambda(spec) -> float | tuple[float, ...] | TrigPoly:
     if isinstance(spec, (int, float)):
-        return LambdaSpec("constant", value=float(spec))
+        return float(spec)
     kind = spec.get("kind")
     if kind == "constant":
-        return LambdaSpec("constant", value=float(spec["value"]))
+        return float(spec["value"])
     if kind == "branch_constant":
-        return LambdaSpec("branch_constant", values=tuple(float(v) for v in spec["values"]))
+        return tuple(float(v) for v in spec["values"])
     if kind == "trig":
-        return LambdaSpec("trig", poly=_parse_g(spec))
+        return _parse_g(spec)
     raise BadConfig(f"unknown lambda kind {kind!r}")
 
 
@@ -618,7 +590,8 @@ def validate_system(spec: dict) -> CookieCutterSystem:
     if not math.isfinite(g.sup_bound):
         raise BadConfig("g coefficients must be finite")
 
-    if lam.kind == "branch_constant" and len(lam.values) != len(branches):
+    lam = (lam,) * len(branches) if isinstance(lam, float) else lam
+    if isinstance(lam, tuple) and len(lam) != len(branches):
         raise BadConfig("branch_constant lambda needs one value per branch")
 
     order = sorted(range(len(branches)), key=lambda i: branches[i].lo)
@@ -651,12 +624,7 @@ def validate_system(spec: dict) -> CookieCutterSystem:
                 f"branch {br.index} image [{ends[0]:.3g}, {ends[1]:.3g}] != (0,1)")
         orientations.add(br.orientation)
 
-        if lam.kind == "constant":
-            lam_vals = np.full_like(grid, lam.value)
-        elif lam.kind == "branch_constant":
-            lam_vals = np.full_like(grid, lam.values[br.index])
-        else:
-            lam_vals = lam.poly(grid)
+        lam_vals = lam(grid) if isinstance(lam, TrigPoly) else np.full_like(grid, lam[br.index])
         if not np.all((lam_vals > 0.0) & (lam_vals < 1.0)):  # NaN included
             raise LambdaOutOfRange(
                 f"lambda leaves (0,1) on branch {br.index}")
@@ -719,7 +687,9 @@ def _orbit(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.ndarray,
 
 def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
     """First n digits of x's itinerary (uint8); NotInPartition(k) if iterate
-    k falls in a gap or on an endpoint no half-open domain covers."""
+    k falls in a gap or on an endpoint no half-open domain covers; ValueError
+    for an n that is not an integer >= 1."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("depth must be >= 1")
     digits, _, left = _orbit(sys, [x], n)
@@ -826,7 +796,8 @@ def _words_at(idx, ell: int, depth: int) -> np.ndarray:
 
 
 def enumerate_words(ell: int, depth: int) -> np.ndarray:
-    """(ell^depth, depth) digit matrix in lexicographic order."""
+    """(ell^depth, depth) digit matrix in lexicographic order; ValueError for non-integers."""
+    _require_ints(ell=ell, depth=depth)
     return _words_at(np.arange(ell**depth), ell, depth)
 
 
@@ -834,7 +805,9 @@ BIRKHOFF_FIELDS = ("log_abs_tau_prime", "log_lambda")
 
 
 def birkhoff_sum(sys: CookieCutterSystem, field_name: str, x: float, n: int) -> float:
-    """Partial sum of log|tau'| or log lambda along the orbit of x."""
+    """Partial sum of log|tau'| or log lambda along the orbit of x; ValueError
+    for an n that is not an integer."""
+    _require_ints(n=n)
     if field_name not in BIRKHOFF_FIELDS:
         raise ValueError(f"field must be one of {BIRKHOFF_FIELDS}")
     sums = _birkhoff_sums(sys, [x], n)
@@ -858,18 +831,34 @@ def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.
     return u, v
 
 
-def birkhoff_sums_from_digits(sys: CookieCutterSystem, digits: np.ndarray):
-    """(S_n log|tau'|, S_n log lambda) per row of a digit matrix: the row's
-    digit counts, then _birkhoff_sums_from_counts.
+class _Sums:
+    """Step hook of _compose (fan 1, digit column k of digits) and, without
+    digits, of _walk (fan ell, as graph._Carry) adding log|tau'| of each
+    point's own branch and log lambda at each column's points onto the sums
+    of the later columns: u and v end as S_n log|tau'| and S_n log lambda
+    along each composed point's orbit."""
 
-    Exact for affine systems with branch-constant lambda, where both
-    observables depend only on the digit; the bulk sampling paths rely on it.
-    """
-    if not (sys.is_affine and sys.lam.branch_constant):
-        raise NotBranchConstant("digit-level Birkhoff sums need branch-constant observables")
-    d = _digits(sys, digits)
-    return _birkhoff_sums_from_counts(
-        sys, np.stack([np.count_nonzero(d == i, axis=-1) for i in range(sys.ell)], axis=-1))
+    def __init__(self, sys: CookieCutterSystem, count, digits=None):
+        self.sys, self.digits = sys, digits
+        self.fan = sys.ell if digits is None else 1
+        self.u, self.v = np.zeros(count), np.zeros(count)
+
+    def __call__(self, k: int, x: np.ndarray) -> None:
+        d = self.digits[:, k] if self.fan == 1 else np.arange(self.fan).repeat(self.u.size)
+        dtau = (self.sys._affine_coefficients[0].take(d) if self.sys.is_affine
+                else self.sys.branches[0].derivative(x))  # one formula for the sine family
+        self.u = (np.log(np.abs(dtau)).reshape(self.fan, -1) + self.u).ravel()
+        self.v = (self.sys.log_lam(x).reshape(self.fan, -1) + self.v).ravel()
+
+
+def birkhoff_sums_along(sys: CookieCutterSystem, digits, t=0.5):
+    """(rho_w(t), S_n log|tau'|, S_n log lambda) per row w of a (count, n)
+    digit matrix, each term at tau^k rho_w(t) = rho_{sigma^k w}(t), the
+    point after _compose's column k; all n digits count.  ValueError as
+    _compose."""
+    digits = np.asarray(digits)
+    sums = _Sums(sys, digits.shape[:1], digits)
+    return _compose(sys, digits, t, sums), sums.u, sums.v
 
 
 def _birkhoff_sums_from_counts(sys: CookieCutterSystem, counts: np.ndarray):

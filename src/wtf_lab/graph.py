@@ -1,18 +1,17 @@
 """Evaluation of the Weierstrass-type series and its oscillation geometry.
 
 W_theta(x) = sum_n lambda(x) lambda(tau x) ... lambda(tau^{n-1} x) * g(tau^n x + theta_n),
-truncated where the geometric tail bound
-(sup lambda)^N * sup|g| / (1 - sup lambda) drops below the requested
-tolerance.  Orbits continue through gaps via tau(gap) = 0, so the series is
-defined on the whole circle.  _series is the one term loop (eval_W_many,
-_probe_bases); _pull_back carries a series value up the inverse branches by
-the skew-product identity, for clouds and oscillation probes.
+truncated where the geometric tail bound (sup lambda)^N * sup|g| / (1 - sup lambda)
+drops below the requested tolerance.  Orbits continue through gaps via
+tau(gap) = 0, so the series is defined on the whole circle.  _series is the
+one term loop (eval_W_many, _probe_bases); _pull_back carries a series value
+up the inverse branches by the skew-product identity, for clouds and the
+oscillation probes of metrics' Hoelder estimators and degeneracy test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +20,20 @@ from .dynamics import (
     CookieCutterSystem,
     _check_budget,
     _compose,
-    _birkhoff_sums,
+    _require_ints,
     _walk,
     _word,
-    birkhoff_sums_from_digits,
-    cylinder_bounds_many,
     enumerate_words,
 )
-from .errors import Inconclusive, InvalidTolerance
+from .errors import InvalidTolerance
 from .theta import ThetaSequence
 
-# detect_degenerate: its depths, sampled cylinders per depth, probes per
-# cylinder, series tolerance and word seed
-_DEGENERACY_DEPTHS = range(2, 13)
-_WORDS_PER_DEPTH = 8
-_DEGENERACY_PROBES = 128
-_DEGENERACY_TOL = 1e-12
-_DEGENERACY_SEED = 2024
 _EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
 def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, float]:
-    if tol <= 0:
-        raise InvalidTolerance("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):  # NaN fails too
+        raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
     g_sup = sys.g.sup_bound
     lam_sup = sys.lambda_sup
     if g_sup == 0.0:
@@ -140,6 +130,7 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
 
 def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:
     """The depth m of _probes' tails: the least m >= 1 with ell^m >= probes."""
+    _require_ints(probes=probes)
     if probes < 2:
         raise ValueError("probes must be >= 2")
     return max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
@@ -192,68 +183,3 @@ def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
     word = _word(sys, word)
     base = _probe_bases(sys, [word.size], theta, probes, tol)[0]
     return float(_oscillations(sys, word[None, :], theta, probes, base)[0])
-
-
-@dataclass(frozen=True)
-class DegeneracyVerdict:
-    degenerate: bool
-    c_hat: float | None
-    ratios: tuple[float, ...]
-    lipschitz: tuple[float, ...]
-
-
-def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> DegeneracyVerdict:
-    """Finite-range Lipschitz test over the depths 2..12.
-
-    Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
-    over sampled depth-n cylinders.  Degenerate verdict: r_n decays
-    exponentially while the Lipschitz ratio stays flat; non-degenerate:
-    r_n stays bounded away from 0.  Mixed signals raise Inconclusive.
-    """
-    depths = list(_DEGENERACY_DEPTHS)
-    bases = _probe_bases(sys, depths, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
-    rng = np.random.default_rng(_DEGENERACY_SEED)
-    ratios, lips = [], []
-    for n, base in zip(depths, bases):
-        if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
-            words = enumerate_words(sys.ell, n)
-        else:
-            words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
-        lo, hi = cylinder_bounds_many(sys, words)
-        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
-        if sys.is_affine and sys.lam.branch_constant:
-            log_lam = birkhoff_sums_from_digits(sys, words)[1]
-        else:  # S_n log lambda along the orbits of the cylinder midpoints
-            log_lam = _birkhoff_sums(sys, 0.5 * (lo + hi), n)[1]
-        ratios.append(float(np.max(osc / np.exp(log_lam))))
-        lips.append(float(np.max(osc / (hi - lo))))
-
-    r = np.array(ratios)
-    lip = np.array(lips)
-    if np.all(r < 10.0 * _DEGENERACY_TOL):
-        return DegeneracyVerdict(True, None, tuple(ratios), tuple(lips))
-
-    ns = np.array(depths, dtype=float)
-    slope_r = _log_slope(ns, r)
-    slope_lip = _log_slope(ns, lip)
-    decays = slope_r <= -0.2 and r[-1] < 0.2 * r[0]
-    flat_r = slope_r > -0.05
-    flat_lip = abs(slope_lip) <= 0.1
-    if decays and flat_lip:
-        return DegeneracyVerdict(True, None, tuple(ratios), tuple(lips))
-    if flat_r and r.min() > 0.0:
-        return DegeneracyVerdict(False, float(r.min()), tuple(ratios), tuple(lips))
-    raise Inconclusive(
-        f"oscillation diagnostics disagree over depths {depths[0]}..{depths[-1]}: "
-        f"slope(osc/lambda^n)={slope_r:.3f}, slope(osc/|I_n|)={slope_lip:.3f}")
-
-
-def _log_slope(ns: np.ndarray, values: np.ndarray) -> float:
-    mask = values > 0
-    if mask.sum() < 2:
-        return 0.0
-    x = ns[mask]
-    y = np.log(values[mask])
-    x = x - x.mean()
-    return float((x * (y - y.mean())).sum() / (x * x).sum())
-

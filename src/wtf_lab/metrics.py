@@ -1,6 +1,6 @@
 """Empirical fractal geometry: graph clouds, box counting, Hoelder-exponent
-estimators, empirical multifractal spectra, and dimension probes for lifted
-measures (pair-correlation slope).
+estimators, the degeneracy test, empirical multifractal spectra, and
+dimension probes for lifted measures (pair-correlation slope).
 
 Clouds live on the cylinder [0,1) x R: horizontal distances are torus
 distances, vertical distances Euclidean.
@@ -23,10 +23,12 @@ from .dynamics import (
     _check_budget,
     _orbit,
     _require_ints,
+    birkhoff_sums_along,
     cylinder_bounds_many,
+    enumerate_words,
     torus_distance,
 )
-from .errors import BadConfig, DegenerateFit, NotInPartition, OscillationUnderflow
+from .errors import BadConfig, DegenerateFit, Inconclusive, NotInPartition, OscillationUnderflow
 from .graph import _oscillations, _probe_bases, _pull_back_walk, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
@@ -36,6 +38,13 @@ _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
 _R2_MIN = 0.95  # least r^2 of an accepted box-count or correlation fit
 _MAX_PAIRS = 10**6  # point pairs sampled by correlation_dimension
+# detect_degenerate: its depths, sampled cylinders per depth, probes per
+# cylinder, series tolerance and word seed
+_DEGENERACY_DEPTHS = range(2, 13)
+_WORDS_PER_DEPTH = 8
+_DEGENERACY_PROBES = 128
+_DEGENERACY_TOL = 1e-12
+_DEGENERACY_SEED = 2024
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,10 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
     j / per_cylinder reproduces bit for bit (affine full systems such as the
     ell-adic maps with a power-of-two per_cylinder), are pulled back from one
     series value per start value (graph._pull_back_walk); every other grid
-    sums the forward series at each point.
+    sums the forward series at each point.  ValueError for a depth or
+    per_cylinder that is not an integer.
     """
+    _require_ints(depth=depth, per_cylinder=per_cylinder)
     total = sys.ell**depth * per_cylinder
     _check_budget(total)
     if restrict_to_repeller:
@@ -250,7 +261,8 @@ def holder_birkhoff_many(sys: CookieCutterSystem, xs, n: int) -> np.ndarray:
     """holder_birkhoff at each point of xs, from one orbit walk; both sums
     add their terms left to right, as birkhoff_sum does.  NotInPartition(k)
     for the first point, in the order of xs, whose iterate k leaves the
-    partition."""
+    partition; ValueError for an n that is not an integer >= 1."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("depth must be >= 1")
     u, v = _birkhoff_sums(sys, xs, n)
@@ -284,8 +296,9 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     itinerary to the deepest depth, one walk of 1/2 sums the probe bases of
     every depth used (graph._probe_bases), one pulled-back _oscillations call
     per depth.  OscillationUnderflow when osc < 10*tol or a cylinder length
-    is 0."""
+    is 0; ValueError for a depth or probe count that is not an integer."""
     depths = sorted(depth_range)
+    _require_ints(probes=probes, **{f"depth_range entry {i}": n for i, n in enumerate(depths)})
     if not depths:
         raise ValueError("depth_range must be nonempty")
     if len(depths) < 2:
@@ -326,6 +339,57 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
         x_hi = x_hi + lg_len
     value = (y_hi / len(hi_cluster) - y_lo) / (x_hi / len(hi_cluster) - x_lo)
     return np.clip(value, 1e-12, 1.0)
+
+
+@dataclass(frozen=True)
+class DegeneracyVerdict:
+    degenerate: bool
+    c_hat: float | None
+    ratios: tuple[float, ...]
+    lipschitz: tuple[float, ...]
+
+
+def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> DegeneracyVerdict:
+    """Finite-range Lipschitz test over the depths 2..12.
+
+    Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
+    over sampled depth-n cylinders, lambda^n = exp(S_n log lambda) along
+    rho_w(1/2).  Degenerate verdict: r_n decays exponentially while the
+    Lipschitz ratio stays flat; non-degenerate: r_n stays bounded away from
+    0.  Mixed signals raise Inconclusive.
+    """
+    depths = list(_DEGENERACY_DEPTHS)
+    bases = _probe_bases(sys, depths, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
+    rng = np.random.default_rng(_DEGENERACY_SEED)
+    ratios, lips = [], []
+    for n, base in zip(depths, bases):
+        if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
+            words = enumerate_words(sys.ell, n)
+        else:
+            words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
+        lo, hi = cylinder_bounds_many(sys, words)
+        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
+        ratios.append(float(np.max(osc / np.exp(birkhoff_sums_along(sys, words)[2]))))
+        lips.append(float(np.max(osc / (hi - lo))))
+
+    r, lip = np.array(ratios), np.array(lips)
+    if np.all(r < 10.0 * _DEGENERACY_TOL):
+        return DegeneracyVerdict(True, None, tuple(ratios), tuple(lips))
+
+    # least-squares slopes of log r_n and log lip_n on n over positive values; 0.0 below 2
+    ns = np.array(depths, dtype=float)
+    slope_r, slope_lip = (_fit_loglog(ns[v > 0], np.log(v[v > 0]))[0] if np.sum(v > 0) >= 2
+                          else 0.0 for v in (r, lip))
+    decays = slope_r <= -0.2 and r[-1] < 0.2 * r[0]
+    flat_r = slope_r > -0.05
+    flat_lip = abs(slope_lip) <= 0.1
+    if decays and flat_lip:
+        return DegeneracyVerdict(True, None, tuple(ratios), tuple(lips))
+    if flat_r and r.min() > 0.0:
+        return DegeneracyVerdict(False, float(r.min()), tuple(ratios), tuple(lips))
+    raise Inconclusive(
+        f"oscillation diagnostics disagree over depths {depths[0]}..{depths[-1]}: "
+        f"slope(osc/lambda^n)={slope_r:.3f}, slope(osc/|I_n|)={slope_lip:.3f}")
 
 
 def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,

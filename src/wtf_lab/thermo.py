@@ -100,9 +100,8 @@ def _branch_phi(sys: CookieCutterSystem, pot: PotentialSpec) -> np.ndarray:
 
 def _branch_constant(sys: CookieCutterSystem, *pots: PotentialSpec) -> bool:
     """True when every potential is constant on branches: a log|tau'| term
-    only on an affine system, a log lambda term only for a branch-constant
-    lambda."""
-    return all((sys.is_affine or pot.a == 0.0) and (sys.lam.branch_constant or pot.b == 0.0)
+    only on an affine system, a log lambda term only for a lambda table."""
+    return all((sys.is_affine or pot.a == 0.0) and (sys.lam_is_table or pot.b == 0.0)
                for pot in pots)
 
 
@@ -267,7 +266,7 @@ def spectrum(sys: CookieCutterSystem, q_grid) -> SpectrumCurve:
         aq, al = points[q]
         samples.append((q, aq, al, q * al + aq))
     a0, alpha_c = points[0.0]
-    if sys.is_affine and sys.lam.branch_constant:
+    if sys.branch_constant:
         log_tp, log_lm = sys.branch_logs
         ratios = -log_lm / log_tp
         alpha_min, alpha_max = float(ratios.min()), float(ratios.max())
@@ -335,7 +334,7 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     integer."""
     _require_ints(depth=depth, count=count, seed=seed)
     rng = np.random.default_rng(seed)
-    if sys.is_affine and sys.lam.branch_constant:
+    if sys.branch_constant:
         cdf = _bernoulli_p(sys, pot).cumsum()
         cdf /= cdf[-1]  # its last entry is exactly 1 > u
         digits = np.zeros((count, depth), dtype=np.uint8)
@@ -378,7 +377,7 @@ def sample_digit_counts(sys: CookieCutterSystem, pot: PotentialSpec, depth: int,
     RNG stream is not.  ValueError for a depth, count or seed that is not an
     integer."""
     _require_ints(depth=depth, count=count, seed=seed)
-    if not (sys.is_affine and sys.lam.branch_constant):
+    if not sys.branch_constant:
         raise NotBranchConstant("digit counts need branch-constant observables")
     return np.random.default_rng(seed).multinomial(depth, _bernoulli_p(sys, pot), size=count)
 
@@ -480,11 +479,10 @@ def moran_oracle(sys: CookieCutterSystem, query: str, *, pot: PotentialSpec | No
     full-shift pressure log sum_i exp(phi_i), and plain bisection on the
     Moran equation sum r_i^A lambda_i^q = 1.
     """
-    if not (sys.is_affine and sys.lam.branch_constant):
+    if not sys.branch_constant:
         raise NotBranchConstant("the closed-form oracle needs an affine, branch-constant system")
     r = np.array([1.0 / abs(b.slope) for b in sys.branches])
-    lam = sys.lam.branch_values(sys.ell)
-    log_r, log_lam = np.log(r), np.log(lam)
+    log_r, log_lam = np.log(r), np.log(sys.lam)
 
     if query == "pressure":
         if pot is None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _require_ints
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -49,8 +51,8 @@ class ThetaSequence:
     def __post_init__(self):
         if self.mode not in ("zeros", "iid_uniform"):
             raise ValueError(f"unknown theta mode {self.mode!r}")
-        if self.mode == "iid_uniform" and self.seed is None:
-            raise ValueError("iid_uniform theta requires a seed")
+        if self.mode == "iid_uniform":  # a seed that is None or not an integer is refused
+            _require_ints(seed=self.seed)
 
     @classmethod
     def zeros(cls) -> "ThetaSequence":

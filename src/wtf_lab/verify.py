@@ -16,8 +16,8 @@ import numpy as np
 
 from .dynamics import (
     CookieCutterSystem,
-    _compose,
     _orbit,
+    birkhoff_sums_along,
     cylinder_bounds_many,
     point_of_word,
     validate_system,
@@ -333,17 +333,14 @@ def _skew_values(sys: CookieCutterSystem, xs: np.ndarray, depths: np.ndarray,
 def _band_ratios(sys: CookieCutterSystem, theta: ThetaSequence) -> list[float]:
     """Criterion 9(a)'s osc/lambda^n for three random words per depth
     n = 1..16: one probe-base walk for all depths, each depth's three words
-    in one _oscillations batch."""
+    in one _oscillations batch, lambda^n = exp(S_n log lambda) along them."""
     rng = np.random.default_rng(97)
     depths = range(1, 17)
     bases = _probe_bases(sys, depths, theta, 128, 1e-12)
     ratios = []
     for n, base in zip(depths, bases.tolist()):
         words = rng.integers(0, sys.ell, (3, n)).astype(np.uint8)
-        if sys.lam.kind == "constant":
-            lam_n = sys.lam.value**n
-        else:
-            lam_n = np.prod(np.asarray(sys.lam.values)[words], axis=1)
+        lam_n = np.exp(birkhoff_sums_along(sys, words)[2])
         ratios += (_oscillations(sys, words, theta, 128, base) / lam_n).tolist()
     return ratios
 
@@ -363,7 +360,7 @@ def check_distortion(ctx: BatteryContext) -> tuple[bool, str]:
         for n in range(1, n_max + 1):
             rng = np.random.default_rng(777 + 13 * n)
             words = rng.integers(0, sys.ell, size=(128, n)).astype(np.uint8)
-            sums = {t: _suffix_log_derivative_sums(sys, words, t) for t in (0.25, 0.75)}
+            sums = {t: birkhoff_sums_along(sys, words, t)[1] for t in (0.25, 0.75)}
             lo, hi = cylinder_bounds_many(sys, words)
             lens = hi - lo
             per_word["A"].append(np.exp(np.abs(sums[0.25] - sums[0.75])))
@@ -389,22 +386,6 @@ def check_distortion(ctx: BatteryContext) -> tuple[bool, str]:
                      f"delta_0 width {tops['C']:.2f}, tail flat "
                      f"{[f for f, t in trends.items() if not t] or 'all'}")
     return ok, "; ".join(parts)
-
-
-def _suffix_log_derivative_sums(sys: CookieCutterSystem, words: np.ndarray, t: float) -> np.ndarray:
-    """sum_k log|tau'(rho_{sigma^k w}(t))|, k = 0..n-1 in that order, for each
-    row w of a (count, n) digit matrix, n <= 64: one _compose, whose value
-    after column k is the suffix point point_of_word gives words[:, k:]."""
-    terms = [None] * words.shape[1]
-
-    def step(k, u):
-        terms[k] = sys.log_abs_tau_prime(u)
-
-    _compose(sys, words, t, step)
-    acc = np.zeros(len(words))
-    for term in terms:
-        acc += term
-    return acc
 
 
 def _flat_or_noise(tail: np.ndarray, last_row: np.ndarray) -> bool:

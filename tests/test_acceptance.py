@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import spearmanr
 
+import wtf_lab as wl
 from wtf_lab import ThetaSequence, oscillation_over
-from wtf_lab.dynamics import point_of_word
-from wtf_lab.verify import (
-    CHECKS, BatteryContext, _band_ratios, _rank_correlation, _suffix_log_derivative_sums)
+from wtf_lab.dynamics import birkhoff_sums_along, point_of_word
+from wtf_lab.verify import CHECKS, BatteryContext, _band_ratios, _rank_correlation
+
+# M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
+M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
+                  "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
 
 
 @pytest.fixture(scope="module")
@@ -46,32 +50,35 @@ def test_rank_correlation_is_spearmanr(values, nan_at):
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
 def test_band_ratios_match_per_word_reference(ctx, name):
-    # criterion 9(a): one probe-base walk and one batch per depth give each
-    # word the bits of its own oscillation_over call (the per-word route)
+    # criterion 9(a): each word's oscillation is that of its own
+    # oscillation_over call (the per-word route), and lambda^n = exp(S_n log
+    # lambda) is the closed-form product of the word's lambdas, within 1e-14
     sys = ctx.systems[name]
     zeros = ThetaSequence.zeros()
     rng = np.random.default_rng(97)
-    lam = np.asarray(sys.lam.branch_values(sys.ell))
     ref = []
     for n in range(1, 17):
         for _ in range(3):
             digits = rng.integers(0, sys.ell, n).astype(np.uint8)
             osc = oscillation_over(sys, digits, zeros, probes=128, tol=1e-12)
-            lam_n = sys.lam.value**n if sys.lam.kind == "constant" else float(np.prod(lam[digits]))
-            ref.append(osc / lam_n)
-    assert _band_ratios(sys, zeros) == ref
+            ref.append(osc / math.prod(sys.lam[d] for d in digits))
+    assert _band_ratios(sys, zeros) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("name", ["M1", "M2", "M5"])
+@pytest.mark.parametrize("name", ["M1", "M2", "M5", "M5_trig_lambda"])
 def test_suffix_sums_match_per_suffix_reference(ctx, name):
-    # criterion 10: one composition per start value gives the sums of the
-    # per-suffix point_of_word route, bit for bit
-    sys = ctx.systems[name]
+    # criteria 9(a) and 10: one composition per start value gives the point
+    # and both sums of the per-suffix point_of_word route, its terms at
+    # tau^k rho_w(t) = rho_{sigma^k w}(t) added last column first, bit for bit
+    sys = ctx.systems.get(name) or wl.validate_system(M5_TRIG_LAMBDA)
     rng = np.random.default_rng(31)
     for n in (1, 7, 20):
         words = rng.integers(0, sys.ell, size=(64, n)).astype(np.uint8)
-        for t in (0.25, 0.75):
-            ref = np.zeros(len(words))
-            for k in range(n):
-                ref += sys.log_abs_tau_prime(point_of_word(sys, words[:, k:], t))
-            assert _suffix_log_derivative_sums(sys, words, t).tobytes() == ref.tobytes()
+        for t in (0.25, 0.5, 0.75):
+            ref_u, ref_v = np.zeros(len(words)), np.zeros(len(words))
+            for k in range(n - 1, -1, -1):
+                x = point_of_word(sys, words[:, k:], t)
+                ref_u, ref_v = sys.log_abs_tau_prime(x) + ref_u, sys.log_lam(x) + ref_v
+            got = birkhoff_sums_along(sys, words, t)
+            for a, b in zip(got, (point_of_word(sys, words, t), ref_u, ref_v)):
+                assert a.tobytes() == b.tobytes(), (name, n, t)

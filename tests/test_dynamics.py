@@ -20,12 +20,13 @@ from wtf_lab import (
     ThetaSequence,
 )
 from wtf_lab.dynamics import (
+    _birkhoff_sums_from_counts,
     _check_budget,
     _compose,
     _invert_increasing,
     _orbit,
     _walk,
-    birkhoff_sums_from_digits,
+    birkhoff_sums_along,
     cylinder_bounds_many,
     enumerate_words,
     point_of_word,
@@ -96,6 +97,24 @@ class TestValidation:
         system = wl.validate_system(spec)
         assert [b.lo for b in system.branches] == [0.0, 0.65]
         assert [b.index for b in system.branches] == [0, 1]
+
+    def test_constant_lambda_forms_agree(self):
+        # a number, {"kind": "constant"} and equal branch_constant weights are
+        # one table of ell equal values, with the same lam_at bits on grid,
+        # gap and scalar points; a list of the wrong length is refused
+        geometry = wl.model_spec("M2")["branches"]
+        forms = [0.45, {"kind": "constant", "value": 0.45},
+                 {"kind": "branch_constant", "values": [0.45, 0.45]}]
+        systems = [wl.validate_system({"branches": geometry, "lambda": f}) for f in forms]
+        points = (np.linspace(0.0, 1.0, 1001), np.array([0.4, 0.5, 0.6]), 0.3, 0.5)
+        for sys in systems:
+            assert sys.lam == (0.45, 0.45) and sys.branch_constant
+            for x in points:
+                got, ref = sys.lam_at(x), np.full_like(np.asarray(x, dtype=float), 0.45)
+                assert np.shape(got) == np.shape(ref) and got.tobytes() == ref.tobytes()
+        with pytest.raises(wl.BadConfig, match="one value per branch"):
+            wl.validate_system({"branches": geometry,
+                                "lambda": {"kind": "branch_constant", "values": [0.45] * 3}})
 
     def test_m5_margin(self, m5):
         # (2 - 0.1 pi) * 0.7
@@ -738,11 +757,9 @@ class TestBirkhoff:
 
     def test_digit_sums_refuse_out_of_range_digit(self, m3):
         with pytest.raises(ValueError, match="out of range"):
-            birkhoff_sums_from_digits(m3, np.array([[0, 1], [1, 2]], dtype=np.uint8))
+            birkhoff_sums_along(m3, np.array([[0, 1], [1, 2]], dtype=np.uint8))
 
     def test_digit_sums_need_branch_constant(self, m5):
-        with pytest.raises(NotBranchConstant):
-            birkhoff_sums_from_digits(m5, np.zeros((2, 3), dtype=np.uint8))
         with pytest.raises(NotBranchConstant):
             wl.empirical_spectrum(m5, [0.0], 10, 5, 1)
 
@@ -785,11 +802,11 @@ def test_digit_count_birkhoff_sums_near_exact(m3, rows):
         d = d[:, 10:50]
         assert not d.flags.c_contiguous
     log_tp = np.log(np.abs(np.array([b.slope for b in m3.branches])))
-    log_lm = np.log(m3.lam.branch_values(m3.ell))
-    counts = [np.bincount(row, minlength=m3.ell).tolist() for row in np.atleast_2d(d)]
-    for sums, logs in zip(birkhoff_sums_from_digits(m3, d), (log_tp.tolist(), log_lm.tolist())):
+    log_lm = np.log(m3.lam)
+    counts = np.apply_along_axis(np.bincount, -1, d, minlength=m3.ell)
+    for sums, logs in zip(_birkhoff_sums_from_counts(m3, counts), (log_tp.tolist(), log_lm.tolist())):
         assert np.shape(sums) == d.shape[:-1]
-        for got, c in zip(np.atleast_1d(sums).tolist(), counts):
+        for got, c in zip(np.atleast_1d(sums).tolist(), np.atleast_2d(counts).tolist()):
             exact = sum(Fraction(ci) * Fraction(li) for ci, li in zip(c, logs))
             bound = m3.ell * np.spacing(sum(ci * abs(li) for ci, li in zip(c, logs)))
             assert abs(Fraction(got) - exact) <= Fraction(float(bound))

@@ -11,7 +11,6 @@ from wtf_lab import InvalidTolerance, NotInPartition, ThetaSequence
 from wtf_lab.dynamics import (
     _orbit,
     _walk,
-    birkhoff_sums_from_digits,
     cylinder_bounds_many,
     enumerate_words,
     point_of_word,
@@ -286,7 +285,7 @@ class TestOscillation:
         rng = np.random.default_rng(20)
         for name, cap in caps.items():
             sys = systems[name]
-            lam = np.asarray(sys.lam.branch_values(sys.ell))
+            lam = np.asarray(sys.lam)
             thetas = [ThetaSequence.zeros()] + [ThetaSequence.iid_uniform(s) for s in (1, 2, 3)]
             for theta in thetas:
                 for n in (2, 6, 10, 14, 16):
@@ -358,8 +357,10 @@ class TestDegeneracy:
     @pytest.mark.parametrize("name", ["M1", "M5", "telescoping"])
     def test_matches_per_word_reference(self, systems, zeros, name):
         # reference: the per-word route, one oscillation_over per word and
-        # (off the digit-level case) one birkhoff_sum per cylinder midpoint,
-        # words drawn in the same rng order; the verdict keeps every bit
+        # one forward birkhoff_sum from each word's rho_w(1/2), words drawn in
+        # the same rng order; lambda is constant on these systems, so the sum
+        # adds the same term n times in either order and the verdict keeps
+        # every bit
         sys = systems.get(name) or wl.validate_system({
             "id": "M1coh",
             "branches": {"family": "ell_adic", "ell": 2},
@@ -375,10 +376,8 @@ class TestDegeneracy:
                 words = rng.integers(0, sys.ell, size=(8, n)).astype(np.uint8)
             lo, hi = cylinder_bounds_many(sys, words)
             osc = np.array([wl.oscillation_over(sys, w, zeros, 128, 1e-12) for w in words])
-            if sys.is_affine and sys.lam.branch_constant:
-                log_lam = birkhoff_sums_from_digits(sys, words)[1]
-            else:
-                log_lam = np.array([wl.birkhoff_sum(sys, "log_lambda", x, n) for x in 0.5 * (lo + hi)])
+            xs = point_of_word(sys, words, 0.5)
+            log_lam = np.array([wl.birkhoff_sum(sys, "log_lambda", x, n) for x in xs])
             ratios.append(float(np.max(osc / np.exp(log_lam))))
             lips.append(float(np.max(osc / (hi - lo))))
         verdict = wl.detect_degenerate(sys, zeros)
@@ -423,3 +422,39 @@ def test_blocked_series_matches_unblocked(systems):
             assert got.tobytes() == _eval_unblocked(sys, xs, theta, 1e-8).tobytes(), name
             one, _, _ = wl.eval_W_many(sys, xs[-1:], theta, 1e-8)
             assert one.tobytes() == _eval_unblocked(sys, xs[-1:], theta, 1e-8).tobytes(), name
+
+
+_NON_INTEGER_CALLS = {
+    "code_of": lambda m1, th: wl.code_of(m1, 0.1, 2.5),
+    "birkhoff_sum": lambda m1, th: wl.birkhoff_sum(m1, "log_lambda", 0.1, 2.5),
+    "holder_birkhoff_many": lambda m1, th: wl.holder_birkhoff_many(m1, [0.1], 2.5),
+    "holder_birkhoff_none": lambda m1, th: wl.holder_birkhoff(m1, 0.1, None),
+    "tree": lambda m1, th: m1.tree(2.5),
+    "enumerate_words": lambda m1, th: enumerate_words(2, 2.5),
+    "sample_graph_depth": lambda m1, th: wl.sample_graph(m1, th, 2.5, 4),
+    "sample_graph_per_cylinder": lambda m1, th: wl.sample_graph(m1, th, 4, 2.5),
+    "oscillation_depths": lambda m1, th: wl.holder_oscillation_many(m1, [0.1], th,
+                                                                    depth_range=[1.5, 3.5]),
+    "oscillation_probes": lambda m1, th: wl.oscillation_over(m1, [0, 1], th, probes=2.5),
+    "theta_seed": lambda m1, th: ThetaSequence.iid_uniform(1.5).block(0, 3),
+}
+
+
+@pytest.mark.parametrize("call", _NON_INTEGER_CALLS.values(), ids=_NON_INTEGER_CALLS.keys())
+def test_non_integer_arguments_refused(m1, zeros, call):
+    # each raised TypeError, or ran with a truncated count (a 40-point cloud
+    # for per_cylinder 2.5, 4 probes for 2.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(m1, zeros)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_tolerance_refused(m1, zeros, tol):
+    # NaN ended in "cannot convert float NaN to integer" and +-inf in OverflowError
+    calls = (lambda: wl.eval_W_many(m1, np.array([0.1]), zeros, tol),
+             lambda: wl.sample_graph(m1, zeros, 3, 2, tol),
+             lambda: wl.oscillation_over(m1, [0, 1], zeros, tol=tol),
+             lambda: wl.holder_oscillation_many(m1, [0.1], zeros, range(1, 4), tol=tol))
+    for call in calls:
+        with pytest.raises(InvalidTolerance):
+            call()

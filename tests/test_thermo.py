@@ -36,7 +36,7 @@ from wtf_lab import (
 )
 from wtf_lab.dynamics import (
     _birkhoff_sums_from_counts,
-    birkhoff_sums_from_digits,
+    birkhoff_sums_along,
     cylinder_bounds_many,
 )
 from wtf_lab.thermo import (
@@ -510,7 +510,7 @@ def _mpmath_root(sys, family, guess):
     with mpmath.workdps(40):
         zero, one = family(0.0), family(1.0)
         logs = [(mpmath.log(abs(mpmath.mpf(b.slope))), mpmath.log(mpmath.mpf(float(lam))))
-                for b, lam in zip(sys.branches, sys.lam.branch_values(sys.ell))]
+                for b, lam in zip(sys.branches, sys.lam)]
         phi = [zero.a * u + zero.b * v + zero.c for u, v in logs]
         psi = [(one.a - zero.a) * u + (one.b - zero.b) * v + (one.c - zero.c) for u, v in logs]
         s = mpmath.mpf(guess)
@@ -629,8 +629,8 @@ def test_bernoulli_nan_probabilities_refused():
 @pytest.mark.parametrize("count", [1, 300, 700])
 def test_sampled_counts_give_the_sums_of_the_words(m3, count):
     # sample_digit_counts never forms the words, yet each of its rows is the
-    # digit count of a word of length depth, and its sums have
-    # birkhoff_sums_from_digits' bits on such words
+    # digit count of a word of length depth, and its sums are those
+    # birkhoff_sums_along takes along such words, up to rounding
     depth = 37
     for sys in (m3, wl.validate_system(THREE_BRANCH)):
         for pot in (PotentialSpec(-0.8, 1.3), PotentialSpec(-wl.A_of_q(sys, -2.0), -2.0)):
@@ -640,8 +640,8 @@ def test_sampled_counts_give_the_sums_of_the_words(m3, count):
             assert words.shape == (count, depth)
             assert counts.tolist() == [np.bincount(w, minlength=sys.ell).tolist() for w in words]
             for got, ref in zip(_birkhoff_sums_from_counts(sys, counts),
-                                birkhoff_sums_from_digits(sys, words)):
-                assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+                                birkhoff_sums_along(sys, words)[1:]):
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_sampled_counts_follow_the_multinomial_law(m3):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
-from .dynamics import _check_budget, _words_at, point_of_word
+from .dynamics import _check_budget, _check_words, _words_at, point_of_word
 from .errors import (
     BadConfig,
     BudgetExceeded,
@@ -125,8 +125,9 @@ def _cmd_boxdim(config, out_dir, seed, report):
     if scales is not None and min(scales, default=1.0) <= 0.0:
         raise BadConfig("'scales' must be positive")
     if scales is None:
-        lo = require_int(config, "min_scale_exp", default=6, low=1)
-        hi = require_int(config, "max_scale_exp", default=14, low=2)
+        # 2.0**-1075 is 0
+        lo = require_int(config, "min_scale_exp", default=6, low=1, high=1074)
+        hi = require_int(config, "max_scale_exp", default=14, low=2, high=1074)
         scales = [2.0**-k for k in range(lo, hi + 1)]
     drop = tuple(require_list(config, "window_drop", int, length=2, default=[2, 2]))
     if min(drop) < 0:
@@ -158,8 +159,7 @@ def _cmd_holder(config, out_dir, seed, report):
     if points is None:  # count evenly spaced words of depth n, each at a seeded uniform
         n = require_int(config, "point_depth", default=12, low=1)
         count = require_int(config, "point_count", default=50, low=1)
-        total = sys.ell**n
-        _check_budget(total)
+        total = _check_words(sys.ell, n)
         rows = np.arange(0, total, max(1, total // count))[:count]
         u = counter_uniforms(seed if seed is not None else 7, rows, stream=n)
         points = point_of_word(sys, _words_at(rows, sys.ell, n), u)
@@ -185,6 +185,7 @@ def _cmd_spectrum(config, out_dir, seed, report):
         q_min = require_number(config, "q_min", default=-3.0)
         q_max = require_number(config, "q_max", default=3.0)
         steps = require_int(config, "q_steps", default=25, low=2)
+        _check_budget(steps)
         grid = list(np.linspace(q_min, q_max, steps))
     curve = spectrum(sys, grid)
     write_csv(out, ("q", "A_q", "alpha", "D"), curve.samples)

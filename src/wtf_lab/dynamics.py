@@ -69,6 +69,17 @@ def _check_budget(count: int) -> None:
         raise BudgetExceeded(f"{count} cylinders or points exceed the budget {budget}")
 
 
+def _check_words(ell: int, depth: int, per: int = 1) -> int:
+    """ell**depth * per after _check_budget; a depth past the budget's bit
+    length is refused before that power is formed."""
+    budget = cylinder_budget()
+    if depth > budget.bit_length():
+        raise BudgetExceeded(f"{ell}**{depth} cylinders exceed the budget {budget}")
+    total = ell**depth * per
+    _check_budget(total)
+    return total
+
+
 def _require_ints(**values) -> None:
     """ValueError naming the first value that is not an int or a numpy
     integer (a bool is refused too): numpy truncates a float count, depth or
@@ -425,15 +436,6 @@ class CookieCutterSystem:
             out = np.where(idx < 0, 0.0, out)
         return out - np.floor(out)  # np.mod(out, 1.0) bit for bit on finite out
 
-    def log_abs_tau_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, np.nan)
-        idx = self.nearest_branch(x).reshape(x.shape)  # 0-d for a scalar x
-        for i, br in enumerate(self.branches):
-            m = idx == i
-            out[m] = br.derivative(x[m])
-        return np.log(np.abs(out))
-
     def lam_at(self, x):
         x = np.asarray(x, dtype=float)
         if not self.lam_is_table:
@@ -442,8 +444,16 @@ class CookieCutterSystem:
             return np.full_like(x, self.lambda_inf)
         return np.asarray(self.lam)[self.nearest_branch(x)]
 
-    def log_lam(self, x):
-        return np.log(self.lam_at(x))
+    def log_terms(self, d, x):
+        """(log|tau'|, log lambda) of branch d at the points x, in x's shape (d
+        broadcasts): the one fork on representation for them, gathering affine
+        slopes and a lambda table by digit, evaluating the sine family's
+        derivative and a TrigPoly lambda at x."""
+        x = np.asarray(x, dtype=float)
+        d = np.broadcast_to(d, x.shape)
+        log_tp, log_lm = self.branch_logs
+        u = log_tp[d] if self.is_affine else np.log(np.abs(self.branches[0].derivative(x)))
+        return u, log_lm[d] if self.lam_is_table else np.log(self.lam(x))
 
     @cached_property
     def transfer_nodes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -459,9 +469,8 @@ class CookieCutterSystem:
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
                 b /= b.sum(axis=2, keepdims=True)
-            u = np.log(np.abs([br.derivative(yi) for br, yi in zip(self.branches, y)]))
             # a rho_i x_j on a node x_k reads inf / inf = NaN at k and 0 elsewhere
-            out.append((np.nan_to_num(b, nan=1.0), u, self.log_lam(y)))
+            out.append((np.nan_to_num(b, nan=1.0), *self.log_terms(np.arange(self.ell)[:, None], y)))
         return tuple(out)
 
     # -- cylinder tree -------------------------------------------------------
@@ -470,14 +479,13 @@ class CookieCutterSystem:
         """Level ``depth`` of the cylinder tree: (X, U, V) with X the midpoint
         representatives rho_w(1/2) of the depth-n words (lexicographic order,
         first digit most significant), U = S_n log|tau'| and V = S_n log lambda
-        at X: one _walk of 1/2 with the _Sums hook; computed on each call.
+        at X: birkhoff_sums_along the enumerated words; computed on each call.
         ValueError for a depth that is not an integer >= 0."""
         _require_ints(depth=depth)
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        _check_budget(self.ell**depth)
-        sums = _Sums(self, 1)
-        return _walk(self, [0.5], depth, sums), sums.u, sums.v
+        _check_words(self.ell, depth)
+        return birkhoff_sums_along(self, enumerate_words(self.ell, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -819,36 +827,16 @@ def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.
     from one orbit walk; both sums add their terms left to right (np.sum
     adds pairwise).  NotInPartition(k) for the first point, in the order of
     xs, whose iterate k leaves the partition."""
-    _, points, left = _orbit(sys, xs, n)
+    digits, points, left = _orbit(sys, xs, n)
     out = np.flatnonzero(left < n)
     if out.size:
         raise NotInPartition(int(left[out[0]]))
-    log_tp, log_lam = sys.log_abs_tau_prime(points), sys.log_lam(points)
+    log_tp, log_lam = sys.log_terms(digits, points)
     u, v = np.zeros(len(points)), np.zeros(len(points))
     for k in range(n):
         u += log_tp[:, k]
         v += log_lam[:, k]
     return u, v
-
-
-class _Sums:
-    """Step hook of _compose (fan 1, digit column k of digits) and, without
-    digits, of _walk (fan ell, as graph._Carry) adding log|tau'| of each
-    point's own branch and log lambda at each column's points onto the sums
-    of the later columns: u and v end as S_n log|tau'| and S_n log lambda
-    along each composed point's orbit."""
-
-    def __init__(self, sys: CookieCutterSystem, count, digits=None):
-        self.sys, self.digits = sys, digits
-        self.fan = sys.ell if digits is None else 1
-        self.u, self.v = np.zeros(count), np.zeros(count)
-
-    def __call__(self, k: int, x: np.ndarray) -> None:
-        d = self.digits[:, k] if self.fan == 1 else np.arange(self.fan).repeat(self.u.size)
-        dtau = (self.sys._affine_coefficients[0].take(d) if self.sys.is_affine
-                else self.sys.branches[0].derivative(x))  # one formula for the sine family
-        self.u = (np.log(np.abs(dtau)).reshape(self.fan, -1) + self.u).ravel()
-        self.v = (self.sys.log_lam(x).reshape(self.fan, -1) + self.v).ravel()
 
 
 def birkhoff_sums_along(sys: CookieCutterSystem, digits, t=0.5):
@@ -857,8 +845,14 @@ def birkhoff_sums_along(sys: CookieCutterSystem, digits, t=0.5):
     point after _compose's column k; all n digits count.  ValueError as
     _compose."""
     digits = np.asarray(digits)
-    sums = _Sums(sys, digits.shape[:1], digits)
-    return _compose(sys, digits, t, sums), sums.u, sums.v
+    u, v = np.zeros(digits.shape[:1]), np.zeros(digits.shape[:1])
+
+    def add(k, x):  # column k's terms onto the sums of the later columns
+        nonlocal u, v
+        du, dv = sys.log_terms(digits[:, k], x)
+        u, v = du + u, dv + v
+
+    return _compose(sys, digits, t, add), u, v
 
 
 def _birkhoff_sums_from_counts(sys: CookieCutterSystem, counts: np.ndarray):

@@ -12,6 +12,7 @@ oscillation probes of metrics' Hoelder estimators and degeneracy test.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,7 +33,7 @@ _EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
 def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, float]:
-    if not (math.isfinite(tol) and tol > 0):  # NaN fails too
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):  # NaN fails too
         raise InvalidTolerance(f"tolerance must be finite and positive, got {tol!r}")
     g_sup = sys.g.sup_bound
     lam_sup = sys.lambda_sup
@@ -76,17 +77,16 @@ def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
 
 class _Carry:
     """The skew-product step y <- lambda(u) y + g(u + theta_k), the step hook
-    of _compose (fan 1) and of _walk (fan ell: a walk level concatenates the
-    ell branch images of the level before).  From y = W_{sigma^n theta} at
-    the start values, y ends as W_theta at the composed points."""
+    of _compose and of _walk (y is tiled when u outgrows it: a walk level holds
+    the ell branch images of the level before).  From y = W_{sigma^n theta}
+    at the start values, y ends as W_theta at the composed points."""
 
-    def __init__(self, sys: CookieCutterSystem, y: np.ndarray, theta: ThetaSequence,
-                 n: int, fan: int = 1):
-        self.sys, self.y, self.fan = sys, y, fan
+    def __init__(self, sys: CookieCutterSystem, y: np.ndarray, theta: ThetaSequence, n: int):
+        self.sys, self.y = sys, y
         self.shifts = theta.block(0, n)
 
     def __call__(self, k: int, u: np.ndarray) -> None:
-        y = self.y if self.fan == 1 else np.tile(self.y, self.fan)
+        y = np.tile(self.y, u.size // self.y.size) if u.size > self.y.size else self.y
         self.y = self.sys.lam_at(u) * y + self.sys.g(u + self.shifts[k])
 
 
@@ -115,14 +115,14 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
     tail = 0
     while tail < depth and sys.ell**(tail + 1) <= _EVAL_BLOCK:
         tail += 1
-    carry = _Carry(sys, base, theta.shift(tail), depth - tail, sys.ell)
+    carry = _Carry(sys, base, theta.shift(tail), depth - tail)
     head = _walk(sys, t, depth - tail, carry)
     fan = sys.ell**tail
     rows = _EVAL_BLOCK // fan  # >= 1, as fan <= _EVAL_BLOCK
     # row r of the head and tail word p land at p * head.size + r
     x, y = np.empty((fan, head.size)), np.empty((fan, head.size))
     for r in range(0, head.size, rows):
-        chunk = _Carry(sys, carry.y[r:r + rows], theta, tail, sys.ell)
+        chunk = _Carry(sys, carry.y[r:r + rows], theta, tail)
         x[:, r:r + rows] = _walk(sys, head[r:r + rows], tail, chunk).reshape(fan, -1)
         y[:, r:r + rows] = chunk.y.reshape(fan, -1)
     return x.ravel(), y.ravel()

@@ -21,6 +21,7 @@ from .dynamics import (
     _birkhoff_sums,
     _birkhoff_sums_from_counts,
     _check_budget,
+    _check_words,
     _orbit,
     _require_ints,
     birkhoff_sums_along,
@@ -92,8 +93,7 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
     per_cylinder that is not an integer.
     """
     _require_ints(depth=depth, per_cylinder=per_cylinder)
-    total = sys.ell**depth * per_cylinder
-    _check_budget(total)
+    total = _check_words(sys.ell, depth, per_cylinder)
     if restrict_to_repeller:
         xs, ys = _pull_back_walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder,
                                  theta, depth, tol)
@@ -150,10 +150,11 @@ def read_cloud_csv(path) -> GraphCloud:
         raise BadConfig(f"{path.name} must hold one or more rows of exactly two numeric "
                         f"columns, not {data.shape[0]} rows of {data.shape[1]}")
     meta_path = Path(str(path) + ".meta.json")
-    if meta_path.exists():
-        prov = CloudProvenance(**json.loads(meta_path.read_text()))
-    else:
-        prov = CloudProvenance("unknown", "zeros", None, 0, 0.0)
+    try:
+        prov = (CloudProvenance(**json.loads(meta_path.read_text())) if meta_path.exists()
+                else CloudProvenance("unknown", "zeros", None, 0, 0.0))
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or other fields
+        raise BadConfig(f"{meta_path.name} is not a cloud provenance sidecar: {exc}") from exc
     return GraphCloud(data[:, 0], data[:, 1], prov)
 
 
@@ -297,6 +298,8 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     every depth used (graph._probe_bases), one pulled-back _oscillations call
     per depth.  OscillationUnderflow when osc < 10*tol or a cylinder length
     is 0; ValueError for a depth or probe count that is not an integer."""
+    if isinstance(depth_range, range) and depth_range:  # lazy: bound its length before listing it
+        _check_budget(abs(depth_range[-1] - depth_range[0]) + 1)
     depths = sorted(depth_range)
     _require_ints(probes=probes, **{f"depth_range entry {i}": n for i, n in enumerate(depths)})
     if not depths:

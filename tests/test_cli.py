@@ -287,7 +287,11 @@ class TestSpectrumGibbsLiftHolder:
         ("gibbs", {"model": "M1", "q": 0.0, "count": 100, "depth": 50}),  # count x depth digits
         ("holder", {"model": "M1", "points": [0.3], "probes": 2**20}),  # probe tails per row
         ("holder", {"model": "M1", "points": [0.3, 0.4], "birkhoff_depth": 600}),  # orbit points x n
-    ], ids=["gibbs-count_depth", "holder-probes", "holder-orbit"])
+        ("spectrum", {"model": "M1", "q_steps": 10**15}),  # the q grid
+        ("holder", {"model": "M1", "points": [0.3], "osc_depth_max": 10**15}),  # the depth list
+        ("holder", {"model": "M1", "point_depth": 10**7}),  # ell**depth words, never formed
+    ], ids=["gibbs-count_depth", "holder-probes", "holder-orbit", "spectrum-q_steps",
+            "holder-osc_depth_max", "holder-point_depth"])
     def test_config_sized_arrays_within_budget(self, tmp_path, monkeypatch, command, config):
         # each config-sized array is checked against the budget before it is
         # allocated; a small budget shows the refusal without a large allocation
@@ -529,6 +533,8 @@ MALFORMED = {
     "spectrum-q_grid_past_float_range": ("spectrum", {"q_grid": [10**400]}),
     "boxdim-scale_zero": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [0.0]}),
     "boxdim-scale_negative": ("boxdim", {"scales": [2.0**-k for k in range(2, 8)] + [-0.5]}),
+    "boxdim-max_scale_exp_underflow": ("boxdim", {"max_scale_exp": 1075}),  # 2.0**-1075 is 0
+    "boxdim-min_scale_exp_underflow": ("boxdim", {"min_scale_exp": 1075, "max_scale_exp": 1080}),
     "validate-ell_infinite": ("validate", {"model": {"branches": {"family": "ell_adic", "ell": 1e400}}}),
     "validate-ell_text": ("validate", {"model": {"branches": {"family": "ell_adic", "ell": "two"}}}),
     "validate-lambda_nan": (

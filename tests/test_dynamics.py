@@ -669,7 +669,7 @@ def _reference_tree(sys, depth):
     for _ in range(depth):
         xs = [br.inverse(x) for br in sys.branches]
         u = np.concatenate([np.log(np.abs(br.derivative(xi))) + u for br, xi in zip(sys.branches, xs)])
-        v = np.concatenate([sys.log_lam(xi) + v for xi in xs])
+        v = np.concatenate([np.log(sys.lam_at(xi)) + v for xi in xs])
         x = np.concatenate(xs)
     return x, u, v
 
@@ -700,6 +700,8 @@ class TestSampling:
         assert len(m1.tree(6)[0]) == 64
         with pytest.raises(BudgetExceeded):
             m1.tree(7)
+        with pytest.raises(BudgetExceeded):  # no 2**depth formed, nor formatted
+            m1.tree(10**7)
         with pytest.raises(BudgetExceeded):
             _check_budget(101)
 
@@ -745,11 +747,25 @@ class TestBirkhoff:
         value = wl.birkhoff_sum(m5, "log_abs_tau_prime", 0.0, 3)
         assert value == pytest.approx(3 * math.log(2 + 0.1 * math.pi), abs=1e-10)
 
-    def test_log_abs_tau_prime_keeps_shape(self, m5):
-        # a scalar gives a scalar; it ended in an IndexError
-        assert m5.log_abs_tau_prime(0.0) == math.log(2 + 0.1 * math.pi)
-        xs = np.array([[0.0, 0.25], [0.5, 0.75]])
-        assert m5.log_abs_tau_prime(xs).tolist() == [m5.log_abs_tau_prime(x).tolist() for x in xs]
+    def test_log_terms_match_per_branch_reference(self, systems):
+        # log_terms keeps the shape of x, a scalar included, and has the bits
+        # of the branch's own derivative and of lam_at at interior points
+        grid = np.array([[0.1, 0.37, 0.5], [0.61, 0.8, 0.93]])
+        for name, sys in _walk_systems(systems).items():
+            for br in sys.branches:
+                x = br.lo + (br.hi - br.lo) * grid
+                for xi in (x, x[1, 2]):
+                    ref = (np.log(np.abs(br.derivative(xi))), np.log(sys.lam_at(xi)))
+                    for got, want in zip(sys.log_terms(br.index, xi), ref):
+                        assert np.shape(got) == np.shape(xi), (name, br.index)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, br.index)
+            # one digit per point, and one per row broadcast along it
+            d = np.arange(sys.ell)[:, None]
+            x = np.stack([br.lo + (br.hi - br.lo) * grid[0] for br in sys.branches])
+            rows = [sys.log_terms(i, xi) for i, xi in enumerate(x)]
+            for got in (sys.log_terms(d, x), sys.log_terms(np.repeat(d, 3, axis=1), x)):
+                assert _same_bits(got[0], np.stack([u for u, _ in rows])), name
+                assert _same_bits(got[1], np.stack([v for _, v in rows])), name
 
     def test_gap_propagates(self, m2):
         with pytest.raises(NotInPartition):

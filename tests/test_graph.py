@@ -448,9 +448,10 @@ def test_non_integer_arguments_refused(m1, zeros, call):
         call(m1, zeros)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, "1e-8", None])
 def test_non_finite_tolerance_refused(m1, zeros, tol):
-    # NaN ended in "cannot convert float NaN to integer" and +-inf in OverflowError
+    # NaN ended in "cannot convert float NaN to integer", +-inf in
+    # OverflowError, and a tol that is no real number in TypeError
     calls = (lambda: wl.eval_W_many(m1, np.array([0.1]), zeros, tol),
              lambda: wl.sample_graph(m1, zeros, 3, 2, tol),
              lambda: wl.oscillation_over(m1, [0, 1], zeros, tol=tol),

@@ -8,6 +8,7 @@ import pytest
 import wtf_lab as wl
 from wtf_lab import metrics
 from wtf_lab import (
+    BadConfig,
     BudgetExceeded,
     CloudProvenance,
     DegenerateFit,
@@ -49,6 +50,10 @@ class TestSampleGraph:
         monkeypatch.setenv("WTF_LAB_BUDGET", "1000")
         with pytest.raises(BudgetExceeded):
             wl.sample_graph(m1, zeros, depth=10, per_cylinder=4)
+        # a depth past the budget's bit length is refused before 2**depth is
+        # formed; it raised ValueError from formatting that power
+        with pytest.raises(BudgetExceeded):
+            wl.sample_graph(m1, zeros, depth=10**7, per_cylinder=1)
 
     def test_csv_roundtrip_bit_exact(self, m2, zeros, tmp_path):
         cloud = wl.sample_graph(m2, zeros, depth=6, per_cylinder=3, tol=1e-8)
@@ -59,6 +64,16 @@ class TestSampleGraph:
         assert np.array_equal(cloud.y, back.y)
         assert back.provenance == cloud.provenance
         assert path.read_text().splitlines()[0] == "x,y"
+
+    @pytest.mark.parametrize("sidecar", ["[1]", '{"bogus": 1}', '{"model_id": "M1"}', "not json"],
+                             ids=["list", "unknown_field", "missing_fields", "not_json"])
+    def test_malformed_sidecar_refused(self, m1, zeros, tmp_path, sidecar):
+        # each raised TypeError or JSONDecodeError
+        path = tmp_path / "cloud.csv"
+        wl.write_cloud_csv(wl.sample_graph(m1, zeros, depth=3, per_cylinder=1), path)
+        (tmp_path / "cloud.csv.meta.json").write_text(sidecar)
+        with pytest.raises(BadConfig, match="sidecar"):
+            wl.read_cloud_csv(path)
 
 
 def _mp_W_dyadic(x, theta, terms):
@@ -390,6 +405,12 @@ class TestHolderOscillation:
                 for rows, osc in calls:
                     ref = [wl.oscillation_over(sys, w, theta, probes=64, tol=1e-12) for w in rows]
                     assert osc.tolist() == ref, (name, rows.shape)
+
+    def test_depth_range_within_budget(self, m1, zeros):
+        # a range of depths is bounded before it is listed; sorting this one
+        # raised MemoryError
+        with pytest.raises(BudgetExceeded):
+            wl.holder_oscillation_many(m1, [0.1], zeros, range(1, 10**15))
 
     def test_gap_iterate_reported(self, m2, m3, zeros):
         # tau^5 x is the centre of M2's gap

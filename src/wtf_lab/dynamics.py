@@ -394,7 +394,7 @@ class CookieCutterSystem:
     def nearest_branch(self, x):
         """Branch index for lambda evaluation off the branch union
         (ties go to the lower index)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         idx = self.branch_index(x)
         gap = idx < 0
         if np.any(gap):

@@ -1,7 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
-from wtf_lab import ThetaSequence, model_spec, validate_system
+from wtf_lab import ThetaSequence, model_spec, validate_system, verify
 
 # Property tests draw the same examples on every run and write no example
 # database, so the suite stays deterministic and leaves no .hypothesis/.
@@ -42,3 +45,13 @@ def m5(systems):
 @pytest.fixture(scope="session")
 def zeros():
     return ThetaSequence.zeros()
+
+
+@pytest.fixture
+def battery_clock(monkeypatch):
+    """battery_clock(step) gives wtf_lab.verify a clock that advances step
+    seconds at every reading."""
+    def install(step):
+        ticks = itertools.count()
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: step * next(ticks)))
+    return install

@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 import wtf_lab as wl
 from wtf_lab import ThetaSequence, oscillation_over
 from wtf_lab.dynamics import birkhoff_sums_along, point_of_word
-from wtf_lab.verify import CHECKS, BatteryContext, _band_ratios, _rank_correlation
+from wtf_lab.verify import CHECK_IDS, BatteryContext, _band_ratios, _rank_correlation, run_battery
 
 # M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
@@ -26,11 +26,23 @@ def ctx():
     return BatteryContext()
 
 
-@pytest.mark.parametrize("cid,title,fn", CHECKS, ids=[c[0] for c in CHECKS])
-def test_criterion(ctx, cid, title, fn):
-    passed, detail = fn(ctx)
-    print(f"{'PASS' if passed else 'FAIL'} {title}\n     {detail}")
-    assert passed, f"{title}: {detail}"
+@pytest.mark.parametrize("cid", CHECK_IDS)
+def test_criterion(cid):
+    # through run_battery, so each criterion also meets its wall-clock gate
+    [r] = run_battery([cid])
+    print(f"{'PASS' if r.passed else 'FAIL'} {r.title}\n     {r.detail}")
+    assert r.passed, f"{r.title}: {r.detail}"
+
+
+def test_wall_clock_gate(battery_clock):
+    # on a clock that reads 1.5 s per criterion, pressure_oracle fails its
+    # 1 s gate with the time appended to its detail; bowen_roots has no gate
+    fast = run_battery(["pressure_oracle", "bowen_roots"])
+    battery_clock(1.5)
+    slow = run_battery(["pressure_oracle", "bowen_roots"])
+    assert not slow[0].passed
+    assert slow[0].detail == fast[0].detail + "; elapsed 1.50s (< 1s)"
+    assert slow[1].passed and slow[1].detail == fast[1].detail
 
 
 @given(values=st.lists(st.one_of(st.integers(0, 3).map(float), st.floats(-1e6, 1e6)),

@@ -13,8 +13,10 @@ import wtf_lab as wl
 from wtf_lab import ThetaSequence, cli, dynamics
 from wtf_lab.cli import main
 from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
+from wtf_lab.errors import BadConfig
 from wtf_lab.report import write_csv
 from wtf_lab.theta import counter_uniforms
+from wtf_lab.verify import CHECK_IDS, run_battery
 
 
 def write_config(tmp_path, name, payload):
@@ -25,6 +27,19 @@ def write_config(tmp_path, name, payload):
 
 def read_report(out_dir):
     return json.loads((out_dir / "report.json").read_text())
+
+
+# one config per command, each run by test_report_byte_identical and
+# test_commands_run_without_scipy
+RUNS = [
+    ("validate", {"model": "M1"}),
+    ("sample", {"model": "M1", "depth": 6}),
+    ("boxdim", {"model": "M1", "depth": 10, "per_cylinder": 4, "min_scale_exp": 2, "max_scale_exp": 7}),
+    ("holder", {"model": "M1", "points": [0.3], "birkhoff_depth": 10, "osc_depth_max": 6}),
+    ("verify", {"criteria": ["pressure_oracle", "distortion"]}),
+] + [run for model in ("M1", "M5") for run in (
+    ("predict", {"model": model}), ("spectrum", {"model": model, "q_grid": [-1.0, 0.0, 1.0]}),
+    ("gibbs", {"model": model, "q": 1.0, "depth": 8, "count": 20}), ("lift", {"model": model}))]
 
 
 class TestPredict:
@@ -40,12 +55,21 @@ class TestPredict:
         assert report["status"] == "ok"
         assert "config_hash" in report and report["version"]
 
-    def test_report_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {"model": "M2"})
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["predict", "--config", cfg, "--out", str(out1)])
-        main(["predict", "--config", cfg, "--out", str(out2)])
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    def test_report_byte_identical(self, tmp_path, battery_clock):
+        # two runs of every command write the same bytes to every file, while
+        # the battery's clock advances 0.01 s per reading in one and 0.03 s in
+        # the other
+        written = []
+        for run, step in (("a", 0.01), ("b", 0.03)):
+            battery_clock(step)
+            for i, (command, config) in enumerate(RUNS):
+                cfg = write_config(tmp_path, "cfg.json", config)
+                assert main([command, "--config", cfg, "--out", str(tmp_path / run / str(i))]) == 0
+            written.append({p.relative_to(tmp_path / run): p.read_bytes()
+                            for p in (tmp_path / run).rglob("*") if p.is_file()})
+        assert written[0].keys() == written[1].keys()
+        for name, data in written[0].items():
+            assert data == written[1][name], name
 
 
 class TestValidate:
@@ -486,6 +510,20 @@ class TestVerify:
         cfg = write_config(tmp_path, "cfg.json", {"criteria": ["nope"]})
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("criteria,message", [
+        ([], "'criteria' must not be empty"),
+        (["nope", "spectrum"], f"unknown criteria ['nope']; known: {CHECK_IDS}"),
+    ], ids=["empty", "unknown"])
+    def test_run_battery_refuses(self, tmp_path, criteria, message):
+        # the library refuses a list that would run nothing or skip a name,
+        # and the CLI reports the same message
+        with pytest.raises(BadConfig) as exc:
+            run_battery(criteria)
+        assert str(exc.value) == message
+        cfg = write_config(tmp_path, "cfg.json", {"criteria": criteria})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert read_report(tmp_path / "o")["error"] == {"type": "BadConfig", "message": message}
+
 
 MALFORMED = {
     "boxdim-window_drop": ("boxdim", {"window_drop": 5}),
@@ -597,17 +635,7 @@ assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 sys.modules["scipy"] = None  # every scipy import now fails
 from wtf_lab.cli import main
 tmp = Path(sys.argv[1])
-runs = [
-    ("validate", {"model": "M1"}),
-    ("sample", {"model": "M1", "depth": 6}),
-    ("boxdim", {"model": "M1", "depth": 10, "per_cylinder": 4, "min_scale_exp": 2, "max_scale_exp": 7}),
-    ("holder", {"model": "M1", "points": [0.3], "birkhoff_depth": 10, "osc_depth_max": 6}),
-    ("verify", {"criteria": ["pressure_oracle", "distortion"]}),
-]
-for model in ("M1", "M5"):
-    runs += [("predict", {"model": model}), ("spectrum", {"model": model, "q_grid": [-1.0, 0.0, 1.0]}),
-             ("gibbs", {"model": model, "q": 1.0, "depth": 8, "count": 20}), ("lift", {"model": model})]
-for i, (command, config) in enumerate(runs):
+for i, (command, config) in enumerate(json.loads(sys.argv[2])):
     (tmp / "cfg.json").write_text(json.dumps(config))
     assert main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / str(i))]) == 0, command
 """
@@ -618,6 +646,6 @@ def test_commands_run_without_scipy(tmp_path):
     # command, the Bowen-root and rank-correlation paths included, runs
     # with scipy blocked
     src = str(Path(wl.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], capture_output=True,
-                         text=True, env={"PYTHONPATH": src})
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(RUNS)],
+                         capture_output=True, text=True, env={"PYTHONPATH": src})
     assert out.returncode == 0, out.stderr[-2000:]

@@ -31,7 +31,7 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _Carry, _oscillations, _probe_bases, _pull_back
+from wtf_lab.graph import _Carry, _oscillations, _probe_bases, _pull_back, eval_W_many
 from wtf_lab.theta import counter_uniforms
 
 
@@ -660,6 +660,33 @@ M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
 
 def _walk_systems(systems):
     return {**_tau_systems(systems), "M5_trig_lambda": wl.validate_system(M5_TRIG_LAMBDA)}
+
+
+def _pointwise(sys, x):
+    """Every pointwise field of sys at x, each expected in x's shape."""
+    out = {"tau": sys.tau(x), "lam_at": sys.lam_at(x), "branch_index": sys.branch_index(x),
+           "nearest_branch": sys.nearest_branch(x),
+           "eval_W_many": eval_W_many(sys, x, ThetaSequence.zeros())[0]}
+    out["log|tau'|"], out["log lambda"] = sys.log_terms(out["nearest_branch"], x)
+    out.update({f"inverse {i}": br.inverse(x) for i, br in enumerate(sys.branches)})
+    return out
+
+
+@pytest.mark.parametrize("name", ["M1", "M3", "M5", "M5_trig_lambda"])
+def test_pointwise_fields_keep_input_shape(systems, name):
+    # a scalar gives a 0-d value and a 2-D input a 2-D value, with the values
+    # of the 1-D call; nearest_branch, and with it M3's lam_at, gave shape
+    # (1,) for a scalar
+    sys = systems.get(name) or wl.validate_system(M5_TRIG_LAMBDA)
+    xs = np.array([0.1, 0.4, 0.5, 0.96])  # 0.4 and 0.96 lie in M3's gaps
+    flat = _pointwise(sys, xs)
+    for key, value in _pointwise(sys, xs.reshape(2, 2)).items():
+        assert value.shape == (2, 2), key
+        np.testing.assert_allclose(value.ravel(), flat[key], rtol=1e-15, atol=0, err_msg=key)
+    for i, x in enumerate(xs.tolist()):
+        for key, value in _pointwise(sys, x).items():
+            assert np.shape(value) == (), (key, x)
+            np.testing.assert_allclose(value, flat[key][i], rtol=1e-15, atol=0, err_msg=key)
 
 
 def _reference_tree(sys, depth):

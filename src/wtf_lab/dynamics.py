@@ -771,18 +771,29 @@ def _walk(sys: CookieCutterSystem, x, depth: int, step=None) -> np.ndarray:
     return x
 
 
-def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix.
-
-    Non-affine systems raise InversionFailed for a cylinder shorter than
+def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:
+    """InversionFailed on a non-affine system for a cylinder length below
     4 * 1e-12, four times the Newton step tolerance: the lab does not resolve
     geometry that fine."""
-    a = _compose(sys, digits, 0.0)
-    b = _compose(sys, digits, 1.0)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if not sys.is_affine and np.any(hi - lo < 4.0 * _INVERT_TOL):
+    if not sys.is_affine and np.any(length < 4.0 * _INVERT_TOL):
         raise InversionFailed(
             f"cylinder shorter than the inverse-branch resolution {4.0 * _INVERT_TOL:g}")
+
+
+def _cylinder_ends(sys: CookieCutterSystem, digits) -> np.ndarray:
+    """(count, 2) array of rho_w(0), rho_w(1) per row w of a (count, depth)
+    digit matrix, both ends from one _compose call; all digits count."""
+    digits = np.asarray(digits)
+    ends = _compose(sys, np.repeat(digits, 2, axis=0), np.tile([0.0, 1.0], digits.shape[0]))
+    return ends.reshape(-1, 2)
+
+
+def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix, from
+    _cylinder_ends; InversionFailed as _check_resolved."""
+    a, b = _cylinder_ends(sys, digits).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _check_resolved(sys, hi - lo)
     return lo, hi
 
 

@@ -21,10 +21,11 @@ from .dynamics import (
     CookieCutterSystem,
     _check_budget,
     _compose,
+    _cylinder_ends,
+    _digits,
     _require_ints,
     _walk,
     _word,
-    enumerate_words,
 )
 from .errors import InvalidTolerance
 from .theta import ThetaSequence
@@ -129,11 +130,15 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
 
 
 def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:
-    """The depth m of _probes' tails: the least m >= 1 with ell^m >= probes."""
+    """The depth m of _probes' tails: the least m >= 1 with ell^m >= probes,
+    in integers (a float log rounds 125 on 5 branches up to 4)."""
     _require_ints(probes=probes)
     if probes < 2:
         raise ValueError("probes must be >= 2")
-    return max(1, math.ceil(math.log(probes) / math.log(sys.ell)))
+    m = 1
+    while sys.ell**m < probes:
+        m += 1
+    return m
 
 
 def _probe_bases(sys: CookieCutterSystem, depths, theta: ThetaSequence, probes: int,
@@ -150,31 +155,56 @@ def _probe_bases(sys: CookieCutterSystem, depths, theta: ThetaSequence, probes: 
 
 
 def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-            probes: int, base: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u, W_theta(u)) as (count, ell^m) arrays, u = rho_w(rho_v(1/2)) per row w
-    of a (count, n) digit matrix and word v of depth m = _probe_depth (a Moran
-    cover of J cap I_w): two _pull_back stages from the series value
-    base = W_{sigma^{n+m} theta}(1/2) (see _probe_bases), whose error a probe
-    carries times lambda^{n+m}.  Like point_of_word, only the leading 64
-    digits (_MAX_EFFECTIVE_DEPTH) count: a deeper word gets its depth-64
-    prefix's probes, and so its oscillation."""
+            probes: int, base: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, W_theta(u), ends) per row w of a (count, n) digit matrix: u =
+    rho_w(rho_v(1/2)) as a (count, ell^m) array over the words v of depth
+    m = _probe_depth (a Moran cover of J cap I_w), and ends = (rho_w(0),
+    rho_w(1)) as a (count, 2) array.
+
+    A walk of 1/2 gives the tails rho_v(1/2) and carries the series value
+    base = W_{sigma^{n+m} theta}(1/2) (see _probe_bases) up to them, so a
+    probe carries its error times lambda^{n+m}.  With 0 and 1 as two more
+    start values, a second walk covers the last j digit columns for all
+    ell^j suffixes, j the largest depth with ell^j <= count; each row then
+    gathers its suffix's values and composes only its first n - j columns
+    (_pull_back).  Every step is elementwise, so every value has the bits of
+    composing the whole row.  Like point_of_word, the probes use only the
+    leading 64 digits (_MAX_EFFECTIVE_DEPTH): a deeper word gets its
+    depth-64 prefix's probes, and so its oscillation, but its ends come from
+    all its digits, as in cylinder_bounds_many."""
     m = _probe_depth(sys, probes)
+    words = _digits(sys, words)  # the suffix digits index the walk, not _compose
     count = words.shape[0]
     _check_budget(count * sys.ell**m)
     n = min(words.shape[1], _MAX_EFFECTIVE_DEPTH)
-    tails, y = _pull_back(sys, enumerate_words(sys.ell, m), 0.5, base, theta.shift(n))
-    u, y = _pull_back(sys, np.repeat(words[:, :n], tails.size, axis=0), np.tile(tails, count),
-                      np.tile(y, count), theta)
-    return u.reshape(count, -1), y.reshape(count, -1)
+    carry = _Carry(sys, np.array([base]), theta.shift(n), m)
+    starts = np.append(_walk(sys, [0.5], m, carry), (0.0, 1.0))
+    j = 0
+    while j < n and sys.ell**(j + 1) <= count:
+        j += 1
+    carry = _Carry(sys, np.append(carry.y, (0.0, 0.0)), theta.shift(n - j), j)
+    level = _walk(sys, starts, j, carry).reshape(-1, starts.size)
+    suffix = np.zeros(count, dtype=np.intp)  # lexicographic index of each row's last j digits
+    for col in range(n - j, n):
+        suffix = suffix * sys.ell + words[:, col]
+    u, y = _pull_back(sys, np.repeat(words[:, :n - j], starts.size, axis=0), level[suffix].ravel(),
+                      carry.y.reshape(level.shape)[suffix].ravel(), theta)
+    u, y = u.reshape(count, -1), y.reshape(count, -1)
+    ends = u[:, -2:] if words.shape[1] == n else _cylinder_ends(sys, words)
+    return u[:, :-2], y[:, :-2], ends
 
 
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, base: float, _curve=None) -> np.ndarray:
-    """sup - inf of W (or of the test hook ``_curve``, evaluated pointwise)
-    per row w of a (count, n) digit matrix over the probes of _probes."""
-    u, ys = _probes(sys, words, theta, probes, base)
+                  probes: int, base: float, _curve=None) -> tuple[np.ndarray, np.ndarray]:
+    """(sup - inf of W over the probes of _probes, or of the test hook
+    ``_curve`` evaluated there, and the cylinder length |rho_w(1) - rho_w(0)|,
+    which has the bits of cylinder_bounds_many's hi - lo) per row w of a
+    (count, n) digit matrix, from one _probes pass.  The length is not
+    checked: callers refuse an unresolved cylinder with
+    dynamics._check_resolved."""
+    u, ys, ends = _probes(sys, words, theta, probes, base)
     ys = ys if _curve is None else np.asarray(_curve(u), dtype=float)
-    return ys.max(axis=1) - ys.min(axis=1)
+    return ys.max(axis=1) - ys.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
 
 
 def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
@@ -182,4 +212,4 @@ def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
     """sup - inf of W over stratified sub-cylinder representatives of the word."""
     word = _word(sys, word)
     base = _probe_bases(sys, [word.size], theta, probes, tol)[0]
-    return float(_oscillations(sys, word[None, :], theta, probes, base)[0])
+    return float(_oscillations(sys, word[None, :], theta, probes, base)[0][0])

@@ -21,11 +21,11 @@ from .dynamics import (
     _birkhoff_sums,
     _birkhoff_sums_from_counts,
     _check_budget,
+    _check_resolved,
     _check_words,
     _orbit,
     _require_ints,
     birkhoff_sums_along,
-    cylinder_bounds_many,
     enumerate_words,
     torus_distance,
 )
@@ -296,15 +296,20 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     """holder_oscillation at each point of xs: one orbit walk codes every
     itinerary to the deepest depth, one walk of 1/2 sums the probe bases of
     every depth used (graph._probe_bases), one pulled-back _oscillations call
-    per depth.  OscillationUnderflow when osc < 10*tol or a cylinder length
-    is 0; ValueError for a depth or probe count that is not an integer."""
+    per depth gives the oscillations and the cylinder lengths.  Per depth,
+    OscillationUnderflow when osc < 10*tol, then InversionFailed for an
+    unresolved cylinder (dynamics._check_resolved), then OscillationUnderflow
+    when a cylinder length is 0; ValueError for a depth or probe count that
+    is not an integer, a depth below 1, or fewer than two distinct depths."""
     if isinstance(depth_range, range) and depth_range:  # lazy: bound its length before listing it
         _check_budget(abs(depth_range[-1] - depth_range[0]) + 1)
     depths = sorted(depth_range)
     _require_ints(probes=probes, **{f"depth_range entry {i}": n for i, n in enumerate(depths)})
     if not depths:
         raise ValueError("depth_range must be nonempty")
-    if len(depths) < 2:
+    if depths[0] < 1:
+        raise ValueError("depth must be >= 1")
+    if depths[0] == depths[-1]:
         raise ValueError("slope estimator needs two distinct depths")
     hi_cluster = depths[-max(1, min(_CLUSTER, len(depths) - 1)):]
     xs = np.asarray(xs, dtype=float)
@@ -321,18 +326,18 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc = _oscillations(sys, words[:, :n], theta, probes, bases[n], _curve)
+        osc, length = _oscillations(sys, words[:, :n], theta, probes, bases[n], _curve)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
                 "increase probes or loosen the depth range")
-        lo, hi = cylinder_bounds_many(sys, words[:, :n])
-        if not np.all(hi - lo > 0.0):
+        _check_resolved(sys, length)
+        if not np.all(length > 0.0):
             raise OscillationUnderflow(f"a cylinder length at depth {n} rounds to 0")
         # math.log, not np.log: numpy's SIMD log differs from libm in the
         # last bit on some inputs, and the per-point exponents used libm
         return (np.array([math.log(v) for v in osc.tolist()]),
-                np.array([math.log(v) for v in (hi - lo).tolist()]))
+                np.array([math.log(v) for v in length.tolist()]))
 
     y_lo, x_lo = logs(depths[0])
     y_hi = x_hi = 0.0
@@ -356,10 +361,12 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
     """Finite-range Lipschitz test over the depths 2..12.
 
     Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
-    over sampled depth-n cylinders, lambda^n = exp(S_n log lambda) along
-    rho_w(1/2).  Degenerate verdict: r_n decays exponentially while the
-    Lipschitz ratio stays flat; non-degenerate: r_n stays bounded away from
-    0.  Mixed signals raise Inconclusive.
+    over sampled depth-n cylinders, osc and |I_n| from one _oscillations
+    pass per depth, lambda^n = exp(S_n log lambda) along rho_w(1/2);
+    InversionFailed as dynamics._check_resolved.  Degenerate verdict: r_n
+    decays exponentially while the Lipschitz ratio stays flat;
+    non-degenerate: r_n stays bounded away from 0.  Mixed signals raise
+    Inconclusive.
     """
     depths = list(_DEGENERACY_DEPTHS)
     bases = _probe_bases(sys, depths, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
@@ -370,10 +377,10 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
             words = enumerate_words(sys.ell, n)
         else:
             words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
-        lo, hi = cylinder_bounds_many(sys, words)
-        osc = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
+        osc, length = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
+        _check_resolved(sys, length)
         ratios.append(float(np.max(osc / np.exp(birkhoff_sums_along(sys, words)[2]))))
-        lips.append(float(np.max(osc / (hi - lo))))
+        lips.append(float(np.max(osc / length)))
 
     r, lip = np.array(ratios), np.array(lips)
     if np.all(r < 10.0 * _DEGENERACY_TOL):

@@ -330,7 +330,7 @@ def _band_ratios(sys: CookieCutterSystem, theta: ThetaSequence) -> list[float]:
     for n, base in zip(depths, bases.tolist()):
         words = rng.integers(0, sys.ell, (3, n)).astype(np.uint8)
         lam_n = np.exp(birkhoff_sums_along(sys, words)[2])
-        ratios += (_oscillations(sys, words, theta, 128, base) / lam_n).tolist()
+        ratios += (_oscillations(sys, words, theta, 128, base)[0] / lam_n).tolist()
     return ratios
 
 

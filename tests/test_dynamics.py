@@ -301,9 +301,10 @@ class TestNewtonInverse:
         assert lo.tolist() == [float(b[0][0]) for b in bounds]
         assert hi.tolist() == [float(b[1][0]) for b in bounds]
         base = _probe_bases(m5, [8], zeros, 16, 1e-10)[0]
-        osc = _oscillations(m5, words[:12, :8], zeros, 16, base)
-        assert osc.tolist() == [float(_oscillations(m5, w[None, :8], zeros, 16, base)[0])
-                                for w in words[:12]]
+        osc, length = _oscillations(m5, words[:12, :8], zeros, 16, base)
+        alone = [_oscillations(m5, w[None, :8], zeros, 16, base) for w in words[:12]]
+        assert osc.tolist() == [float(a[0][0]) for a in alone]
+        assert length.tolist() == [float(a[1][0]) for a in alone]
 
     def test_matches_mpmath(self, m5):
         # 40-digit references: single inverses at sampled targets and depth-30

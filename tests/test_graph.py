@@ -15,7 +15,14 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _probe_bases, _probes, _pull_back, _series, _terms_for_tolerance
+from wtf_lab.graph import (
+    _probe_bases,
+    _probe_depth,
+    _probes,
+    _pull_back,
+    _series,
+    _terms_for_tolerance,
+)
 from wtf_lab.verify import _skew_values
 
 
@@ -179,7 +186,7 @@ class TestPullBack:
                 t = rng.random(30)
                 u, _ = _pull_back(sys, words, t, np.zeros(30), theta)
                 assert u.tobytes() == point_of_word(sys, words, t).tobytes()
-                u, _ = _probes(sys, words, theta, 16, _probe_bases(sys, [n], theta, 16, 1e-12)[0])
+                u, _, _ = _probes(sys, words, theta, 16, _probe_bases(sys, [n], theta, 16, 1e-12)[0])
                 tails = _walk(sys, [0.5], 4)
                 ref = point_of_word(sys, np.repeat(words, 16, axis=0), np.tile(tails, 30))
                 assert u.tobytes() == ref.tobytes()
@@ -196,7 +203,7 @@ class TestPullBack:
             lam, eps = mpmath.mpf(0.7), mpmath.mpf(m5.branches[0].eps)
             for n in (5, 12, 20):
                 words = rng.integers(0, 2, size=(3, n)).astype(np.uint8)
-                u, pulled = _probes(m5, words, zeros, 128, _probe_bases(m5, [n], zeros, 128, 1e-12)[0])
+                u, pulled, _ = _probes(m5, words, zeros, 128, _probe_bases(m5, [n], zeros, 128, 1e-12)[0])
                 pick = rng.choice(128, 3, replace=False)
                 forward, _, _ = wl.eval_W_many(m5, u[:, pick], zeros, 1e-12)
                 err_pull, err_fwd = [], []
@@ -227,6 +234,19 @@ class TestProbeBases:
                     for n, base in zip(depths, bases.tolist()):
                         ref, _, _ = wl.eval_W_many(sys, np.array([0.5]), theta.shift(min(n, 64) + m), tol)
                         assert base.hex() == float(ref[0]).hex(), (sys.model_id, n)
+
+    @pytest.mark.parametrize("ell, probes, m", [(2, 2, 1), (2, 64, 6), (2, 128, 7), (2, 129, 8),
+                                                (3, 2, 1), (5, 125, 3), (5, 126, 4), (6, 216, 3),
+                                                (7, 16807, 5), (8, 2**21, 7), (8, 2**21 + 1, 8)])
+    def test_probe_depth_is_least_m(self, ell, probes, m):
+        # the least m with ell**m >= probes; a float log put 125 probes on 5
+        # branches at m = 4 (625 probes), and so (6, 216), (7, 16807), (8, 2**21)
+        sys = wl.validate_system({"branches": {"family": "ell_adic", "ell": ell}, "lambda": 0.6})
+        assert _probe_depth(sys, probes) == m
+        if ell == 5:
+            base = _probe_bases(sys, [3], ThetaSequence.zeros(), probes, 1e-10)[0]
+            u, _, _ = _probes(sys, np.zeros((1, 3), dtype=np.uint8), ThetaSequence.zeros(), probes, base)
+            assert u.shape == (1, ell**m)
 
     def test_argument_errors(self, m1, zeros):
         with pytest.raises(ValueError):

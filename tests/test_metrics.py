@@ -13,6 +13,7 @@ from wtf_lab import (
     CloudProvenance,
     DegenerateFit,
     GraphCloud,
+    InversionFailed,
     NotBranchConstant,
     NotInPartition,
     OscillationUnderflow,
@@ -20,6 +21,7 @@ from wtf_lab import (
     ThetaSequence,
 )
 from wtf_lab.dynamics import _birkhoff_sums_from_counts, _walk, cylinder_bounds_many, point_of_word
+from wtf_lab.graph import _oscillations, _probe_bases
 from wtf_lab.thermo import sample_words
 
 
@@ -360,37 +362,26 @@ class TestHolderOscillation:
         assert v == pytest.approx(0.5, abs=0.02)
 
     def test_matches_per_depth_reference(self, systems, zeros):
-        # reference: the per-depth route through the public pieces (code_of,
-        # one-row cylinder_bounds_many, oscillation_over and libm logs), bit for bit
+        # reference: the per-depth route through the public pieces
+        # (_holder_reference), bit for bit
         depths = range(2, 21)
         for name in ("M1", "M3", "M5"):
             sys = systems[name]
             words = np.random.default_rng(29).integers(0, 2, size=(3, 24)).astype(np.uint8)
             for x in point_of_word(sys, words, 0.5).tolist():
-                def terms(n):
-                    word = wl.code_of(sys, x, n)
-                    osc = wl.oscillation_over(sys, word, zeros, probes=128, tol=1e-12)
-                    lo, hi = cylinder_bounds_many(sys, word[None, :])
-                    return math.log(osc), math.log(float(hi[0] - lo[0]))
-                lo_osc, lo_len = terms(2)
-                hi = [terms(n) for n in depths[-7:]]
-                hi_osc = hi_len = 0.0
-                for o, l in hi:
-                    hi_osc += o
-                    hi_len += l
-                slope = (hi_osc / 7 - lo_osc) / (hi_len / 7 - lo_len)
-                expected = min(1.0, max(1e-12, slope))
+                expected = float(_holder_reference(sys, [x], zeros, list(depths), 128, 1e-12)[0])
                 assert wl.holder_oscillation(sys, x, zeros, depths, 128, 1e-12) == expected
 
     def test_oscillations_match_oscillation_over(self, systems, monkeypatch):
         # the bases of one walk of 1/2 give every point and depth the
-        # oscillation of its own oscillation_over call, bit for bit
+        # oscillation of its own oscillation_over call and the cylinder
+        # length of its own cylinder_bounds_many call, bit for bit
         calls = []
 
         def record(sys, words, theta, probes, base, _curve=None):
-            osc = oscillations(sys, words, theta, probes, base, _curve)
-            calls.append((words.copy(), osc))
-            return osc
+            osc, length = oscillations(sys, words, theta, probes, base, _curve)
+            calls.append((words.copy(), osc, length))
+            return osc, length
 
         oscillations = metrics._oscillations
         monkeypatch.setattr(metrics, "_oscillations", record)
@@ -401,10 +392,12 @@ class TestHolderOscillation:
             for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(11)):
                 calls.clear()
                 wl.holder_oscillation_many(sys, xs, theta, range(3, 16), 64, 1e-12)
-                assert [w.shape[1] for w, _ in calls] == [3] + list(range(9, 16))
-                for rows, osc in calls:
+                assert [w.shape[1] for w, _, _ in calls] == [3] + list(range(9, 16))
+                for rows, osc, length in calls:
                     ref = [wl.oscillation_over(sys, w, theta, probes=64, tol=1e-12) for w in rows]
                     assert osc.tolist() == ref, (name, rows.shape)
+                    lo, hi = cylinder_bounds_many(sys, rows)
+                    assert length.tolist() == (hi - lo).tolist(), (name, rows.shape)
 
     def test_depth_range_within_budget(self, m1, zeros):
         # a range of depths is bounded before it is listed; sorting this one
@@ -446,6 +439,117 @@ class TestHolderOscillation:
         osc = wl.holder_oscillation_many(m3, xs, zeros, depth_range=range(1, 31),
                                          probes=128, tol=1e-13)
         assert np.max(np.abs(birk - osc)) <= 0.03
+
+    @pytest.mark.parametrize("depths, message", [(range(-3, 5), "depth must be >= 1"),
+                                                 (range(0, 5), "depth must be >= 1"),
+                                                 ([5, 5], "two distinct depths"),
+                                                 ([5], "two distinct depths")])
+    def test_invalid_depths_refused(self, m1, zeros, depths, message):
+        # a negative depth sliced columns off the end of each word (0.582 on
+        # range(-3, 5)), depth 0 read 0.264, and [5, 5] gave NaN with a warning
+        with pytest.raises(ValueError, match=message):
+            wl.holder_oscillation_many(m1, [0.3], zeros, depths)
+
+
+STEEP_SINE = {"id": "S3", "branches": {"family": "doubling_plus_sine", "ell": 3, "eps": 0.3},
+              "lambda": 0.95}
+
+
+def _holder_reference(sys, xs, theta, depths, probes, tol):
+    """holder_oscillation_many from the per-depth public pieces: per depth,
+    code_of, oscillation_over and a one-row cylinder_bounds_many per point,
+    the refusals in the same order (oscillation underflow, then an
+    unresolved cylinder, then a zero length), libm logs."""
+    def logs(n):
+        words = [wl.code_of(sys, x, n) for x in xs]
+        osc = [wl.oscillation_over(sys, w, theta, probes, tol) for w in words]
+        if min(osc) < 10.0 * tol:
+            raise OscillationUnderflow(f"depth {n}")
+        length = []
+        for w in words:
+            lo, hi = cylinder_bounds_many(sys, w[None, :])
+            length.append(float(hi[0] - lo[0]))
+        if min(length) <= 0.0:
+            raise OscillationUnderflow(f"depth {n}")
+        return np.array([math.log(v) for v in osc]), np.array([math.log(v) for v in length])
+
+    cluster = depths[-min(7, len(depths) - 1):]
+    y_lo, x_lo = logs(depths[0])
+    y_hi = x_hi = 0.0
+    for n in cluster:
+        lg_osc, lg_len = logs(n)
+        y_hi = y_hi + lg_osc
+        x_hi = x_hi + lg_len
+    return np.clip((y_hi / len(cluster) - y_lo) / (x_hi / len(cluster) - x_lo), 1e-12, 1.0)
+
+
+def _outcome(fn):
+    """fn()'s bytes, or the type of the lab error it raises."""
+    try:
+        return fn().tobytes()
+    except wl.WtfLabError as exc:
+        return type(exc)
+
+
+class TestOscillationSuffixWalk:
+    """_oscillations composes each digit suffix once, over a walk of the
+    probe tails and the ends 0 and 1; every oscillation, cylinder length
+    and exponent keeps the bits of the per-word route."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, systems):
+        # (system, depths, repeller points): depth-30 (ell = 3: depth-16)
+        # cylinder midpoints whose cylinders are resolved
+        out = []
+        for sys in (systems["M1"], systems["M3"], systems["M5"], wl.validate_system(STEEP_SINE)):
+            depth = 30 if sys.ell == 2 else 16
+            words = np.random.default_rng(37).integers(0, sys.ell, size=(40, depth)).astype(np.uint8)
+            lo, hi = cylinder_bounds_many(sys, words)
+            xs = point_of_word(sys, words[(hi - lo) >= 1e-14][:sys.ell**2 + 1], 0.5)
+            out.append((sys, [2, 9, 14, 20] if sys.ell == 2 else [2, 8, 14], xs))
+        return out
+
+    @pytest.mark.parametrize("theta", [ThetaSequence.zeros(), ThetaSequence.iid_uniform(13)],
+                             ids=["zeros", "iid"])
+    def test_holder_matches_per_depth_reference(self, cases, theta):
+        # point counts 1, ell^j - 1, ell^j and ell^j + 1 for j = 2: the walk
+        # covers 0, 1, 2 and 2 suffix columns
+        for sys, depths, xs in cases:
+            for count in (1, sys.ell**2 - 1, sys.ell**2, sys.ell**2 + 1):
+                got = wl.holder_oscillation_many(sys, xs[:count], theta, depths, 16, 1e-12)
+                ref = _holder_reference(sys, xs[:count], theta, depths, 16, 1e-12)
+                assert got.tobytes() == ref.tobytes(), (sys.model_id, count)
+
+    @pytest.mark.parametrize("theta", [ThetaSequence.zeros(), ThetaSequence.iid_uniform(13)],
+                             ids=["zeros", "iid"])
+    def test_oscillations_match_per_word_reference(self, systems, theta):
+        # deep words (70 > 64 digits) take their probes from the first 64
+        # digits and their ends from all 70
+        rng = np.random.default_rng(41)
+        for sys, n_list in ((systems["M1"], (1, 12, 70)), (systems["M3"], (3, 70)),
+                            (systems["M5"], (1, 25)), (wl.validate_system(STEEP_SINE), (2, 12))):
+            for n in n_list:
+                base = _probe_bases(sys, [n], theta, 16, 1e-12)[0]
+                for count in (1, sys.ell**2 - 1, sys.ell**2, sys.ell**2 + 1):
+                    words = rng.integers(0, sys.ell, size=(count, n)).astype(np.uint8)
+                    osc, length = _oscillations(sys, words, theta, 16, base)
+                    ref = [wl.oscillation_over(sys, w, theta, 16, 1e-12) for w in words]
+                    assert osc.tolist() == ref, (sys.model_id, n, count)
+                    lo, hi = cylinder_bounds_many(sys, words)
+                    assert length.tobytes() == (hi - lo).tobytes(), (sys.model_id, n, count)
+
+    @pytest.mark.parametrize("model, depths, x", [("M5", range(2, 41), 0.3),
+                                                  ("M1", range(60, 71), 1e-17),
+                                                  ("M1", range(50, 71), 0.0)])
+    def test_refusals_and_deep_ends_match_reference(self, systems, zeros, model, depths, x):
+        # M5 past depth ~38 refuses an unresolved cylinder after the
+        # oscillation check; M1's deep cylinders near 0 take their lengths
+        # from every digit, not the 64 of the probes
+        sys = systems[model]
+        got = _outcome(lambda: wl.holder_oscillation_many(sys, [x], zeros, depths))
+        ref = _outcome(lambda: _holder_reference(sys, [x], zeros, list(depths), 128, 1e-12))
+        assert got == ref
+        assert (got is InversionFailed) == (model == "M5")
 
 
 class TestEmpiricalSpectrum:

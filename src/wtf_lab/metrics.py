@@ -25,6 +25,7 @@ from .dynamics import (
     _check_words,
     _orbit,
     _require_ints,
+    _walk,
     birkhoff_sums_along,
     enumerate_words,
     torus_distance,
@@ -39,6 +40,7 @@ _DENSITY_FLOOR = 10.0  # points per occupied box at the finest fitted scale
 _CLUSTER = 7  # deep-anchor depths averaged by the oscillation slope estimator
 _R2_MIN = 0.95  # least r^2 of an accepted box-count or correlation fit
 _MAX_PAIRS = 10**6  # point pairs sampled by correlation_dimension
+_PAIR_BLOCK = 2**16  # pairs per block of correlation_dimension's distance counts
 # detect_degenerate: its depths, sampled cylinders per depth, probes per
 # cylinder, series tolerance and word seed
 _DEGENERACY_DEPTHS = range(2, 13)
@@ -101,13 +103,11 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
             order = np.argsort(xs, kind="stable")
             xs, ys = xs[order], ys[order]
     else:
-        xs, ys = np.arange(total, dtype=float) / total, None
-        if sys.is_affine and sys.is_full:
-            walk_x, walk_y = _pull_back_walk(sys, np.arange(per_cylinder) / per_cylinder,
-                                             theta, depth, tol)
-            if np.array_equal(walk_x, xs):
-                ys = walk_y
-        if ys is None:
+        xs, starts = np.arange(total, dtype=float) / total, np.arange(per_cylinder) / per_cylinder
+        # an x-only walk decides the route before any series value is summed
+        if sys.is_affine and sys.is_full and np.array_equal(_walk(sys, starts, depth), xs):
+            ys = _pull_back_walk(sys, starts, theta, depth, tol)[1]
+        else:
             ys, _, _ = eval_W_many(sys, xs, theta, tol)
     prov = CloudProvenance(
         model_id=sys.model_id,
@@ -432,17 +432,22 @@ def empirical_spectrum(sys: CookieCutterSystem, q_grid, samples_per_q: int,
 # pair probes
 # ---------------------------------------------------------------------------
 
-def _pair_distances(cloud: GraphCloud, seed: int) -> np.ndarray:
-    n = len(cloud)
-    if n < 2:
-        raise ValueError("need at least 2 points")
+def _pair_counts(cloud: GraphCloud, radii: list[float], seed: int) -> np.ndarray:
+    """How many of _MAX_PAIRS sampled pairs lie within each radius.  Every i,
+    then every j != i, comes from one seeded stream as int32 (the values of
+    the int64 draws); the distances are formed and counted _PAIR_BLOCK pairs
+    at a time, so no array of all pairs' coordinates or distances exists."""
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=_MAX_PAIRS)
-    j = rng.integers(0, n - 1, size=_MAX_PAIRS)
-    j = np.where(j >= i, j + 1, j)  # uniform over j != i
-    dx = torus_distance(cloud.x[i], cloud.x[j])
-    dy = cloud.y[i] - cloud.y[j]
-    return np.hypot(dx, dy)
+    i = rng.integers(0, len(cloud), size=_MAX_PAIRS, dtype=np.int32)
+    j = rng.integers(0, len(cloud) - 1, size=_MAX_PAIRS, dtype=np.int32)
+    j += j >= i  # uniform over j != i
+    counts = np.zeros(len(radii), dtype=np.int64)
+    for s in range(0, _MAX_PAIRS, _PAIR_BLOCK):
+        a, b = i[s:s + _PAIR_BLOCK], j[s:s + _PAIR_BLOCK]
+        d = np.hypot(torus_distance(cloud.x[a], cloud.x[b]), cloud.y[a] - cloud.y[b])
+        for k, r in enumerate(radii):
+            counts[k] += np.count_nonzero(d <= r)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -457,9 +462,10 @@ class CorrelationResult:
 
 def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> CorrelationResult:
     """Pair-correlation slope: fit log C(r) against log r over the radii
-    ladder, C(r) the fraction of sampled pairs within distance r (planar
-    distance with a torus first coordinate); ValueError for a seed that is
-    not an integer."""
+    ladder, C(r) the fraction of the _MAX_PAIRS pairs _pair_counts samples
+    that lie within distance r (planar distance with a torus first
+    coordinate); ValueError for a seed that is not an integer or a cloud with
+    a non-finite coordinate."""
     _require_ints(seed=seed)
     radii = sorted(float(r) for r in radii)
     if len(radii) < 5:
@@ -468,8 +474,9 @@ def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> Correla
         raise ValueError("correlation radii must be finite and positive")
     if len(cloud) < 10**3:
         raise ValueError("need at least 1000 points")
-    d = _pair_distances(cloud, seed)
-    corr = np.array([(d <= r).mean() for r in radii])
+    if not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
+        raise ValueError("the correlation dimension needs a cloud of finite points")
+    corr = _pair_counts(cloud, radii, seed) / _MAX_PAIRS
     warnings = []
     keep = corr > 0
     if not keep.all():

@@ -1,6 +1,7 @@
 """Empirical geometry: clouds, box counting, Hoelder estimators, probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from wtf_lab import (
 )
 from wtf_lab.dynamics import _birkhoff_sums_from_counts, _walk, cylinder_bounds_many, point_of_word
 from wtf_lab.graph import _oscillations, _probe_bases
-from wtf_lab.thermo import sample_words
+from wtf_lab.thermo import gibbs_sample, sample_words
+from wtf_lab.verify import moran_oracle, s1_family
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +154,13 @@ class TestPullBackCloud:
             assert cloud.x.tobytes() == u.tobytes()
             assert cloud.y.tobytes() == y.tobytes()
 
-    def test_other_grids_stay_forward(self, systems):
+    def test_other_grids_stay_forward(self, systems, monkeypatch):
         # M1 with 3 points per cylinder: the walk from j / 3 misses the grid
-        # k / (3 * 2^n) in the last bit, so the series is summed forward
+        # k / (3 * 2^n) in the last bit, so the series is summed forward;
+        # an x-only walk decides that before any pulled-back value is formed
+        entered = []
+        real = metrics._pull_back_walk
+        monkeypatch.setattr(metrics, "_pull_back_walk", lambda *a: entered.append(a) or real(*a))
         triadic = wl.validate_system({"branches": {"family": "ell_adic", "ell": 3}, "lambda": 0.5})
         for sys, per in ((systems["M5"], 4), (systems["M2"], 4), (systems["M1"], 3), (triadic, 2)):
             for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(3)):
@@ -163,6 +169,9 @@ class TestPullBackCloud:
                 assert cloud.x.tobytes() == (np.arange(total, dtype=float) / total).tobytes()
                 y, _, _ = wl.eval_W_many(sys, cloud.x, theta, 1e-8)
                 assert cloud.y.tobytes() == y.tobytes()
+        assert entered == []
+        wl.sample_graph(systems["M1"], ThetaSequence.zeros(), 8, 4, 1e-8)  # a matched grid pulls back
+        assert len(entered) == 1
 
 
 def _unique_counts(cloud, scales):
@@ -627,6 +636,31 @@ class TestEmpiricalSpectrum:
             wl.empirical_spectrum(m3, [0.0], samples, depth, seed)
 
 
+@pytest.fixture(scope="module")
+def lifted_probe_clouds(m1, m2):
+    """Criterion 8's two clouds with its radii and seed: M1's nu1 draws on
+    the iid-randomised graph, and M2's q = 0 draws on the repeller."""
+    xs = gibbs_sample(m1, s1_family(moran_oracle(m1, "s1")), depth=50, count=10**5, seed=90210)[1]
+    ys, _, _ = wl.eval_W_many(m1, xs, ThetaSequence.iid_uniform(777), tol=1e-8)
+    lifted = GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
+    pot = PotentialSpec(-moran_oracle(m2, "A_of_q", q=0.0), 0.0)
+    xs = gibbs_sample(m2, pot, depth=50, count=10**5, seed=4181)[1]
+    base = GraphCloud(xs, np.zeros_like(xs), CloudProvenance("M2", "zeros", None, 50, 0.0))
+    return {"lifted": (lifted, [2.0**-k for k in range(2, 9)], 31),
+            "base": (base, [2.0**-k for k in range(5, 13)], 32)}
+
+
+def _full_array_correlations(cloud, radii, seed):
+    """Reference C(r): every pair's int64 indices, coordinates and distance
+    as whole arrays, then the fraction (d <= r).mean() per radius."""
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, len(cloud), size=10**6)
+    j = rng.integers(0, len(cloud) - 1, size=10**6)
+    j = np.where(j >= i, j + 1, j)
+    d = np.hypot(wl.torus_distance(cloud.x[i], cloud.x[j]), cloud.y[i] - cloud.y[j])
+    return np.array([(d <= r).mean() for r in sorted(radii)])
+
+
 class TestCorrelationDimension:
     def test_uniform_square(self):
         rng = np.random.default_rng(5)
@@ -670,6 +704,46 @@ class TestCorrelationDimension:
         radii = [2.0**-k for k in range(2, 8)]
         d_min = wl.correlation_dimension(cloud, radii, seed=1).slope
         assert d_min == pytest.approx(2.0, abs=0.15)
+
+    @pytest.mark.parametrize("name", ["lifted", "base"])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_blocked_counts_match_full_arrays(self, lifted_probe_clouds, name, shift):
+        # criterion 8's seed and two more: every C(r), so the fit too, keeps its bits
+        cloud, radii, seed = lifted_probe_clouds[name]
+        result = wl.correlation_dimension(cloud, radii, seed=seed + 17 * shift)
+        expected = _full_array_correlations(cloud, radii, seed + 17 * shift)
+        assert np.array(result.correlations).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1000, 10**5, 2**31 - 1])
+    def test_int32_draws_equal_int64(self, n):
+        draw = {dt: np.random.default_rng(31).integers(0, n, size=10**5, dtype=dt)
+                for dt in (np.int32, np.int64)}
+        assert np.array_equal(draw[np.int32], draw[np.int64])
+
+    def test_peak_memory_bounded(self):
+        # the full-array form held 10^6 int64 index pairs, gathered
+        # coordinates and distances at once: a 53 MB peak
+        rng = np.random.default_rng(8)
+        cloud = GraphCloud(rng.random(10**5), rng.random(10**5),
+                           CloudProvenance("u", "zeros", None, 0, 0.0))
+        tracemalloc.start()
+        try:
+            wl.correlation_dimension(cloud, [2.0**-k for k in range(1, 8)], seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("axis, bad", [("y", math.nan), ("x", math.inf)])
+    def test_non_finite_cloud_refused(self, axis, bad):
+        # 2,000 NaN y values of 20,000 read slope 1.98 with no warning:
+        # a pair with a NaN distance is within no radius
+        rng = np.random.default_rng(5)
+        xy = {"x": rng.random(20_000), "y": rng.random(20_000)}
+        xy[axis][::10] = bad
+        cloud = GraphCloud(xy["x"], xy["y"], CloudProvenance("u", "zeros", None, 0, 0.0))
+        with pytest.raises(ValueError, match="finite points"):
+            wl.correlation_dimension(cloud, [2.0**-k for k in range(1, 8)], seed=1)
 
     def test_m2_base_gibbs_cloud(self, m2):
         a0 = wl.moran_oracle(m2, "A_of_q", q=0.0)

@@ -25,7 +25,6 @@ from .dynamics import (
     _check_words,
     _orbit,
     _require_ints,
-    _walk,
     birkhoff_sums_along,
     enumerate_words,
     torus_distance,
@@ -103,11 +102,13 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
             order = np.argsort(xs, kind="stable")
             xs, ys = xs[order], ys[order]
     else:
-        xs, starts = np.arange(total, dtype=float) / total, np.arange(per_cylinder) / per_cylinder
-        # an x-only walk decides the route before any series value is summed
-        if sys.is_affine and sys.is_full and np.array_equal(_walk(sys, starts, depth), xs):
-            ys = _pull_back_walk(sys, starts, theta, depth, tol)[1]
-        else:
+        xs, ys = np.arange(total, dtype=float) / total, None
+        if sys.is_affine and sys.is_full:
+            walk_x, walk_y = _pull_back_walk(sys, np.arange(per_cylinder) / per_cylinder,
+                                             theta, depth, tol)
+            if np.array_equal(walk_x, xs):
+                ys = walk_y
+        if ys is None:
             ys, _, _ = eval_W_many(sys, xs, theta, tol)
     prov = CloudProvenance(
         model_id=sys.model_id,

@@ -167,11 +167,10 @@ def _cmd_holder(config, out_dir, seed, report):
     xs = np.asarray(points, dtype=float)
     bv = holder_birkhoff_many(sys, xs, depth)
     ov = holder_oscillation_many(sys, xs, theta, range(lo, hi + 1), probes, tol)
-    rows = list(zip(xs.tolist(), bv.tolist(), ov.tolist()))
-    write_csv(out, ("x", "birkhoff", "oscillation"), rows)
+    write_csv(out, ("x", "birkhoff", "oscillation"), (xs, bv, ov))
     report.outputs = {
         "holder_csv": out.name,
-        "points": len(rows),
+        "points": len(xs),
         "birkhoff_mean": float(np.mean(bv)),
         "oscillation_mean": float(np.mean(ov)),
     }
@@ -188,7 +187,7 @@ def _cmd_spectrum(config, out_dir, seed, report):
         _check_budget(steps)
         grid = list(np.linspace(q_min, q_max, steps))
     curve = spectrum(sys, grid)
-    write_csv(out, ("q", "A_q", "alpha", "D"), curve.samples)
+    write_csv(out, ("q", "A_q", "alpha", "D"), curve.as_arrays())
     report.outputs = {
         "spectrum_csv": out.name,
         "alpha_min": curve.alpha_min,
@@ -221,8 +220,8 @@ def _cmd_gibbs(config, out_dir, seed, report):
     # width of ell - 1, so the words of an ell > 10 sample stay decodable
     width = len(str(sys.ell - 1))
     chars = digits[..., None] // 10 ** np.arange(width - 1, -1, -1, dtype=np.uint8) % 10 + ord("0")
-    words = chars.reshape(count, -1).view(f"S{depth * width}").ravel().astype(str)
-    write_csv(out, ("word", "x"), zip(words.tolist(), xs.tolist()))
+    words = chars.reshape(count, -1).view(f"S{depth * width}").ravel()
+    write_csv(out, ("word", "x"), (words, xs))
     stats = measure_stats(sys, pot)
     report.outputs = {
         "sample_csv": out.name,
@@ -239,14 +238,12 @@ def _cmd_lift(config, out_dir, seed, report):
     out = _output_path(config, out_dir, "lift_csv", "lift.csv")
     sys = parse_model(config)
     grid = require_list(config, "q_grid", default=[-2.0, -1.0, 0.0, 1.0, 2.0])
-    rows = []
-    for q in grid:
-        a_q = A_of_q(sys, float(q))
-        stats = measure_stats(sys, PotentialSpec(-a_q, float(q)))
-        rows.append((float(q), stats.dim, stats.alpha,
-                     lifted_dim_prediction(stats), jin_upper(stats.dim, stats.alpha)))
-    write_csv(out, ("q", "dim", "alpha", "lifted_dim", "jin_upper"), rows)
-    report.outputs = {"lift_csv": out.name, "rows": len(rows)}
+    qs = [float(q) for q in grid]
+    stats = [measure_stats(sys, PotentialSpec(-A_of_q(sys, q), q)) for q in qs]
+    write_csv(out, ("q", "dim", "alpha", "lifted_dim", "jin_upper"), (
+        qs, [s.dim for s in stats], [s.alpha for s in stats],
+        [lifted_dim_prediction(s) for s in stats], [jin_upper(s.dim, s.alpha) for s in stats]))
+    report.outputs = {"lift_csv": out.name, "rows": len(qs)}
 
 
 def _cmd_verify(config, out_dir, seed, report):

@@ -707,11 +707,13 @@ def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
 
 
 def _digits(sys: CookieCutterSystem, digits) -> np.ndarray:
-    """digits as an integer array; ValueError for a digit outside 0..ell-1."""
+    """digits as an integer array; ValueError for a non-integer dtype and for
+    a digit outside 0..ell-1."""
     d = np.asarray(digits)
-    if d.dtype.kind not in "iu" or d.size and (
-            d.max() >= sys.ell or d.dtype.kind == "i" and d.min() < 0):
-        raise ValueError(f"digit out of range for an {sys.ell}-branch system")
+    if d.dtype.kind not in "iu":
+        raise ValueError(f"digits must have an integer dtype, not {d.dtype}")
+    if d.size and (d.max() >= sys.ell or d.dtype.kind == "i" and d.min() < 0):
+        raise ValueError(f"digit out of range for a system of {sys.ell} branches")
     return d
 
 

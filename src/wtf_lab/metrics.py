@@ -124,7 +124,7 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
 
 def write_cloud_csv(cloud: GraphCloud, path) -> None:
     """x,y CSV (see report.write_csv), provenance sidecar <path>.meta.json."""
-    write_csv(path, ("x", "y"), np.column_stack((cloud.x, cloud.y)))
+    write_csv(path, ("x", "y"), (cloud.x, cloud.y))
     with open(str(path) + ".meta.json", "w", newline="\n") as fh:
         json.dump(cloud.provenance.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")

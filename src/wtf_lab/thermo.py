@@ -240,7 +240,7 @@ class SpectrumCurve:
     warnings: tuple[str, ...] = ()
 
     def as_arrays(self):
-        arr = np.array(self.samples)
+        arr = np.array(self.samples, dtype=float).reshape(-1, 4)  # an empty q grid: four empty columns
         return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 

@@ -4,13 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wtf_lab as wl
-from wtf_lab import ThetaSequence, cli, dynamics
+from wtf_lab import ThetaSequence, cli, dynamics, report
 from wtf_lab.cli import main
 from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
 from wtf_lab.errors import BadConfig
@@ -227,6 +230,14 @@ class TestSpectrumGibbsLiftHolder:
         q, a, alpha, d = (float(v) for v in lines[3].split(","))
         assert q == 0.0 and d == pytest.approx(a, abs=1e-12)
 
+    @pytest.mark.parametrize("command, header", [("spectrum", b"q,A_q,alpha,D\n"),
+                                                 ("lift", b"q,dim,alpha,lifted_dim,jin_upper\n")])
+    def test_empty_q_grid_writes_header_only(self, tmp_path, command, header):
+        cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "q_grid": []})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert (out / f"{command}.csv").read_bytes() == header
+
     def test_gibbs(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json", {
             "model": "M3", "q": 0.0, "depth": 30, "count": 500, "seed": 4,
@@ -389,28 +400,111 @@ def _per_row_csv(header, rows):
     return text.encode()
 
 
+def _assert_per_row_format(path, header, columns):
+    # write_csv's columns against _per_row_csv's rows: an S column's values
+    # as str, every other column's as Python floats
+    write_csv(path, header, columns)
+    values = [np.asarray(c).astype(str).tolist() if np.asarray(c).dtype.kind == "S"
+              else np.asarray(c, dtype=float).tolist() for c in columns]
+    assert path.read_bytes() == _per_row_csv(header, zip(*values)), header
+
+
+def _decimal_ties(rng, per_exponent):
+    """Floats m / 2**j, m odd, whose decimal expansion m * 5**j / 10**j has
+    18 significant digits, the last a 5: halfway between two 17-digit
+    numbers, at every decimal exponent X = 17 - j of the fixed-notation
+    range [-4, 13]."""
+    ties = []
+    for x in range(-4, 14):
+        j = 17 - x  # decimals of m / 2**j; m * 5**j is its 18-digit mantissa
+        lo, hi = -(-10**17 // 5**j), 10**18 // 5**j
+        m = rng.integers(lo, hi, per_exponent) | 1
+        ties.append(np.ldexp(m[m < hi].astype(float), -j))
+    return np.concatenate(ties)
+
+
 def test_write_csv_blocks_match_per_row_format(tmp_path):
-    # numeric rows across the 1024-row block boundaries, as tuples and as an
-    # array; mixed str/float rows (gibbs); no rows at all
+    # numeric columns of every magnitude and the special values, as arrays and
+    # as lists; a word (S) column beside a float one (gibbs); no rows at all
     rng = np.random.default_rng(3)
     x = np.concatenate([rng.random(8200) * 10.0**rng.integers(-300, 300, 8200),
                         [0.0, -0.0, 1.0, 2.0**-1074, math.nan, math.inf, -math.inf]])
     y = -x[::-1]
+    words = np.array(["".join(map(str, rng.integers(0, 2, 9).tolist())) for _ in range(5000)], dtype="S9")
     cases = [
-        (("x", "y"), list(zip(x.tolist(), y.tolist())), np.column_stack((x, y))),
-        (("word", "x"), [("".join(map(str, rng.integers(0, 2, 9).tolist())), v) for v in x[:5000].tolist()],
-         None),
-        (("q", "A_q"), [], np.empty((0, 2))),
+        (("x", "y"), (x, y)),
+        (("x", "y"), (x.tolist(), y.tolist())),
+        (("word", "x"), (words, x[:5000])),
+        (("q", "A_q"), (np.empty(0), [])),
     ]
-    for header, rows, array in cases:
-        want = _per_row_csv(header, rows)
-        write_csv(tmp_path / "rows.csv", header, rows)
-        assert (tmp_path / "rows.csv").read_bytes() == want, header
-        write_csv(tmp_path / "gen.csv", header, (row for row in rows))
-        assert (tmp_path / "gen.csv").read_bytes() == want, header
-        if array is not None:
-            write_csv(tmp_path / "array.csv", header, array)
-            assert (tmp_path / "array.csv").read_bytes() == want, header
+    for header, columns in cases:
+        _assert_per_row_format(tmp_path / "out.csv", header, columns)
+
+
+def test_write_csv_digits_match_per_row_format(tmp_path):
+    # the exact-integer digits of the fixed range 1e-4 <= |x| < 1e14 and its
+    # edges: binary grids, values a few ulps from 10^k, 17-digit ties (round
+    # half to even), random bit patterns
+    rng = np.random.default_rng(11)
+    grid = np.arange(2**19)
+    k, j = np.arange(-6, 17)[:, None], np.arange(-5, 6)[None, :]
+    ties = _decimal_ties(rng, 2000)
+    assert {Decimal(t).as_tuple().digits[-1] for t in ties[::97].tolist()} == {5}
+    assert {len(Decimal(t).as_tuple().digits) for t in ties[::97].tolist()} == {18}
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).view(np.float64)
+    for header, columns in [
+        (("x", "y"), (grid / 2**19, grid / (3 * 2**17))),
+        (("near_power_of_ten",), ((10.0**k * (1 + j * 2.0**-52)).ravel(),)),
+        (("below", "above"), (np.nextafter(10.0**k[:, 0], 0.0), np.nextafter(10.0**k[:, 0], np.inf))),
+        (("tie", "neg_tie"), (ties, -ties)),
+        (("bits",), (bits,)),
+    ]:
+        _assert_per_row_format(tmp_path / "out.csv", header, columns)
+
+
+@given(st.lists(st.floats(), max_size=50), st.floats(min_value=1e-4, max_value=1e14))
+def test_write_csv_floats_property(tmp_path_factory, values, fixed):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    _assert_per_row_format(path, ("v", "w"), (values + [fixed], [-fixed] + values))
+
+
+def test_write_csv_block_edges(tmp_path):
+    # one row short of a block, one block, one row past it; the header alone
+    rng = np.random.default_rng(5)
+    for n in (report._BLOCK - 1, report._BLOCK, report._BLOCK + 1, 0):
+        words = rng.integers(48, 50, (n, 12), dtype=np.uint8).view("S12").ravel()
+        _assert_per_row_format(tmp_path / "out.csv", ("word", "x", "k"),
+                               (words, rng.normal(size=n), np.arange(n)))
+    write_csv(tmp_path / "empty.csv", ("x", "y"), (np.empty(0), np.empty(0)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
+
+
+def test_write_csv_memory_bounded(tmp_path, m1):
+    # a 2^19-row cloud is written a block at a time: a whole-file text matrix
+    # would take about 42 MB
+    cloud = wl.sample_graph(m1, ThetaSequence.zeros(), depth=19, per_cylinder=1)
+    assert len(cloud) == 2**19
+    tracemalloc.start()
+    try:
+        wl.write_cloud_csv(cloud, tmp_path / "cloud.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("header, columns, match", [
+    (("x", "y"), [(1.0,), (2.0, 3.0)], "unequal length"),
+    (("x", "y"), [np.zeros(3)], "2 column names for 1 columns"),
+    (("x",), [np.zeros((3, 2))], "1-D"),
+    (("word",), [np.array(["01", "10"])], "<U2"),
+    (("x",), [np.array([1.0, None])], "object"),
+    (("z",), [np.ones(2, complex)], "complex"),
+], ids=["ragged", "count", "2d", "str", "object", "complex"])
+def test_write_csv_refuses_malformed_columns(tmp_path, header, columns, match):
+    with pytest.raises(ValueError, match=match):
+        write_csv(tmp_path / "out.csv", header, columns)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _holder_per_point(sys, path):
@@ -426,7 +520,7 @@ def _holder_per_point(sys, path):
                          wl.holder_oscillation(sys, x, ThetaSequence.zeros(), range(2, 21), 128, 1e-12)))
         except wl.WtfLabError as exc:
             return exc
-    write_csv(path, ("x", "birkhoff", "oscillation"), rows)
+    write_csv(path, ("x", "birkhoff", "oscillation"), tuple(zip(*rows)))
     return None
 
 

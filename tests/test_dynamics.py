@@ -799,9 +799,14 @@ class TestBirkhoff:
         with pytest.raises(NotInPartition):
             wl.birkhoff_sum(m2, "log_lambda", 0.5, 1)
 
-    def test_digit_sums_refuse_out_of_range_digit(self, m3):
-        with pytest.raises(ValueError, match="out of range"):
+    def test_digit_sums_refuse_out_of_range_digit(self, m1, m3):
+        with pytest.raises(ValueError, match="out of range for a system of 2 branches"):
             birkhoff_sums_along(m3, np.array([[0, 1], [1, 2]], dtype=np.uint8))
+        # in-range digits of a float dtype: the message names the dtype
+        for call in (lambda d: point_of_word(m1, d), lambda d: birkhoff_sums_along(m3, d)):
+            with pytest.raises(ValueError, match="integer dtype, not float64") as info:
+                call(np.array([[0.0, 1.0]]))
+            assert "out of range" not in str(info.value)
 
     def test_digit_sums_need_branch_constant(self, m5):
         with pytest.raises(NotBranchConstant):

@@ -80,13 +80,15 @@ def _check_words(ell: int, depth: int, per: int = 1) -> int:
     return total
 
 
-def _require_ints(**values) -> None:
+def _require_ints(low=None, /, **values) -> None:
     """ValueError naming the first value that is not an int or a numpy
-    integer (a bool is refused too): numpy truncates a float count, depth or
-    seed silently in some calls and raises TypeError in others."""
+    integer (a bool is refused too), or is below low: numpy truncates a float
+    count, depth or seed silently in some calls and raises TypeError in others."""
     for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {v!r}")
+        if low is not None and v < low:
+            raise ValueError(f"{name} must be >= {low}, got {v!r}")
 
 
 def torus_distance(x, u):
@@ -350,7 +352,7 @@ class CookieCutterSystem:
     def ell(self) -> int:
         return len(self.branches)
 
-    @property
+    @cached_property
     def is_affine(self) -> bool:
         return all(b.kind == "affine" for b in self.branches)
 
@@ -465,7 +467,7 @@ class CookieCutterSystem:
         for n in _CHEBYSHEV_SIZES:
             angle = (2 * np.arange(n) + 1) * (math.pi / (2 * n))
             x = 0.5 - 0.5 * np.cos(angle)
-            y = np.stack([br.inverse(x) for br in self.branches])
+            y = _preimages(self, np.arange(self.ell)[:, None], x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
                 b /= b.sum(axis=2, keepdims=True)
@@ -481,10 +483,7 @@ class CookieCutterSystem:
         first digit most significant), U = S_n log|tau'| and V = S_n log lambda
         at X: birkhoff_sums_along the enumerated words; computed on each call.
         ValueError for a depth that is not an integer >= 0."""
-        _require_ints(depth=depth)
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
-        _check_words(self.ell, depth)
+        _require_ints(0, depth=depth)
         return birkhoff_sums_along(self, enumerate_words(self.ell, depth))
 
 
@@ -697,9 +696,7 @@ def code_of(sys: CookieCutterSystem, x: float, n: int) -> np.ndarray:
     """First n digits of x's itinerary (uint8); NotInPartition(k) if iterate
     k falls in a gap or on an endpoint no half-open domain covers; ValueError
     for an n that is not an integer >= 1."""
-    _require_ints(n=n)
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+    _require_ints(1, depth=n)
     digits, _, left = _orbit(sys, [x], n)
     if left[0] < n:
         raise NotInPartition(int(left[0]))
@@ -726,33 +723,42 @@ def _word(sys: CookieCutterSystem, word) -> np.ndarray:
     return _digits(sys, arr).astype(np.uint8)
 
 
+def _preimages(sys: CookieCutterSystem, d, x) -> np.ndarray:
+    """rho_d(x) elementwise, the digits d broadcast against the points x; the
+    one fork on branch kind for inverses.  Affine systems gather by digit
+    AffineBranch.inverse's (x - offset) / slope clipped to [lo, hi]; the
+    sine family makes one inverse call per branch on the points carrying
+    its digit.  Every inverse is elementwise: any batch or layout gives a
+    value the same bits."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d)
+    if sys.is_affine:
+        d, (slope, offset) = d.astype(np.intp), sys._affine_coefficients
+        return np.clip((x - offset.take(d)) / slope.take(d),
+                       sys.branch_lows.take(d), sys.branch_highs.take(d))
+    points = np.empty(np.broadcast(d, x).shape)
+    np.copyto(points, x)
+    mask, out = np.empty(points.shape, dtype=bool), np.empty(points.size)
+    for i, br in enumerate(sys.branches):
+        np.equal(d, i, out=mask)  # d broadcast into the mask, never copied
+        at = mask.ravel().nonzero()[0]
+        if at.size:  # a run, such as a walk level's branch, is sliced, not gathered
+            at = slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == at.size else at
+            out[at] = br.inverse(points.ravel()[at])
+    return out.reshape(points.shape)
+
+
 def _compose(sys: CookieCutterSystem, digits, x, step=None) -> np.ndarray:
     """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth)
-    digit matrix; x is a scalar or one value per row; ``step(k, u)`` sees the
-    values after each column k, last first.  On affine systems each column
-    is one gather per branch table: (u - offset) / slope clipped to the
-    domain [lo, hi], AffineBranch.inverse's formula; the sine family makes
-    one inverse call per (column, branch) on the rows carrying that digit.
-    Every inverse is elementwise, so a row gets the same bits in any batch.
+    digit matrix, one _preimages call per column; x is a scalar, one value
+    per row or an (S, count) matrix of S start values for every row, and
+    ``step(k, u)`` sees the values after each column k, last first.
     ValueError unless digits is a 2-D integer matrix of digits in 0..ell-1."""
     digits = _digits(sys, digits)
     if digits.ndim != 2:
         raise ValueError("a digit matrix is 2-D, one word per row")
-    count, affine = digits.shape[0], sys.is_affine
-    x = np.full(count, x, dtype=float)
+    x = np.full(np.broadcast_shapes(np.shape(x), digits.shape[:1]), x, dtype=float)
     for col in range(digits.shape[1] - 1, -1, -1):
-        d = digits[:, col]
-        if affine:
-            d, (slope, offset) = d.astype(np.intp), sys._affine_coefficients
-            x = np.clip((x - offset.take(d)) / slope.take(d),
-                        sys.branch_lows.take(d), sys.branch_highs.take(d))
-        else:
-            nxt = np.empty(count)
-            for i, br in enumerate(sys.branches):
-                m = d == i
-                if m.any():
-                    nxt[m] = br.inverse(x[m])
-            x = nxt
+        x = _preimages(sys, digits[:, col], x)
         if step is not None:
             step(col, x)
     return x
@@ -761,16 +767,17 @@ def _compose(sys: CookieCutterSystem, digits, x, step=None) -> np.ndarray:
 def _walk(sys: CookieCutterSystem, x, depth: int, step=None) -> np.ndarray:
     """rho_w(x_j) for every depth-n word w and start value x_j, level by
     level; index i * len(x) + j holds word i in lexicographic order (first
-    digit most significant) and start value j.  ``step(k, u)`` sees the
-    values after the level of digit column k, last column first, as in
-    _compose.  Every inverse is elementwise, so up to depth 64 each value has
-    the bits point_of_word gives it."""
-    x = np.asarray(x, dtype=float).ravel()
+    digit most significant) and start value j.  A level is one _preimages
+    call with the digits 0..ell-1 on a new leading axis: ``step(k, u)`` sees
+    u of shape (ell,) * (depth - k) + (len(x),) after the level of digit
+    column k, last first.  Up to depth 64 each value has the bits
+    point_of_word gives it."""
+    x, d = np.asarray(x, dtype=float).ravel(), np.arange(sys.ell)[:, None]
     for col in range(depth - 1, -1, -1):
-        x = np.concatenate([br.inverse(x) for br in sys.branches])
+        x = _preimages(sys, d, x.ravel()).reshape((sys.ell,) + x.shape)
         if step is not None:
             step(col, x)
-    return x
+    return x.ravel()
 
 
 def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:
@@ -782,18 +789,11 @@ def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:
             f"cylinder shorter than the inverse-branch resolution {4.0 * _INVERT_TOL:g}")
 
 
-def _cylinder_ends(sys: CookieCutterSystem, digits) -> np.ndarray:
-    """(count, 2) array of rho_w(0), rho_w(1) per row w of a (count, depth)
-    digit matrix, both ends from one _compose call; all digits count."""
-    digits = np.asarray(digits)
-    ends = _compose(sys, np.repeat(digits, 2, axis=0), np.tile([0.0, 1.0], digits.shape[0]))
-    return ends.reshape(-1, 2)
-
-
 def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cylinder endpoints for a (count, depth) digit matrix, from
-    _cylinder_ends; InversionFailed as _check_resolved."""
-    a, b = _cylinder_ends(sys, digits).T
+    """Vectorized cylinder endpoints for a (count, depth) digit matrix from
+    one _compose call with start values 0 and 1; all digits count.
+    InversionFailed as _check_resolved."""
+    a, b = _compose(sys, digits, [[0.0], [1.0]])
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     _check_resolved(sys, hi - lo)
     return lo, hi
@@ -817,9 +817,10 @@ def _words_at(idx, ell: int, depth: int) -> np.ndarray:
 
 
 def enumerate_words(ell: int, depth: int) -> np.ndarray:
-    """(ell^depth, depth) digit matrix in lexicographic order; ValueError for non-integers."""
+    """(ell^depth, depth) digit matrix in lexicographic order; ValueError for
+    non-integers, BudgetExceeded as _check_words."""
     _require_ints(ell=ell, depth=depth)
-    return _words_at(np.arange(ell**depth), ell, depth)
+    return _words_at(np.arange(_check_words(ell, depth)), ell, depth)
 
 
 BIRKHOFF_FIELDS = ("log_abs_tau_prime", "log_lambda")

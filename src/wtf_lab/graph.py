@@ -21,7 +21,6 @@ from .dynamics import (
     CookieCutterSystem,
     _check_budget,
     _compose,
-    _cylinder_ends,
     _digits,
     _require_ints,
     _walk,
@@ -78,27 +77,27 @@ def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
 
 class _Carry:
     """The skew-product step y <- lambda(u) y + g(u + theta_k), the step hook
-    of _compose and of _walk (y is tiled when u outgrows it: a walk level holds
-    the ell branch images of the level before).  From y = W_{sigma^n theta}
-    at the start values, y ends as W_theta at the composed points."""
+    of _compose and of _walk (y broadcasts against a walk level's new
+    leading axis).  From y = W_{sigma^n theta} at the start values, y ends as
+    W_theta at the composed points."""
 
     def __init__(self, sys: CookieCutterSystem, y: np.ndarray, theta: ThetaSequence, n: int):
         self.sys, self.y = sys, y
         self.shifts = theta.block(0, n)
 
     def __call__(self, k: int, u: np.ndarray) -> None:
-        y = np.tile(self.y, u.size // self.y.size) if u.size > self.y.size else self.y
-        self.y = self.sys.lam_at(u) * y + self.sys.g(u + self.shifts[k])
+        self.y = self.sys.lam_at(u) * self.y + self.sys.g(u + self.shifts[k])
 
 
 def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
                theta: ThetaSequence) -> tuple[np.ndarray, np.ndarray]:
     """(rho_w(t), W_theta(rho_w(t))) per row w of a (count, n) digit matrix
-    from y = W_{sigma^n theta}(t) (scalars or one value per row): per column k
-    of _compose, u <- rho_{w_k}(u) and y <- lambda(u) y + g(u + theta_k).  So
+    from y = W_{sigma^n theta}(t), t and y each a scalar, one value per row or
+    an (S, count) matrix of start values as in _compose: per column k of
+    _compose, u <- rho_{w_k}(u) and y <- lambda(u) y + g(u + theta_k).  So
     rho_w(t) has point_of_word's bits, and y carries the base error times
     lambda^n plus a few ulps per step, not a forward orbit's rounding."""
-    carry = _Carry(sys, np.full(digits.shape[0], y, dtype=float), theta, digits.shape[1])
+    carry = _Carry(sys, np.asarray(y, dtype=float), theta, digits.shape[1])
     u = _compose(sys, digits, t, carry)
     return u, carry.y
 
@@ -117,13 +116,13 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
     while tail < depth and sys.ell**(tail + 1) <= _EVAL_BLOCK:
         tail += 1
     carry = _Carry(sys, base, theta.shift(tail), depth - tail)
-    head = _walk(sys, t, depth - tail, carry)
+    head, head_y = _walk(sys, t, depth - tail, carry), carry.y.ravel()
     fan = sys.ell**tail
     rows = _EVAL_BLOCK // fan  # >= 1, as fan <= _EVAL_BLOCK
     # row r of the head and tail word p land at p * head.size + r
     x, y = np.empty((fan, head.size)), np.empty((fan, head.size))
     for r in range(0, head.size, rows):
-        chunk = _Carry(sys, carry.y[r:r + rows], theta, tail)
+        chunk = _Carry(sys, head_y[r:r + rows], theta, tail)
         x[:, r:r + rows] = _walk(sys, head[r:r + rows], tail, chunk).reshape(fan, -1)
         y[:, r:r + rows] = chunk.y.reshape(fan, -1)
     return x.ravel(), y.ravel()
@@ -132,9 +131,7 @@ def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int
 def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:
     """The depth m of _probes' tails: the least m >= 1 with ell^m >= probes,
     in integers (a float log rounds 125 on 5 branches up to 4)."""
-    _require_ints(probes=probes)
-    if probes < 2:
-        raise ValueError("probes must be >= 2")
+    _require_ints(2, probes=probes)
     m = 1
     while sys.ell**m < probes:
         m += 1
@@ -166,12 +163,13 @@ def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
     probe carries its error times lambda^{n+m}.  With 0 and 1 as two more
     start values, a second walk covers the last j digit columns for all
     ell^j suffixes, j the largest depth with ell^j <= count; each row then
-    gathers its suffix's values and composes only its first n - j columns
-    (_pull_back).  Every step is elementwise, so every value has the bits of
-    composing the whole row.  Like point_of_word, the probes use only the
-    leading 64 digits (_MAX_EFFECTIVE_DEPTH): a deeper word gets its
-    depth-64 prefix's probes, and so its oscillation, but its ends come from
-    all its digits, as in cylinder_bounds_many."""
+    gathers its suffix's values as its ell^m + 2 start values and composes
+    only its first n - j columns (_pull_back); no row is repeated.  Every
+    step is elementwise, so every value has the bits of composing the whole
+    row.  Like point_of_word, the probes use only the leading 64 digits
+    (_MAX_EFFECTIVE_DEPTH): a deeper word gets its depth-64 prefix's probes,
+    and so its oscillation, but its ends come from all its digits, as in
+    cylinder_bounds_many."""
     m = _probe_depth(sys, probes)
     words = _digits(sys, words)  # the suffix digits index the walk, not _compose
     count = words.shape[0]
@@ -184,14 +182,11 @@ def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
         j += 1
     carry = _Carry(sys, np.append(carry.y, (0.0, 0.0)), theta.shift(n - j), j)
     level = _walk(sys, starts, j, carry).reshape(-1, starts.size)
-    suffix = np.zeros(count, dtype=np.intp)  # lexicographic index of each row's last j digits
-    for col in range(n - j, n):
-        suffix = suffix * sys.ell + words[:, col]
-    u, y = _pull_back(sys, np.repeat(words[:, :n - j], starts.size, axis=0), level[suffix].ravel(),
-                      carry.y.reshape(level.shape)[suffix].ravel(), theta)
-    u, y = u.reshape(count, -1), y.reshape(count, -1)
-    ends = u[:, -2:] if words.shape[1] == n else _cylinder_ends(sys, words)
-    return u[:, :-2], y[:, :-2], ends
+    suffix = words[:, n - j:n] @ sys.ell ** np.arange(j - 1, -1, -1)  # index of the last j digits
+    u, y = _pull_back(sys, words[:, :n - j], level[suffix].T,
+                      carry.y.reshape(level.shape)[suffix].T, theta)
+    ends = u[-2:] if words.shape[1] == n else _compose(sys, words, [[0.0], [1.0]])
+    return u[:-2].T, y[:-2].T, ends.T
 
 
 def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,

@@ -90,10 +90,11 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
     j / per_cylinder reproduces bit for bit (affine full systems such as the
     ell-adic maps with a power-of-two per_cylinder), are pulled back from one
     series value per start value (graph._pull_back_walk); every other grid
-    sums the forward series at each point.  ValueError for a depth or
-    per_cylinder that is not an integer.
+    sums the forward series at each point.  ValueError for a depth that is
+    not an integer >= 0 or a per_cylinder that is not an integer >= 1.
     """
-    _require_ints(depth=depth, per_cylinder=per_cylinder)
+    _require_ints(0, depth=depth)
+    _require_ints(1, per_cylinder=per_cylinder)
     total = _check_words(sys.ell, depth, per_cylinder)
     if restrict_to_repeller:
         xs, ys = _pull_back_walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder,
@@ -264,9 +265,7 @@ def holder_birkhoff_many(sys: CookieCutterSystem, xs, n: int) -> np.ndarray:
     add their terms left to right, as birkhoff_sum does.  NotInPartition(k)
     for the first point, in the order of xs, whose iterate k leaves the
     partition; ValueError for an n that is not an integer >= 1."""
-    _require_ints(n=n)
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+    _require_ints(1, depth=n)
     u, v = _birkhoff_sums(sys, xs, n)
     return -v / u
 

@@ -15,6 +15,7 @@ potentials not constant on branches uses midpoint cylinder weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ class PotentialSpec:
     c: float = 0.0
 
     def __post_init__(self):
-        for v in (self.a, self.b, self.c):
-            if not math.isfinite(v):
-                raise ValueError("potential coefficients must be finite")
+        for v in (self.a, self.b, self.c):  # float and int first skip numbers.Real's slow check
+            if not (isinstance(v, (float, int, numbers.Real)) and math.isfinite(v)):
+                raise ValueError(f"potential coefficients must be finite real numbers, got {v!r}")
 
 
 def s1_family(s: float) -> PotentialSpec:
@@ -331,8 +332,9 @@ def sample_words(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     (here in blocks of _SAMPLE_ROWS rows).  Otherwise digits follow
     depth-limited conditional cylinder-weight ratios (a Markov approximation
     of order 7).  ValueError for a depth, count or seed that is not an
-    integer."""
+    integer; BudgetExceeded when count * depth digits exceed the budget."""
     _require_ints(depth=depth, count=count, seed=seed)
+    _check_budget(count * depth)
     rng = np.random.default_rng(seed)
     if sys.branch_constant:
         cdf = _bernoulli_p(sys, pot).cumsum()
@@ -375,10 +377,11 @@ def sample_digit_counts(sys: CookieCutterSystem, pot: PotentialSpec, depth: int,
     p_i = exp(phi_i - P), drawn as rng.multinomial(depth, p, size=count)
     without forming the rows.  Their law is that of sample_words' rows; the
     RNG stream is not.  ValueError for a depth, count or seed that is not an
-    integer."""
+    integer; BudgetExceeded when the count * ell counts exceed the budget."""
     _require_ints(depth=depth, count=count, seed=seed)
     if not sys.branch_constant:
         raise NotBranchConstant("digit counts need branch-constant observables")
+    _check_budget(count * sys.ell)
     return np.random.default_rng(seed).multinomial(depth, _bernoulli_p(sys, pot), size=count)
 
 
@@ -389,7 +392,6 @@ def gibbs_sample(sys: CookieCutterSystem, pot: PotentialSpec, depth: int, count:
     a depth, count or seed that is not an integer."""
     _require_ints(depth=depth, count=count, seed=seed)
     _require_normalised(pressure(sys, pot).value)
-    _check_budget(count * depth)
     digits = sample_words(sys, pot, depth, count, seed)
     return digits, point_of_word(sys, digits, 0.5)
 

@@ -63,6 +63,7 @@ class ThetaSequence:
         return cls("iid_uniform", seed=seed)
 
     def __getitem__(self, n: int) -> float:
+        _require_ints(index=n)
         if n < 0:
             raise IndexError("theta index must be >= 0")
         if self.mode == "zeros":
@@ -70,7 +71,8 @@ class ThetaSequence:
         return float(counter_uniforms(self.seed, [self.offset + n])[0])
 
     def block(self, start: int, count: int) -> np.ndarray:
-        """theta[start .. start+count-1] as an array."""
+        """theta[start .. start+count-1]; ValueError unless both are integers >= 0."""
+        _require_ints(0, start=start, count=count)
         if self.mode == "zeros":
             return np.zeros(count)
         first = self.offset + start
@@ -78,6 +80,5 @@ class ThetaSequence:
 
     def shift(self, k: int) -> "ThetaSequence":
         """Drop the first k entries: shift(k)[n] == self[n+k]."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        _require_ints(0, shift=k)
         return ThetaSequence(self.mode, self.seed, self.offset + k)

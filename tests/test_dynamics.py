@@ -655,6 +655,58 @@ class TestComposeTables:
                 _compose(sys, digits, 0.5)
 
 
+MIXED_ORIENTATION = {"branches": [{"domain": [0.0, 0.5], "slope": -2.0, "offset": 1.0},
+                                  {"domain": [0.5, 1.0], "slope": 2.0, "offset": -1.0}],
+                     "lambda": 0.7}
+STEEP_SINE = {"branches": {"family": "doubling_plus_sine", "ell": 3, "eps": 0.3}, "lambda": 0.95}
+
+
+def _kernel_systems(systems):
+    return {**{name: systems[name] for name in ("M1", "M3", "M5")},
+            "mixed_orientation": wl.validate_system(MIXED_ORIENTATION),
+            "steep_sine": wl.validate_system(STEEP_SINE)}
+
+
+class TestPreimageKernel:
+    @pytest.mark.parametrize("count, depth", [(40, 9), (0, 5), (7, 0)])
+    def test_start_matrix_matches_repeated_rows(self, systems, count, depth):
+        # S start values for every row give the bits of the row-repeated
+        # matrix with one start value per row, and the hook sees those values
+        for name, sys in _kernel_systems(systems).items():
+            rng = np.random.default_rng(47)
+            words = rng.integers(0, sys.ell, size=(count, depth)).astype(np.uint8)
+            starts = np.vstack([rng.random((3, count)), np.zeros(count), np.ones(count)])
+            seen, ref = [], []
+            got = _compose(sys, words, starts, lambda k, u: seen.append((k, _hex(u.T.ravel()))))
+            want = _compose(sys, np.repeat(words, len(starts), axis=0), starts.T.ravel(),
+                            lambda k, u: ref.append((k, _hex(u))))
+            assert got.shape == starts.shape
+            assert _hex(got.T.ravel()) == _hex(want), name
+            assert seen == ref and len(seen) == depth, name
+
+    def test_walk_levels_match_concatenated_branches(self, systems):
+        # a level holds the digits on a new leading axis; raveled, it is the
+        # per-branch concatenation of the level before
+        for name, sys in _kernel_systems(systems).items():
+            x = np.random.default_rng(53).random(5)
+            seen, ref, u = [], [], x
+            out = _walk(sys, x, 4, lambda k, v: seen.append((k, v.shape, _hex(v.ravel()))))
+            for k in range(3, -1, -1):
+                u = np.concatenate([br.inverse(u) for br in sys.branches])
+                ref.append((k, (sys.ell,) * (4 - k) + (5,), _hex(u)))
+            assert seen == ref, name
+            assert _hex(out) == _hex(u), name
+
+    def test_transfer_nodes_match_branch_inverses(self, systems):
+        for name, sys in _kernel_systems(systems).items():
+            for (b, u, v), n in zip(sys.transfer_nodes, dynamics._CHEBYSHEV_SIZES):
+                x = 0.5 - 0.5 * np.cos((2 * np.arange(n) + 1) * (math.pi / (2 * n)))
+                y = np.stack([br.inverse(x) for br in sys.branches])
+                ref_u, ref_v = sys.log_terms(np.arange(sys.ell)[:, None], y)
+                assert _hex(u.ravel()) == _hex(ref_u.ravel()), name
+                assert _hex(v.ravel()) == _hex(ref_v.ravel()), name
+
+
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
                   "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
 
@@ -726,6 +778,9 @@ class TestSampling:
     def test_budget(self, m1, monkeypatch):
         monkeypatch.setenv("WTF_LAB_BUDGET", "100")
         assert len(m1.tree(6)[0]) == 64
+        assert enumerate_words(2, 6).shape == (64, 6)
+        with pytest.raises(BudgetExceeded):  # it returned all 128 rows
+            enumerate_words(2, 7)
         with pytest.raises(BudgetExceeded):
             m1.tree(7)
         with pytest.raises(BudgetExceeded):  # no 2**depth formed, nor formatted
@@ -831,6 +886,20 @@ class TestTheta:
         for n in range(10):
             assert shifted[n] == th[n + 4]
         assert np.array_equal(th.shift(2).shift(3).block(0, 5), th.block(5, 5))
+
+    @pytest.mark.parametrize("mode", ["zeros", "iid_uniform"])
+    def test_positions_are_integers(self, mode):
+        # on iid theta[1.5] read theta[1] and block(0, 2.5) three values, on
+        # zeros block(0, 2.5) raised TypeError; block(0, -2) read [] on iid
+        th = ThetaSequence(mode, 1 if mode == "iid_uniform" else None)
+        for call in (lambda: th[1.5], lambda: th.shift(1.5), lambda: th.block(0, 2.5),
+                     lambda: th.block(0.5, 2), lambda: th.block(0, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+        for call in (lambda: th.block(0, -2), lambda: th.block(-1, 2)):
+            with pytest.raises(ValueError, match=">= 0"):
+                call()
+        assert th.block(2, 0).shape == (0,) and th.block(np.int64(1), np.int64(2)).shape == (2,)
 
     def test_values_in_unit_interval(self):
         block = ThetaSequence.iid_uniform(1).block(0, 10_000)

@@ -255,6 +255,23 @@ class TestProbeBases:
             _probe_bases(m1, [3], zeros, 16, 0.0)
 
 
+@pytest.mark.parametrize("name", ["M1", "M5"])
+def test_probe_rows_are_not_repeated(systems, monkeypatch, name):
+    # the probe tails and the cylinder ends are start values of _compose:
+    # no digit matrix reaching it has more rows than there are points (each
+    # row was repeated ell^m + 2 = 130 times)
+    rows, compose = [], wl.graph._compose
+
+    def spy(sys, digits, x, step=None):
+        rows.append(np.shape(digits)[0])
+        return compose(sys, digits, x, step)
+
+    monkeypatch.setattr(wl.graph, "_compose", spy)
+    xs = np.random.default_rng(59).random(20)
+    wl.holder_oscillation_many(systems[name], xs, ThetaSequence.iid_uniform(4), range(1, 31), 128)
+    assert rows and max(rows) <= len(xs)
+
+
 class TestOscillation:
     @pytest.mark.parametrize("probes", [2, 16, 128])
     def test_probes_match_level_order_reference(self, systems, zeros, probes):
@@ -457,6 +474,9 @@ _NON_INTEGER_CALLS = {
                                                                     depth_range=[1.5, 3.5]),
     "oscillation_probes": lambda m1, th: wl.oscillation_over(m1, [0, 1], th, probes=2.5),
     "theta_seed": lambda m1, th: ThetaSequence.iid_uniform(1.5).block(0, 3),
+    "theta_index": lambda m1, th: ThetaSequence.iid_uniform(1)[1.5],
+    "theta_shift": lambda m1, th: ThetaSequence.iid_uniform(1).shift(1.5),
+    "theta_block_count": lambda m1, th: th.block(0, 2.5),
 }
 
 

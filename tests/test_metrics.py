@@ -59,6 +59,14 @@ class TestSampleGraph:
         with pytest.raises(BudgetExceeded):
             wl.sample_graph(m1, zeros, depth=10**7, per_cylinder=1)
 
+    @pytest.mark.parametrize("depth, per_cylinder", [(-1, 4), (3, 0), (3, -1)])
+    def test_bad_sizes_refused(self, m1, zeros, depth, per_cylinder):
+        # per_cylinder 0 or -1 returned an empty cloud, depth -1 failed
+        # inside with "shift must be nonnegative"
+        for restrict in (False, True):
+            with pytest.raises(ValueError, match="(depth must be >= 0|per_cylinder must be >= 1), got -?[01]"):
+                wl.sample_graph(m1, zeros, depth, per_cylinder, restrict_to_repeller=restrict)
+
     def test_csv_roundtrip_bit_exact(self, m2, zeros, tmp_path):
         cloud = wl.sample_graph(m2, zeros, depth=6, per_cylinder=3, tol=1e-8)
         path = tmp_path / "cloud.csv"

@@ -28,6 +28,7 @@ from scipy.special import logsumexp
 
 import wtf_lab as wl
 from wtf_lab import (
+    BudgetExceeded,
     NoSignChange,
     NotBranchConstant,
     NotNormalised,
@@ -670,6 +671,30 @@ def test_samplers_refuse_non_integer_arguments(m3, depth, count, seed):
     for sample in (wl.thermo.sample_words, wl.thermo.sample_digit_counts, wl.gibbs_sample):
         with pytest.raises(ValueError, match="must be an integer"):
             sample(m3, pot, depth, count, seed)
+
+
+def test_samplers_check_the_budget(m3, monkeypatch):
+    # sample_words formed a 100 x 100 matrix past a budget of 1024 that
+    # gibbs_sample refused; sample_digit_counts forms count * ell counts
+    pot = PotentialSpec(-wl.A_of_q(m3, 0.0), 0.0)
+    monkeypatch.setenv("WTF_LAB_BUDGET", "1024")
+    for sample in (wl.thermo.sample_words, wl.gibbs_sample):
+        assert sample(m3, pot, 32, 32, 1)[0].shape[-1] == 32
+        with pytest.raises(BudgetExceeded):
+            sample(m3, pot, 100, 100, 1)
+    with pytest.raises(NotNormalised):  # before the budget
+        wl.gibbs_sample(m3, PotentialSpec(0.0, 0.0), 100, 100, 1)
+    assert wl.thermo.sample_digit_counts(m3, pot, 10**6, 512, 1).shape == (512, 2)
+    with pytest.raises(BudgetExceeded):
+        wl.thermo.sample_digit_counts(m3, pot, 5, 513, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, "a", None, [1.0]])
+def test_potential_coefficients_refused(value):
+    # a str raised TypeError from math.isfinite
+    for args in ((value, 0.0), (0.0, value), (0.0, 0.0, value)):
+        with pytest.raises(ValueError, match="finite real numbers"):
+            PotentialSpec(*args)
 
 
 def test_sampled_counts_need_branch_constant(m5):

@@ -44,6 +44,7 @@ _PROBES_PER_BRANCH = 10_001
 # Digits composed by point_of_word: deeper digits move the point by less than
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
+_EVAL_BLOCK = 2**14  # points per block of series evaluation, rows per block of _compose
 _CHEBYSHEV_SIZES = (16, 32)  # node counts of the coarse and the fine transfer operator
 _MAX_BRANCHES = 255  # digits are uint8
 
@@ -714,6 +715,15 @@ def _digits(sys: CookieCutterSystem, digits) -> np.ndarray:
     return d
 
 
+def _digit_matrix(sys: CookieCutterSystem, digits) -> np.ndarray:
+    """digits as a 2-D integer matrix, one word per row; ValueError as
+    _digits and for any other rank."""
+    digits = _digits(sys, digits)
+    if digits.ndim != 2:
+        raise ValueError("a digit matrix is 2-D, one word per row")
+    return digits
+
+
 def _word(sys: CookieCutterSystem, word) -> np.ndarray:
     """A word argument as a uint8 digit row; ValueError for an empty or
     non-1-D word and for a digit outside 0..ell-1."""
@@ -733,8 +743,9 @@ def _preimages(sys: CookieCutterSystem, d, x) -> np.ndarray:
     x, d = np.asarray(x, dtype=float), np.asarray(d)
     if sys.is_affine:
         d, (slope, offset) = d.astype(np.intp), sys._affine_coefficients
-        return np.clip((x - offset.take(d)) / slope.take(d),
-                       sys.branch_lows.take(d), sys.branch_highs.take(d))
+        v = (x - offset.take(d)) / slope.take(d)
+        np.maximum(v, sys.branch_lows.take(d), out=v)  # np.clip's bits, without its overhead
+        return np.minimum(v, sys.branch_highs.take(d), out=v)
     points = np.empty(np.broadcast(d, x).shape)
     np.copyto(points, x)
     mask, out = np.empty(points.shape, dtype=bool), np.empty(points.size)
@@ -747,37 +758,80 @@ def _preimages(sys: CookieCutterSystem, d, x) -> np.ndarray:
     return out.reshape(points.shape)
 
 
-def _compose(sys: CookieCutterSystem, digits, x, step=None) -> np.ndarray:
-    """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, depth)
-    digit matrix, one _preimages call per column; x is a scalar, one value
-    per row or an (S, count) matrix of S start values for every row, and
-    ``step(k, u)`` sees the values after each column k, last first.
-    ValueError unless digits is a 2-D integer matrix of digits in 0..ell-1."""
-    digits = _digits(sys, digits)
-    if digits.ndim != 2:
-        raise ValueError("a digit matrix is 2-D, one word per row")
+def _compose_rows(sys: CookieCutterSystem, digits: np.ndarray, x, step=None, y=None):
+    """(rho_{w_1} o ... o rho_{w_n}(x), y) for each row w of a (count, n)
+    digit matrix, one _preimages call per column, last first: x is a scalar,
+    one value per row or an (S, count) matrix of S start values for every
+    row, and after column k, y <- step(k, u, y) with u the values there.
+    The digits are not checked (see _compose)."""
     x = np.full(np.broadcast_shapes(np.shape(x), digits.shape[:1]), x, dtype=float)
     for col in range(digits.shape[1] - 1, -1, -1):
         x = _preimages(sys, digits[:, col], x)
         if step is not None:
-            step(col, x)
-    return x
+            y = step(col, x, y)
+    return x, y
 
 
-def _walk(sys: CookieCutterSystem, x, depth: int, step=None) -> np.ndarray:
+def _compose(sys: CookieCutterSystem, digits, x, step=None, y=None):
+    """rho_{w_1} o ... o rho_{w_n}(x) for each row w of a (count, n) digit
+    matrix, and with a step the pair of it and y, carried as in _compose_rows.
+
+    Start values shared by every row (x and y each a scalar or an (S, 1)
+    column) compose each digit suffix once: with j the largest depth with
+    ell^j <= count, one _walk covers the last j columns for all ell^j
+    suffixes, each row gathers its suffix's values by a Horner index of its
+    last j digits, and only the first n - j columns are composed per row,
+    in blocks of _EVAL_BLOCK rows.  Other start values (one per row, or an
+    (S, count) matrix) take _compose_rows on all n columns.  Every step is
+    elementwise, so both routes give a value the same bits.  ValueError
+    unless digits is a 2-D integer matrix of digits in 0..ell-1."""
+    digits = _digit_matrix(sys, digits)
+    (count, n), shape = digits.shape, np.broadcast_shapes(np.shape(x), np.shape(y))
+    if shape[-1:] not in ((), (1,)):
+        x, y = _compose_rows(sys, digits, x, step, y)
+        return x if step is None else (x, y)
+    j = 0
+    while j < n and sys.ell**(j + 1) <= count:
+        j += 1
+    starts = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+    if step is None:
+        level, carried = _walk(sys, starts, j), None
+    else:
+        level, carried = _walk(sys, starts, j, lambda k, u, v: step(k + n - j, u, v),
+                               np.broadcast_to(np.asarray(y, dtype=float), shape).ravel())
+        carried = carried.reshape(-1, starts.size)
+    level = level.reshape(-1, starts.size)
+    x = np.empty((starts.size, count))
+    y = None if step is None else np.empty_like(x)
+    for r in range(0, count, _EVAL_BLOCK):
+        rows = slice(r, r + _EVAL_BLOCK)
+        at = np.zeros(min(_EVAL_BLOCK, count - r), dtype=np.intp)
+        for col in range(n - j, n):  # Horner, never digits @ powers: no (rows, j) temporary
+            at *= sys.ell
+            at += digits[rows, col]
+        x[:, rows], v = _compose_rows(sys, digits[rows, :n - j], level[at].T, step,
+                                      None if carried is None else carried[at].T)
+        if y is not None:
+            y[:, rows] = v
+    out = np.broadcast_shapes(shape, (count,))
+    return x.reshape(out) if step is None else (x.reshape(out), y.reshape(out))
+
+
+def _walk(sys: CookieCutterSystem, x, depth: int, step=None, y=None):
     """rho_w(x_j) for every depth-n word w and start value x_j, level by
     level; index i * len(x) + j holds word i in lexicographic order (first
     digit most significant) and start value j.  A level is one _preimages
-    call with the digits 0..ell-1 on a new leading axis: ``step(k, u)`` sees
-    u of shape (ell,) * (depth - k) + (len(x),) after the level of digit
-    column k, last first.  Up to depth 64 each value has the bits
-    point_of_word gives it."""
+    call with the digits 0..ell-1 on a new leading axis: after the level of
+    digit column k, last first, y <- step(k, u, y) with u of shape
+    (ell,) * (depth - k) + (len(x),), so y broadcasts against the new axis;
+    with a step the result is the pair of the points and y, both raveled.
+    Up to depth 64 each value has the bits point_of_word gives it."""
     x, d = np.asarray(x, dtype=float).ravel(), np.arange(sys.ell)[:, None]
     for col in range(depth - 1, -1, -1):
         x = _preimages(sys, d, x.ravel()).reshape((sys.ell,) + x.shape)
         if step is not None:
-            step(col, x)
-    return x.ravel()
+            y = step(col, x, y)
+    return x.ravel() if step is None else (x.ravel(), np.ravel(y))
 
 
 def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:
@@ -856,17 +910,17 @@ def _birkhoff_sums(sys: CookieCutterSystem, xs, n: int) -> tuple[np.ndarray, np.
 def birkhoff_sums_along(sys: CookieCutterSystem, digits, t=0.5):
     """(rho_w(t), S_n log|tau'|, S_n log lambda) per row w of a (count, n)
     digit matrix, each term at tau^k rho_w(t) = rho_{sigma^k w}(t), the
-    point after _compose's column k; all n digits count.  ValueError as
-    _compose."""
-    digits = np.asarray(digits)
-    u, v = np.zeros(digits.shape[:1]), np.zeros(digits.shape[:1])
+    point after column k of _compose_rows, the loop a per-row hook needs;
+    all n digits count.  ValueError as _compose."""
+    digits = _digit_matrix(sys, digits)
 
-    def add(k, x):  # column k's terms onto the sums of the later columns
-        nonlocal u, v
+    def add(k, x, sums):  # column k's terms onto the sums of the later columns
         du, dv = sys.log_terms(digits[:, k], x)
-        u, v = du + u, dv + v
+        return du + sums[0], dv + sums[1]
 
-    return _compose(sys, digits, t, add), u, v
+    zeros = np.zeros(digits.shape[:1])
+    x, (u, v) = _compose_rows(sys, digits, t, add, (zeros, zeros))
+    return x, u, v
 
 
 def _birkhoff_sums_from_counts(sys: CookieCutterSystem, counts: np.ndarray):

@@ -17,19 +17,17 @@ import numbers
 import numpy as np
 
 from .dynamics import (
+    _EVAL_BLOCK,
     _MAX_EFFECTIVE_DEPTH,
     CookieCutterSystem,
     _check_budget,
     _compose,
-    _digits,
     _require_ints,
     _walk,
     _word,
 )
 from .errors import InvalidTolerance
 from .theta import ThetaSequence
-
-_EVAL_BLOCK = 2**14  # points per block in eval_W_many
 
 
 def _terms_for_tolerance(sys: CookieCutterSystem, tol: float) -> tuple[int, float]:
@@ -75,56 +73,50 @@ def eval_W_many(sys: CookieCutterSystem, xs: np.ndarray, theta: ThetaSequence,
     return out, n_terms, tail
 
 
-class _Carry:
-    """The skew-product step y <- lambda(u) y + g(u + theta_k), the step hook
-    of _compose and of _walk (y broadcasts against a walk level's new
-    leading axis).  From y = W_{sigma^n theta} at the start values, y ends as
-    W_theta at the composed points."""
-
-    def __init__(self, sys: CookieCutterSystem, y: np.ndarray, theta: ThetaSequence, n: int):
-        self.sys, self.y = sys, y
-        self.shifts = theta.block(0, n)
-
-    def __call__(self, k: int, u: np.ndarray) -> None:
-        self.y = self.sys.lam_at(u) * self.y + self.sys.g(u + self.shifts[k])
+def _skew_step(sys: CookieCutterSystem, theta: ThetaSequence, n: int):
+    """The skew-product step (k, u, y) -> lambda(u) y + g(u + theta_k) for
+    the columns k < n of _compose and _walk.  From y = W_{sigma^n theta} at
+    the start values, y ends as W_theta at the composed points."""
+    shifts = theta.block(0, n)
+    return lambda k, u, y: sys.lam_at(u) * y + sys.g(u + shifts[k])
 
 
 def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
                theta: ThetaSequence) -> tuple[np.ndarray, np.ndarray]:
     """(rho_w(t), W_theta(rho_w(t))) per row w of a (count, n) digit matrix
-    from y = W_{sigma^n theta}(t), t and y each a scalar, one value per row or
-    an (S, count) matrix of start values as in _compose: per column k of
-    _compose, u <- rho_{w_k}(u) and y <- lambda(u) y + g(u + theta_k).  So
-    rho_w(t) has point_of_word's bits, and y carries the base error times
-    lambda^n plus a few ulps per step, not a forward orbit's rounding."""
-    carry = _Carry(sys, np.asarray(y, dtype=float), theta, digits.shape[1])
-    u = _compose(sys, digits, t, carry)
-    return u, carry.y
+    from y = W_{sigma^n theta}(t), t and y each a scalar, an (S, 1) column,
+    one value per row or an (S, count) matrix of start values as in
+    _compose: per column k, u <- rho_{w_k}(u) and y <- lambda(u) y +
+    g(u + theta_k).  So rho_w(t) has point_of_word's bits, and y carries the
+    base error times lambda^n plus a few ulps per step, not a forward
+    orbit's rounding."""
+    return _compose(sys, digits, t, _skew_step(sys, theta, np.shape(digits)[1]), y)
 
 
 def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(_walk(sys, t, depth), W_theta there) from one series value
     W_{sigma^depth theta}(t_j) per start value, carried up the walk as in
-    _pull_back, so y's error is about lambda_sup^depth * tol.  The last
-    floor(log_ell _EVAL_BLOCK) levels run on row chunks of the level above
-    them, so their temporaries hold at most _EVAL_BLOCK points; every step is
-    elementwise, so x has _walk's bits."""
+    _pull_back, so y's error is about lambda_sup^depth * tol.  All start
+    values walk together while a level stays within _EVAL_BLOCK points; the
+    levels after that (at most floor(log_ell _EVAL_BLOCK) of them) run on
+    row chunks of the level above them, so their temporaries hold at most
+    _EVAL_BLOCK points.  Every step is elementwise, so x has _walk's bits."""
     t = np.asarray(t, dtype=float).ravel()
     base, _, _ = eval_W_many(sys, t, theta.shift(depth), tol)
     tail = 0
-    while tail < depth and sys.ell**(tail + 1) <= _EVAL_BLOCK:
+    while (tail < depth and t.size * sys.ell**(depth - tail) > _EVAL_BLOCK
+           and sys.ell**(tail + 1) <= _EVAL_BLOCK):
         tail += 1
-    carry = _Carry(sys, base, theta.shift(tail), depth - tail)
-    head, head_y = _walk(sys, t, depth - tail, carry), carry.y.ravel()
-    fan = sys.ell**tail
+    head, head_y = _walk(sys, t, depth - tail,
+                         _skew_step(sys, theta.shift(tail), depth - tail), base)
+    fan, step = sys.ell**tail, _skew_step(sys, theta, tail)
     rows = _EVAL_BLOCK // fan  # >= 1, as fan <= _EVAL_BLOCK
     # row r of the head and tail word p land at p * head.size + r
     x, y = np.empty((fan, head.size)), np.empty((fan, head.size))
     for r in range(0, head.size, rows):
-        chunk = _Carry(sys, head_y[r:r + rows], theta, tail)
-        x[:, r:r + rows] = _walk(sys, head[r:r + rows], tail, chunk).reshape(fan, -1)
-        y[:, r:r + rows] = chunk.y.reshape(fan, -1)
+        chunk_x, chunk_y = _walk(sys, head[r:r + rows], tail, step, head_y[r:r + rows])
+        x[:, r:r + rows], y[:, r:r + rows] = chunk_x.reshape(fan, -1), chunk_y.reshape(fan, -1)
     return x.ravel(), y.ravel()
 
 
@@ -160,31 +152,19 @@ def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
 
     A walk of 1/2 gives the tails rho_v(1/2) and carries the series value
     base = W_{sigma^{n+m} theta}(1/2) (see _probe_bases) up to them, so a
-    probe carries its error times lambda^{n+m}.  With 0 and 1 as two more
-    start values, a second walk covers the last j digit columns for all
-    ell^j suffixes, j the largest depth with ell^j <= count; each row then
-    gathers its suffix's values as its ell^m + 2 start values and composes
-    only its first n - j columns (_pull_back); no row is repeated.  Every
-    step is elementwise, so every value has the bits of composing the whole
-    row.  Like point_of_word, the probes use only the leading 64 digits
-    (_MAX_EFFECTIVE_DEPTH): a deeper word gets its depth-64 prefix's probes,
-    and so its oscillation, but its ends come from all its digits, as in
-    cylinder_bounds_many."""
+    probe carries its error times lambda^{n+m}.  The tails, 0 and 1 are the
+    ell^m + 2 start values every row shares in one _pull_back, which
+    composes each digit suffix once (_compose).  Like point_of_word, the
+    probes use only the leading 64 digits (_MAX_EFFECTIVE_DEPTH): a deeper
+    word gets its depth-64 prefix's probes, and so its oscillation, but its
+    ends come from all its digits, as in cylinder_bounds_many."""
     m = _probe_depth(sys, probes)
-    words = _digits(sys, words)  # the suffix digits index the walk, not _compose
-    count = words.shape[0]
-    _check_budget(count * sys.ell**m)
+    words = np.asarray(words)
+    _check_budget(words.shape[0] * sys.ell**m)
     n = min(words.shape[1], _MAX_EFFECTIVE_DEPTH)
-    carry = _Carry(sys, np.array([base]), theta.shift(n), m)
-    starts = np.append(_walk(sys, [0.5], m, carry), (0.0, 1.0))
-    j = 0
-    while j < n and sys.ell**(j + 1) <= count:
-        j += 1
-    carry = _Carry(sys, np.append(carry.y, (0.0, 0.0)), theta.shift(n - j), j)
-    level = _walk(sys, starts, j, carry).reshape(-1, starts.size)
-    suffix = words[:, n - j:n] @ sys.ell ** np.arange(j - 1, -1, -1)  # index of the last j digits
-    u, y = _pull_back(sys, words[:, :n - j], level[suffix].T,
-                      carry.y.reshape(level.shape)[suffix].T, theta)
+    tails, tail_y = _walk(sys, [0.5], m, _skew_step(sys, theta.shift(n), m), np.array([base]))
+    u, y = _pull_back(sys, words[:, :n], np.append(tails, (0.0, 1.0))[:, None],
+                      np.append(tail_y, (0.0, 0.0))[:, None], theta)
     ends = u[-2:] if words.shape[1] == n else _compose(sys, words, [[0.0], [1.0]])
     return u[:-2].T, y[:-2].T, ends.T
 

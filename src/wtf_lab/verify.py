@@ -39,6 +39,7 @@ from .theta import ThetaSequence
 from .thermo import (
     A_of_q,
     PotentialSpec,
+    _require_normalised,
     aq_family,
     bowen_root,
     gibbs_sample,
@@ -50,6 +51,7 @@ from .thermo import (
     pressure,
     s1_family,
     s2_family,
+    sample_words,
     spectrum,
 )
 
@@ -221,14 +223,25 @@ def check_lifted_predictor(ctx: BatteryContext) -> tuple[bool, str]:
                 f"worst |lift - jin| over M3 grid = {worst:.2e} (tol 1e-6)")
 
 
+def _lifted_probe_cloud(sys1: CookieCutterSystem) -> GraphCloud:
+    """Criterion 8's M1 cloud: 10^5 nu_1 draws of depth 50 on the graph of
+    W_theta, theta iid uniform (seed 777).  gibbs_sample's refusal of an
+    unnormalised potential, its digits, and one series value
+    W_{sigma^50 theta}(1/2) at tol 1e-8 pulled back up every word
+    (_pull_back): x has gibbs_sample's bits, and y's error is about
+    lambda^50 * 1e-8 plus a few ulps per digit."""
+    pot, theta = s1_family(moran_oracle(sys1, "s1")), ThetaSequence.iid_uniform(777)
+    _require_normalised(pressure(sys1, pot).value)
+    digits = sample_words(sys1, pot, depth=50, count=10**5, seed=90210)
+    base, _, _ = eval_W_many(sys1, [0.5], theta.shift(50), tol=1e-8)
+    xs, ys = _pull_back(sys1, digits, 0.5, base[0], theta)
+    return GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
+
+
 def check_lifted_probe(ctx: BatteryContext) -> tuple[bool, str]:
     # M1: nu_1 draws on the iid-randomised graph
-    sys1 = ctx.systems["M1"]
-    pot = s1_family(moran_oracle(sys1, "s1"))
-    xs = gibbs_sample(sys1, pot, depth=50, count=10**5, seed=90210)[1]
-    ys, _, _ = eval_W_many(sys1, xs, ThetaSequence.iid_uniform(777), tol=1e-8)
-    cloud = GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
-    lifted = correlation_dimension(cloud, [2.0**-k for k in range(2, 9)], seed=31)
+    lifted = correlation_dimension(_lifted_probe_cloud(ctx.systems["M1"]),
+                                   [2.0**-k for k in range(2, 9)], seed=31)
     # M2: draws of the q = 0 measure on the repeller itself
     sys2 = ctx.systems["M2"]
     pot = PotentialSpec(-moran_oracle(sys2, "A_of_q", q=0.0), 0.0)

@@ -31,7 +31,15 @@ from wtf_lab.dynamics import (
     enumerate_words,
     point_of_word,
 )
-from wtf_lab.graph import _Carry, _oscillations, _probe_bases, _pull_back, eval_W_many
+from wtf_lab.graph import (
+    _oscillations,
+    _probe_bases,
+    _probe_depth,
+    _probes,
+    _pull_back,
+    _skew_step,
+    eval_W_many,
+)
 from wtf_lab.theta import counter_uniforms
 
 
@@ -569,7 +577,7 @@ class TestCoding:
         assert hi - lo > 4e-12
 
 
-def _masked_compose(sys, digits, x, step=None):
+def _masked_compose(sys, digits, x, step=None, y=None):
     """Reference _compose: one masked inverse call per (column, branch) on
     the rows carrying that digit."""
     count = digits.shape[0]
@@ -583,8 +591,8 @@ def _masked_compose(sys, digits, x, step=None):
                 nxt[m] = br.inverse(x[m])
         x = nxt
         if step is not None:
-            step(col, x)
-    return x
+            y = step(col, x, y)
+    return x if step is None else (x, y)
 
 
 def _hex(values):
@@ -631,14 +639,14 @@ class TestComposeTables:
             words = rng.integers(0, sys.ell, size=(50, 12)).astype(np.uint8)
             t = rng.random(50)
             seen, ref = [], []
-            _compose(sys, words, t, lambda k, u: seen.append((k, _hex(u))))
-            _masked_compose(sys, words, t, lambda k, u: ref.append((k, _hex(u))))
+            _compose(sys, words, t, lambda k, u, y: seen.append((k, _hex(u))))
+            _masked_compose(sys, words, t, lambda k, u, y: ref.append((k, _hex(u))))
             assert [k for k, _ in seen] == list(range(11, -1, -1))
             assert seen == ref, name
-            carry = _Carry(sys, np.full(50, 0.3), theta, 12)
-            x = _masked_compose(sys, words, t, carry)
+            x, carried = _masked_compose(sys, words, t, _skew_step(sys, theta, 12),
+                                         np.full(50, 0.3))
             u, y = _pull_back(sys, words, t, 0.3, theta)
-            assert _hex(u) == _hex(x) and _hex(y) == _hex(carry.y), name
+            assert _hex(u) == _hex(x) and _hex(y) == _hex(carried), name
 
     @pytest.mark.parametrize("digits", [np.array([[0, 5, 1]]), [[0, 5, 1]], np.array([[0, -1]]),
                                         np.array([[0.5, 1.0]]), np.array([0, 1], dtype=np.uint8)],
@@ -677,9 +685,10 @@ class TestPreimageKernel:
             words = rng.integers(0, sys.ell, size=(count, depth)).astype(np.uint8)
             starts = np.vstack([rng.random((3, count)), np.zeros(count), np.ones(count)])
             seen, ref = [], []
-            got = _compose(sys, words, starts, lambda k, u: seen.append((k, _hex(u.T.ravel()))))
-            want = _compose(sys, np.repeat(words, len(starts), axis=0), starts.T.ravel(),
-                            lambda k, u: ref.append((k, _hex(u))))
+            got, _ = _compose(sys, words, starts,
+                              lambda k, u, y: seen.append((k, _hex(u.T.ravel()))))
+            want, _ = _compose(sys, np.repeat(words, len(starts), axis=0), starts.T.ravel(),
+                               lambda k, u, y: ref.append((k, _hex(u))))
             assert got.shape == starts.shape
             assert _hex(got.T.ravel()) == _hex(want), name
             assert seen == ref and len(seen) == depth, name
@@ -690,7 +699,7 @@ class TestPreimageKernel:
         for name, sys in _kernel_systems(systems).items():
             x = np.random.default_rng(53).random(5)
             seen, ref, u = [], [], x
-            out = _walk(sys, x, 4, lambda k, v: seen.append((k, v.shape, _hex(v.ravel()))))
+            out, _ = _walk(sys, x, 4, lambda k, v, y: seen.append((k, v.shape, _hex(v.ravel()))))
             for k in range(3, -1, -1):
                 u = np.concatenate([br.inverse(u) for br in sys.branches])
                 ref.append((k, (sys.ell,) * (4 - k) + (5,), _hex(u)))
@@ -705,6 +714,118 @@ class TestPreimageKernel:
                 ref_u, ref_v = sys.log_terms(np.arange(sys.ell)[:, None], y)
                 assert _hex(u.ravel()) == _hex(ref_u.ravel()), name
                 assert _hex(v.ravel()) == _hex(ref_v.ravel()), name
+
+    def test_affine_gather_has_clip_bits(self, systems):
+        # in-place maximum then minimum give np.clip's bits on NaN, signed
+        # zeros, infinities and targets whose preimage is a branch end
+        rng = np.random.default_rng(67)
+        affine = {**_affine_systems(systems),
+                  "mixed_orientation": wl.validate_system(MIXED_ORIENTATION)}
+        for name, sys in affine.items():
+            ends = np.concatenate([br.forward(np.array([br.lo, br.hi])) for br in sys.branches])
+            x = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                                [0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf],
+                                rng.random(40)])
+            slope, offset = sys._affine_coefficients
+            for i in range(sys.ell):
+                d = np.full(x.size, i)
+                want = np.clip((x - offset.take(d)) / slope.take(d),
+                               sys.branch_lows.take(d), sys.branch_highs.take(d))
+                assert dynamics._preimages(sys, d, x).tobytes() == want.tobytes(), (name, i)
+
+
+def _suffix_systems(systems):
+    return {**{name: systems[name] for name in ("M1", "M2", "M5")},
+            "steep_sine": wl.validate_system(STEEP_SINE),
+            "mixed_orientation": wl.validate_system(MIXED_ORIENTATION)}
+
+
+def _per_start(sys, words, starts, step=None, ys=None):
+    """Reference for start values every row shares: per start value s, one
+    _preimages call per column on one copy of s per row (the plain column
+    loop), stacked as (S, count)."""
+    us, carried = [], []
+    for i, s in enumerate(starts):
+        u, y = np.full(len(words), s), None if ys is None else np.full(len(words), ys[i])
+        for col in range(words.shape[1] - 1, -1, -1):
+            u = dynamics._preimages(sys, words[:, col], u)
+            if step is not None:
+                y = step(col, u, y)
+        us.append(u)
+        carried.append(y)
+    return np.array(us) if step is None else (np.array(us), np.array(carried))
+
+
+class TestSuffixRule:
+    # three suffix columns: ell^3 - 1 rows walk two, ell^3 and ell^3 + 1 rows
+    # walk three; 5-row blocks split every matrix; depth 70 passes the
+    # 64-digit cap of point_of_word and the probes
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_compositions_match_per_row_loop(self, systems, monkeypatch, extra):
+        monkeypatch.setattr(dynamics, "_EVAL_BLOCK", 5)
+        column = np.array([[0.0], [1.0], [0.3]])
+        for name, sys in _suffix_systems(systems).items():
+            rng = np.random.default_rng(61)
+            count = sys.ell**3 + extra
+            for depth in (0, 2, 70):
+                words = rng.integers(0, sys.ell, size=(count, depth)).astype(np.uint8)
+                for t in (0.5, column):
+                    want = _per_start(sys, words, np.ravel(t)).ravel()
+                    assert _hex(_compose(sys, words, t).ravel()) == _hex(want), (name, depth)
+                    want = _per_start(sys, words[:, :64], np.ravel(t)).ravel()
+                    assert _hex(point_of_word(sys, words, t).ravel()) == _hex(want), (name, depth)
+                ends = _per_start(sys, words, [0.0, 1.0])
+                if sys.is_affine or depth < 70:
+                    lo, hi = cylinder_bounds_many(sys, words)
+                    assert _hex(lo) == _hex(ends.min(axis=0)) and _hex(hi) == _hex(ends.max(axis=0))
+                else:
+                    with pytest.raises(InversionFailed):
+                        cylinder_bounds_many(sys, words)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_pull_back_and_probes_match_per_row_loop(self, systems, monkeypatch, extra):
+        monkeypatch.setattr(dynamics, "_EVAL_BLOCK", 5)
+        theta = ThetaSequence.iid_uniform(9)
+        for name, sys in _suffix_systems(systems).items():
+            rng = np.random.default_rng(71)
+            count = sys.ell**3 + extra
+            for depth in (0, 2, 70):
+                words = rng.integers(0, sys.ell, size=(count, depth)).astype(np.uint8)
+                step = _skew_step(sys, theta, depth)
+                for t, y in ((0.5, 0.25), ([[0.0], [1.0], [0.3]], [[0.1], [0.2], [0.3]])):
+                    u, carried = _pull_back(sys, words, t, y, theta)
+                    want_u, want_y = _per_start(sys, words, np.ravel(t), step, np.ravel(y))
+                    assert _hex(u.ravel()) == _hex(want_u.ravel()), (name, depth)
+                    assert _hex(carried.ravel()) == _hex(want_y.ravel()), (name, depth)
+                # the probes: tails rho_v(1/2) over the depth-m words v in
+                # lexicographic order, then every row from each tail
+                n, m = min(depth, 64), _probe_depth(sys, 4)
+                tails, tail_y = _per_start(sys, enumerate_words(sys.ell, m), [0.5],
+                                           _skew_step(sys, theta.shift(n), m), [0.125])
+                u, carried, ends = _probes(sys, words, theta, 4, 0.125)
+                want_u, want_y = _per_start(sys, words[:, :n], tails[0],
+                                            _skew_step(sys, theta, n), tail_y[0])
+                assert _hex(u.T.ravel()) == _hex(want_u.ravel()), (name, depth)
+                assert _hex(carried.T.ravel()) == _hex(want_y.ravel()), (name, depth)
+                assert _hex(ends.T.ravel()) == _hex(_per_start(sys, words, [0.0, 1.0]).ravel())
+
+    def test_per_row_start_values_take_the_plain_loop(self, m1, monkeypatch):
+        # only start values shared by every row walk the suffixes
+        walked, walk = [], dynamics._walk
+        monkeypatch.setattr(dynamics, "_walk", lambda sys, x, depth, *rest: walked.append(depth)
+                            or walk(sys, x, depth, *rest))
+        rng = np.random.default_rng(73)
+        words = rng.integers(0, 2, size=(40, 9)).astype(np.uint8)
+        _compose(m1, words, 0.5)
+        _compose(m1, words, np.array([[0.0], [1.0]]))
+        assert walked == [5, 5]  # 2^5 <= 40 < 2^6
+        walked.clear()
+        _compose(m1, words, rng.random(40))
+        _compose(m1, words, rng.random((3, 40)))
+        _pull_back(m1, words, 0.5, rng.random(40), ThetaSequence.zeros())
+        point_of_word(m1, words, rng.random(40))
+        birkhoff_sums_along(m1, words, 0.5)
+        assert walked == []
 
 
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",

@@ -16,6 +16,7 @@ from wtf_lab import (
     GraphCloud,
     InversionFailed,
     NotBranchConstant,
+    NotNormalised,
     NotInPartition,
     OscillationUnderflow,
     PotentialSpec,
@@ -24,7 +25,7 @@ from wtf_lab import (
 from wtf_lab.dynamics import _birkhoff_sums_from_counts, _walk, cylinder_bounds_many, point_of_word
 from wtf_lab.graph import _oscillations, _probe_bases
 from wtf_lab.thermo import gibbs_sample, sample_words
-from wtf_lab.verify import moran_oracle, s1_family
+from wtf_lab.verify import _lifted_probe_cloud, moran_oracle, s1_family
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +139,9 @@ class TestPullBackCloud:
 
     @pytest.mark.parametrize("depth,per", [(10, 3), (5, 20)])
     def test_restricted_matches_level_order_walk(self, systems, monkeypatch, depth, per):
-        # 256-point blocks: depth 10 runs 8 levels per head row, depth 5 all
-        # levels on chunks of 8 rows; the bits are the unchunked walk's
+        # 256-point blocks: depth 10 walks 6 levels on all 3 start values and
+        # 4 on chunks of 16 rows, depth 5 walks 3 levels on all 20 and 2 on
+        # chunks of 64 rows; the bits are the unchunked walk's
         monkeypatch.setattr(wl.graph, "_EVAL_BLOCK", 256)
         mixed = wl.validate_system({"branches": [
             {"domain": [0.0, 0.4], "slope": -2.5, "offset": 1.0},
@@ -640,10 +642,9 @@ class TestEmpiricalSpectrum:
 @pytest.fixture(scope="module")
 def lifted_probe_clouds(m1, m2):
     """Criterion 8's two clouds with its radii and seed: M1's nu1 draws on
-    the iid-randomised graph, and M2's q = 0 draws on the repeller."""
-    xs = gibbs_sample(m1, s1_family(moran_oracle(m1, "s1")), depth=50, count=10**5, seed=90210)[1]
-    ys, _, _ = wl.eval_W_many(m1, xs, ThetaSequence.iid_uniform(777), tol=1e-8)
-    lifted = GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
+    the iid-randomised graph from the criterion's own _lifted_probe_cloud,
+    and M2's q = 0 draws on the repeller."""
+    lifted = _lifted_probe_cloud(m1)
     pot = PotentialSpec(-moran_oracle(m2, "A_of_q", q=0.0), 0.0)
     xs = gibbs_sample(m2, pot, depth=50, count=10**5, seed=4181)[1]
     base = GraphCloud(xs, np.zeros_like(xs), CloudProvenance("M2", "zeros", None, 50, 0.0))
@@ -660,6 +661,42 @@ def _full_array_correlations(cloud, radii, seed):
     j = np.where(j >= i, j + 1, j)
     d = np.hypot(wl.torus_distance(cloud.x[i], cloud.x[j]), cloud.y[i] - cloud.y[j])
     return np.array([(d <= r).mean() for r in sorted(radii)])
+
+
+class TestLiftedProbeCloud:
+    def test_pulled_back_ys_keep_the_seed_31_counts(self, m1, lifted_probe_clouds):
+        # x has gibbs_sample's bits; y is within 1e-13 of a 107-term series
+        # where the 56-term forward sum it replaced was 2.2e-9 off, and the
+        # pair counts, so both slopes and the detail line, did not move
+        cloud, radii, seed = lifted_probe_clouds["lifted"]
+        xs = gibbs_sample(m1, s1_family(moran_oracle(m1, "s1")), 50, 10**5, 90210)[1]
+        assert cloud.x.tobytes() == xs.tobytes()
+        counts = metrics._pair_counts(cloud, sorted(radii), seed)
+        assert counts.tolist() == [192, 490, 1471, 4068, 11806, 32347, 91999]
+        theta = ThetaSequence.iid_uniform(777)
+        ref, n_terms, _ = wl.eval_W_many(m1, xs, theta, tol=1e-16)
+        forward, _, _ = wl.eval_W_many(m1, xs, theta, tol=1e-8)
+        assert n_terms == 107
+        assert np.max(np.abs(cloud.y - ref)) <= 1e-13
+        assert np.max(np.abs(forward - ref)) > 2e-9
+
+    def test_peak_memory_at_most_forward_route(self, m1):
+        # the route it replaced (gibbs_sample, then eval_W_many) peaked at
+        # 10.5 MB; a (count, 16) int64 matrix of suffix digits would add 12.8 MB
+        tracemalloc.start()
+        try:
+            _lifted_probe_cloud(m1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5e6
+
+    def test_unnormalised_potential_refused(self, m1, monkeypatch):
+        # gibbs_sample's refusal, before any draw
+        monkeypatch.setattr(wl.verify, "moran_oracle", lambda sys, key: 0.9)
+        monkeypatch.setattr(wl.verify, "sample_words", None)
+        with pytest.raises(NotNormalised):
+            _lifted_probe_cloud(m1)
 
 
 class TestCorrelationDimension:

@@ -44,7 +44,7 @@ _PROBES_PER_BRANCH = 10_001
 # Digits composed by point_of_word: deeper digits move the point by less than
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
-_EVAL_BLOCK = 2**14  # points per block of series evaluation, rows per block of _compose
+_EVAL_BLOCK = 2**14  # points per series block or _walk chunk, rows per block of _compose
 _CHEBYSHEV_SIZES = (16, 32)  # node counts of the coarse and the fine transfer operator
 _MAX_BRANCHES = 255  # digits are uint8
 
@@ -161,7 +161,7 @@ class AffineBranch:
 
     def inverse(self, y):
         x = (np.asarray(y, dtype=float) - self.offset) / self.slope
-        return np.clip(x, self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)  # _preimages' clip, signed zeros too
 
 
 @dataclass(frozen=True)
@@ -823,15 +823,37 @@ def _walk(sys: CookieCutterSystem, x, depth: int, step=None, y=None):
     digit most significant) and start value j.  A level is one _preimages
     call with the digits 0..ell-1 on a new leading axis: after the level of
     digit column k, last first, y <- step(k, u, y) with u of shape
-    (ell,) * (depth - k) + (len(x),), so y broadcasts against the new axis;
-    with a step the result is the pair of the points and y, both raveled.
-    Up to depth 64 each value has the bits point_of_word gives it."""
+    (ell,) * m + (c,), c the level-above values in the call, so y (at first
+    one value per start value) broadcasts against the new axis; with a step
+    the result is the pair of the points and y, both raveled.  All start
+    values walk together while a level holds at most _EVAL_BLOCK points; the
+    last levels (at most floor(log_ell _EVAL_BLOCK)) run on row chunks of
+    the level above, so no temporary holds more.  Every step is elementwise,
+    so up to depth 64 each value has the bits point_of_word gives it."""
     x, d = np.asarray(x, dtype=float).ravel(), np.arange(sys.ell)[:, None]
-    for col in range(depth - 1, -1, -1):
-        x = _preimages(sys, d, x.ravel()).reshape((sys.ell,) + x.shape)
-        if step is not None:
-            y = step(col, x, y)
-    return x.ravel() if step is None else (x.ravel(), np.ravel(y))
+
+    def levels(x, y, cols):
+        for col in cols:
+            x = _preimages(sys, d, x.ravel()).reshape((sys.ell,) + x.shape)
+            if step is not None:
+                y = step(col, x, y)
+        return x.ravel(), (None if step is None else np.ravel(y))
+
+    tail = 0
+    while (tail < depth and x.size * sys.ell**(depth - tail) > _EVAL_BLOCK
+           and sys.ell**(tail + 1) <= _EVAL_BLOCK):
+        tail += 1
+    x, y = levels(x, y, range(depth - 1, tail - 1, -1))
+    if tail:  # row r of the level above and tail word p land at p * x.size + r
+        fan = sys.ell**tail
+        out = [np.empty((fan, x.size)) for _ in range(1 if step is None else 2)]  # x, y
+        for r in range(0, x.size, _EVAL_BLOCK // fan):  # fan <= _EVAL_BLOCK
+            rows = slice(r, r + _EVAL_BLOCK // fan)
+            chunk = levels(x[rows], None if step is None else y[rows], range(tail - 1, -1, -1))
+            for o, c in zip(out, chunk):
+                o[:, rows] = c.reshape(fan, -1)
+        x, y = out[0].ravel(), out[-1].ravel()
+    return x if step is None else (x, y)
 
 
 def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:

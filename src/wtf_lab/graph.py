@@ -4,9 +4,9 @@ W_theta(x) = sum_n lambda(x) lambda(tau x) ... lambda(tau^{n-1} x) * g(tau^n x +
 truncated where the geometric tail bound (sup lambda)^N * sup|g| / (1 - sup lambda)
 drops below the requested tolerance.  Orbits continue through gaps via
 tau(gap) = 0, so the series is defined on the whole circle.  _series is the
-one term loop (eval_W_many, _probe_bases); _pull_back carries a series value
-up the inverse branches by the skew-product identity, for clouds and the
-oscillation probes of metrics' Hoelder estimators and degeneracy test.
+one term loop (eval_W_many, _probe_bases); _skew_step carries a series value
+up the inverse branches by the skew-product identity, in metrics.sample_graph's
+cloud walk and in _pull_back's compositions (lifted clouds, oscillation probes).
 """
 
 from __future__ import annotations
@@ -91,33 +91,6 @@ def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,
     base error times lambda^n plus a few ulps per step, not a forward
     orbit's rounding."""
     return _compose(sys, digits, t, _skew_step(sys, theta, np.shape(digits)[1]), y)
-
-
-def _pull_back_walk(sys: CookieCutterSystem, t, theta: ThetaSequence, depth: int,
-                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(_walk(sys, t, depth), W_theta there) from one series value
-    W_{sigma^depth theta}(t_j) per start value, carried up the walk as in
-    _pull_back, so y's error is about lambda_sup^depth * tol.  All start
-    values walk together while a level stays within _EVAL_BLOCK points; the
-    levels after that (at most floor(log_ell _EVAL_BLOCK) of them) run on
-    row chunks of the level above them, so their temporaries hold at most
-    _EVAL_BLOCK points.  Every step is elementwise, so x has _walk's bits."""
-    t = np.asarray(t, dtype=float).ravel()
-    base, _, _ = eval_W_many(sys, t, theta.shift(depth), tol)
-    tail = 0
-    while (tail < depth and t.size * sys.ell**(depth - tail) > _EVAL_BLOCK
-           and sys.ell**(tail + 1) <= _EVAL_BLOCK):
-        tail += 1
-    head, head_y = _walk(sys, t, depth - tail,
-                         _skew_step(sys, theta.shift(tail), depth - tail), base)
-    fan, step = sys.ell**tail, _skew_step(sys, theta, tail)
-    rows = _EVAL_BLOCK // fan  # >= 1, as fan <= _EVAL_BLOCK
-    # row r of the head and tail word p land at p * head.size + r
-    x, y = np.empty((fan, head.size)), np.empty((fan, head.size))
-    for r in range(0, head.size, rows):
-        chunk_x, chunk_y = _walk(sys, head[r:r + rows], tail, step, head_y[r:r + rows])
-        x[:, r:r + rows], y[:, r:r + rows] = chunk_x.reshape(fan, -1), chunk_y.reshape(fan, -1)
-    return x.ravel(), y.ravel()
 
 
 def _probe_depth(sys: CookieCutterSystem, probes: int) -> int:

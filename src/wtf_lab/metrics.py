@@ -25,12 +25,13 @@ from .dynamics import (
     _check_words,
     _orbit,
     _require_ints,
+    _walk,
     birkhoff_sums_along,
     enumerate_words,
     torus_distance,
 )
 from .errors import BadConfig, DegenerateFit, Inconclusive, NotInPartition, OscillationUnderflow
-from .graph import _oscillations, _probe_bases, _pull_back_walk, eval_W_many
+from .graph import _oscillations, _probe_bases, _skew_step, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, measure_stats, sample_digit_counts
@@ -86,31 +87,30 @@ def sample_graph(sys: CookieCutterSystem, theta: ThetaSequence, depth: int,
     Restricted: per_cylinder stratified representatives inside every depth-n
     cylinder (a Moran cover of the repeller), so all x lie on the repeller.
 
-    Restricted clouds, and grids that the walk from the start values
-    j / per_cylinder reproduces bit for bit (affine full systems such as the
-    ell-adic maps with a power-of-two per_cylinder), are pulled back from one
-    series value per start value (graph._pull_back_walk); every other grid
-    sums the forward series at each point.  ValueError for a depth that is
-    not an integer >= 0 or a per_cylinder that is not an integer >= 1.
+    Restricted clouds walk the start values (j + 1/2) / per_cylinder down
+    the cylinder tree; affine full systems walk j / per_cylinder, kept where
+    the walk gives the grid bit for bit (the ell-adic maps with a
+    power-of-two per_cylinder).  One _walk carries one series value per
+    start value up the skew product; every other grid sums the forward
+    series at each point.  ValueError for a depth that is not an integer
+    >= 0 or a per_cylinder that is not an integer >= 1.
     """
     _require_ints(0, depth=depth)
     _require_ints(1, per_cylinder=per_cylinder)
     total = _check_words(sys.ell, depth, per_cylinder)
-    if restrict_to_repeller:
-        xs, ys = _pull_back_walk(sys, (np.arange(per_cylinder) + 0.5) / per_cylinder,
-                                 theta, depth, tol)
-        if not np.all(xs[1:] >= xs[:-1]):  # decreasing branches reverse the walk order
-            order = np.argsort(xs, kind="stable")
-            xs, ys = xs[order], ys[order]
-    else:
-        xs, ys = np.arange(total, dtype=float) / total, None
-        if sys.is_affine and sys.is_full:
-            walk_x, walk_y = _pull_back_walk(sys, np.arange(per_cylinder) / per_cylinder,
-                                             theta, depth, tol)
-            if np.array_equal(walk_x, xs):
-                ys = walk_y
-        if ys is None:
-            ys, _, _ = eval_W_many(sys, xs, theta, tol)
+    xs = ys = None
+    if restrict_to_repeller or (sys.is_affine and sys.is_full):
+        t = (np.arange(per_cylinder) + (0.5 if restrict_to_repeller else 0.0)) / per_cylinder
+        base, _, _ = eval_W_many(sys, t, theta.shift(depth), tol)
+        xs, ys = _walk(sys, t, depth, _skew_step(sys, theta, depth), base)
+    if not restrict_to_repeller:
+        grid = np.arange(total, dtype=float) / total
+        if xs is None or not np.array_equal(xs, grid):
+            ys, _, _ = eval_W_many(sys, grid, theta, tol)
+        xs = grid
+    elif not np.all(xs[1:] >= xs[:-1]):  # decreasing branches reverse the walk order
+        order = np.argsort(xs, kind="stable")
+        xs, ys = xs[order], ys[order]
     prov = CloudProvenance(
         model_id=sys.model_id,
         theta_mode=theta.mode,
@@ -206,6 +206,8 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> 
         raise ValueError("need at least 6 scales")
     if not all(math.isfinite(r) and r > 0.0 for r in scales):
         raise ValueError("box scales must be finite and positive")
+    if len(set(scales)) < len(scales):  # equal scales leave the log-log fit no spread
+        raise ValueError("box scales must be distinct")
     if len(cloud) == 0 or not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):
         raise ValueError("box counting needs a non-empty cloud of finite points")
     if not all(isinstance(k, (int, np.integer)) for k in drop):
@@ -472,6 +474,8 @@ def correlation_dimension(cloud: GraphCloud, radii, *, seed: int = 0) -> Correla
         raise ValueError("need at least 5 radii")
     if not all(math.isfinite(r) and r > 0.0 for r in radii):
         raise ValueError("correlation radii must be finite and positive")
+    if len(set(radii)) < len(radii):
+        raise ValueError("correlation radii must be distinct")
     if len(cloud) < 10**3:
         raise ValueError("need at least 1000 points")
     if not (np.isfinite(cloud.x).all() and np.isfinite(cloud.y).all()):

@@ -619,6 +619,16 @@ class TestVerify:
         assert read_report(tmp_path / "o")["error"] == {"type": "BadConfig", "message": message}
 
 
+def test_boxdim_equal_scales_is_validation_error(tmp_path, capsys):
+    # six equal scales ended in a ZeroDivisionError traceback and exit 3
+    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, "scales": [0.1] * 6})
+    out = tmp_path / "out"
+    assert main(["boxdim", "--config", cfg, "--out", str(out)]) == 2
+    assert read_report(out)["error"] == {"type": "ValueError",
+                                         "message": "box scales must be distinct"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 MALFORMED = {
     "boxdim-window_drop": ("boxdim", {"window_drop": 5}),
     "boxdim-window_drop_negative_end": (

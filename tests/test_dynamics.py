@@ -718,20 +718,38 @@ class TestPreimageKernel:
     def test_affine_gather_has_clip_bits(self, systems):
         # in-place maximum then minimum give np.clip's bits on NaN, signed
         # zeros, infinities and targets whose preimage is a branch end
-        rng = np.random.default_rng(67)
-        affine = {**_affine_systems(systems),
-                  "mixed_orientation": wl.validate_system(MIXED_ORIENTATION)}
-        for name, sys in affine.items():
-            ends = np.concatenate([br.forward(np.array([br.lo, br.hi])) for br in sys.branches])
-            x = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
-                                [0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf],
-                                rng.random(40)])
+        for name, sys, x in _clip_targets(systems):
             slope, offset = sys._affine_coefficients
             for i in range(sys.ell):
                 d = np.full(x.size, i)
                 want = np.clip((x - offset.take(d)) / slope.take(d),
                                sys.branch_lows.take(d), sys.branch_highs.take(d))
                 assert dynamics._preimages(sys, d, x).tobytes() == want.tobytes(), (name, i)
+
+    def test_affine_inverse_has_kernel_bits(self, systems):
+        # AffineBranch.inverse clips as _preimages does, maximum then minimum,
+        # so the mixed map's inverse(1.0) is +0.0 in both, not np.clip's -0.0
+        for name, sys, x in _clip_targets(systems):
+            for br in sys.branches:
+                want = dynamics._preimages(sys, np.full(x.size, br.index), x)
+                assert br.inverse(x).tobytes() == want.tobytes(), (name, br.index)
+        mixed = wl.validate_system(MIXED_ORIENTATION).branches[0]
+        assert math.copysign(1.0, mixed.inverse(1.0)) == 1.0
+
+
+def _clip_targets(systems):
+    """(name, system, targets) for each affine system and the mixed map: the
+    branch image ends, their float neighbours, NaN, signed zeros,
+    infinities and random points."""
+    rng = np.random.default_rng(67)
+    affine = {**_affine_systems(systems),
+              "mixed_orientation": wl.validate_system(MIXED_ORIENTATION)}
+    for name, sys in affine.items():
+        ends = np.concatenate([br.forward(np.array([br.lo, br.hi])) for br in sys.branches])
+        yield name, sys, np.concatenate([ends, np.nextafter(ends, -np.inf),
+                                         np.nextafter(ends, np.inf),
+                                         [0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf],
+                                         rng.random(40)])
 
 
 def _suffix_systems(systems):

@@ -20,9 +20,7 @@ from wtf_lab.graph import (
     _probe_depth,
     _probes,
     _pull_back,
-    _pull_back_walk,
     _series,
-    _skew_step,
     _terms_for_tolerance,
 )
 from wtf_lab.verify import _skew_values
@@ -272,25 +270,6 @@ def test_probe_rows_are_not_repeated(systems, monkeypatch, name):
     xs = np.random.default_rng(59).random(20)
     wl.holder_oscillation_many(systems[name], xs, ThetaSequence.iid_uniform(4), range(1, 31), 128)
     assert rows and max(rows) <= len(xs)
-
-
-@pytest.mark.parametrize("name, depth, calls", [("M5", 14, 20), ("M2", 16, 76)])
-def test_pull_back_walk_chunks_only_past_the_block(systems, monkeypatch, name, depth, calls):
-    # 4 start values walk together while a level holds at most 2^14 points
-    # (12 levels), and only the last levels run on row chunks: 12 + 4 * 2
-    # and 12 + 16 * 4 level calls, where each start value walked alone past
-    # 14 levels made 4 * 14 and 2 + 16 * 14.  x and y keep the unchunked
-    # walk's bits
-    sys, theta = systems[name], ThetaSequence.iid_uniform(6)
-    t = (np.arange(4) + 0.5) / 4
-    sizes, preimages = [], wl.dynamics._preimages
-    monkeypatch.setattr(wl.dynamics, "_preimages",
-                        lambda s, d, x: sizes.append(np.size(x)) or preimages(s, d, x))
-    x, y = _pull_back_walk(sys, t, theta, depth, 1e-8)
-    assert len(sizes) == calls and max(sizes) * sys.ell <= 2**14
-    base, _, _ = wl.eval_W_many(sys, t, theta.shift(depth), 1e-8)
-    want_x, want_y = _walk(sys, t, depth, _skew_step(sys, theta, depth), base)
-    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 class TestOscillation:

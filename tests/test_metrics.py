@@ -142,7 +142,7 @@ class TestPullBackCloud:
         # 256-point blocks: depth 10 walks 6 levels on all 3 start values and
         # 4 on chunks of 16 rows, depth 5 walks 3 levels on all 20 and 2 on
         # chunks of 64 rows; the bits are the unchunked walk's
-        monkeypatch.setattr(wl.graph, "_EVAL_BLOCK", 256)
+        monkeypatch.setattr(wl.dynamics, "_EVAL_BLOCK", 256)
         mixed = wl.validate_system({"branches": [
             {"domain": [0.0, 0.4], "slope": -2.5, "offset": 1.0},
             {"domain": [0.6, 1.0], "slope": 2.5, "offset": -1.5}], "lambda": 0.7})
@@ -156,13 +156,31 @@ class TestPullBackCloud:
                 assert cloud.y.tobytes() == y[order].tobytes()
 
     def test_m1_grid_matches_level_order_walk(self, m1, monkeypatch):
-        monkeypatch.setattr(wl.graph, "_EVAL_BLOCK", 256)
+        monkeypatch.setattr(wl.dynamics, "_EVAL_BLOCK", 256)
         for per in (1, 4, 5):
             theta = ThetaSequence.iid_uniform(per)
             cloud = wl.sample_graph(m1, theta, 9, per, 1e-8)
             u, y = _level_order_cloud(m1, np.arange(per) / per, theta, 9, 1e-8)
             assert cloud.x.tobytes() == u.tobytes()
             assert cloud.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("name, depth, calls", [("M5", 14, 20), ("M2", 16, 76)])
+    def test_restricted_walk_chunks_only_past_the_block(self, systems, monkeypatch, name,
+                                                        depth, calls):
+        # 4 start values walk together while a level holds at most 2^14
+        # points (12 levels), and only the last levels run on row chunks:
+        # 12 + 4 * 2 and 12 + 16 * 4 level calls, where each start value
+        # walked alone past 14 levels made 4 * 14 and 2 + 16 * 14.  x and y
+        # keep the level-order walk's bits
+        sys, theta = systems[name], ThetaSequence.iid_uniform(6)
+        sizes, preimages = [], wl.dynamics._preimages
+        monkeypatch.setattr(wl.dynamics, "_preimages",
+                            lambda s, d, x: sizes.append(np.size(x)) or preimages(s, d, x))
+        cloud = wl.sample_graph(sys, theta, depth, 4, 1e-8, restrict_to_repeller=True)
+        assert len(sizes) == calls and max(sizes) * sys.ell <= 2**14
+        u, y = _level_order_cloud(sys, (np.arange(4) + 0.5) / 4, theta, depth, 1e-8)
+        order = np.argsort(u, kind="stable")
+        assert cloud.x.tobytes() == u[order].tobytes() and cloud.y.tobytes() == y[order].tobytes()
 
     def test_other_grids_stay_forward(self, systems):
         # M1 with 3 points per cylinder: the walk from j / 3 misses the grid
@@ -242,6 +260,13 @@ class TestBoxDimension:
     def test_bad_scale_refused(self, line_cloud, bad):
         scales = [2.0**-k for k in range(2, 8)] + [bad]
         with pytest.raises(ValueError, match="finite and positive"):
+            wl.box_dimension(line_cloud, scales)
+
+    @pytest.mark.parametrize("scales", [[0.1] * 6, [2.0**-k for k in range(2, 9)] + [2.0**-5]],
+                             ids=["all_equal", "one_repeat"])
+    def test_repeated_scale_refused(self, line_cloud, scales):
+        # six equal scales left the fit no spread: ZeroDivisionError
+        with pytest.raises(ValueError, match="distinct"):
             wl.box_dimension(line_cloud, scales)
 
     def test_empty_cloud_refused(self, line_cloud):
@@ -732,6 +757,15 @@ class TestCorrelationDimension:
                            CloudProvenance("b", "zeros", None, 0, 0.0))
         with pytest.raises(ValueError, match="finite and positive"):
             wl.correlation_dimension(cloud, [2.0**-k for k in range(1, 7)] + [bad])
+
+    @pytest.mark.parametrize("radii", [[0.1] * 5, [2.0**-k for k in range(1, 7)] + [0.25]],
+                             ids=["all_equal", "one_repeat"])
+    def test_repeated_radius_refused(self, radii):
+        rng = np.random.default_rng(5)
+        cloud = GraphCloud(rng.random(2000), rng.random(2000),
+                           CloudProvenance("b", "zeros", None, 0, 0.0))
+        with pytest.raises(ValueError, match="distinct"):
+            wl.correlation_dimension(cloud, radii)
 
     def test_torus_metric_uniform_slope(self):
         # pairs that wrap around x = 0/1 count at their torus distance

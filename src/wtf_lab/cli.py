@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
-from .dynamics import _check_budget, _check_words, _words_at, point_of_word
+from .dynamics import _check_budget, _words_at, point_of_word
 from .errors import (
     BadConfig,
     BudgetExceeded,
@@ -159,7 +159,9 @@ def _cmd_holder(config, out_dir, seed, report):
     if points is None:  # count evenly spaced words of depth n, each at a seeded uniform
         n = require_int(config, "point_depth", default=12, low=1)
         count = require_int(config, "point_count", default=50, low=1)
-        total = _check_words(sys.ell, n)
+        if n > 63 or sys.ell**n > np.iinfo(np.int64).max:  # before the power is formed
+            raise BudgetExceeded(f"{sys.ell}**{n} words pass the int64 word index")
+        _check_budget(min(count, total := sys.ell**n) * n)  # the digits of the words formed
         rows = np.arange(0, total, max(1, total // count))[:count]
         u = counter_uniforms(seed if seed is not None else 7, rows, stream=n)
         points = point_of_word(sys, _words_at(rows, sys.ell, n), u)

@@ -197,41 +197,45 @@ class SineFamilyBranch:
         return float(self._f(self.lo)), float(self._f(self.hi))
 
     def inverse(self, y):
-        """The root of f(x) = y + index, each element on its own.  A target
-        strictly inside the branch image takes one Newton step x = x0 - s from
-        the seed x0 of _inverse_seed; x is kept where Newton's bound on its
-        error, K (r s)^2 (see _inverse_seed), is at most half an ulp of x.
-        A target at or past an image end gives that end, as in
-        _invert_increasing; every other element is solved by it, with its
-        bits.  InversionFailed for a target that is not finite."""
-        y = np.asarray(y, dtype=float)
-        target = y + float(self.index)
-        if not np.isfinite(target).all():
+        """The root of f(x) = y + index, each element on its own: one in-place
+        Newton step x = x0 - s over the batch from the seed x0 of _inverse_seed,
+        kept where Newton's bound on its error, K (r s)^2, is at most half an
+        ulp of x.  Then a target at or past an image end gives that end, as in
+        _invert_increasing, which solves the rejected interior targets only,
+        with its bits.  InversionFailed for a target that is not finite."""
+        shape, y = np.shape(y), np.asarray(y, dtype=float).reshape(-1)  # a view if contiguous
+        t, (f_lo, f_hi), seed = y + float(self.index), self._image, _inverse_seed(self)
+        low, high = (float(t.min()), float(t.max())) if t.size else (f_hi, f_lo)
+        if not (math.isfinite(low) and math.isfinite(high)):  # min and max are NaN if any is
             raise InversionFailed("inverse branch target is not finite")
-        f_lo, f_hi = self._image
-        t = target.ravel()
-        x = np.where(t <= f_lo, self.lo, self.hi)  # the image ends; the rest is overwritten
-        rest = (t > f_lo) & (t < f_hi)  # elements left to _invert_increasing
-        seed = _inverse_seed(self)
+        x, ok = np.empty_like(t), np.zeros(t.shape, dtype=bool)  # no seed: all to the fallback
         if seed is not None:
             center, scale, coefficients, bound = seed
-            live = np.flatnonzero(rest)
-            x0 = _clenshaw(coefficients, (t[live] - center) * scale)
-            # f(x0) - (y + index) with the nearly equal terms first: ell x0 -
-            # index - y cancels almost exactly, so neither the rounding of
-            # y + index nor that of f(x0) near it enters the step
-            residual = (self.ell * x0 - self.index - y.ravel()[live]
-                        + self.eps * np.sin(2.0 * math.pi * x0))
-            s = residual / self.derivative(x0)
-            xl = x0 - s
-            ok = bound * (s * s) <= _HALF_ULP * np.abs(xl)
-            kept = live[ok]
-            x[kept] = xl[ok]
-            rest[kept] = False
-        if rest.any():
-            x[rest] = _invert_increasing(self._f, self.derivative, t[rest], self.lo, self.hi,
-                                         f_lo, f_hi)
-        return np.clip(x.reshape(target.shape), self.lo, self.hi)
+            with np.errstate(all="ignore"):  # targets past the ends are overwritten below
+                u = (t - center) * scale
+                x = _clenshaw(coefficients, u)  # x0, then x
+                w = np.multiply(x, 2.0 * math.pi, out=u)  # for the sin and the cos
+                # f(x0) - (y + index) as (ell x0 - index - y) + eps sin: no y + index rounding
+                r = x * self.ell - self.index
+                r -= y
+                v = np.sin(w)
+                r += np.multiply(v, self.eps, out=v)
+                np.multiply(np.cos(w, out=w), 2.0 * math.pi * self.eps, out=w)
+                w += self.ell  # f'(x0)
+                r /= w  # the step s
+                x -= r
+                np.multiply(r, r, out=w)
+                w *= bound
+                ok = w <= np.multiply(np.abs(x, out=v), _HALF_ULP, out=v)
+        if low <= f_lo or high >= f_hi:
+            for end, at in ((self.lo, t <= f_lo), (self.hi, t >= f_hi)):
+                np.copyto(x, end, where=at)
+                ok |= at
+        if not ok.all():  # the rejected interior targets
+            at = np.flatnonzero(~ok)
+            x[at] = _invert_increasing(self._f, self.derivative, t[at], self.lo, self.hi, f_lo, f_hi)
+        x = np.minimum(np.maximum(x, self.lo, out=x), self.hi, out=x)  # np.clip's bits: no NaN or -0.0
+        return x.reshape(shape) if shape else x[0]
 
 
 _SEED_DEGREES = range(8, 65, 4)  # Chebyshev degrees tried for the inverse seed
@@ -240,12 +244,14 @@ _HALF_ULP = 2.0**-54  # a lower bound on half an ulp of x, relative to |x|
 
 
 def _clenshaw(coefficients, u):
-    """sum_j c_j T_j(u) by Clenshaw's recurrence, elementwise."""
-    u2 = u + u
+    """sum_j c_j T_j(u) by Clenshaw's recurrence, elementwise, in reused buffers."""
+    u2, tmp = u + u, np.empty_like(u)
     b1, b2 = np.full_like(u, coefficients[-1]), np.zeros_like(u)
-    for c in coefficients[-2:0:-1]:
-        b1, b2 = u2 * b1 - b2 + c, b1
-    return u * b1 - b2 + coefficients[0]
+    for j in range(len(coefficients) - 2, -1, -1):
+        np.subtract(np.multiply(u2 if j else u, b1, out=tmp), b2, out=b2)
+        b2 += coefficients[j]
+        b1, b2 = b2, b1
+    return b1
 
 
 @lru_cache(maxsize=None)
@@ -736,26 +742,29 @@ def _word(sys: CookieCutterSystem, word) -> np.ndarray:
 def _preimages(sys: CookieCutterSystem, d, x) -> np.ndarray:
     """rho_d(x) elementwise, the digits d broadcast against the points x; the
     one fork on branch kind for inverses.  Affine systems gather by digit
-    AffineBranch.inverse's (x - offset) / slope clipped to [lo, hi]; the
-    sine family makes one inverse call per branch on the points carrying
-    its digit.  Every inverse is elementwise: any batch or layout gives a
-    value the same bits."""
+    AffineBranch.inverse's (x - offset) / slope clipped to [lo, hi].  The sine
+    family inverts once per branch: a walk level's row, the columns of an (S,
+    count) start matrix or all points, and only a digit per element takes a
+    flat index.  Every inverse is elementwise, so any layout keeps the bits."""
     x, d = np.asarray(x, dtype=float), np.asarray(d)
     if sys.is_affine:
         d, (slope, offset) = d.astype(np.intp), sys._affine_coefficients
         v = (x - offset.take(d)) / slope.take(d)
         np.maximum(v, sys.branch_lows.take(d), out=v)  # np.clip's bits, without its overhead
         return np.minimum(v, sys.branch_highs.take(d), out=v)
-    points = np.empty(np.broadcast(d, x).shape)
-    np.copyto(points, x)
-    mask, out = np.empty(points.shape, dtype=bool), np.empty(points.size)
+    shape = np.broadcast(d, x).shape
+    axes = [k + len(shape) - d.ndim for k, n in enumerate(d.shape) if n > 1]
+    out, x, dd = np.empty(shape), np.broadcast_to(x, shape), d.ravel()
+    if d.shape == shape or len(axes) > 1:  # a digit per element: a flat index
+        out, x, dd, axes = out.reshape(-1), x.ravel(), np.broadcast_to(d, shape).ravel(), [0]
+    lead = (slice(None),) * axes[0] if axes else None  # None: one digit for every point
     for i, br in enumerate(sys.branches):
-        np.equal(d, i, out=mask)  # d broadcast into the mask, never copied
-        at = mask.ravel().nonzero()[0]
-        if at.size:  # a run, such as a walk level's branch, is sliced, not gathered
+        at = np.flatnonzero(dd == i)
+        if at.size:  # a run, such as a walk level's row, is sliced, not gathered
             at = slice(at[0], at[-1] + 1) if at[-1] - at[0] + 1 == at.size else at
-            out[at] = br.inverse(points.ravel()[at])
-    return out.reshape(points.shape)
+            at = ... if lead is None else lead + (at,)
+            out[at] = br.inverse(x[at])
+    return out.reshape(shape)
 
 
 def _compose_rows(sys: CookieCutterSystem, digits: np.ndarray, x, step=None, y=None):

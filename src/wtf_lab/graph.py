@@ -78,7 +78,8 @@ def _skew_step(sys: CookieCutterSystem, theta: ThetaSequence, n: int):
     the columns k < n of _compose and _walk.  From y = W_{sigma^n theta} at
     the start values, y ends as W_theta at the composed points."""
     shifts = theta.block(0, n)
-    return lambda k, u, y: sys.lam_at(u) * y + sys.g(u + shifts[k])
+    one = sys.lam_is_table and sys.lambda_inf == sys.lambda_sup  # equal weights: no full array
+    return lambda k, u, y: (sys.lambda_inf if one else sys.lam_at(u)) * y + sys.g(u + shifts[k])
 
 
 def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,13 +67,21 @@ class CheckResult:
     elapsed: float
 
 
-class BatteryContext:
-    """The validated bundled models, shared by the criteria of one battery."""
+class _Systems(dict):
+    """The bundled models by name, each validated on first use, by [] and by get."""
 
-    def __init__(self):
-        self.systems: dict[str, CookieCutterSystem] = {
-            name: validate_system(spec) for name, spec in MODELS.items()
-        }
+    def __missing__(self, name: str) -> CookieCutterSystem:
+        return self.setdefault(name, validate_system(MODELS[name]))
+
+    def get(self, name, default=None):
+        return self[name] if name in MODELS else default
+
+
+@dataclass
+class BatteryContext:
+    """The bundled models, validated on first use and shared by the criteria of one battery."""
+
+    systems: dict[str, CookieCutterSystem] = field(default_factory=_Systems, init=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import spearmanr
 
 import wtf_lab as wl
-from wtf_lab import ThetaSequence, oscillation_over
+from wtf_lab import ThetaSequence, oscillation_over, verify
 from wtf_lab.dynamics import birkhoff_sums_along, point_of_word
 from wtf_lab.verify import CHECK_IDS, BatteryContext, _band_ratios, _rank_correlation, run_battery
 
@@ -24,6 +24,21 @@ M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
 @pytest.fixture(scope="module")
 def ctx():
     return BatteryContext()
+
+
+def test_battery_validates_models_on_first_use(monkeypatch):
+    # a battery validates only the bundled models its criteria read, once
+    # each; get returns the validated model too, and None for other names
+    seen, validate = [], verify.validate_system
+    monkeypatch.setattr(verify, "validate_system", lambda spec: seen.append(spec["id"]) or validate(spec))
+    fresh = verify.BatteryContext()
+    assert seen == []
+    m2 = fresh.systems["M2"]
+    assert fresh.systems.get("M2") is m2 and fresh.systems["M2"] is m2
+    assert fresh.systems.get("M5") is fresh.systems["M5"] and fresh.systems.get("M6") is None
+    assert seen == ["M2", "M5"]
+    with pytest.raises(KeyError):
+        fresh.systems["M6"]
 
 
 @pytest.mark.parametrize("cid", CHECK_IDS)

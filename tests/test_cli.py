@@ -543,6 +543,20 @@ def test_holder_default_points_match_full_enumeration(tmp_path, systems, model):
         assert xs == ref.tolist()
 
 
+def test_holder_default_points_on_five_branches(tmp_path):
+    # 5**12 words pass the budget, but only point_count of them are formed:
+    # the defaults exit 0, and x is point_of_word on the evenly spaced words
+    spec = {"branches": {"family": "ell_adic", "ell": 5}, "lambda": 0.5}
+    cfg = write_config(tmp_path, "cfg.json", {"model": spec})
+    out = tmp_path / "out"
+    assert main(["holder", "--config", cfg, "--out", str(out)]) == 0
+    xs = [float(line.split(",")[0]) for line in (out / "holder.csv").read_text().splitlines()[1:]]
+    rows = np.arange(0, 5**12, 5**12 // 50)[:50]
+    words = np.array([[int(c) for c in np.base_repr(r, 5).zfill(12)] for r in rows], dtype=np.uint8)
+    ref = point_of_word(wl.validate_system(spec), words, counter_uniforms(7, rows, stream=12))
+    assert len(xs) == 50 and xs == ref.tolist()
+
+
 @pytest.mark.parametrize("model", ["M1", "M5", "M2"])
 def test_holder_batch_matches_per_point(tmp_path, systems, model):
     # the batched command writes the per-point loop's CSV byte for byte, and

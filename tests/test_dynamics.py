@@ -1,6 +1,7 @@
 """Cookie-cutter systems: validation, coding, cylinders, Birkhoff sums."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -453,6 +454,174 @@ class TestSeededInverse:
             assert np.abs(dynamics._clenshaw(coefficients, u) - want).max() <= 1e-9
 
 
+S5 = {"branches": {"family": "doubling_plus_sine", "ell": 5, "eps": 0.6047887837492023},
+      "lambda": {"kind": "trig", "c0": 0.9, "harmonics": [[1, 0.02, 0.0]]}}
+
+
+def _reference_clenshaw(coefficients, u):
+    """_clenshaw in its allocating form: new arrays at every step."""
+    u2 = u + u
+    b1, b2 = np.full_like(u, coefficients[-1]), np.zeros_like(u)
+    for c in coefficients[-2:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coefficients[0]
+
+
+def _reference_inverse(br, y):
+    """SineFamilyBranch.inverse before the in-place kernel: the interior
+    targets masked and gathered, one Newton step on them, the accepted roots
+    scattered back and the rest of the interior gathered for the fallback."""
+    y = np.asarray(y, dtype=float)
+    target = y + float(br.index)
+    if not np.isfinite(target).all():
+        raise InversionFailed("inverse branch target is not finite")
+    f_lo, f_hi = br._image
+    t = target.ravel()
+    x = np.where(t <= f_lo, br.lo, br.hi)
+    rest = (t > f_lo) & (t < f_hi)
+    seed = dynamics._inverse_seed(br)
+    if seed is not None:
+        center, scale, coefficients, bound = seed
+        live = np.flatnonzero(rest)
+        x0 = _reference_clenshaw(coefficients, (t[live] - center) * scale)
+        residual = (br.ell * x0 - br.index - y.ravel()[live]
+                    + br.eps * np.sin(2.0 * math.pi * x0))
+        s = residual / br.derivative(x0)
+        xl = x0 - s
+        ok = bound * (s * s) <= 2.0**-54 * np.abs(xl)
+        kept = live[ok]
+        x[kept] = xl[ok]
+        rest[kept] = False
+    if rest.any():
+        x[rest] = dynamics._invert_increasing(br._f, br.derivative, t[rest], br.lo, br.hi,
+                                              f_lo, f_hi)
+    return np.clip(x.reshape(target.shape), br.lo, br.hi)
+
+
+def _reference_preimages(sys, d, x):
+    """_preimages' sine path before the split by digit shape: x copied to
+    the broadcast shape, a full-size mask and one gather per branch."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d)
+    points = np.empty(np.broadcast(d, x).shape)
+    np.copyto(points, x)
+    mask, out = np.empty(points.shape, dtype=bool), np.empty(points.size)
+    for i, br in enumerate(sys.branches):
+        np.equal(d, i, out=mask)
+        at = mask.ravel().nonzero()[0]
+        if at.size:
+            out[at] = _reference_inverse(br, points.ravel()[at])
+    return out.reshape(points.shape)
+
+
+def _sine_maps(m5):
+    """M5 and two steeper maps, with their seed degrees (None: no seed)."""
+    return {"M5": (m5, [16, 16]),
+            "steep_sine": (wl.validate_system(STEEP_SINE), [12, 60, 12]),
+            "S5": (wl.validate_system(S5), [8, 12, None, 12, 8])}
+
+
+def _sine_targets(rng):
+    """Interior targets, the image ends 0 and 1, their neighbours and
+    targets past them, some far enough to overflow a Newton step, as one
+    batch."""
+    return np.concatenate([rng.random(99), [0.0, 1.0, 0.0, 1.0, 0.5, 1e-300, 5e-324],
+                           np.nextafter([0.0, 1.0], [1.0, 0.0]), [-0.25, 1.25, -1e300, 1e300]])
+
+
+class TestInPlaceInverse:
+    # the in-place kernel and the split by digit shape give the bits of the
+    # masked reference, with its type, shape and dtype, on every layout
+
+    def test_seed_degrees(self, m5):
+        for name, (sys, degrees) in _sine_maps(m5).items():
+            seeds = [dynamics._inverse_seed(br) for br in sys.branches]
+            assert [None if s is None else len(s[2]) - 1 for s in seeds] == degrees, name
+
+    def test_inverse_matches_reference(self, m5):
+        # the step over targets far past the ends overflows, unseen: they are
+        # overwritten by the ends
+        rng = np.random.default_rng(83)
+        y = _sine_targets(rng)
+        for name, (sys, _) in _sine_maps(m5).items():
+            for br in sys.branches:
+                for v in (y, y.reshape(8, 14), y.reshape(14, 8).T, y[:0], y[:0].reshape(0, 3),
+                          np.float64(y[5]), np.array(0.0), 1.0, y[99:101].tolist()):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = br.inverse(v)
+                    assert _same_bits(got, _reference_inverse(br, v)), (name, br.index, np.shape(v))
+
+    def test_layouts_match_reference(self, m5):
+        rng = np.random.default_rng(89)
+        for name, (sys, _) in _sine_maps(m5).items():
+            ell = sys.ell
+            x = _sine_targets(rng)
+            starts = np.vstack([rng.random((3, 40)), np.zeros(40), np.ones(40)])
+            digits = rng.integers(0, ell, 40).astype(np.uint8)
+            cases = [
+                (np.arange(ell)[:, None], x),  # a walk level
+                (np.arange(ell)[:, None], x[:1]),
+                (np.arange(ell)[::-1, None], x),  # the rows in another order
+                (digits, starts),  # an (S, count) start matrix
+                (digits[:1], starts[:, :1]),  # one column
+                (np.zeros(40, dtype=np.uint8), starts),  # every column one digit
+                (digits[:0], starts[:, :0]),
+                (digits, starts[0]),  # a digit per row
+                (rng.integers(0, ell, x.size).astype(np.uint8), x),
+                (np.uint8(ell - 1), x),  # one digit for every point
+                (np.uint8(1), starts),
+                (np.uint8(0), np.float64(0.25)),
+                (np.uint8(0), x[:0]),
+                (digits.reshape(8, 5)[:, None, :], rng.random((3, 1))),  # digits on two axes
+            ]
+            for d, v in cases:
+                got, want = dynamics._preimages(sys, d, v), _reference_preimages(sys, d, v)
+                assert _same_bits(got, want), (name, np.shape(d), np.shape(v))
+
+    def test_rejected_seeds_match_reference(self, m5, monkeypatch):
+        # a seed off by 1e-7 u passes the accept test only near u = 0: the
+        # fallback sees the interior targets the reference sends it, never an
+        # end, and every root keeps its bits
+        rng = np.random.default_rng(97)
+        y = _sine_targets(rng)
+        seen = _fallback_spy(monkeypatch)
+        for name, (sys, _) in _sine_maps(m5).items():
+            for br in sys.branches:
+                seed = dynamics._inverse_seed(br)
+                if seed is None:
+                    continue
+                center, scale, coefficients, bound = seed
+                off = (center, scale, (coefficients[0], coefficients[1] + 1e-7) + coefficients[2:],
+                       bound)
+                with monkeypatch.context() as patch:
+                    patch.setattr(dynamics, "_inverse_seed", lambda branch, off=off: off)
+                    seen.clear()
+                    want = _reference_inverse(br, y)
+                    sent = [t.tolist() for t in seen]
+                    seen.clear()
+                    got = br.inverse(y)
+                    assert _same_bits(got, want), (name, br.index)
+                    assert [t.tolist() for t in seen] == sent and len(sent) == 1, (name, br.index)
+                    f_lo, f_hi = br._image
+                    assert f_lo < min(sent[0]) and max(sent[0]) < f_hi
+                    d = np.full(40, br.index, dtype=np.uint8)
+                    starts = rng.random((3, 40))
+                    assert _same_bits(dynamics._preimages(sys, d, starts),
+                                      _reference_preimages(sys, d, starts)), (name, br.index)
+
+    def test_non_finite_targets_refused(self, m5):
+        for name, (sys, _) in _sine_maps(m5).items():
+            for bad in (np.nan, np.inf, -np.inf):
+                for br in sys.branches:
+                    for v in (np.array([0.5, bad, 0.25]), bad, np.array([[bad]])):
+                        with pytest.raises(InversionFailed):
+                            br.inverse(v)
+                with pytest.raises(InversionFailed):
+                    dynamics._preimages(sys, np.arange(sys.ell)[:, None], np.array([0.5, bad]))
+                with pytest.raises(InversionFailed):
+                    dynamics._preimages(sys, np.zeros(2, dtype=np.uint8), np.array([[0.5, bad]]))
+
+
 class TestOrbitWalk:
     def test_matches_scalar_walk(self, systems):
         for name, sys in systems.items():
@@ -879,6 +1048,21 @@ def test_pointwise_fields_keep_input_shape(systems, name):
         for key, value in _pointwise(sys, x).items():
             assert np.shape(value) == (), (key, x)
             np.testing.assert_allclose(value, flat[key][i], rtol=1e-15, atol=0, err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["M1", "M3", "M5", "M5_trig_lambda"])
+def test_skew_step_matches_lam_at(systems, name):
+    # an equal-weight lambda table multiplies by its one value: the bits and
+    # the shape of lam_at(u) * y + g(u + theta_k), with y one value per start
+    # value broadcast against a walk level, as in _walk
+    sys = systems.get(name) or wl.validate_system(M5_TRIG_LAMBDA)
+    theta = ThetaSequence.iid_uniform(13)
+    rng = np.random.default_rng(19)
+    u, y = rng.random((sys.ell, 6)), rng.random(6)
+    for k in range(3):
+        got = _skew_step(sys, theta, 3)(k, u, y)
+        want = sys.lam_at(u) * y + sys.g(u + theta[k])
+        assert _same_bits(got, want), (name, k)
 
 
 def _reference_tree(sys, depth):

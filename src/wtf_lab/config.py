@@ -18,6 +18,10 @@ CONFIG_KEYS = frozenset((
     "cloud_csv_in scales min_scale_exp max_scale_exp window_drop holder_csv birkhoff_depth "
     "osc_depth_min osc_depth_max probes points point_depth point_count spectrum_csv q_grid "
     "q_min q_max q_steps sample_csv q pot_a pot_b pot_c count lift_csv").split())
+# Two ways to give one input, each pair read by one command: a config that
+# sets a key and any key it is paired with contradicts itself.
+_EXCLUSIVE_KEYS = {"q": ("pot_a", "pot_b", "pot_c"), "points": ("point_depth", "point_count"),
+                   "scales": ("min_scale_exp", "max_scale_exp")}
 
 
 def load_config(path) -> dict:
@@ -33,6 +37,9 @@ def load_config(path) -> dict:
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise BadConfig(f"unknown config keys {unknown}")
+    for key, others in _EXCLUSIVE_KEYS.items():
+        if key in config and (clash := [k for k in others if k in config]):
+            raise BadConfig(f"config keys {key!r} and {clash[0]!r} contradict: set one or the other")
     return config
 
 

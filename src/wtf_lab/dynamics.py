@@ -45,7 +45,6 @@ _PROBES_PER_BRANCH = 10_001
 # (max contraction)^64, far below float64 resolution.
 _MAX_EFFECTIVE_DEPTH = 64
 _EVAL_BLOCK = 2**14  # points per series block or _walk chunk, rows per block of _compose
-_CHEBYSHEV_SIZES = (16, 32)  # node counts of the coarse and the fine transfer operator
 _MAX_BRANCHES = 255  # digits are uint8
 
 
@@ -463,24 +462,6 @@ class CookieCutterSystem:
         log_tp, log_lm = self.branch_logs
         u = log_tp[d] if self.is_affine else np.log(np.abs(self.branches[0].derivative(x)))
         return u, log_lm[d] if self.lam_is_table else np.log(self.lam(x))
-
-    @cached_property
-    def transfer_nodes(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Transfer-operator data at N = 16 and N = 32 Chebyshev nodes x_j of
-        [0,1] (first kind, so no node is an end): per N, (B, U, V) with B[i]
-        the barycentric interpolation matrix taking f(x_k) to f(rho_i x_j),
-        and U[i, j], V[i, j] log|tau'| and log lambda at rho_i x_j."""
-        out = []
-        for n in _CHEBYSHEV_SIZES:
-            angle = (2 * np.arange(n) + 1) * (math.pi / (2 * n))
-            x = 0.5 - 0.5 * np.cos(angle)
-            y = _preimages(self, np.arange(self.ell)[:, None], x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
-                b /= b.sum(axis=2, keepdims=True)
-            # a rho_i x_j on a node x_k reads inf / inf = NaN at k and 0 elsewhere
-            out.append((np.nan_to_num(b, nan=1.0), *self.log_terms(np.arange(self.ell)[:, None], y)))
-        return tuple(out)
 
     # -- cylinder tree -------------------------------------------------------
 

@@ -143,22 +143,24 @@ def _probes(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
     return u[:-2].T, y[:-2].T, ends.T
 
 
-def _oscillations(sys: CookieCutterSystem, words: np.ndarray, theta: ThetaSequence,
-                  probes: int, base: float, _curve=None) -> tuple[np.ndarray, np.ndarray]:
-    """(sup - inf of W over the probes of _probes, or of the test hook
-    ``_curve`` evaluated there, and the cylinder length |rho_w(1) - rho_w(0)|,
-    which has the bits of cylinder_bounds_many's hi - lo) per row w of a
-    (count, n) digit matrix, from one _probes pass.  The length is not
-    checked: callers refuse an unresolved cylinder with
+def _oscillations(sys: CookieCutterSystem, word_sets, theta: ThetaSequence, probes: int,
+                  tol: float, _curve=None):
+    """Per (count, n) digit matrix of the list word_sets, in order: (sup - inf
+    of W over the probes of _probes, or of the test hook ``_curve`` there, and
+    the cylinder length |rho_w(1) - rho_w(0)|, with the bits of
+    cylinder_bounds_many's hi - lo) per row w.  The call sums every matrix's
+    probe base in one _probe_bases call, so its tolerance and probe-count
+    errors come first; each pair follows lazily, from one _probes pass.  The
+    length is not checked: callers refuse an unresolved cylinder with
     dynamics._check_resolved."""
-    u, ys, ends = _probes(sys, words, theta, probes, base)
-    ys = ys if _curve is None else np.asarray(_curve(u), dtype=float)
-    return ys.max(axis=1) - ys.min(axis=1), np.abs(ends[:, 1] - ends[:, 0])
+    bases = _probe_bases(sys, [np.shape(words)[1] for words in word_sets], theta, probes, tol)
+    probed = (_probes(sys, w, theta, probes, b) for w, b in zip(word_sets, bases.tolist()))
+    return ((np.ptp(ys if _curve is None else np.asarray(_curve(u), dtype=float), axis=1),
+             np.abs(ends[:, 1] - ends[:, 0])) for u, ys, ends in probed)
 
 
 def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
                      probes: int = 128, tol: float = 1e-10) -> float:
     """sup - inf of W over stratified sub-cylinder representatives of the word."""
-    word = _word(sys, word)
-    base = _probe_bases(sys, [word.size], theta, probes, tol)[0]
-    return float(_oscillations(sys, word[None, :], theta, probes, base)[0][0])
+    [(osc, _)] = _oscillations(sys, [_word(sys, word)[None, :]], theta, probes, tol)
+    return float(osc[0])

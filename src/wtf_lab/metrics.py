@@ -31,7 +31,7 @@ from .dynamics import (
     torus_distance,
 )
 from .errors import BadConfig, DegenerateFit, Inconclusive, NotInPartition, OscillationUnderflow
-from .graph import _oscillations, _probe_bases, _skew_step, eval_W_many
+from .graph import _oscillations, _skew_step, eval_W_many
 from .report import write_csv
 from .theta import ThetaSequence
 from .thermo import A_of_q, PotentialSpec, measure_stats, sample_digit_counts
@@ -296,12 +296,14 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
                             depth_range=range(1, 21), probes: int = 128,
                             tol: float = 1e-12, _curve=None) -> np.ndarray:
     """holder_oscillation at each point of xs: one orbit walk codes every
-    itinerary to the deepest depth, one walk of 1/2 sums the probe bases of
-    every depth used (graph._probe_bases), one pulled-back _oscillations call
-    per depth gives the oscillations and the cylinder lengths.  Per depth,
-    OscillationUnderflow when osc < 10*tol, then InversionFailed for an
-    unresolved cylinder (dynamics._check_resolved), then OscillationUnderflow
-    when a cylinder length is 0; ValueError for a depth or probe count that
+    itinerary to the deepest depth, and one _oscillations call over the
+    word matrices of every depth used gives, depth by depth, the
+    oscillations and the cylinder lengths.  Its tolerance and probe-count
+    errors come before any depth; then per depth, earlier depths first,
+    NotInPartition for a point whose orbit has left the partition,
+    OscillationUnderflow when osc < 10*tol, InversionFailed for an
+    unresolved cylinder (dynamics._check_resolved), and OscillationUnderflow
+    when a cylinder length is 0.  ValueError for a depth or probe count that
     is not an integer, a depth below 1, or fewer than two distinct depths."""
     if isinstance(depth_range, range) and depth_range:  # lazy: bound its length before listing it
         _check_budget(abs(depth_range[-1] - depth_range[0]) + 1)
@@ -321,14 +323,14 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     # comes first, as when each depth was coded on its own.
     words, _, left = _orbit(sys, xs, n_max)
     used = [depths[0]] + hi_cluster
-    bases = dict(zip(used, _probe_bases(sys, used, theta, probes, tol).tolist()))
+    pairs = _oscillations(sys, [words[:, :n] for n in used], theta, probes, tol, _curve)
 
     def logs(n):
-        """log(osc over I_n) and log|I_n| per point."""
+        """log(osc over I_n) and log|I_n| per point, n the next depth of used."""
         out = np.flatnonzero(left < n)
         if out.size:
             raise NotInPartition(int(left[out[0]]))
-        osc, length = _oscillations(sys, words[:, :n], theta, probes, bases[n], _curve)
+        osc, length = next(pairs)
         if np.any(osc < 10.0 * tol):
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
@@ -364,22 +366,20 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
 
     Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
     over sampled depth-n cylinders, osc and |I_n| from one _oscillations
-    pass per depth, lambda^n = exp(S_n log lambda) along rho_w(1/2);
+    call over every depth, lambda^n = exp(S_n log lambda) along rho_w(1/2);
     InversionFailed as dynamics._check_resolved.  Degenerate verdict: r_n
     decays exponentially while the Lipschitz ratio stays flat;
     non-degenerate: r_n stays bounded away from 0.  Mixed signals raise
     Inconclusive.
     """
     depths = list(_DEGENERACY_DEPTHS)
-    bases = _probe_bases(sys, depths, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
     rng = np.random.default_rng(_DEGENERACY_SEED)
+    word_sets = [enumerate_words(sys.ell, n) if sys.ell**n <= 2 * _WORDS_PER_DEPTH
+                 else rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
+                 for n in depths]
+    pairs = _oscillations(sys, word_sets, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
     ratios, lips = [], []
-    for n, base in zip(depths, bases):
-        if sys.ell**n <= 2 * _WORDS_PER_DEPTH:
-            words = enumerate_words(sys.ell, n)
-        else:
-            words = rng.integers(0, sys.ell, size=(_WORDS_PER_DEPTH, n)).astype(np.uint8)
-        osc, length = _oscillations(sys, words, theta, _DEGENERACY_PROBES, base)
+    for words, (osc, length) in zip(word_sets, pairs):
         _check_resolved(sys, length)
         ratios.append(float(np.max(osc / np.exp(birkhoff_sums_along(sys, words)[2]))))
         lips.append(float(np.max(osc / length)))

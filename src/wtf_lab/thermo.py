@@ -3,13 +3,13 @@ measures on the full shift coding a cookie cutter.
 
 Every potential used here is a*log|tau'| + b*log lambda + c.  Its pressure
 is the closed form log sum_i exp(phi_i) when it is constant on branches, and
-otherwise the log spectral radius of the transfer operator
-L f(x) = sum_i exp(phi(rho_i x)) f(rho_i x), interpolated at Chebyshev nodes
-of [0,1]: for analytic branches and weights its error decays geometrically in
-the node count, so the 16-node value bounds the error of the 32-node one.  Measure statistics
-and alpha(q) are means of the equilibrium state (_equilibrium_means), and so
-is the slope of each Bowen root's Newton iteration; Gibbs sampling of
-potentials not constant on branches uses midpoint cylinder weights.
+otherwise the log spectral radius of the transfer operator L f(x) = sum_i
+exp(phi(rho_i x)) f(rho_i x), interpolated at the Chebyshev nodes of _nodes:
+its error decays geometrically in the node count for analytic branches and
+weights, so the 16-node value bounds the error of the 32-node one.  P, the
+measure statistics, alpha(q) and each Bowen root's Newton slope come from
+the equilibrium state (_equilibrium_means); Gibbs sampling of potentials
+not constant on branches uses midpoint cylinder weights.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CookieCutterSystem, _check_budget, _require_ints, _words_at, point_of_word
+from .dynamics import (CookieCutterSystem, _check_budget, _preimages, _require_ints, _words_at,
+                       point_of_word)
 from .errors import (
     NoSignChange,
     NotBranchConstant,
@@ -32,6 +33,7 @@ Q_MAX = 30.0
 _DEGENERATE_THRESHOLD = 1e-4
 _MARKOV_DEPTH = 8
 _SAMPLE_ROWS = 256  # Bernoulli words drawn per rng.random call
+_GRIDS: dict = {}  # (branches, lam, n) -> the arrays of _nodes
 
 
 def _logsumexp(a: np.ndarray):
@@ -106,9 +108,30 @@ def _branch_constant(sys: CookieCutterSystem, *pots: PotentialSpec) -> bool:
                for pot in pots)
 
 
+def _nodes(sys: CookieCutterSystem, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, U, V) at n first-kind Chebyshev nodes x_j of [0,1]: B[i] the
+    barycentric matrix taking f(x_k) to f(rho_i x_j), U[i, j] and V[i, j]
+    log|tau'| and log lambda at rho_i x_j, read-only.  Built once per process
+    for each (sys.branches, sys.lam, n), which fix the arrays: a key by value
+    keeps no validated system alive, and systems validated apart share a grid."""
+    key = sys.branches, sys.lam, n
+    if key not in _GRIDS:
+        angle = (2 * np.arange(n) + 1) * (math.pi / (2 * n))
+        x, d = 0.5 - 0.5 * np.cos(angle), np.arange(sys.ell)[:, None]
+        y = _preimages(sys, d, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
+            b /= b.sum(axis=2, keepdims=True)
+        # a rho_i x_j on a node x_k reads inf / inf = NaN at k and 0 elsewhere
+        _GRIDS[key] = grid = np.nan_to_num(b, nan=1.0), *sys.log_terms(d, y)
+        for a in grid:  # every caller gets these arrays: none may write to them
+            a.flags.writeable = False
+    return _GRIDS[key]
+
+
 def _perron(nodes: tuple[np.ndarray, np.ndarray, np.ndarray], pot: PotentialSpec,
             *directions: PotentialSpec) -> tuple[float, ...]:
-    """(P, then l L_psi h / l L h per direction psi) on one transfer_nodes grid:
+    """(P, then l L_psi h / l L h per direction psi) on one _nodes grid:
     L has the weights exp(phi - max phi), as in _logsumexp, and L_psi those times
     psi; P = max phi + log of L's spectral radius; h and l are L's right and left
     Perron vectors (l only with directions).  All NaN when L is not finite."""
@@ -146,19 +169,19 @@ def _equilibrium_means(sys: CookieCutterSystem, pot: PotentialSpec,
             return p_total, *(math.nan,) * len(directions)
         p = np.exp(phi - p_total)
         return p_total, *(float(p @ _branch_phi(sys, d)) for d in directions)
-    return _perron(sys.transfer_nodes[1], pot, *directions)
+    return _perron(_nodes(sys, 32), pot, *directions)
 
 
 def pressure(sys: CookieCutterSystem, pot: PotentialSpec) -> PressureEstimate:
     """Topological pressure of the potential on the repeller.
 
-    Exact for branch-constant potentials; else the transfer operator at 32
-    Chebyshev nodes, with error bound |P_16 - P_32|.
+    The P of _equilibrium_means: exact for branch-constant potentials; else
+    the 32-node operator's, with error bound |P_16 - P_32|.
     """
+    (value,) = _equilibrium_means(sys, pot)
     if _branch_constant(sys, pot):
-        return PressureEstimate(float(_logsumexp(_branch_phi(sys, pot))), 0.0, True)
-    (coarse,), (fine,) = (_perron(nodes, pot) for nodes in sys.transfer_nodes)
-    return PressureEstimate(fine, abs(coarse - fine), False)
+        return PressureEstimate(value, 0.0, True)
+    return PressureEstimate(value, abs(_perron(_nodes(sys, 16), pot)[0] - value), False)
 
 
 def bowen_root(sys: CookieCutterSystem, family) -> float:

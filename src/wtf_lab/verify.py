@@ -1,16 +1,17 @@
 """Acceptance battery: every criterion the lab must satisfy, with its stated
 tolerance, runnable from the CLI (`wtf-lab verify`) and from the test suite.
 
-Each check returns (passed, detail) and builds the clouds, spectra and Gibbs
-draws it needs; the criteria share the validated models through a
-BatteryContext.
+Each check takes no argument, returns (passed, detail) and builds the
+clouds, spectra and Gibbs draws it needs; the criteria read the bundled
+models through _model, which validates each of them once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .dynamics import (
     validate_system,
 )
 from .errors import BadConfig
-from .graph import _oscillations, _probe_bases, _pull_back, _series, eval_W_many
+from .graph import _oscillations, _pull_back, _series, eval_W_many
 from .metrics import (
     GraphCloud,
     CloudProvenance,
@@ -67,32 +68,21 @@ class CheckResult:
     elapsed: float
 
 
-class _Systems(dict):
-    """The bundled models by name, each validated on first use, by [] and by get."""
-
-    def __missing__(self, name: str) -> CookieCutterSystem:
-        return self.setdefault(name, validate_system(MODELS[name]))
-
-    def get(self, name, default=None):
-        return self[name] if name in MODELS else default
-
-
-@dataclass
-class BatteryContext:
-    """The bundled models, validated on first use and shared by the criteria of one battery."""
-
-    systems: dict[str, CookieCutterSystem] = field(default_factory=_Systems, init=False)
+@functools.cache
+def _model(name: str) -> CookieCutterSystem:
+    """The bundled model of that name, validated on its first use in the process."""
+    return validate_system(MODELS[name])
 
 
 # ---------------------------------------------------------------------------
 # criterion checks
 # ---------------------------------------------------------------------------
 
-def check_pressure_oracle(ctx: BatteryContext) -> tuple[bool, str]:
+def check_pressure_oracle() -> tuple[bool, str]:
     """Moran-oracle equality for pressure/bowen_root/A_of_q on M1-M4."""
     worst = 0.0
     for name in ("M1", "M2", "M3", "M4"):
-        sys = ctx.systems[name]
+        sys = _model(name)
         worst = max(worst, abs(bowen_root(sys, s1_family) - moran_oracle(sys, "s1")))
         worst = max(worst, abs(bowen_root(sys, s2_family) - moran_oracle(sys, "s2")))
         for q in range(-10, 11):
@@ -104,13 +94,13 @@ def check_pressure_oracle(ctx: BatteryContext) -> tuple[bool, str]:
     return worst <= 1e-6, f"worst |deviation| = {worst:.2e} (tol 1e-6)"
 
 
-def check_bowen_roots(ctx: BatteryContext) -> tuple[bool, str]:
+def check_bowen_roots() -> tuple[bool, str]:
     """Root values at 1e-6 from the closed (Moran) form, and the M2
     dim_H < dim_B flag."""
     errs = []
     ok = True
     for name, check_s2 in (("M1", True), ("M2", True), ("M4", False)):
-        sys = ctx.systems[name]
+        sys = _model(name)
         pred = graph_dimension_prediction(sys)
         errs.append(f"{name}: s1={pred.s1:.7f}, s2={pred.s2:.7f}")
         ok &= abs(pred.s1 - moran_oracle(sys, "s1")) <= 1e-6
@@ -121,22 +111,22 @@ def check_bowen_roots(ctx: BatteryContext) -> tuple[bool, str]:
     return ok, "; ".join(errs)
 
 
-def check_nonlinear_pressure(ctx: BatteryContext) -> tuple[bool, str]:
+def check_nonlinear_pressure() -> tuple[bool, str]:
     """M5 full-branch map: the Bowen root of -s log|tau'| is s = 1, so the
     transfer-operator pressure of -log|tau'| must vanish (within 2e-3); the
     detail also states the estimate's error bound."""
-    est = pressure(ctx.systems["M5"], PotentialSpec(-1.0, 0.0))
+    est = pressure(_model("M5"), PotentialSpec(-1.0, 0.0))
     return abs(est.value) <= 2e-3, (f"|P| = {abs(est.value):.2e} (tol 2e-3), "
                                     f"error_bound {est.error_bound:.2e}")
 
 
-def check_box_dimension(ctx: BatteryContext) -> tuple[bool, str]:
-    sys1 = ctx.systems["M1"]
+def check_box_dimension() -> tuple[bool, str]:
+    sys1 = _model("M1")
     cloud = sample_graph(sys1, ThetaSequence.zeros(), depth=18, per_cylinder=4, tol=1e-8)
     r_full = box_dimension(cloud, BOX_SCALES)
     ok = abs(r_full.slope - 1.4854) <= 0.05
 
-    cloud = sample_graph(ctx.systems["M2"], ThetaSequence.zeros(), depth=16, per_cylinder=4,
+    cloud = sample_graph(_model("M2"), ThetaSequence.zeros(), depth=16, per_cylinder=4,
                          tol=1e-8, restrict_to_repeller=True)
     r_m2 = box_dimension(cloud, BOX_SCALES)
     ok &= abs(r_m2.slope - 0.8996) <= 0.07
@@ -153,8 +143,8 @@ def check_box_dimension(ctx: BatteryContext) -> tuple[bool, str]:
                 f"{max(slopes) - min(slopes):.4f} (< 0.03)")
 
 
-def check_spectrum(ctx: BatteryContext) -> tuple[bool, str]:
-    sys3 = ctx.systems["M3"]
+def check_spectrum() -> tuple[bool, str]:
+    sys3 = _model("M3")
     curve = spectrum(sys3, [round(-3.0 + 0.25 * k, 2) for k in range(25)])
     a0 = A_of_q(sys3, 0.0)
     ok = abs(curve.alpha_min - 0.4466766) <= 1e-4
@@ -175,8 +165,8 @@ def check_spectrum(ctx: BatteryContext) -> tuple[bool, str]:
     concave = np.all(np.diff(slopes) <= 1e-6)
     ok &= bool(concave)
 
-    m4 = spectrum(ctx.systems["M4"], [-1.0, -0.5, 0.0, 0.5, 1.0])
-    m1 = spectrum(ctx.systems["M1"], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    m4 = spectrum(_model("M4"), [-1.0, -0.5, 0.0, 0.5, 1.0])
+    m1 = spectrum(_model("M1"), [-1.0, -0.5, 0.0, 0.5, 1.0])
     ok &= m4.degenerate_flag and abs(m4.alpha_c - 0.5) <= 1e-6
     ok &= m1.degenerate_flag and abs(m1.alpha_c - 0.5145732) <= 1e-6
     return ok, (f"M3 alpha_min {curve.alpha_min:.7f}, alpha_max {curve.alpha_max:.7f}, "
@@ -185,8 +175,8 @@ def check_spectrum(ctx: BatteryContext) -> tuple[bool, str]:
                 f"M4 degenerate alpha_c {m4.alpha_c:.4f}; M1 degenerate alpha_c {m1.alpha_c:.7f}")
 
 
-def check_gibbs_chain(ctx: BatteryContext) -> tuple[bool, str]:
-    sys3 = ctx.systems["M3"]
+def check_gibbs_chain() -> tuple[bool, str]:
+    sys3 = _model("M3")
     worst_dim, worst_alpha = 0.0, 0.0
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
         # the references are M3's Moran closed forms, not the route measured
@@ -208,8 +198,8 @@ def check_gibbs_chain(ctx: BatteryContext) -> tuple[bool, str]:
                 f"at most {worst_z:.2f} standard errors (cap 5)")
 
 
-def check_lifted_predictor(ctx: BatteryContext) -> tuple[bool, str]:
-    sys1, sys2 = ctx.systems["M1"], ctx.systems["M2"]
+def check_lifted_predictor() -> tuple[bool, str]:
+    sys1, sys2 = _model("M1"), _model("M2")
     s1 = bowen_root(sys1, s1_family)
     nu1 = measure_stats(sys1, s1_family(s1))
     lift1 = lifted_dim_prediction(nu1)
@@ -220,7 +210,7 @@ def check_lifted_predictor(ctx: BatteryContext) -> tuple[bool, str]:
     ok &= abs(lift2 - moran_oracle(sys2, "s2")) <= 1e-6
 
     worst = 0.0
-    sys3 = ctx.systems["M3"]
+    sys3 = _model("M3")
     for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
         a_q = A_of_q(sys3, q)
         stats = measure_stats(sys3, PotentialSpec(-a_q, q))
@@ -246,12 +236,12 @@ def _lifted_probe_cloud(sys1: CookieCutterSystem) -> GraphCloud:
     return GraphCloud(xs, ys, CloudProvenance("M1", "iid_uniform", 777, 50, 1e-8))
 
 
-def check_lifted_probe(ctx: BatteryContext) -> tuple[bool, str]:
+def check_lifted_probe() -> tuple[bool, str]:
     # M1: nu_1 draws on the iid-randomised graph
-    lifted = correlation_dimension(_lifted_probe_cloud(ctx.systems["M1"]),
+    lifted = correlation_dimension(_lifted_probe_cloud(_model("M1")),
                                    [2.0**-k for k in range(2, 9)], seed=31)
     # M2: draws of the q = 0 measure on the repeller itself
-    sys2 = ctx.systems["M2"]
+    sys2 = _model("M2")
     pot = PotentialSpec(-moran_oracle(sys2, "A_of_q", q=0.0), 0.0)
     xs = gibbs_sample(sys2, pot, depth=50, count=10**5, seed=4181)[1]
     cloud = GraphCloud(xs, np.zeros_like(xs), CloudProvenance("M2", "zeros", None, 50, 0.0))
@@ -262,7 +252,7 @@ def check_lifted_probe(ctx: BatteryContext) -> tuple[bool, str]:
                 f"M2 base q=0 slope {base.slope:.3f} (band [0.61, 0.71], target 0.6603)")
 
 
-def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
+def check_oscillation_holder() -> tuple[bool, str]:
     zeros = ThetaSequence.zeros()
     parts = []
     ok = True
@@ -270,7 +260,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
     # (a) oscillation band osc/lambda^n over n = 1..16, positive and of bounded width
     band_caps = {"M1": 4.0, "M2": 8.0, "M3": 12.0}
     for name, cap in band_caps.items():
-        ratios = _band_ratios(ctx.systems[name], zeros)
+        ratios = _band_ratios(_model(name), zeros)
         lo, hi = min(ratios), max(ratios)
         ok &= lo > 0 and hi / lo <= cap
         parts.append(f"{name} band [{lo:.2f}, {hi:.2f}] width {hi / lo:.1f} (cap {cap})")
@@ -279,7 +269,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
     worst_skew, tol = 0.0, 1e-10
     xs, depths = np.array([0.3, 1.0 / 3.0, 0.1234, 0.77]), np.array([8, 10, 5, 3])
     for name in ("M1", "M2", "M3", "M5"):
-        sys = ctx.systems[name]
+        sys = _model(name)
         for theta in (zeros, ThetaSequence.iid_uniform(42)):
             direct, n_terms, _ = eval_W_many(sys, xs, theta, tol)
             skew = _skew_values(sys, xs, depths, theta, n_terms)
@@ -295,7 +285,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
     # than 1e-14 are redrawn for the same reason.
     worst_agree = 0.0
     for name in ("M1", "M2", "M3", "M5"):
-        sys = ctx.systems[name]
+        sys = _model(name)
         rng = np.random.default_rng(1234)
         words = rng.integers(0, sys.ell, size=(220, 30)).astype(np.uint8)
         lo, hi = cylinder_bounds_many(sys, words)
@@ -310,7 +300,7 @@ def check_oscillation_holder(ctx: BatteryContext) -> tuple[bool, str]:
     ok &= worst_agree <= 0.03
 
     # (d) off-repeller smoothness: difference quotients Cauchy in the M2 gap
-    sys2 = ctx.systems["M2"]
+    sys2 = _model("M2")
     xs = np.linspace(0.37, 0.63, 100)
     quotients = {}
     for h in (1e-5, 1e-6):
@@ -342,20 +332,17 @@ def _skew_values(sys: CookieCutterSystem, xs: np.ndarray, depths: np.ndarray,
 
 def _band_ratios(sys: CookieCutterSystem, theta: ThetaSequence) -> list[float]:
     """Criterion 9(a)'s osc/lambda^n for three random words per depth
-    n = 1..16: one probe-base walk for all depths, each depth's three words
-    in one _oscillations batch, lambda^n = exp(S_n log lambda) along them."""
+    n = 1..16: one _oscillations call over the depths' word matrices of
+    three words each, lambda^n = exp(S_n log lambda) along them."""
     rng = np.random.default_rng(97)
-    depths = range(1, 17)
-    bases = _probe_bases(sys, depths, theta, 128, 1e-12)
+    word_sets = [rng.integers(0, sys.ell, (3, n)).astype(np.uint8) for n in range(1, 17)]
     ratios = []
-    for n, base in zip(depths, bases.tolist()):
-        words = rng.integers(0, sys.ell, (3, n)).astype(np.uint8)
-        lam_n = np.exp(birkhoff_sums_along(sys, words)[2])
-        ratios += (_oscillations(sys, words, theta, 128, base)[0] / lam_n).tolist()
+    for words, (osc, _) in zip(word_sets, _oscillations(sys, word_sets, theta, 128, 1e-12)):
+        ratios += (osc / np.exp(birkhoff_sums_along(sys, words)[2])).tolist()
     return ratios
 
 
-def check_distortion(ctx: BatteryContext) -> tuple[bool, str]:
+def check_distortion() -> tuple[bool, str]:
     """Per depth n: fresh sampled depth-n cylinders, two representatives each
     (relative positions 0.25 / 0.75), exact orbits via suffix representatives
     tau^k rho_w(t) = rho_{sigma^k w}(t).  The three ratio families must stay
@@ -365,7 +352,7 @@ def check_distortion(ctx: BatteryContext) -> tuple[bool, str]:
     ok = True
     n_max = 20
     for name in ("M1", "M2", "M5"):
-        sys = ctx.systems[name]
+        sys = _model(name)
         per_word = {"A": [], "B": [], "C": []}
         for n in range(1, n_max + 1):
             rng = np.random.default_rng(777 + 13 * n)
@@ -446,23 +433,22 @@ CHECK_IDS = [cid for cid, *_ in CHECKS]
 
 def run_battery(criteria=None) -> list[CheckResult]:
     """Run the criteria named in ``criteria`` (all ten when it is None) in
-    battery order, sharing one BatteryContext; BadConfig for an empty list or
-    an unknown name.  The battery's one clock: a criterion that reaches its
-    wall-clock gate fails, and only then does its detail state its time."""
+    battery order; BadConfig for an empty list or an unknown name.  The
+    battery's one clock: a criterion that reaches its wall-clock gate fails,
+    and only then does its detail state its time."""
     if criteria is not None:
         if not criteria:
             raise BadConfig("'criteria' must not be empty")
         unknown = set(criteria) - set(CHECK_IDS)
         if unknown:
             raise BadConfig(f"unknown criteria {sorted(unknown)}; known: {CHECK_IDS}")
-    ctx = BatteryContext()
     results = []
     for cid, title, fn, gate in CHECKS:
         if criteria is not None and cid not in criteria:
             continue
         t0 = time.perf_counter()
         try:
-            passed, detail = fn(ctx)
+            passed, detail = fn()
         except Exception as exc:  # a crash is a failed criterion, not a crashed battery
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0

@@ -14,31 +14,28 @@ from scipy.stats import spearmanr
 import wtf_lab as wl
 from wtf_lab import ThetaSequence, oscillation_over, verify
 from wtf_lab.dynamics import birkhoff_sums_along, point_of_word
-from wtf_lab.verify import CHECK_IDS, BatteryContext, _band_ratios, _rank_correlation, run_battery
+from wtf_lab.models import MODELS
+from wtf_lab.verify import CHECK_IDS, _band_ratios, _model, _rank_correlation, run_battery
 
 # M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
                   "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return BatteryContext()
-
-
-def test_battery_validates_models_on_first_use(monkeypatch):
-    # a battery validates only the bundled models its criteria read, once
-    # each; get returns the validated model too, and None for other names
+def test_battery_validates_each_model_once_per_process(monkeypatch):
+    # two whole batteries in one process give the same flags and details;
+    # with the model cache cleared, each bundled model the criteria read is
+    # validated once, on its first use, and is the same object afterwards
+    first = [(r.criterion, r.passed, r.detail) for r in run_battery()]
     seen, validate = [], verify.validate_system
     monkeypatch.setattr(verify, "validate_system", lambda spec: seen.append(spec["id"]) or validate(spec))
-    fresh = verify.BatteryContext()
-    assert seen == []
-    m2 = fresh.systems["M2"]
-    assert fresh.systems.get("M2") is m2 and fresh.systems["M2"] is m2
-    assert fresh.systems.get("M5") is fresh.systems["M5"] and fresh.systems.get("M6") is None
-    assert seen == ["M2", "M5"]
+    _model.cache_clear()
+    second = [(r.criterion, r.passed, r.detail) for r in run_battery()]
+    assert second == first
+    assert sorted(seen) == sorted(MODELS)
+    assert _model("M2") is _model("M2") and len(seen) == len(MODELS)
     with pytest.raises(KeyError):
-        fresh.systems["M6"]
+        _model("M6")
 
 
 @pytest.mark.parametrize("cid", CHECK_IDS)
@@ -76,11 +73,11 @@ def test_rank_correlation_is_spearmanr(values, nan_at):
 
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
-def test_band_ratios_match_per_word_reference(ctx, name):
+def test_band_ratios_match_per_word_reference(name):
     # criterion 9(a): each word's oscillation is that of its own
     # oscillation_over call (the per-word route), and lambda^n = exp(S_n log
     # lambda) is the closed-form product of the word's lambdas, within 1e-14
-    sys = ctx.systems[name]
+    sys = _model(name)
     zeros = ThetaSequence.zeros()
     rng = np.random.default_rng(97)
     ref = []
@@ -93,11 +90,11 @@ def test_band_ratios_match_per_word_reference(ctx, name):
 
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M5", "M5_trig_lambda"])
-def test_suffix_sums_match_per_suffix_reference(ctx, name):
+def test_suffix_sums_match_per_suffix_reference(name):
     # criteria 9(a) and 10: one composition per start value gives the point
     # and both sums of the per-suffix point_of_word route, its terms at
     # tau^k rho_w(t) = rho_{sigma^k w}(t) added last column first, bit for bit
-    sys = ctx.systems.get(name) or wl.validate_system(M5_TRIG_LAMBDA)
+    sys = _model(name) if name in MODELS else wl.validate_system(M5_TRIG_LAMBDA)
     rng = np.random.default_rng(31)
     for n in (1, 7, 20):
         words = rng.integers(0, sys.ell, size=(64, n)).astype(np.uint8)

@@ -1,19 +1,22 @@
 """CLI harness: commands, exit codes, config handling, report determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import wtf_lab as wl
-from wtf_lab import ThetaSequence, cli, dynamics, report
+from wtf_lab import ThetaSequence, cli, config, dynamics, report, verify
 from wtf_lab.cli import main
 from wtf_lab.dynamics import _compose, enumerate_words, point_of_word
 from wtf_lab.errors import BadConfig
@@ -767,3 +770,72 @@ def test_commands_run_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path), json.dumps(RUNS)],
                          capture_output=True, text=True, env={"PYTHONPATH": src})
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+_SCALES = [2.0**-k for k in range(2, 8)]
+
+
+@pytest.mark.parametrize("command, entries", [
+    ("gibbs", {"q": 1.0, "pot_a": -1.0}), ("gibbs", {"q": 1.0, "pot_c": 0.0}),
+    ("holder", {"points": [0.3], "point_count": 3}), ("holder", {"points": [0.3], "point_depth": 4}),
+    ("boxdim", {"scales": _SCALES, "min_scale_exp": 2}), ("boxdim", {"scales": _SCALES, "max_scale_exp": 7}),
+])
+def test_contradictory_keys_refused(tmp_path, capsys, command, entries):
+    # a pair of keys that give one input two ways is refused with both keys
+    # named, where the command read the first and ignored the other
+    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 6, **entries})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    first, second = entries
+    assert read_report(out)["error"] == {
+        "type": "BadConfig",
+        "message": f"config keys {first!r} and {second!r} contradict: set one or the other"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# one tiny config per command for the fuzz below; each key either side of
+# an exclusive pair runs alone
+_FUZZ_BASES = {
+    "validate": {"model": "M1"},
+    "predict": {"model": "M1"},
+    "sample": {"model": "M1", "depth": 3},
+    "boxdim": {"model": "M1", "depth": 6, "min_scale_exp": 1, "max_scale_exp": 6},
+    "holder": {"model": "M1", "points": [0.3], "birkhoff_depth": 3, "osc_depth_max": 3},
+    "spectrum": {"model": "M1", "q_steps": 2},
+    "gibbs": {"model": "M1", "q": 0.0, "depth": 2, "count": 2},
+    "lift": {"model": "M1", "q_grid": [0.0]},
+    "verify": {"criteria": ["pressure_oracle"]},
+}
+_MISSING = object()
+_SMALL = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+# a key removed, or a value of the wrong type, non-finite, or out of range:
+# small numbers and huge ones, never a size that passes the budget but runs long
+_FUZZ_VALUES = st.one_of(
+    st.just(_MISSING), st.none(), st.booleans(), st.text(max_size=2), _SMALL,
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 2**64, -(2**64), 10**400]),
+    st.lists(st.one_of(_SMALL, st.text(max_size=2)), max_size=2), st.just({}))
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(max_examples=6)
+@given(values=st.fixed_dictionaries({key: _FUZZ_VALUES for key in sorted(config.CONFIG_KEYS)}))
+def test_config_fuzz_never_crashes(command, values):
+    # every config key set to each drawn value, or removed, one key at a
+    # time: each run exits 0, 2, 3 or 4 with a report.json and no traceback.
+    # verify's criteria are stubbed: this fuzzes the config handling, and
+    # test_criterion runs the criteria themselves
+    checks = [(cid, title, lambda: (True, "stub"), gate) for cid, title, _, gate in verify.CHECKS]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "CHECKS", checks)
+        path = Path(tmp) / "cfg.json"
+        for key, value in values.items():
+            cfg = {k: v for k, v in _FUZZ_BASES[command].items() if k != key}
+            if value is not _MISSING:
+                cfg[key] = value
+            path.write_text(json.dumps(cfg))
+            out, err = Path(tmp) / key, io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(path), "--out", str(out)])
+            assert code in (0, 2, 3, 4), (key, value, code)
+            assert "Traceback" not in err.getvalue(), (key, value, err.getvalue())
+            assert (out / "report.json").is_file(), (key, value)

@@ -34,7 +34,6 @@ from wtf_lab.dynamics import (
 )
 from wtf_lab.graph import (
     _oscillations,
-    _probe_bases,
     _probe_depth,
     _probes,
     _pull_back,
@@ -42,6 +41,7 @@ from wtf_lab.graph import (
     eval_W_many,
 )
 from wtf_lab.theta import counter_uniforms
+from wtf_lab.thermo import _nodes
 
 
 def _cylinder(sys, word):
@@ -309,9 +309,8 @@ class TestNewtonInverse:
         bounds = [cylinder_bounds_many(m5, w[None, :]) for w in words]
         assert lo.tolist() == [float(b[0][0]) for b in bounds]
         assert hi.tolist() == [float(b[1][0]) for b in bounds]
-        base = _probe_bases(m5, [8], zeros, 16, 1e-10)[0]
-        osc, length = _oscillations(m5, words[:12, :8], zeros, 16, base)
-        alone = [_oscillations(m5, w[None, :8], zeros, 16, base) for w in words[:12]]
+        [(osc, length)] = _oscillations(m5, [words[:12, :8]], zeros, 16, 1e-10)
+        alone = [next(_oscillations(m5, [w[None, :8]], zeros, 16, 1e-10)) for w in words[:12]]
         assert osc.tolist() == [float(a[0][0]) for a in alone]
         assert length.tolist() == [float(a[1][0]) for a in alone]
 
@@ -877,7 +876,8 @@ class TestPreimageKernel:
 
     def test_transfer_nodes_match_branch_inverses(self, systems):
         for name, sys in _kernel_systems(systems).items():
-            for (b, u, v), n in zip(sys.transfer_nodes, dynamics._CHEBYSHEV_SIZES):
+            for n in (16, 32):
+                b, u, v = _nodes(sys, n)
                 x = 0.5 - 0.5 * np.cos((2 * np.arange(n) + 1) * (math.pi / (2 * n)))
                 y = np.stack([br.inverse(x) for br in sys.branches])
                 ref_u, ref_v = sys.log_terms(np.arange(sys.ell)[:, None], y)

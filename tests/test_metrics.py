@@ -14,6 +14,7 @@ from wtf_lab import (
     CloudProvenance,
     DegenerateFit,
     GraphCloud,
+    InvalidTolerance,
     InversionFailed,
     NotBranchConstant,
     NotNormalised,
@@ -23,7 +24,7 @@ from wtf_lab import (
     ThetaSequence,
 )
 from wtf_lab.dynamics import _birkhoff_sums_from_counts, _walk, cylinder_bounds_many, point_of_word
-from wtf_lab.graph import _oscillations, _probe_bases
+from wtf_lab.graph import _oscillations
 from wtf_lab.thermo import gibbs_sample, sample_words
 from wtf_lab.verify import _lifted_probe_cloud, moran_oracle, s1_family
 
@@ -415,10 +416,11 @@ class TestHolderOscillation:
         # length of its own cylinder_bounds_many call, bit for bit
         calls = []
 
-        def record(sys, words, theta, probes, base, _curve=None):
-            osc, length = oscillations(sys, words, theta, probes, base, _curve)
-            calls.append((words.copy(), osc, length))
-            return osc, length
+        def record(sys, word_sets, theta, probes, tol, _curve=None):
+            pairs = oscillations(sys, word_sets, theta, probes, tol, _curve)
+            for words, (osc, length) in zip(word_sets, pairs):
+                calls.append((words.copy(), osc, length))
+                yield osc, length
 
         oscillations = metrics._oscillations
         monkeypatch.setattr(metrics, "_oscillations", record)
@@ -566,14 +568,38 @@ class TestOscillationSuffixWalk:
         for sys, n_list in ((systems["M1"], (1, 12, 70)), (systems["M3"], (3, 70)),
                             (systems["M5"], (1, 25)), (wl.validate_system(STEEP_SINE), (2, 12))):
             for n in n_list:
-                base = _probe_bases(sys, [n], theta, 16, 1e-12)[0]
                 for count in (1, sys.ell**2 - 1, sys.ell**2, sys.ell**2 + 1):
                     words = rng.integers(0, sys.ell, size=(count, n)).astype(np.uint8)
-                    osc, length = _oscillations(sys, words, theta, 16, base)
+                    [(osc, length)] = _oscillations(sys, [words], theta, 16, 1e-12)
                     ref = [wl.oscillation_over(sys, w, theta, 16, 1e-12) for w in words]
                     assert osc.tolist() == ref, (sys.model_id, n, count)
                     lo, hi = cylinder_bounds_many(sys, words)
                     assert length.tobytes() == (hi - lo).tobytes(), (sys.model_id, n, count)
+
+    def test_many_matrices_match_one_matrix_calls(self, systems):
+        # one call over matrices of several depths and counts gives each
+        # matrix the bits of its own one-matrix call
+        rng = np.random.default_rng(43)
+        for sys in (systems["M1"], systems["M5"], wl.validate_system(STEEP_SINE)):
+            for theta in (ThetaSequence.zeros(), ThetaSequence.iid_uniform(13)):
+                word_sets = [rng.integers(0, sys.ell, size=(count, n)).astype(np.uint8)
+                             for count, n in ((1, 1), (5, 12), (3, 12), (sys.ell**2, 2), (2, 16))]
+                pairs = list(_oscillations(sys, word_sets, theta, 16, 1e-12))
+                assert len(pairs) == len(word_sets)
+                for words, got in zip(word_sets, pairs):
+                    [alone] = _oscillations(sys, [words], theta, 16, 1e-12)
+                    for a, b in zip(got, alone):
+                        assert a.shape == (len(words),) and a.tobytes() == b.tobytes()
+
+    def test_argument_errors_come_before_any_depth(self, m2, zeros):
+        # M2's gap point 1/2 leaves the partition at once, but a tolerance or
+        # probe count that the probe bases refuse is refused first
+        with pytest.raises(InvalidTolerance):
+            wl.holder_oscillation_many(m2, [0.5], zeros, range(2, 5), 16, 0.0)
+        with pytest.raises(ValueError, match="probes must be >= 2"):
+            wl.holder_oscillation_many(m2, [0.5], zeros, range(2, 5), 1, 1e-12)
+        with pytest.raises(NotInPartition):
+            wl.holder_oscillation_many(m2, [0.5], zeros, range(2, 5), 16, 1e-12)
 
     @pytest.mark.parametrize("model, depths, x", [("M5", range(2, 41), 0.3),
                                                   ("M1", range(60, 71), 1e-17),

@@ -37,11 +37,12 @@ from wtf_lab import (
 )
 from wtf_lab.dynamics import (
     _birkhoff_sums_from_counts,
+    _preimages,
     birkhoff_sums_along,
     cylinder_bounds_many,
 )
 from wtf_lab.thermo import (
-    _branch_phi, _logsumexp, _perron, aq_family, s1_family, s2_family)
+    _branch_phi, _logsumexp, _nodes, _perron, aq_family, s1_family, s2_family)
 
 M1_S1 = 1.4854268271702415
 M1_S2 = 1.9433582098747315
@@ -53,6 +54,12 @@ M4_S1 = 1.1602520221136932
 # M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
 M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
                   "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
+# rho_1 of this map fixes the first 32-node Chebyshev point x0 exactly
+X0 = 0.5 - 0.5 * math.cos(math.pi / 64)
+NODE_ON_NODE = {"id": "node_on_node",
+                "branches": [{"domain": [X0 / 2, X0 / 2 + 0.5], "slope": 2.0, "offset": -X0},
+                             {"domain": [0.6, 1.0]}],
+                "lambda": {"kind": "trig", "c0": 0.8, "harmonics": [[1, 0.1, 0.0]]}}
 
 
 class TestPressure:
@@ -83,8 +90,8 @@ class TestPressure:
         for pot in (PotentialSpec(-1.0, 0.0), PotentialSpec(0.3, -2.0),
                     PotentialSpec(-5.0, 30.0), PotentialSpec(-0.7, 1.3, 0.2)):
             ref = wl.moran_oracle(sys, "pressure", pot=pot)
-            for nodes in sys.transfer_nodes:
-                assert _perron(nodes, pot)[0] == pytest.approx(ref, abs=1e-12), pot
+            for n in (16, 32):
+                assert _perron(_nodes(sys, n), pot)[0] == pytest.approx(ref, abs=1e-12), pot
 
     def test_trig_lambda_system(self):
         # M5's map with a non-constant lambda: neither observable is constant
@@ -98,12 +105,8 @@ class TestPressure:
     def test_operator_pulled_back_node_on_node(self):
         # rho_1 fixes the first 32-node x_0 exactly: its interpolation row is
         # the unit vector at x_0, not inf / inf
-        x0 = 0.5 - 0.5 * math.cos(math.pi / 64)
-        sys = wl.validate_system({
-            "branches": [{"domain": [x0 / 2, x0 / 2 + 0.5], "slope": 2.0, "offset": -x0},
-                         {"domain": [0.6, 1.0]}],
-            "lambda": {"kind": "trig", "c0": 0.8, "harmonics": [[1, 0.1, 0.0]]}})
-        interp = sys.transfer_nodes[1][0]
+        sys = wl.validate_system(NODE_ON_NODE)
+        interp = _nodes(sys, 32)[0]
         assert interp[0, 0, 0] == 1.0 and not interp[0, 0, 1:].any()
         est = wl.pressure(sys, PotentialSpec(-0.5, 1.0))
         assert math.isfinite(est.value) and est.error_bound <= 1e-10
@@ -113,6 +116,38 @@ class TestPressure:
             base = wl.pressure(sys, PotentialSpec(-0.4, 0.7)).value
             shifted = wl.pressure(sys, PotentialSpec(-0.4, 0.7, 0.31)).value
             assert shifted - base == pytest.approx(0.31, abs=1e-10)
+
+
+def _grid_reference(sys, n):
+    """The n-node transfer-operator grid as CookieCutterSystem.transfer_nodes
+    built it before thermo._nodes took it over."""
+    angle = (2 * np.arange(n) + 1) * (math.pi / (2 * n))
+    x = 0.5 - 0.5 * np.cos(angle)
+    y = _preimages(sys, np.arange(sys.ell)[:, None], x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (-1.0) ** np.arange(n) * np.sin(angle) / (y[:, :, None] - x)
+        b /= b.sum(axis=2, keepdims=True)
+    return np.nan_to_num(b, nan=1.0), *sys.log_terms(np.arange(sys.ell)[:, None], y)
+
+
+class TestNodeGrids:
+    def test_shared_by_value(self):
+        # two validations of M5 are two systems with one grid per node count
+        a, b = (wl.validate_system(wl.model_spec("M5")) for _ in range(2))
+        assert a is not b
+        assert _nodes(a, 32) is _nodes(b, 32) and _nodes(a, 16) is _nodes(b, 16)
+        assert _nodes(a, 16) is not _nodes(a, 32)
+        assert not any(array.flags.writeable for array in _nodes(a, 32))  # shared by every caller
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4", "M5", "M5_trig_lambda", "node_on_node"])
+    def test_match_reference_bit_for_bit(self, systems, name):
+        specs = {"M5_trig_lambda": M5_TRIG_LAMBDA, "node_on_node": NODE_ON_NODE}
+        sys = systems[name] if name in systems else wl.validate_system(specs[name])
+        for n in (16, 32):
+            got, ref = _nodes(sys, n), _grid_reference(sys, n)
+            assert [a.shape for a in got] == [(sys.ell, n, n), (sys.ell, n), (sys.ell, n)]
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, n)
 
 
 class TestBowenRoots:

@@ -1,11 +1,12 @@
 """Batch front-end: wtf-lab <command> --config <path> [--out DIR] [--seed S].
 
 One command per process; every run writes a deterministic report.json (and
-any CSV outputs) into the output directory.  Exit codes: 0 ok, 2 validation
-error, 3 numerical failure, 4 budget exhausted.  Any other exception (a bug)
-also writes report.json with status "error" and its type and message, prints
-its traceback to stderr and exits 3; KeyboardInterrupt and SystemExit
-propagate.
+any CSV outputs) into the output directory.  Exit codes: 0 ok; a lab error
+exits with its class's ``exit_code`` (2 validation, 3 numerical failure, 4
+budget exhausted; see errors), and any other ValueError with 2.  Any other
+exception (a bug) also writes report.json with status "error" and its type
+and message, then prints its traceback to stderr and exits 3;
+KeyboardInterrupt and SystemExit propagate.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import numpy as np
 from . import __version__
 from .config import load_config, parse_model, parse_theta, require_int, require_list, require_number
 from .dynamics import _check_budget, _words_at, point_of_word
-from .errors import (
-    BadConfig,
-    BudgetExceeded,
-    Inconclusive,
-    NUMERICAL_ERRORS,
-    WtfLabError,
-)
+from .errors import BadConfig, BudgetExceeded, Inconclusive, WtfLabError
 from .metrics import (
     box_dimension,
     holder_birkhoff_many,
@@ -49,11 +44,6 @@ from .thermo import (
     spectrum,
 )
 from .verify import run_battery
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-EXIT_BUDGET = 4
 
 
 def _output_path(config, out_dir, key, default):
@@ -115,10 +105,7 @@ def _cmd_sample(config, out_dir, seed, report):
 
 def _cmd_boxdim(config, out_dir, seed, report):
     if "cloud_csv_in" in config:
-        try:
-            cloud = read_cloud_csv(config["cloud_csv_in"])
-        except (OSError, TypeError) as exc:
-            raise BadConfig(f"cannot read 'cloud_csv_in': {exc}") from exc
+        cloud = read_cloud_csv(config["cloud_csv_in"])
     else:
         cloud = _sample_from_config(config, seed)
     scales = require_list(config, "scales")
@@ -295,29 +282,25 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     report = RunReport(command=args.command, config={}, version=__version__)
     t0 = time.perf_counter()
+    error = None
     try:
         config = load_config(args.config) if args.config else {}
         report.config = config
         COMMANDS[args.command](config, out_dir, args.seed, report)
     except Exception as exc:  # KeyboardInterrupt and SystemExit propagate
-        expected = isinstance(exc, (WtfLabError, ValueError))
+        error = exc
         report.status = "error"
         report.error = {"type": type(exc).__name__, "message": str(exc)}
-        report.timings["total"] = time.perf_counter() - t0
-        report.write(out_dir)
-        if not expected:  # a bug: keep its traceback (the module loads only here)
-            import traceback
-            traceback.print_exc()
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
-        if isinstance(exc, BudgetExceeded):
-            return EXIT_BUDGET
-        if expected and not isinstance(exc, NUMERICAL_ERRORS):
-            return EXIT_VALIDATION
-        return EXIT_NUMERICAL
     report.timings["total"] = time.perf_counter() - t0
     path = report.write(out_dir)
-    print(f"report: {path}")
-    return EXIT_OK
+    if error is None:
+        print(f"report: {path}")
+        return 0
+    if not isinstance(error, (WtfLabError, ValueError)):  # a bug: keep its traceback
+        import traceback  # loaded only here
+        traceback.print_exception(error)
+    print(f"error: {type(error).__name__}: {error}", file=_sys.stderr)
+    return getattr(error, "exit_code", 2 if isinstance(error, ValueError) else 3)
 
 
 if __name__ == "__main__":

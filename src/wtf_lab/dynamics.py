@@ -846,13 +846,14 @@ def _walk(sys: CookieCutterSystem, x, depth: int, step=None, y=None):
     return x if step is None else (x, y)
 
 
-def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> None:
-    """InversionFailed on a non-affine system for a cylinder length below
-    4 * 1e-12, four times the Newton step tolerance: the lab does not resolve
-    geometry that fine."""
+def _check_resolved(sys: CookieCutterSystem, length: np.ndarray) -> np.ndarray:
+    """length, or InversionFailed on a non-affine system for a cylinder
+    length below 4 * 1e-12, four times the Newton step tolerance: the lab
+    does not resolve geometry that fine."""
     if not sys.is_affine and np.any(length < 4.0 * _INVERT_TOL):
         raise InversionFailed(
             f"cylinder shorter than the inverse-branch resolution {4.0 * _INVERT_TOL:g}")
+    return length
 
 
 def cylinder_bounds_many(sys: CookieCutterSystem, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: validation errors -> 2, numerical
-failures -> 3, budget exhaustion -> 4.
+The CLI exits with the class attribute ``exit_code`` of the error: 2
+(validation) on the base, which the validation classes inherit, 3 on each
+numerical failure and 4 on budget exhaustion.  A new subclass that is not a
+validation error sets its own.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 
 class WtfLabError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 # -- validation (exit code 2) -------------------------------------------------
@@ -40,7 +44,7 @@ class InvalidTolerance(WtfLabError):
 # -- numerical failures (exit code 3) -----------------------------------------
 
 class InversionFailed(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class NotInPartition(WtfLabError):
@@ -49,25 +53,27 @@ class NotInPartition(WtfLabError):
     ``iterate`` is the orbit index k at which the coding failed.
     """
 
+    exit_code = 3
+
     def __init__(self, iterate: int, message: str | None = None):
         self.iterate = iterate
         super().__init__(message or f"iterate {iterate} left the branch partition")
 
 
 class NoSignChange(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class TooFlat(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class NotNormalised(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class NotBranchConstant(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class DegenerateFit(WtfLabError):
@@ -76,33 +82,22 @@ class DegenerateFit(WtfLabError):
     Carries the partial ``result`` so callers can inspect diagnostics.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, result=None):
         self.result = result
         super().__init__(message)
 
 
 class OscillationUnderflow(WtfLabError):
-    pass
+    exit_code = 3
 
 
 class Inconclusive(WtfLabError):
-    pass
+    exit_code = 3
 
 
 # -- budget (exit code 4) ------------------------------------------------------
 
 class BudgetExceeded(WtfLabError):
-    pass
-
-
-NUMERICAL_ERRORS = (
-    InversionFailed,
-    NotInPartition,
-    NoSignChange,
-    TooFlat,
-    NotNormalised,
-    NotBranchConstant,
-    DegenerateFit,
-    OscillationUnderflow,
-    Inconclusive,
-)
+    exit_code = 4

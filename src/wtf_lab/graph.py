@@ -21,6 +21,7 @@ from .dynamics import (
     _MAX_EFFECTIVE_DEPTH,
     CookieCutterSystem,
     _check_budget,
+    _check_resolved,
     _compose,
     _require_ints,
     _walk,
@@ -150,17 +151,18 @@ def _oscillations(sys: CookieCutterSystem, word_sets, theta: ThetaSequence, prob
     the cylinder length |rho_w(1) - rho_w(0)|, with the bits of
     cylinder_bounds_many's hi - lo) per row w.  The call sums every matrix's
     probe base in one _probe_bases call, so its tolerance and probe-count
-    errors come first; each pair follows lazily, from one _probes pass.  The
-    length is not checked: callers refuse an unresolved cylinder with
-    dynamics._check_resolved."""
+    errors come first; each pair follows lazily, from one _probes pass, and
+    a matrix with an unresolved cylinder raises InversionFailed
+    (dynamics._check_resolved) in place of its pair."""
     bases = _probe_bases(sys, [np.shape(words)[1] for words in word_sets], theta, probes, tol)
     probed = (_probes(sys, w, theta, probes, b) for w, b in zip(word_sets, bases.tolist()))
     return ((np.ptp(ys if _curve is None else np.asarray(_curve(u), dtype=float), axis=1),
-             np.abs(ends[:, 1] - ends[:, 0])) for u, ys, ends in probed)
+             _check_resolved(sys, np.abs(ends[:, 1] - ends[:, 0]))) for u, ys, ends in probed)
 
 
 def oscillation_over(sys: CookieCutterSystem, word, theta: ThetaSequence,
                      probes: int = 128, tol: float = 1e-10) -> float:
-    """sup - inf of W over stratified sub-cylinder representatives of the word."""
+    """sup - inf of W over stratified sub-cylinder representatives of the
+    word; InversionFailed for an unresolved cylinder, as in _oscillations."""
     [(osc, _)] = _oscillations(sys, [_word(sys, word)[None, :]], theta, probes, tol)
     return float(osc[0])

@@ -21,7 +21,6 @@ from .dynamics import (
     _birkhoff_sums,
     _birkhoff_sums_from_counts,
     _check_budget,
-    _check_resolved,
     _check_words,
     _orbit,
     _require_ints,
@@ -132,12 +131,17 @@ def write_cloud_csv(cloud: GraphCloud, path) -> None:
 
 
 def read_cloud_csv(path) -> GraphCloud:
-    """The cloud of an x,y CSV and of its provenance sidecar, if there is one;
-    BadConfig unless the file's first line is the header x,y and one or more
-    rows of exactly two numeric columns follow it."""
-    path = Path(path)
+    """The cloud of an x,y CSV and of its provenance sidecar, if there is one.
+    BadConfig naming path for one that cannot be opened (not a path, no such
+    file, a directory), and BadConfig unless the file's first line is the
+    header x,y and one or more rows of exactly two numeric columns follow it."""
     try:
-        with open(path) as fh:
+        path = Path(path)
+        fh = open(path)
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise BadConfig(f"cannot read the cloud CSV {path}: {exc}") from exc
+    try:
+        with fh:
             header = fh.readline().rstrip("\r\n")
         if header == "x,y":
             with warnings.catch_warnings():
@@ -301,9 +305,9 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
     oscillations and the cylinder lengths.  Its tolerance and probe-count
     errors come before any depth; then per depth, earlier depths first,
     NotInPartition for a point whose orbit has left the partition,
-    OscillationUnderflow when osc < 10*tol, InversionFailed for an
-    unresolved cylinder (dynamics._check_resolved), and OscillationUnderflow
-    when a cylinder length is 0.  ValueError for a depth or probe count that
+    InversionFailed for an unresolved cylinder (from _oscillations),
+    OscillationUnderflow when osc < 10*tol, and OscillationUnderflow when a
+    cylinder length is 0.  ValueError for a depth or probe count that
     is not an integer, a depth below 1, or fewer than two distinct depths."""
     if isinstance(depth_range, range) and depth_range:  # lazy: bound its length before listing it
         _check_budget(abs(depth_range[-1] - depth_range[0]) + 1)
@@ -335,7 +339,6 @@ def holder_oscillation_many(sys: CookieCutterSystem, xs, theta: ThetaSequence,
             raise OscillationUnderflow(
                 f"oscillation {osc.min():.3g} at depth {n} is below 10*tol; "
                 "increase probes or loosen the depth range")
-        _check_resolved(sys, length)
         if not np.all(length > 0.0):
             raise OscillationUnderflow(f"a cylinder length at depth {n} rounds to 0")
         # math.log, not np.log: numpy's SIMD log differs from libm in the
@@ -367,10 +370,10 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
     Tracks r_n = max_w osc/lambda^n and the Lipschitz ratio max_w osc/|I_n|
     over sampled depth-n cylinders, osc and |I_n| from one _oscillations
     call over every depth, lambda^n = exp(S_n log lambda) along rho_w(1/2);
-    InversionFailed as dynamics._check_resolved.  Degenerate verdict: r_n
-    decays exponentially while the Lipschitz ratio stays flat;
-    non-degenerate: r_n stays bounded away from 0.  Mixed signals raise
-    Inconclusive.
+    InversionFailed for an unresolved cylinder, from _oscillations.
+    Degenerate verdict: r_n decays exponentially while the Lipschitz ratio
+    stays flat; non-degenerate: r_n stays bounded away from 0.  Mixed
+    signals raise Inconclusive.
     """
     depths = list(_DEGENERACY_DEPTHS)
     rng = np.random.default_rng(_DEGENERACY_SEED)
@@ -380,7 +383,6 @@ def detect_degenerate(sys: CookieCutterSystem, theta: ThetaSequence) -> Degenera
     pairs = _oscillations(sys, word_sets, theta, _DEGENERACY_PROBES, _DEGENERACY_TOL)
     ratios, lips = [], []
     for words, (osc, length) in zip(word_sets, pairs):
-        _check_resolved(sys, length)
         ratios.append(float(np.max(osc / np.exp(birkhoff_sums_along(sys, words)[2]))))
         lips.append(float(np.max(osc / length)))
 

@@ -49,18 +49,8 @@ MODELS: dict[str, dict] = {
     },
 }
 
-# validation counter-example: M2 geometry with lambda too small to satisfy
-# inf |tau'| * lambda > 1
-M2_LOW_LAMBDA: dict = {
-    "id": "M2_low_lambda",
-    "branches": MODELS["M2"]["branches"],
-    "lambda": {"kind": "constant", "value": 0.3},
-}
-
 
 def model_spec(name: str) -> dict:
-    if name == "M2_low_lambda":
-        return M2_LOW_LAMBDA
     if name not in MODELS:
         raise KeyError(f"unknown bundled model {name!r}")
     return MODELS[name]

@@ -86,7 +86,9 @@ class TestValidate:
         assert read_report(out)["outputs"]["hyperbolicity_margin"] > 1.0
 
     def test_hyperbolicity_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, "cfg.json", {"model": "M2_low_lambda"})
+        # M2's branches with lambda 0.3: inf |tau'| * lambda < 1
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"model": {"branches": wl.MODELS["M2"]["branches"], "lambda": 0.3}})
         out = tmp_path / "out"
         assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
         report = read_report(out)
@@ -107,11 +109,13 @@ class TestValidate:
         assert read_report(out)["error"]["type"] == "BadConfig"
 
 
-    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()],
-                             ids=["RuntimeError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), ValueError("boom"), KeyboardInterrupt()],
+                             ids=["RuntimeError", "ValueError", "KeyboardInterrupt"])
     def test_unexpected_exception(self, tmp_path, monkeypatch, capsys, exc):
-        # any other exception is an error report with exit 3, not a
-        # traceback; KeyboardInterrupt propagates
+        # any other exception is an error report, not a bare traceback: a
+        # ValueError exits 2, anything else (a bug) 3 with its traceback
+        # after the timing line and before the error line;
+        # KeyboardInterrupt propagates
         def broken(config, out_dir, seed, report):
             raise exc
 
@@ -124,11 +128,55 @@ class TestValidate:
                 main(argv)
             assert not (out / "report.json").exists()
             return
-        assert main(argv) == 3
-        assert "Traceback" in capsys.readouterr().err
+        bug = isinstance(exc, RuntimeError)
+        assert main(argv) == (3 if bug else 2)
+        err = capsys.readouterr().err
+        timing, error = err.index("[wtf-lab] validate:total took"), err.index("error: ")
+        assert ("Traceback" in err) == bug
+        if bug:
+            assert timing < err.index("Traceback") < error
+        assert err[error:] == f"error: {type(exc).__name__}: boom\n"
         report = read_report(out)
         assert report["status"] == "error"
-        assert report["error"] == {"type": "RuntimeError", "message": "boom"}
+        assert report["error"] == {"type": type(exc).__name__, "message": "boom"}
+
+
+def _lab_errors(cls=wl.WtfLabError):
+    """cls and each of its subclasses, recursively."""
+    return [cls] + [c for sub in cls.__subclasses__() for c in _lab_errors(sub)]
+
+
+# every lab error by the exit code the README gives its group
+EXIT_GROUPS = {
+    2: {"WtfLabError", "BadConfig", "OverlappingBranches", "NotOnto", "HyperbolicityViolated",
+        "LambdaOutOfRange", "InvalidTolerance"},
+    3: {"InversionFailed", "NotInPartition", "NoSignChange", "TooFlat", "NotNormalised",
+        "NotBranchConstant", "DegenerateFit", "OscillationUnderflow", "Inconclusive"},
+    4: {"BudgetExceeded"},
+}
+
+
+class TestExitCodes:
+    def test_each_error_class_states_its_group_code(self):
+        groups = {}
+        for cls in _lab_errors():
+            groups.setdefault(cls.exit_code, set()).add(cls.__name__)
+        assert groups == EXIT_GROUPS
+
+    @pytest.mark.parametrize("cls", _lab_errors(), ids=lambda cls: cls.__name__)
+    def test_main_returns_the_class_exit_code(self, tmp_path, monkeypatch, capsys, cls):
+        # the class attribute alone sets the exit code, with a report naming
+        # the type and no traceback
+        def broken(config, out_dir, seed, report):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "validate", broken)
+        out = tmp_path / "out"
+        argv = ["validate", "--config", write_config(tmp_path, "cfg.json", {"model": "M1"}),
+                "--out", str(out)]
+        assert main(argv) == cls.exit_code
+        assert read_report(out)["error"]["type"] == cls.__name__
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSampleAndBoxdim:
@@ -684,6 +732,7 @@ MALFORMED = {
     "sample-depth_past_float_range": ("sample", {"depth": 10**400}),
     "validate-model_ref_list": ("validate", {"model": {"ref": []}}),
     "boxdim-missing_cloud_csv_in": ("boxdim", {"cloud_csv_in": "nope.csv"}),
+    "validate-model_m2_low_lambda": ("validate", {"model": "M2_low_lambda"}),  # no bundled model
     "sample-tol_nan": ("sample", {"tol": math.nan}),
     "sample-tol_infinite": ("sample", {"tol": math.inf}),
     "gibbs-q_nan": ("gibbs", {"q": math.nan}),

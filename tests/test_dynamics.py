@@ -58,7 +58,8 @@ class TestValidation:
 
     def test_hyperbolicity_violated(self):
         with pytest.raises(HyperbolicityViolated):
-            wl.validate_system(wl.model_spec("M2_low_lambda"))
+            # M2's branches with lambda 0.3: inf |tau'| * lambda < 1
+            wl.validate_system({"branches": wl.MODELS["M2"]["branches"], "lambda": 0.3})
 
     def test_overlapping_branches(self):
         spec = {

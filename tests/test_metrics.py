@@ -1,6 +1,7 @@
 """Empirical geometry: clouds, box counting, Hoelder estimators, probes."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestSampleGraph:
         wl.write_cloud_csv(wl.sample_graph(m1, zeros, depth=3, per_cylinder=1), path)
         (tmp_path / "cloud.csv.meta.json").write_text(sidecar)
         with pytest.raises(BadConfig, match="sidecar"):
+            wl.read_cloud_csv(path)
+
+
+    @pytest.mark.parametrize("path", [5, None, "missing.csv", ""], ids=["int", "None", "missing", "directory"])
+    def test_unopenable_path_refused(self, tmp_path, path):
+        # each raised TypeError, FileNotFoundError or IsADirectoryError
+        if isinstance(path, str):
+            path = tmp_path / path
+        with pytest.raises(BadConfig, match=f"cannot read the cloud CSV {re.escape(str(path))}: "):
             wl.read_cloud_csv(path)
 
 
@@ -497,8 +507,9 @@ STEEP_SINE = {"id": "S3", "branches": {"family": "doubling_plus_sine", "ell": 3,
 def _holder_reference(sys, xs, theta, depths, probes, tol):
     """holder_oscillation_many from the per-depth public pieces: per depth,
     code_of, oscillation_over and a one-row cylinder_bounds_many per point,
-    the refusals in the same order (oscillation underflow, then an
-    unresolved cylinder, then a zero length), libm logs."""
+    the refusals in the same order (an unresolved cylinder, from
+    oscillation_over, then oscillation underflow, then a zero length), libm
+    logs."""
     def logs(n):
         words = [wl.code_of(sys, x, n) for x in xs]
         osc = [wl.oscillation_over(sys, w, theta, probes, tol) for w in words]
@@ -601,11 +612,21 @@ class TestOscillationSuffixWalk:
         with pytest.raises(NotInPartition):
             wl.holder_oscillation_many(m2, [0.5], zeros, range(2, 5), 16, 1e-12)
 
+    def test_unresolved_cylinder_refused_before_underflow(self, systems, zeros):
+        # M5's cylinder of 0^40 is below the inverse-branch resolution:
+        # oscillation_over returned 4.78e-06 over it, and at tol 1e-4
+        # holder_oscillation_many raised OscillationUnderflow at depth 39
+        m5 = systems["M5"]
+        with pytest.raises(InversionFailed):
+            wl.oscillation_over(m5, [0] * 40, zeros)
+        with pytest.raises(InversionFailed):
+            wl.holder_oscillation_many(m5, [0.3], zeros, range(39, 41), 128, 1e-4)
+
     @pytest.mark.parametrize("model, depths, x", [("M5", range(2, 41), 0.3),
                                                   ("M1", range(60, 71), 1e-17),
                                                   ("M1", range(50, 71), 0.0)])
     def test_refusals_and_deep_ends_match_reference(self, systems, zeros, model, depths, x):
-        # M5 past depth ~38 refuses an unresolved cylinder after the
+        # M5 past depth ~38 refuses an unresolved cylinder before the
         # oscillation check; M1's deep cylinders near 0 take their lengths
         # from every digit, not the 64 of the probes
         sys = systems[model]

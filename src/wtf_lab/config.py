@@ -55,7 +55,7 @@ def parse_model(config: dict) -> CookieCutterSystem:
         try:
             model = model_spec(model)
         except KeyError as exc:
-            raise BadConfig(str(exc)) from exc
+            raise BadConfig(exc.args[0]) from exc
     return validate_system(model)
 
 

@@ -116,8 +116,8 @@ class TrigPoly:
         out = None  # stands for c0 until the first term
         for k, a, b in self.harmonics:
             w = 2.0 * math.pi * k * x
-            if a == 1.0 and out is None and self.c0 == 0.0:
-                out = np.cos(w)
+            if a == 1.0 and out is None and self.c0 == 0.0:  # in place unless sin needs w
+                out = np.cos(w, out=None if b or not w.ndim else w)
             elif a:
                 out = (self.c0 if out is None else out) + a * np.cos(w)
             if b:
@@ -181,7 +181,8 @@ class SineFamilyBranch:
 
     def _f(self, x):
         x = np.asarray(x, dtype=float)
-        return self.ell * x + self.eps * np.sin(2.0 * math.pi * x)
+        s = np.multiply(x, 2.0 * math.pi, out=np.empty_like(x))  # a fresh array: all in place
+        return np.add(self.ell * x, np.multiply(np.sin(s, out=s), self.eps, out=s), out=s)
 
     def forward(self, x):
         return self._f(x) - float(self.index)
@@ -397,7 +398,8 @@ class CookieCutterSystem:
         for lo in self.branch_lows[1:]:  # lows are sorted: count those <= x
             idx += x >= lo
         inside = (x >= self.branch_lows[0]) & (x < self.branch_highs[idx])
-        return np.where(inside, idx, -1)
+        np.copyto(idx, -1, where=~inside)
+        return idx
 
     def nearest_branch(self, x):
         """Branch index for lambda evaluation off the branch union
@@ -411,9 +413,7 @@ class CookieCutterSystem:
             nxt = np.clip(prev + 1, 0, self.ell - 1)
             d_prev = np.abs(xg - self.branch_highs[prev])
             d_next = np.abs(self.branch_lows[nxt] - xg)
-            pick = np.where(d_next < d_prev, nxt, prev)
-            idx = idx.copy()
-            idx[gap] = pick
+            idx[gap] = np.where(d_next < d_prev, nxt, prev)
         return idx
 
     @cached_property
@@ -441,8 +441,9 @@ class CookieCutterSystem:
                 out = slope[idx] * x + offset[idx]
             else:  # one doubling_plus_sine family
                 out = self.branches[0]._f(x) - idx
-            out = np.where(idx < 0, 0.0, out)
-        return out - np.floor(out)  # np.mod(out, 1.0) bit for bit on finite out
+            if (gap := idx < 0).any():
+                out = np.where(gap, 0.0, out)
+        return np.subtract(out, np.floor(out), out=out if out.ndim else None)  # np.mod's bits
 
     def lam_at(self, x):
         x = np.asarray(x, dtype=float)

@@ -51,12 +51,12 @@ def _series(sys: CookieCutterSystem, xs: np.ndarray, thetas: np.ndarray) -> np.n
     """sum_k lambda(x) ... lambda(tau^{k-1} x) g(tau^k x + thetas[k]) over
     the rows k of thetas.  A row is one shift, one shift per point of xs, or
     many shifts for a single point, and broadcasts against xs elementwise, so
-    a value has the same bits in any batch."""
-    cur, acc, weight = xs, np.zeros_like(xs), np.ones_like(xs)
+    a value has the same bits in any batch, _lam's scalar weights included."""
+    cur, acc, weight = xs, np.zeros(np.broadcast_shapes(xs.shape, thetas.shape[1:])), 1.0
     for k, shift in enumerate(thetas):
-        acc = acc + weight * sys.g(cur + shift)
+        acc += weight * sys.g(cur + shift)
         if k + 1 < len(thetas):
-            weight = weight * sys.lam_at(cur)
+            weight *= _lam(sys, cur)  # 1.0 * lambda(x) is a new array, then in place
             cur = sys.tau(cur)
     return acc
 
@@ -79,8 +79,12 @@ def _skew_step(sys: CookieCutterSystem, theta: ThetaSequence, n: int):
     the columns k < n of _compose and _walk.  From y = W_{sigma^n theta} at
     the start values, y ends as W_theta at the composed points."""
     shifts = theta.block(0, n)
-    one = sys.lam_is_table and sys.lambda_inf == sys.lambda_sup  # equal weights: no full array
-    return lambda k, u, y: (sys.lambda_inf if one else sys.lam_at(u)) * y + sys.g(u + shifts[k])
+    return lambda k, u, y: _lam(sys, u) * y + sys.g(u + shifts[k])
+
+
+def _lam(sys: CookieCutterSystem, u):
+    """lam_at(u), or an equal-weights table's value as a scalar, with the same bits in a product."""
+    return sys.lambda_inf if sys.lam_is_table and sys.lambda_inf == sys.lambda_sup else sys.lam_at(u)
 
 
 def _pull_back(sys: CookieCutterSystem, digits: np.ndarray, t, y,

@@ -193,17 +193,31 @@ def _fit_loglog(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, flo
     return slope, stderr, r2
 
 
+def _morton(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Z-order keys of uint64 indices below 2^32: bit i of ix to bit 2i, of iy to 2i + 1."""
+    for v in (ix, iy):  # in place
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+                            (2, 0x3333333333333333), (1, 0x5555555555555555)):
+            v |= v << shift
+            v &= mask
+    return ix | iy << 1
+
+
 def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
     """Least-squares slope of log N_r against -log r for an axis-aligned grid
     anchored at (0, min y).
 
+    N_r counts the occupied boxes (floor(x / r), floor((y - min y) / r)); a
+    point 2^31 or more finest boxes from (0, min y) is a ValueError before any
+    count.  Scales r = fine 2^j <= 1 sort the finest boxes' Morton keys once
+    (floor(x / r) is floor(x / fine) >> j); other lists sort per scale.
+
     Window policy: drop the coarsest/finest ``drop`` scales (coarse scales
     saturate, fine scales undersample), and keep only scales with at least
-    10 points per occupied box -- a finite cloud cannot
-    witness N_r beyond its own cardinality, so point-starved scales read a
-    spurious slope.  If fewer than 3 scales survive both cuts, the
-    density-valid scales alone are used; failing that, the drop window with
-    a warning.
+    10 points per occupied box -- a finite cloud cannot witness N_r beyond
+    its own cardinality, so point-starved scales read a spurious slope.  If
+    fewer than 3 scales survive both cuts, the density-valid scales alone
+    are used; failing that, the drop window with a warning.
     """
     scales = sorted((float(r) for r in scales), reverse=True)
     if len(scales) < 6:
@@ -218,13 +232,24 @@ def box_dimension(cloud: GraphCloud, scales, drop: tuple[int, int] = (2, 2)) -> 
         raise ValueError("the scales dropped at each end must be integers")
     if min(drop) < 0:
         raise ValueError("the scales dropped at each end must be >= 0")
-    y0 = float(cloud.y.min())
-    counts = []
-    for r in scales:
-        ix = np.floor(cloud.x / r).astype(np.int64)
-        iy = np.floor((cloud.y - y0) / r).astype(np.int64)
-        key = np.sort(ix * (iy.max() + 2) + iy)
-        counts.append(int(np.count_nonzero(key[1:] != key[:-1])) + 1)
+    y0, fine = float(cloud.y.min()), scales[-1]
+    if max(-float(cloud.x.min()), float(cloud.x.max()), float(cloud.y.max()) - y0) / fine >= 2**31:
+        raise ValueError(f"box scale {fine:g} puts a point 2^31 or more boxes from (0, min y)")
+    (m, e), exps = math.frexp(fine), [math.frexp(r) for r in scales]
+    if scales[0] <= 1.0 and all(mr == m for mr, _ in exps):  # r = fine 2^j, no x / r rounds to -0.0
+        ix, iy = np.floor(cloud.x / fine), np.floor((cloud.y - y0) / fine)  # in [-2^31, 2^31)
+        # the offset 2^31 is a multiple of 2^j for j <= 31, and past 31 no index moves
+        key = _morton((ix + 2.0**31 if ix.min() < 0 else ix).astype(np.uint64), iy.astype(np.uint64))
+        del ix, iy
+        key.sort()
+        high = key[1:] ^ key[:-1]  # >= 4^j where neighbours differ after >> 2j
+        counts = [int(np.count_nonzero(high >= 1 << 2 * min(er - e, 31))) + 1 for _, er in exps]
+    else:
+        counts = []
+        for r in scales:
+            ix, iy = np.floor(cloud.x / r).astype(np.int64), np.floor((cloud.y - y0) / r).astype(np.int64)
+            key = np.sort(ix * (iy.max() + 2) + iy)
+            counts.append(int(np.count_nonzero(key[1:] != key[:-1])) + 1)
 
     warnings = []
     n_pts = len(cloud)

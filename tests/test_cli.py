@@ -694,6 +694,31 @@ def test_boxdim_equal_scales_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lo, hi", [(1000, 1074), (33, 41)])
+def test_boxdim_box_index_past_2_31_is_validation_error(tmp_path, capsys, lo, hi):
+    # 2^-1000..2^-1074 wrote "slope": NaN with exit 0 (counts all 2), and
+    # 2^-33..2^-41 a saturated slope 0.0; the int64 box keys overflowed
+    cfg = write_config(tmp_path, "cfg.json", {"model": "M1", "depth": 10, "per_cylinder": 4,
+                                              "min_scale_exp": lo, "max_scale_exp": hi})
+    out = tmp_path / "out"
+    assert main(["boxdim", "--config", cfg, "--out", str(out)]) == 2
+    def no_constant(name):
+        raise ValueError(f"report.json holds {name}")
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    message = f"box scale {2.0**-hi:g} puts a point 2^31 or more boxes from (0, min y)"
+    assert report["error"] == {"type": "ValueError", "message": message}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unknown_model_message_quoted_once(tmp_path):
+    # the message was the repr of the KeyError: "unknown bundled model 'X'"
+    cfg = write_config(tmp_path, "cfg.json", {"model": "X"})
+    out = tmp_path / "out"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == 2
+    assert read_report(out)["error"] == {"type": "BadConfig",
+                                         "message": "unknown bundled model 'X'"}
+
+
 MALFORMED = {
     "boxdim-window_drop": ("boxdim", {"window_drop": 5}),
     "boxdim-window_drop_negative_end": (

@@ -461,6 +461,71 @@ def test_blocked_series_matches_unblocked(systems):
             assert one.tobytes() == _eval_unblocked(sys, xs[-1:], theta, 1e-8).tobytes(), name
 
 
+# M5's map with lambda = 0.75 + 0.1 cos 2 pi x (a test system, not a bundled model)
+M5_TRIG_LAMBDA = {**wl.model_spec("M5"), "id": "M5_trig_lambda",
+                  "lambda": {"kind": "trig", "c0": 0.75, "harmonics": [[1, 0.1, 0.0]]}}
+
+
+def _plain_series(sys, xs, thetas):
+    """_series with every product and map a new array, on the formulas
+    themselves: a TrigPoly filled with c0 and summed term by term, a lambda
+    table gathered per point (nearest branch), and tau by branch, slope x +
+    offset or ell x + eps sin 2 pi x - i, 0 off the branches, then mod 1."""
+    def trig(poly, x):
+        out = np.full_like(x, poly.c0)
+        for k, a, b in poly.harmonics:
+            w = 2.0 * math.pi * k * x
+            if a:
+                out = out + a * np.cos(w)
+            if b:
+                out = out + b * np.sin(w)
+        return out
+
+    def tau(x):
+        i = np.searchsorted(sys.branch_lows, x, side="right") - 1
+        inside = (i >= 0) & (x < sys.branch_highs[np.maximum(i, 0)])
+        out = np.zeros_like(x)
+        for j, br in enumerate(sys.branches):
+            at = inside & (i == j)
+            if br.kind == "affine":
+                out[at] = br.slope * x[at] + br.offset
+            else:
+                out[at] = br.ell * x[at] + br.eps * np.sin(2.0 * math.pi * x[at]) - j
+        return np.mod(out, 1.0)
+
+    def lam(x):
+        return np.asarray(sys.lam)[sys.nearest_branch(x)] if sys.lam_is_table else trig(sys.lam, x)
+
+    cur, acc, weight = xs, np.zeros_like(xs), np.ones_like(xs)
+    for k, shift in enumerate(thetas):
+        acc = acc + weight * trig(sys.g, cur + shift)
+        if k + 1 < len(thetas):
+            weight = weight * lam(cur)
+            cur = tau(cur)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["M2", "M3", "M5", "M5_trig_lambda"])
+@pytest.mark.parametrize("seed", [None, 6], ids=["zeros", "iid"])
+def test_series_matches_plain_term_formula(systems, name, seed):
+    # in-place sums, a scalar weight for equal lambdas, a tau that skips the
+    # gap mask and in-place sines keep every bit; M2's and M3's gap points
+    # go to 0 under tau
+    sys = systems.get(name) or wl.validate_system(M5_TRIG_LAMBDA)
+    theta = ThetaSequence.zeros() if seed is None else ThetaSequence.iid_uniform(seed)
+    xs = np.concatenate([np.arange(2**12) / 2**12, np.random.default_rng(9).random(2**12 + 5)])
+    n_terms, _ = _terms_for_tolerance(sys, 1e-8)
+    got, _, _ = wl.eval_W_many(sys, xs, theta, 1e-8)
+    assert got.tobytes() == _plain_series(sys, xs, theta.block(0, n_terms)).tobytes()
+    # _probe_bases' case: many shifts, one row of thetas per term, for one point
+    depths = np.arange(0, 70, 3)
+    shifts = np.minimum(depths, 64) + 7
+    thetas = theta.block(0, int(shifts.max()) + n_terms)[shifts + np.arange(n_terms)[:, None]]
+    many = _series(sys, np.array([0.5]), thetas)
+    assert many.shape == depths.shape
+    assert many.tobytes() == _plain_series(sys, np.array([0.5]), thetas).tobytes()
+
+
 _NON_INTEGER_CALLS = {
     "code_of": lambda m1, th: wl.code_of(m1, 0.1, 2.5),
     "birkhoff_sum": lambda m1, th: wl.birkhoff_sum(m1, "log_lambda", 0.1, 2.5),

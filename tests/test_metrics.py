@@ -300,6 +300,93 @@ class TestBoxDimension:
             wl.box_dimension(line_cloud, [2.0**-k for k in range(2, 10)], drop=drop)
 
 
+class TestMortonCounts:
+    """Dyadic scale sets take one sort of Morton keys; each count equals
+    _unique_counts' per-scale loop."""
+
+    DYADIC = [2.0**-k for k in range(2, 14)]
+
+    @staticmethod
+    def counts(cloud, scales, monkeypatch, dyadic=True):
+        """box_dimension's counts, after checking that they came from _morton
+        keys on a dyadic ladder and from the loop otherwise."""
+        calls, morton = [], metrics._morton
+        monkeypatch.setattr(metrics, "_morton", lambda *a: calls.append(a) or morton(*a))
+        try:
+            result = wl.box_dimension(cloud, scales)
+        except DegenerateFit as err:
+            result = err.result
+        assert len(calls) == dyadic
+        return result.counts
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3", "M4", "M5"])
+    @pytest.mark.parametrize("seed", [None, 3], ids=["zeros", "iid"])
+    def test_models(self, systems, monkeypatch, name, seed):
+        theta = ThetaSequence.zeros() if seed is None else ThetaSequence.iid_uniform(seed)
+        cloud = wl.sample_graph(systems[name], theta, depth=10, per_cylinder=4, tol=1e-8)
+        assert self.counts(cloud, self.DYADIC, monkeypatch) == \
+            _unique_counts(cloud, self.DYADIC)
+
+    def test_restricted_m2(self, m2, monkeypatch):
+        cloud = wl.sample_graph(m2, ThetaSequence.zeros(), 9, 4, restrict_to_repeller=True)
+        assert self.counts(cloud, self.DYADIC, monkeypatch) == \
+            _unique_counts(cloud, self.DYADIC)
+
+    @pytest.mark.parametrize("scales", [[2.0**-k for k in range(0, 14)],
+                                        [0.75 * 2.0**-k for k in range(0, 42)]],
+                             ids=["unit_to_2^-13", "shifts_past_31"])
+    def test_ingested_negative_x(self, tmp_path, monkeypatch, scales):
+        # negative box indices: the keys are offset by 2^31, a multiple of
+        # every shift; on the second ladder shifts past 31 change no index
+        rng = np.random.default_rng(8)
+        x = (rng.random(3000) - 0.5) * (1.0 if scales[-1] > 1e-6 else 2.0**-10)
+        y = rng.standard_normal(3000) * (1.0 if scales[-1] > 1e-6 else 2.0**-14)
+        wl.write_cloud_csv(GraphCloud(x, y, CloudProvenance("neg", "zeros", None, 0, 0.0)),
+                           tmp_path / "neg.csv")
+        cloud = metrics.read_cloud_csv(tmp_path / "neg.csv")
+        assert cloud.x.min() < 0.0
+        assert self.counts(cloud, scales, monkeypatch) == \
+            _unique_counts(cloud, scales)
+
+    def test_one_point(self, monkeypatch):
+        cloud = GraphCloud(np.array([0.3]), np.array([-2.0]), CloudProvenance("pt", "zeros", None, 0, 0.0))
+        assert self.counts(cloud, self.DYADIC, monkeypatch) == (1,) * 12
+
+    @pytest.mark.parametrize("scales", [[3.0**-k for k in range(1, 9)],
+                                        [2.0**-k for k in range(2, 10)] + [0.3],
+                                        [2.0**k for k in range(-6, 2)]],
+                             ids=["triadic", "one_off_ladder", "past_one"])
+    def test_other_scales_take_the_loop(self, m1, monkeypatch, scales):
+        cloud = wl.sample_graph(m1, ThetaSequence.iid_uniform(4), depth=9, per_cylinder=4)
+        assert self.counts(cloud, scales, monkeypatch, dyadic=False) == _unique_counts(cloud, scales)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales", [[2.0**-k for k in range(1000, 1075)],
+                                        [2.0**-k for k in range(33, 42)],
+                                        [3.0**-k for k in range(15, 22)]])
+    def test_index_past_2_31_refused(self, m1, scales):
+        # before any count: x / 2^-1074 is inf, and the others are finite
+        # but past 2^31, on the dyadic and on the loop route
+        cloud = wl.sample_graph(m1, ThetaSequence.zeros(), depth=6, per_cylinder=4)
+        with pytest.raises(ValueError, match=r"2\^31 or more boxes from \(0, min y\)"):
+            wl.box_dimension(cloud, scales)
+
+    @pytest.mark.parametrize("x, y, ok", [
+        (1.0 - 2.0**-31, 0.0, True), (1.0, 0.0, False), (-1.0 + 2.0**-32, 0.0, True),
+        (-1.0, 0.0, False), (0.0, 6.0 - 2.0**-31, True), (0.0, 6.0, False)])
+    def test_index_bound_is_2_31(self, x, y, ok):
+        # |x| / r and (y - min y) / r below 2^31 at the finest r = 2^-31:
+        # x indices from -2^31 to 2^31 - 1, y indices below 2^31
+        cloud = GraphCloud(np.array([0.0, x]), np.array([5.0, y or 5.0]),
+                           CloudProvenance("e", "zeros", None, 0, 0.0))
+        scales = [2.0**-k for k in range(26, 32)]
+        if ok:
+            assert wl.box_dimension(cloud, scales, drop=(0, 0)).counts == (2,) * 6
+        else:
+            with pytest.raises(ValueError, match="2\\^31"):
+                wl.box_dimension(cloud, scales)
+
+
 class TestHolderBirkhoff:
     def test_m1_constant(self, m1):
         for x in (0.1, 0.3, 0.77):
